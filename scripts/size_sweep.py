@@ -7,7 +7,7 @@ encoder channel table is visible at a glance.
 
 import argparse
 
-from scanseg.seg_net import BACKBONE_PRESETS, build, config_from_preset, count_params
+from scanseg.seg_net import BACKBONE_PRESETS, preset_key
 from scanseg.trainer import bench_forward
 
 
@@ -19,15 +19,14 @@ def main():
     args = ap.parse_args()
 
     names = ["a", "b", "c", "d", "rstar"]
-    times = bench_forward(names, h=args.height, w=args.width, repeats=args.repeats)
+    results = bench_forward(names, h=args.height, w=args.width, repeats=args.repeats)
     print(f"input {args.height}x{args.width}, median of {args.repeats} forward passes")
     print(f"{'config':>7} {'params':>12} {'channels':>28} {'forward [ms]':>13}")
-    for name in names:
-        key = name.upper().replace("RSTAR", "R*")
-        net = build(config_from_preset(name), seed=0)
+    for name, (sec, n_params) in results.items():
+        key = preset_key(name)
         channels = ",".join(str(c) for c in BACKBONE_PRESETS[key])
-        print(f"{key:>7} {count_params(net):>12,} {channels:>28} {times[name] * 1e3:>13.1f}")
-    print(f"time(D) / time(R*) = {times['d'] / times['rstar']:.3f}")
+        print(f"{key:>7} {n_params:>12,} {channels:>28} {sec * 1e3:>13.1f}")
+    print(f"time(D) / time(R*) = {results['d'][0] / results['rstar'][0]:.3f}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cloud_io, projection, synth_lidar
-from .seg_net import build, config_from_preset, count_params, load_weights, save_weights
+from .seg_net import build, config_from_preset, load_weights, preset_key, save_weights
 from .trainer import (
     TrainConfig,
     bench_forward,
@@ -65,6 +65,19 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--projection", choices=("unfold", "ego"), default="unfold")
     p.add_argument("--ego-velocity", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
+
+
+def _dataset(args):
+    """(train, val) synthetic splits from the ``_add_dataset_args`` flags."""
+    return make_synthetic_dataset(
+        n_scans=args.scans,
+        h=args.height,
+        w=args.width,
+        n_object_classes=args.classes,
+        seed=args.seed,
+        projection=args.projection,
+        ego_velocity=args.ego_velocity,
+    )
 
 
 def _add_net_args(p: argparse.ArgumentParser) -> None:
@@ -149,15 +162,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    train_set, _ = make_synthetic_dataset(
-        n_scans=args.scans,
-        h=args.height,
-        w=args.width,
-        n_object_classes=args.classes,
-        seed=args.seed,
-        projection=args.projection,
-        ego_velocity=args.ego_velocity,
-    )
+    train_set, _ = _dataset(args)
     config = TrainConfig(
         net=_net_config(args, n_classes=args.classes + 1),
         loss=args.loss,
@@ -194,15 +199,7 @@ def _write_previews(net, sample, out: Path) -> None:
 
 
 def _cmd_eval(args) -> int:
-    train_set, val_set = make_synthetic_dataset(
-        n_scans=args.scans,
-        h=args.height,
-        w=args.width,
-        n_object_classes=args.classes,
-        seed=args.seed,
-        projection=args.projection,
-        ego_velocity=args.ego_velocity,
-    )
+    train_set, val_set = _dataset(args)
     dataset = train_set if args.split == "train" else val_set
     net = build(_net_config(args, n_classes=args.classes + 1), seed=args.seed)
     load_weights(net, args.weights)
@@ -217,14 +214,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    times = bench_forward(args.presets, h=args.height, w=args.width, repeats=args.repeats, seed=args.seed)
-    for name, sec in times.items():
-        key = name.upper().replace("RSTAR", "R*")
-        net = build(config_from_preset(name), seed=0)
-        print(f"{key:3s} params={count_params(net):>10d} forward={sec * 1e3:9.2f} ms")
-    lower = {n.upper().replace("RSTAR", "R*"): t for n, t in times.items()}
-    if "D" in lower and "R*" in lower:
-        print(f"time(D) / time(R*) = {lower['D'] / lower['R*']:.3f}")
+    results = bench_forward(args.presets, h=args.height, w=args.width, repeats=args.repeats, seed=args.seed)
+    times = {}
+    for name, (sec, n_params) in results.items():
+        key = preset_key(name)
+        times[key] = sec
+        print(f"{key:3s} params={n_params:>10d} forward={sec * 1e3:9.2f} ms")
+    if "D" in times and "R*" in times:
+        print(f"time(D) / time(R*) = {times['D'] / times['R*']:.3f}")
     return 0
 
 

@@ -39,9 +39,9 @@ class FormatError(ValueError):
 class PointCloud:
     """An ordered list of LiDAR returns in the sensor frame.
 
-    ``points`` has shape (N, 3) and ``reflectance`` shape (N,); the order is
-    the acquisition order of the sensor and must never be shuffled, since the
-    scan unfolding projection relies on it.
+    ``points`` has shape (N, 3) and ``reflectance`` shape (N,), all finite;
+    the order is the acquisition order of the sensor and must never be
+    shuffled, since the scan unfolding projection relies on it.
     """
 
     points: np.ndarray
@@ -55,6 +55,9 @@ class PointCloud:
                 f"point/reflectance length mismatch: {self.points.shape[0]} vs "
                 f"{self.reflectance.shape[0]}"
             )
+        finite = np.isfinite(self.points).all(axis=1) & np.isfinite(self.reflectance)
+        if not finite.all():
+            raise ValueError(f"non-finite value in point {int(np.flatnonzero(~finite)[0])}")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -113,11 +116,10 @@ def read_point_cloud(data: bytes) -> PointCloud:
     if len(data) % 16 != 0:
         raise FormatError(f"point stream length {len(data)} not divisible by 16")
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
-    finite = np.isfinite(raw).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise FormatError(f"non-finite value in point {bad}")
-    return PointCloud(points=raw[:, :3].copy(), reflectance=raw[:, 3].copy())
+    try:
+        return PointCloud(points=raw[:, :3].copy(), reflectance=raw[:, 3].copy())
+    except ValueError as exc:  # non-finite values, named by PointCloud
+        raise FormatError(str(exc)) from exc
 
 
 def write_point_cloud(cloud: PointCloud) -> bytes:

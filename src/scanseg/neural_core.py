@@ -43,30 +43,9 @@ class PadSpec:
         return cls(i // 2, j // 2, width_mode)
 
 
-def pad(x: np.ndarray, spec: PadSpec) -> np.ndarray:
-    """Pad height with zeros and width per ``spec``.
-
-    Cyclic width padding copies columns from the opposite edge; the amount may
-    not exceed the width itself.
-    """
-    _check_rank4(x)
-    b, h, w, c = x.shape
-    ip, jp = spec.i_pad, spec.j_pad
-    if spec.width_mode == "cyclic":
-        if jp > w:
-            raise ValueError(f"cyclic pad {jp} exceeds width {w}")
-        if jp > 0:
-            x = np.concatenate([x[:, :, w - jp :, :], x, x[:, :, :jp, :]], axis=2)
-    elif jp > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (jp, jp), (0, 0)))
-    if ip > 0:
-        x = np.pad(x, ((0, 0), (ip, ip), (0, 0), (0, 0)))
-    return x
-
-
 def pad_backward(grad_padded: np.ndarray, spec: PadSpec, h: int, w: int) -> np.ndarray:
-    """Gradient of ``pad``: crop, and for cyclic mode fold the wrapped columns
-    back onto their source columns."""
+    """Gradient of the padded grid ``_flat_padded`` builds: crop, and for
+    cyclic mode fold the wrapped columns back onto their source columns."""
     ip, jp = spec.i_pad, spec.j_pad
     core = grad_padded[:, ip : ip + h, jp : jp + w, :].copy()
     if spec.width_mode == "cyclic" and jp > 0:
@@ -119,11 +98,6 @@ def glorot_uniform(rng: np.random.Generator, i: int, j: int, c_in: int, c_out: i
     weights = rng.uniform(-limit, limit, size=(i, j, c_in, c_out, alpha)).astype(dtype)
     bias = np.zeros((c_out, alpha), dtype=dtype)
     return SlcKernel(weights=weights, bias=bias)
-
-
-def component_of_rows(h: int, alpha: int) -> np.ndarray:
-    """Component index per output row: (row * alpha) // height."""
-    return (np.arange(h) * alpha) // h
 
 
 def _component_bands(h: int, alpha: int):

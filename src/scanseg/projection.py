@@ -85,8 +85,6 @@ def get_rows(
     step). ``robust`` flags one only when the azimuth wraps by more than pi,
     which dropped-return gaps inside a line cannot fake.
     """
-    if len(cloud) == 0:
-        return np.zeros(0, dtype=np.int32)
     phi = _azimuth(cloud.points)
     delta = np.abs(phi[1:] - phi[:-1])
     if mode == "literal":
@@ -167,9 +165,6 @@ def unfold_scan(
     Rows come from ``get_rows``; rows past ``h - 1`` mark their points out of
     range rather than clipping into the image.
     """
-    n = len(cloud)
-    if n == 0:
-        return _scatter_nearest(cloud, labels, np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, bool), h, w)
     rows = get_rows(cloud, threshold, mode)
     cols = get_columns(cloud, w)
     in_range = rows < h
@@ -192,9 +187,6 @@ def project_ego_corrected(
     """
     if not fov_down < fov_up:
         raise ValueError("fov_down must be below fov_up")
-    n = len(cloud)
-    if n == 0:
-        return _scatter_nearest(cloud, labels, np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, bool), h, w)
     pts = cloud.points.astype(np.float64)
     depth = np.linalg.norm(pts, axis=1)
     if (depth == 0).any():
@@ -203,7 +195,7 @@ def project_ego_corrected(
     rows_f = np.floor(h * (1.0 - (elev - fov_down) / (fov_up - fov_down)))
     rows = np.clip(rows_f, 0, h - 1).astype(np.int32)
     cols = get_columns(cloud, w)
-    in_range = np.ones(n, dtype=bool)
+    in_range = np.ones(len(cloud), dtype=bool)
     return _scatter_nearest(cloud, labels, rows, cols, in_range, h, w)
 
 
@@ -213,7 +205,11 @@ def occlusion_stats(index_map: IndexMap) -> OcclusionStats:
     n_projected = int((index_map.pixel_to_point >= 0).sum())
     n_occluded = int(index_map.occluded.shape[0])
     n_out = int((index_map.point_to_pixel[:, 0] < 0).sum())
-    assert n_projected + n_occluded + n_out == n
+    if n_projected + n_occluded + n_out != n:
+        raise ValueError(
+            f"inconsistent index map: projected {n_projected} + occluded {n_occluded} "
+            f"+ out_of_range {n_out} != {n} points"
+        )
     return OcclusionStats(n, n_projected, n_occluded, n_out)
 
 

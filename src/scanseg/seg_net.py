@@ -1,18 +1,22 @@
 """Configurable encoder-decoder segmentation backbones.
 
 The family is generated from a six-entry table of encoder channel counts.
-Topology: a stem at full resolution, five encoder stages that halve the width
-(height is never strided; range images are short and wide), a decoder that
+Topology: six encoder stages, each a conv unit followed by residual blocks;
+stage 0 is the full-resolution stem, and the other five halve the width
+(height is never strided; range images are short and wide). A decoder
 mirrors the strides with nearest-neighbor width upsampling and additive skip
-connections behind channel-matching 1x1 convolutions, and a 1x1 head to the
-class logits. Every convolution is a semi-local convolution whose component
-count alpha can be scheduled per layer (default 1 everywhere, i.e. plain
-convolutions), and every width padding follows the configured mode, so a
-cyclic network is cyclic end to end.
+connections behind channel-matching 1x1 convolutions, and a 1x1 head maps to
+the class logits. Every convolution is a semi-local convolution whose
+component count alpha can be scheduled per layer (default 1 everywhere, i.e.
+plain convolutions), and every width padding follows the configured mode, so
+a cyclic network is cyclic end to end.
 
-Networks are deterministic: the same config and seed yield bit-identical
-parameters. Parameters and buffers are flat name -> array dicts; weights
-serialize to ``.npz`` archives of exactly those names.
+Every conv and norm leaf registers itself at construction in
+``Network.layers``, keyed by layer name (``"stem.conv"``, ``"head"``) in
+parameter order, and owns ``params``, ``buffers`` and ``grads`` dicts keyed
+by archive name (``"head.weights"``). Networks are deterministic: the same
+config and seed yield bit-identical parameters. Weights serialize to
+``.npz`` archives of exactly those names.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from .neural_core import (
     PadSpec,
+    SlcKernel,
     glorot_uniform,
     norm_backward,
     norm_forward,
@@ -34,7 +39,9 @@ from .neural_core import (
     upsample_width_backward,
 )
 
-N_ENCODER_STAGES = 5
+N_ENCODER_STAGES = 5  # width-halving stages after the stem
+NORM_MOMENTUM = 0.1  # running-statistics update rate
+NORM_EPS = 1e-5
 
 #: Encoder channel tables of the sized backbones, smallest to largest.
 BACKBONE_PRESETS: dict[str, tuple[int, ...]] = {
@@ -71,10 +78,9 @@ class NetworkConfig:
             raise ValueError(f"unknown padding mode {self.padding!r}")
 
     def alpha_for(self, layer_name: str) -> int:
-        """Component count for a named layer: exact match, then the longest
-        prefix in ``alpha_overrides``, then the default."""
-        if layer_name in self.alpha_overrides:
-            return self.alpha_overrides[layer_name]
+        """Component count for a named layer: the longest key of
+        ``alpha_overrides`` that prefixes the name (an exact match being the
+        longest), else the default."""
         best = None
         for key in self.alpha_overrides:
             if layer_name.startswith(key) and (best is None or len(key) > len(best)):
@@ -82,29 +88,36 @@ class NetworkConfig:
         return self.alpha_overrides[best] if best is not None else self.alpha_default
 
 
-def config_from_preset(name: str, **overrides) -> NetworkConfig:
+def preset_key(name: str) -> str:
+    """The ``BACKBONE_PRESETS`` key of a preset name given in any case, with
+    ``rstar`` spelling ``R*``."""
     key = name.upper().replace("RSTAR", "R*")
     if key not in BACKBONE_PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(BACKBONE_PRESETS)}")
-    return NetworkConfig(stage_channels=BACKBONE_PRESETS[key], **overrides)
+    return key
+
+
+def config_from_preset(name: str, **overrides) -> NetworkConfig:
+    return NetworkConfig(stage_channels=BACKBONE_PRESETS[preset_key(name)], **overrides)
 
 
 class SlcLayer:
-    """One semi-local convolution with owned parameters and cached input."""
+    """One semi-local convolution; its kernel lives in ``params`` and its
+    last input is cached for the backward pass."""
 
-    def __init__(self, name, rng, i, j, c_in, c_out, alpha, pad_mode, stride_w=1):
-        self.name = name
-        self.kernel = glorot_uniform(rng, i, j, c_in, c_out, alpha)
+    def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, stride_w=1):
+        kernel = glorot_uniform(rng, i, j, c_in, c_out, alpha)
+        self.params = {f"{name}.weights": kernel.weights, f"{name}.bias": kernel.bias}
+        self.buffers: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
         self.pad_spec = PadSpec.same(i, j, pad_mode)
         self.stride_w = stride_w
         self._x = None
-        self.grads: dict[str, np.ndarray] = {}
+        layers[name] = self
 
-    def parameters(self):
-        return {f"{self.name}.weights": self.kernel.weights, f"{self.name}.bias": self.kernel.bias}
-
-    def buffers(self):
-        return {}
+    @property
+    def kernel(self) -> SlcKernel:
+        return SlcKernel(*self.params.values())
 
     def forward(self, x, training=False):
         self._x = x
@@ -112,66 +125,64 @@ class SlcLayer:
 
     def backward(self, upstream):
         gx, gw, gb = slc_backward(self._x, self.kernel, self.pad_spec, upstream, self.stride_w)
-        self.grads = {f"{self.name}.weights": gw, f"{self.name}.bias": gb}
+        self.grads = dict(zip(self.params, (gw, gb)))
         return gx
 
 
 class NormLayer:
-    """Batch-statistics normalization with running statistics for inference."""
+    """Batch-statistics normalization with running statistics for inference.
 
-    def __init__(self, name, channels, momentum=0.1, eps=1e-5):
-        self.name = name
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = np.ones(channels, dtype=np.float32)
-        self.beta = np.zeros(channels, dtype=np.float32)
-        self.running_mean = np.zeros(channels, dtype=np.float32)
-        self.running_var = np.ones(channels, dtype=np.float32)
-        self._cache = None
-        self.grads: dict[str, np.ndarray] = {}
+    ``params`` holds (gamma, beta) and ``buffers`` (running mean, running
+    variance), in that order.
+    """
 
-    def parameters(self):
-        return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
-
-    def buffers(self):
-        return {
-            f"{self.name}.running_mean": self.running_mean,
-            f"{self.name}.running_var": self.running_var,
+    def __init__(self, layers, name, channels):
+        self.params = {
+            f"{name}.gamma": np.ones(channels, dtype=np.float32),
+            f"{name}.beta": np.zeros(channels, dtype=np.float32),
         }
+        self.buffers = {
+            f"{name}.running_mean": np.zeros(channels, dtype=np.float32),
+            f"{name}.running_var": np.ones(channels, dtype=np.float32),
+        }
+        self.grads: dict[str, np.ndarray] = {}
+        self._cache = None
+        layers[name] = self
 
     def forward(self, x, training=False):
+        gamma, beta = self.params.values()
+        running_mean, running_var = self.buffers.values()
         if not training:
-            return norm_inference(x, self.gamma, self.beta, self.running_mean, self.running_var, self.eps)
-        y, cache = norm_forward(x, self.gamma, self.beta, self.eps)
+            return norm_inference(x, gamma, beta, running_mean, running_var, NORM_EPS)
+        y, cache = norm_forward(x, gamma, beta, NORM_EPS)
         self._cache = cache
         _, _, mean, var = cache
-        m = self.momentum
-        self.running_mean[:] = (1 - m) * self.running_mean + m * mean
-        self.running_var[:] = (1 - m) * self.running_var + m * var
+        m = NORM_MOMENTUM
+        running_mean[:] = (1 - m) * running_mean + m * mean
+        running_var[:] = (1 - m) * running_var + m * var
         return y
 
     def backward(self, upstream):
-        gx, d_gamma, d_beta = norm_backward(upstream, self._cache, self.gamma)
-        self.grads = {f"{self.name}.gamma": d_gamma, f"{self.name}.beta": d_beta}
+        gamma, _ = self.params.values()
+        gx, d_gamma, d_beta = norm_backward(upstream, self._cache, gamma)
+        self.grads = dict(zip(self.params, (d_gamma, d_beta)))
         return gx
 
 
 class ConvUnit:
-    """conv [+ norm] [+ relu], the repeated building element."""
+    """conv + norm [+ relu], the repeated building element; alpha and
+    padding come from the config."""
 
-    def __init__(self, name, rng, i, j, c_in, c_out, alpha, pad_mode, stride_w=1, normed=True, activated=True):
-        self.conv = SlcLayer(f"{name}.conv", rng, i, j, c_in, c_out, alpha, pad_mode, stride_w)
-        self.norm = NormLayer(f"{name}.norm", c_out) if normed else None
+    def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
+        alpha = config.alpha_for(name)
+        self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, stride_w)
+        self.norm = NormLayer(layers, f"{name}.norm", c_out)
         self.activated = activated
         self._pre_relu = None
 
-    def children(self):
-        return [self.conv] + ([self.norm] if self.norm else [])
-
     def forward(self, x, training=False):
         y = self.conv.forward(x, training)
-        if self.norm:
-            y = self.norm.forward(y, training)
+        y = self.norm.forward(y, training)
         if self.activated:
             self._pre_relu = y
             y = relu(y)
@@ -179,21 +190,17 @@ class ConvUnit:
 
     def backward(self, upstream):
         g = relu_backward(self._pre_relu, upstream) if self.activated else upstream
-        if self.norm:
-            g = self.norm.backward(g)
+        g = self.norm.backward(g)  # rebound, so the relu gradient is freed here
         return self.conv.backward(g)
 
 
 class ResBlock:
     """Two 3x3 conv units with an additive shortcut."""
 
-    def __init__(self, name, rng, channels, alpha_fn, pad_mode):
-        self.u1 = ConvUnit(f"{name}.conv1", rng, 3, 3, channels, channels, alpha_fn(f"{name}.conv1"), pad_mode)
-        self.u2 = ConvUnit(f"{name}.conv2", rng, 3, 3, channels, channels, alpha_fn(f"{name}.conv2"), pad_mode, activated=False)
+    def __init__(self, layers, rng, config, name, channels):
+        self.u1 = ConvUnit(layers, rng, config, f"{name}.conv1", 3, 3, channels, channels)
+        self.u2 = ConvUnit(layers, rng, config, f"{name}.conv2", 3, 3, channels, channels, activated=False)
         self._sum = None
-
-    def children(self):
-        return self.u1.children() + self.u2.children()
 
     def forward(self, x, training=False):
         r = self.u2.forward(self.u1.forward(x, training), training)
@@ -208,17 +215,16 @@ class ResBlock:
 
 
 class EncoderStage:
-    """Width-stride-2 downsampling conv followed by residual blocks."""
+    """Entry conv unit followed by residual blocks.
 
-    def __init__(self, name, rng, c_in, c_out, n_blocks, alpha_fn, pad_mode):
-        self.down = ConvUnit(f"{name}.down", rng, 3, 3, c_in, c_out, alpha_fn(f"{name}.down"), pad_mode, stride_w=2)
-        self.blocks = [ResBlock(f"{name}.block{k}", rng, c_out, alpha_fn, pad_mode) for k in range(n_blocks)]
+    The entry unit of a width-stride-2 stage is named ``<name>.down``; the
+    stride-1 stem stage's entry unit is named ``<name>`` itself.
+    """
 
-    def children(self):
-        out = self.down.children()
-        for b in self.blocks:
-            out += b.children()
-        return out
+    def __init__(self, layers, rng, config, name, c_in, c_out, n_blocks, stride_w=2):
+        entry = f"{name}.down" if stride_w > 1 else name
+        self.down = ConvUnit(layers, rng, config, entry, 3, 3, c_in, c_out, stride_w=stride_w)
+        self.blocks = [ResBlock(layers, rng, config, f"{name}.block{k}", c_out) for k in range(n_blocks)]
 
     def forward(self, x, training=False):
         y = self.down.forward(x, training)
@@ -226,8 +232,7 @@ class EncoderStage:
             y = b.forward(y, training)
         return y
 
-    def backward(self, upstream):
-        g = upstream
+    def backward(self, g):
         for b in reversed(self.blocks):
             g = b.backward(g)
         return self.down.backward(g)
@@ -236,12 +241,9 @@ class EncoderStage:
 class DecoderStage:
     """Width upsample, 1x1 channel matcher, additive skip, 3x3 refine."""
 
-    def __init__(self, name, rng, c_in, c_out, alpha_fn, pad_mode):
-        self.proj = ConvUnit(f"{name}.proj", rng, 1, 1, c_in, c_out, alpha_fn(f"{name}.proj"), pad_mode)
-        self.refine = ConvUnit(f"{name}.refine", rng, 3, 3, c_out, c_out, alpha_fn(f"{name}.refine"), pad_mode)
-
-    def children(self):
-        return self.proj.children() + self.refine.children()
+    def __init__(self, layers, rng, config, name, c_in, c_out):
+        self.proj = ConvUnit(layers, rng, config, f"{name}.proj", 1, 1, c_in, c_out)
+        self.refine = ConvUnit(layers, rng, config, f"{name}.refine", 3, 3, c_out, c_out)
 
     def forward(self, x, skip, training=False):
         u = upsample_width(x, 2)
@@ -256,63 +258,41 @@ class DecoderStage:
 
 
 class Network:
-    """A built backbone: ordered layers, flat parameter registry, and the
-    explicit forward/backward wiring of the encoder-decoder topology."""
+    """A built backbone: the name-keyed layer registry and the explicit
+    forward/backward wiring of the encoder-decoder topology."""
 
     def __init__(self, config: NetworkConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
         ch = config.stage_channels
-        pad_mode = config.padding
-        alpha_fn = config.alpha_for
+        #: every conv and norm leaf by layer name, in parameter order
+        self.layers: dict = {}
 
-        self.stem = ConvUnit("stem", rng, 3, 3, config.in_channels, ch[0], alpha_fn("stem"), pad_mode)
-        self.stem_blocks = [
-            ResBlock(f"stem.block{k}", rng, ch[0], alpha_fn, pad_mode)
-            for k in range(config.blocks_per_stage[0])
-        ]
+        names = ["stem"] + [f"enc{i}" for i in range(1, N_ENCODER_STAGES + 1)]
+        c_ins = (config.in_channels,) + ch[:-1]
         self.encoder = [
-            EncoderStage(f"enc{i}", rng, ch[i - 1], ch[i], config.blocks_per_stage[i], alpha_fn, pad_mode)
-            for i in range(1, N_ENCODER_STAGES + 1)
+            EncoderStage(self.layers, rng, config, name, c_in, c_out, n_blocks, stride_w=1 if k == 0 else 2)
+            for k, (name, c_in, c_out, n_blocks) in enumerate(zip(names, c_ins, ch, config.blocks_per_stage))
         ]
         self.decoder = [
-            DecoderStage(f"dec{i}", rng, ch[i], ch[i - 1], alpha_fn, pad_mode)
-            for i in range(N_ENCODER_STAGES, 0, -1)
+            DecoderStage(self.layers, rng, config, f"dec{i}", ch[i], ch[i - 1]) for i in range(N_ENCODER_STAGES, 0, -1)
         ]
-        self.head = SlcLayer("head", rng, 1, 1, ch[0], config.n_classes, alpha_fn("head"), pad_mode)
+        alpha = config.alpha_for("head")
+        self.head = SlcLayer(self.layers, "head", rng, 1, 1, ch[0], config.n_classes, alpha, config.padding)
 
         # per-channel input normalization, set from data by the trainer
         self.input_mean = np.zeros(config.in_channels, dtype=np.float32)
         self.input_std = np.ones(config.in_channels, dtype=np.float32)
 
-    def _units(self):
-        units = self.stem.children()
-        for b in self.stem_blocks:
-            units += b.children()
-        for stage in self.encoder:
-            units += stage.children()
-        for stage in self.decoder:
-            units += stage.children()
-        units.append(self.head)
-        return units
-
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for u in self._units():
-            out.update(u.parameters())
-        return out
+        return {k: v for layer in self.layers.values() for k, v in layer.params.items()}
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out = {"input_mean": self.input_mean, "input_std": self.input_std}
-        for u in self._units():
-            out.update(u.buffers())
-        return out
+        inputs = {"input_mean": self.input_mean, "input_std": self.input_std}
+        return inputs | {k: v for layer in self.layers.values() for k, v in layer.buffers.items()}
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for u in self._units():
-            out.update(u.grads)
-        return out
+        return {k: v for layer in self.layers.values() for k, v in layer.grads.items()}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         b, h, w, c = x.shape
@@ -323,33 +303,31 @@ class Network:
             raise ValueError(f"input width {w} must be a positive multiple of {stride_total}")
         x = (x - self.input_mean) / self.input_std
 
-        t = self.stem.forward(x, training)
-        for blk in self.stem_blocks:
-            t = blk.forward(t, training)
-        skips = [t]
+        skips = []
         for stage in self.encoder:
-            t = stage.forward(t, training)
-            skips.append(t)
-        # decoder[k] consumes skips[-(k + 2)]: deepest first
-        for k, stage in enumerate(self.decoder):
-            t = stage.forward(t, skips[N_ENCODER_STAGES - 1 - k], training)
-        return self.head.forward(t, training)
+            x = stage.forward(x, training)
+            skips.append(x)
+        # decoder[k] consumes skips[-(k + 2)]: the deepest stage's output is
+        # the decoder input, not a skip
+        for stage, skip in zip(self.decoder, reversed(skips[:-1])):
+            x = stage.forward(x, skip, training)
+        return self.head.forward(x, training)
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+        """Gradients of the last ``forward(x, training=True)``: parameter
+        gradients go to each leaf's ``grads``; returns the gradient wrt ``x``."""
         g = self.head.backward(grad_logits)
-        skip_grads = [None] * N_ENCODER_STAGES
-        for k, stage in enumerate(reversed(self.decoder)):
-            # reversed(decoder)[k] is the stage whose skip is skips[k]
+        # reversed(decoder)[k] is the stage whose skip is encoder[k]'s output
+        skip_grads = []
+        for stage in reversed(self.decoder):
             g, gs = stage.backward(g)
-            skip_grads[k] = gs
-        for i in range(N_ENCODER_STAGES, 0, -1):
-            if i < N_ENCODER_STAGES:
-                g = g + skip_grads[i]
-            g = self.encoder[i - 1].backward(g)
-        g = g + skip_grads[0]
-        for blk in reversed(self.stem_blocks):
-            g = blk.backward(g)
-        return self.stem.backward(g)
+            skip_grads.append(gs)
+        for k in range(N_ENCODER_STAGES, -1, -1):
+            if k < N_ENCODER_STAGES:
+                g = g + skip_grads[k]
+            g = self.encoder[k].backward(g)
+        # through the input normalization, so the gradient is wrt ``x``
+        return g / self.input_std
 
 
 def build(config: NetworkConfig, seed: int = 0) -> Network:
@@ -364,11 +342,8 @@ def count_params(net: Network) -> int:
 
 def save_weights(net: Network, path) -> None:
     """Write all parameters and buffers to a flat ``.npz`` archive."""
-    arrays = {}
-    arrays.update(net.parameters())
-    arrays.update(net.buffers())
     with open(path, "wb") as f:
-        np.savez(f, **arrays)
+        np.savez(f, **net.parameters(), **net.buffers())
 
 
 def load_weights(net: Network, path) -> None:
@@ -383,9 +358,7 @@ def load_weights(net: Network, path) -> None:
     except Exception as exc:
         raise ValueError(f"unreadable weight archive {path}: {exc}") from exc
 
-    target = {}
-    target.update(net.parameters())
-    target.update(net.buffers())
+    target = net.parameters() | net.buffers()
     problems = []
     for name, arr in target.items():
         if name not in stored:

@@ -18,7 +18,6 @@ available for the conventional smoothed variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -48,9 +47,6 @@ class ConfusionMatrix:
     @property
     def n_classes(self) -> int:
         return self.counts.shape[0]
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -199,13 +195,3 @@ def miou(cm: ConfusionMatrix, ignore_id: int | None = 0) -> tuple[np.ndarray, fl
     mean = float(iou[defined].mean()) if defined.any() else float("nan")
     return iou, mean
 
-
-def write_metric_report(path, cm: ConfusionMatrix, ignore_id: int | None = 0) -> None:
-    """Key-value metric report: per-class IoU, mIoU, and pixel counts."""
-    iou, mean = miou(cm, ignore_id)
-    lines = [f"n_classes = {cm.n_classes}", f"scored_pixels = {int(cm.counts.sum())}"]
-    for c in range(cm.n_classes):
-        val = "undefined" if np.isnan(iou[c]) else f"{iou[c]:.6f}"
-        lines.append(f"iou_class_{c} = {val}")
-    lines.append(f"miou = {'undefined' if np.isnan(mean) else f'{mean:.6f}'}")
-    Path(path).write_text("\n".join(lines) + "\n")

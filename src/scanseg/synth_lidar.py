@@ -348,22 +348,6 @@ def generate_scan(sensor: SensorModel, scene: SceneConfig) -> SynthScan:
     )
 
 
-def azimuth_trace(scan) -> np.ndarray:
-    """Per-point azimuth in radians, atan2 convention mapped to (-pi, pi].
-
-    Accepts a SynthScan or a bare PointCloud. Points on the z axis have no
-    azimuth and raise.
-    """
-    cloud = getattr(scan, "cloud", scan)
-    pts = cloud.points
-    on_axis = (pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)
-    if on_axis.any():
-        raise ValueError(f"azimuth undefined for point {int(np.flatnonzero(on_axis)[0])} on the z axis")
-    phi = np.arctan2(pts[:, 1].astype(np.float64), pts[:, 0].astype(np.float64))
-    phi[phi == -np.pi] = np.pi
-    return phi
-
-
 # -- config files -----------------------------------------------------------
 
 _EXAMPLE_CONFIG = """\

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,6 @@ class TrainConfig:
     batch_size: int = 2
     seed: int = 0
     projection: str = "unfold"  # data side: "unfold" | "ego"
-    padding: str | None = None  # None = keep net.padding, else override
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -69,9 +68,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
     def network_config(self) -> NetworkConfig:
-        if self.padding is None:
-            return self.net
-        return replace(self.net, padding=self.padding)
+        """``net``; the accessor stays for ``scanbench``, which calls it."""
+        return self.net
 
 
 @dataclass
@@ -163,28 +161,13 @@ def _loss_and_grad(kind: str, probs: np.ndarray, targets: np.ndarray):
     return ce.value + dice.value, ce.grad + dice.grad
 
 
-def _config_echo(config: TrainConfig, extra: dict | None = None) -> dict:
-    net = config.network_config()
-    echo = {
-        "loss": config.loss,
-        "optimizer": config.optimizer,
-        "lr": config.lr,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "adam_eps": config.adam_eps,
-        "steps": config.steps,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-        "projection": config.projection,
-        "net.stage_channels": ",".join(str(c) for c in net.stage_channels),
-        "net.blocks_per_stage": ",".join(str(b) for b in net.blocks_per_stage),
-        "net.alpha_default": net.alpha_default,
-        "net.padding": net.padding,
-        "net.in_channels": net.in_channels,
-        "net.n_classes": net.n_classes,
-    }
-    if extra:
-        echo.update(extra)
+def _config_echo(config: TrainConfig) -> dict:
+    """Every config field by name, the network's under ``net.``; tuples are
+    comma-joined."""
+    echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "net"}
+    for f in fields(config.net):
+        value = getattr(config.net, f.name)
+        echo[f"net.{f.name}"] = ",".join(str(v) for v in value) if isinstance(value, tuple) else value
     return echo
 
 
@@ -192,7 +175,7 @@ def train(config: TrainConfig, dataset: list[Sample]) -> tuple[Network, RunRepor
     """Run the seeded loop and report metrics on the training data."""
     if not dataset:
         raise ValueError("dataset is empty")
-    net = build(config.network_config(), seed=config.seed)
+    net = build(config.net, seed=config.seed)
     xs, ys = _stack_dataset(dataset)
     fit_input_stats(net, xs)
 
@@ -219,7 +202,7 @@ def train(config: TrainConfig, dataset: list[Sample]) -> tuple[Network, RunRepor
         trace.append(float(loss_val))
 
     sec_forward = _time_forward(net, xs[: min(len(dataset), config.batch_size)])
-    eval_report = evaluate(net, dataset, backproject=True, config_echo=_config_echo(config))
+    eval_report = evaluate(net, dataset, backproject=True)
     return net, RunReport(
         loss_trace=trace,
         per_class_iou=eval_report.per_class_iou,
@@ -248,7 +231,6 @@ def evaluate(
     dataset: list[Sample],
     backproject: bool = False,
     batch_size: int = 4,
-    config_echo: dict | None = None,
 ) -> RunReport:
     """Accumulate per-pixel (and optionally back-projected per-point)
     confusion over the dataset and report IoU metrics."""
@@ -278,7 +260,7 @@ def evaluate(
         miou=mean,
         param_count=count_params(net),
         sec_per_forward=float("nan"),
-        config=config_echo or {},
+        config={},
         n_samples=len(dataset),
     )
     if scored_points:
@@ -286,8 +268,13 @@ def evaluate(
     return report
 
 
+def _metric(v: float) -> str:
+    return "undefined" if np.isnan(v) else f"{v:.6f}"
+
+
 def write_run_report(report: RunReport, path) -> None:
-    """Emit the report as stable ``key = value`` lines."""
+    """Emit the report as stable ``key = value`` lines; an IoU that is NaN
+    (empty union, or no defined class for a mean) reads ``undefined``."""
     lines = []
     for key, val in sorted(report.config.items()):
         lines.append(f"config.{key} = {val}")
@@ -298,12 +285,12 @@ def write_run_report(report: RunReport, path) -> None:
         lines.append(f"final_loss = {report.loss_trace[-1]:.6f}")
         lines.append("loss_trace = " + ",".join(f"{v:.6f}" for v in report.loss_trace))
     for c, v in enumerate(report.per_class_iou):
-        lines.append(f"iou_class_{c} = " + ("undefined" if np.isnan(v) else f"{v:.6f}"))
-    lines.append(f"miou = {report.miou:.6f}")
+        lines.append(f"iou_class_{c} = {_metric(v)}")
+    lines.append(f"miou = {_metric(report.miou)}")
     if report.point_miou is not None:
         for c, v in enumerate(report.point_per_class_iou):
-            lines.append(f"point_iou_class_{c} = " + ("undefined" if np.isnan(v) else f"{v:.6f}"))
-        lines.append(f"point_miou = {report.point_miou:.6f}")
+            lines.append(f"point_iou_class_{c} = {_metric(v)}")
+        lines.append(f"point_miou = {_metric(report.point_miou)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -401,13 +388,13 @@ def bench_forward(
     w: int = 2048,
     repeats: int = 3,
     seed: int = 0,
-    n_classes: int = 20,
-) -> dict[str, float]:
-    """Median forward-pass seconds per config on a random input."""
+) -> dict[str, tuple[float, int]]:
+    """Median forward-pass seconds and parameter count per config (default
+    class count), timed on a random input."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, h, w, 3)).astype(np.float32)
     out = {}
     for name in preset_names:
-        net = build(config_from_preset(name, n_classes=n_classes), seed=seed)
-        out[name] = _time_forward(net, x, repeats)
+        net = build(config_from_preset(name), seed=seed)
+        out[name] = (_time_forward(net, x, repeats), count_params(net))
     return out

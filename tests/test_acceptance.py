@@ -409,7 +409,8 @@ def test_09_end_to_end_training_smoke():
 
 
 def test_10_relative_forward_speed():
-    times = bench_forward(["d", "rstar"], h=64, w=256, repeats=3, seed=0)
+    results = bench_forward(["d", "rstar"], h=64, w=256, repeats=3, seed=0)
+    times = {name: sec for name, (sec, _) in results.items()}
     ratio = times["d"] / times["rstar"]
     _report(
         10,

@@ -42,6 +42,16 @@ def test_non_finite_rejected_with_index():
         read_point_cloud(data)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_direct_construction_rejects_non_finite(bad):
+    points = np.ones((3, 3), dtype=np.float32)
+    points[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite value in point 2"):
+        PointCloud(points=points, reflectance=np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite value in point 1"):
+        PointCloud(points=np.ones((3, 3)), reflectance=[0.0, bad, 0.0])
+
+
 def test_label_bit_split():
     labels = read_labels(struct.pack("<I", 0x00010009))
     assert labels.semantic[0] == 9

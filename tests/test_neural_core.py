@@ -7,14 +7,14 @@ from oracles import central_diff_grad, max_rel_err, reference_conv, reference_co
 from scanseg.neural_core import (
     PadSpec,
     SlcKernel,
-    component_of_rows,
+    _component_bands,
+    _flat_padded,
     conv_backward,
     conv_forward,
     glorot_uniform,
     norm_backward,
     norm_forward,
     norm_inference,
-    pad,
     pad_backward,
     relu,
     relu_backward,
@@ -32,30 +32,35 @@ def _rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def padded(x, spec):
+    """The padded grid the convolutions run on (no flat slack)."""
+    return _flat_padded(x, spec, 1)[1]
+
+
 class TestPad:
     def test_cyclic_row(self):
         x = np.arange(4.0).reshape(1, 1, 4, 1)  # [a b c d]
-        out = pad(x, PadSpec(0, 1, "cyclic"))
+        out = padded(x, PadSpec(0, 1, "cyclic"))
         np.testing.assert_array_equal(out[0, 0, :, 0], [3, 0, 1, 2, 3, 0])
 
     def test_zero_row(self):
         x = np.arange(1.0, 5.0).reshape(1, 1, 4, 1)
-        out = pad(x, PadSpec(0, 1, "zeros"))
+        out = padded(x, PadSpec(0, 1, "zeros"))
         np.testing.assert_array_equal(out[0, 0, :, 0], [0, 1, 2, 3, 4, 0])
 
     def test_zero_amount_is_identity(self):
         x = _rand((2, 3, 4, 5))
-        assert pad(x, PadSpec(0, 0, "cyclic")) is x
+        np.testing.assert_array_equal(padded(x, PadSpec(0, 0, "cyclic")), x)
 
     def test_height_always_zeros(self):
         x = np.ones((1, 2, 2, 1))
-        out = pad(x, PadSpec(1, 0, "cyclic"))
+        out = padded(x, PadSpec(1, 0, "cyclic"))
         assert out.shape == (1, 4, 2, 1)
         assert (out[:, 0] == 0).all() and (out[:, -1] == 0).all()
 
     def test_cyclic_amount_beyond_width(self):
         with pytest.raises(ValueError, match="exceeds width"):
-            pad(np.ones((1, 2, 3, 1)), PadSpec(0, 4, "cyclic"))
+            padded(np.ones((1, 2, 3, 1)), PadSpec(0, 4, "cyclic"))
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -68,16 +73,16 @@ class TestPad:
     def test_crop_recovers_original(self, seed, h, w, mode):
         x = np.random.default_rng(seed).standard_normal((1, h, w, 2))
         spec = PadSpec(1, min(2, w), mode)
-        out = pad(x, spec)
+        out = padded(x, spec)
         core = out[:, spec.i_pad : spec.i_pad + h, spec.j_pad : spec.j_pad + w, :]
         np.testing.assert_array_equal(core, x)
 
     def test_pad_backward_folds_wrapped_columns(self):
         x = _rand((1, 2, 4, 1), seed=3)
         spec = PadSpec(1, 2, "cyclic")
-        up = _rand(pad(x, spec).shape, seed=4)
+        up = _rand(padded(x, spec).shape, seed=4)
         analytic = pad_backward(up, spec, 2, 4)
-        num = central_diff_grad(lambda: float((pad(x, spec) * up).sum()), x, EPS)
+        num = central_diff_grad(lambda: float((padded(x, spec) * up).sum()), x, EPS)
         assert max_rel_err(analytic, num) < GRAD_TOL
 
 
@@ -96,10 +101,19 @@ class TestSlcForward:
         k = SlcKernel(weights=w, bias=np.zeros((3, 1)))
         np.testing.assert_allclose(slc_forward(x, k, PadSpec.same(3, 3)), x, atol=1e-12)
 
+    @staticmethod
+    def component_of_rows(h, alpha):
+        comp = np.full(h, -1)
+        for a, h0, h1 in _component_bands(h, alpha):
+            comp[h0:h1] = a
+        return comp
+
     def test_component_selection_fixtures(self):
         # height 8: two components split the halves; eight give one per row
-        np.testing.assert_array_equal(component_of_rows(8, 2), [0, 0, 0, 0, 1, 1, 1, 1])
-        np.testing.assert_array_equal(component_of_rows(8, 8), np.arange(8))
+        np.testing.assert_array_equal(self.component_of_rows(8, 2), [0, 0, 0, 0, 1, 1, 1, 1])
+        np.testing.assert_array_equal(self.component_of_rows(8, 8), np.arange(8))
+        for h, alpha in ((7, 3), (5, 2), (64, 5), (64, 64), (1, 1)):
+            np.testing.assert_array_equal(self.component_of_rows(h, alpha), (np.arange(h) * alpha) // h)
 
     def test_component_rows_drive_output(self):
         x = np.ones((1, 8, 3, 1))

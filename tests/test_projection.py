@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scanseg.cloud_io import LabelArray, PointCloud
 from scanseg.projection import (
+    IndexMap,
     backproject_labels,
     get_columns,
     get_rows,
@@ -195,9 +196,20 @@ class TestEgoProjection:
 
 class TestOcclusionAccounting:
     def test_empty(self):
-        _, index_map = unfold_scan(_cloud(np.zeros((0, 3))), None, 2, 2)
-        stats = occlusion_stats(index_map)
-        assert (stats.n_points, stats.n_projected, stats.n_occluded, stats.n_out_of_range) == (0, 0, 0, 0)
+        for project in (unfold_scan, project_ego_corrected):
+            _, index_map = project(_cloud(np.zeros((0, 3))), None, 2, 2)
+            stats = occlusion_stats(index_map)
+            assert (stats.n_points, stats.n_projected, stats.n_occluded, stats.n_out_of_range) == (0, 0, 0, 0)
+
+    def test_inconsistent_index_map_rejected(self):
+        # three points, one pixel won, nothing occluded or out of range
+        index_map = IndexMap(
+            pixel_to_point=np.array([[0, -1]], dtype=np.int32),
+            point_to_pixel=np.array([[0, 0], [0, 1], [0, 1]], dtype=np.int32),
+            occluded=np.zeros(0, dtype=np.int32),
+        )
+        with pytest.raises(ValueError, match=r"projected 1 \+ occluded 0 \+ out_of_range 0 != 3 points"):
+            occlusion_stats(index_map)
 
     def test_ego_exceeds_unfold_on_moving_scenes(self):
         for seed in range(3):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import central_diff_grad, max_rel_err
 from scanseg.seg_net import (
     BACKBONE_PRESETS,
     NetworkConfig,
@@ -101,8 +102,8 @@ def test_alpha_two_roughly_doubles_conv_params():
 def test_alpha_override_targets_named_layer():
     cfg = small_config(alpha_overrides={"head": 4})
     net = build(cfg, seed=0)
-    assert net.head.kernel.alpha == 4
-    assert net.stem.conv.kernel.alpha == 1
+    assert net.layers["head"].kernel.alpha == 4
+    assert net.layers["stem.conv"].kernel.alpha == 1
     assert cfg.alpha_for("head") == 4
     assert cfg.alpha_for("enc1.down") == 1
     prefix_cfg = small_config(alpha_overrides={"enc1": 2, "enc1.down": 3})
@@ -181,3 +182,68 @@ def test_input_stats_buffers_serialized(tmp_path):
     load_weights(other, path)
     np.testing.assert_array_equal(other.input_mean, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(other.input_std, [4.0, 5.0, 6.0])
+
+
+def test_layer_registry_is_parameter_order():
+    net = build(small_config(), seed=0)
+    names = list(net.layers)
+    assert names[:3] == ["stem.conv", "stem.norm", "stem.block0.conv1.conv"]
+    assert names[names.index("enc1.down.conv") + 1] == "enc1.down.norm"
+    assert names[-1] == "head"
+    assert list(net.parameters()) == [k for layer in net.layers.values() for k in layer.params]
+    assert list(net.buffers())[:2] == ["input_mean", "input_std"]
+
+
+def _as_float64(net):
+    """Recast every registered parameter and buffer to float64."""
+    for layer in net.layers.values():
+        for arrays in (layer.params, layer.buffers):
+            for name in list(arrays):
+                arrays[name] = arrays[name].astype(np.float64)
+    return net
+
+
+# sampled parameter entries (basic-slice views, so probes write through)
+# from the stem, one encoder stage, one decoder stage and the head; conv
+# biases in front of a norm are left out, their gradient is exactly zero
+GRAD_PROBES = {
+    "stem.conv.weights": np.s_[:, :, 0, 1],
+    "stem.norm.gamma": np.s_[:],
+    "enc2.down.conv.weights": np.s_[1, :, 2, 0],
+    "enc2.block0.conv2.norm.beta": np.s_[:],
+    "dec3.proj.conv.weights": np.s_[0, 0, :, 1],
+    "dec3.refine.norm.gamma": np.s_[:],
+    "head.weights": np.s_[0, 0, :, 1],
+    "head.bias": np.s_[:],
+}
+
+
+@pytest.mark.parametrize("padding", ["cyclic", "zeros"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_network_backward_matches_central_differences(padding, alpha):
+    cfg = NetworkConfig(
+        stage_channels=(4,) * 6, blocks_per_stage=(1,) * 6, n_classes=3, padding=padding, alpha_default=alpha
+    )
+    net = _as_float64(build(cfg, seed=21))
+    net.input_mean[:] = [0.2, -0.1, 0.3]
+    net.input_std[:] = [1.5, 0.8, 1.2]
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((2, 4, 32, 3))
+    up = rng.standard_normal((2, 4, 32, 3))
+
+    def loss():
+        return float((net.forward(x, training=True) * up).sum())
+
+    net.forward(x, training=True)
+    gx = net.backward(up)
+    grads = net.grads()
+    assert all(g.dtype == np.float64 for g in grads.values())
+
+    # both wrapped edges of the cylinder and a column in between
+    for cols in (np.s_[:2], np.s_[15:17], np.s_[-2:]):
+        num = central_diff_grad(loss, x[:, :, cols], 1e-6)
+        assert max_rel_err(gx[:, :, cols], num) < 1e-5, cols
+    params = net.parameters()
+    for name, probe in GRAD_PROBES.items():
+        num = central_diff_grad(loss, params[name][probe], 1e-6)
+        assert max_rel_err(grads[name][probe], num) < 1e-5, name

@@ -15,8 +15,8 @@ from scanseg.seg_objectives import (
     miou,
     softmax,
     softmax_backward,
-    write_metric_report,
 )
+from scanseg.trainer import RunReport, write_run_report
 
 GRAD_TOL = 1e-3
 EPS = 1e-3
@@ -223,12 +223,6 @@ class TestConfusion:
         accumulate_confusion(preds[cut:], targets[cut:], split)
         np.testing.assert_array_equal(whole.counts, split.counts)
 
-    def test_merge(self):
-        a = accumulate_confusion(np.array([1]), np.array([1]), ConfusionMatrix.empty(2))
-        b = accumulate_confusion(np.array([0]), np.array([1]), ConfusionMatrix.empty(2))
-        merged = a.merge(b)
-        assert merged.counts.sum() == 2
-
 
 class TestMiou:
     def test_perfect_diagonal(self):
@@ -273,11 +267,33 @@ class TestMiou:
                 assert mean == pytest.approx(ref_mean, abs=1e-12)
 
 
+def _metric_report(cm):
+    iou, mean = miou(cm)
+    return RunReport(
+        loss_trace=[],
+        per_class_iou=iou,
+        miou=mean,
+        param_count=0,
+        sec_per_forward=float("nan"),
+        config={},
+        n_samples=int(cm.counts.sum()),
+        point_per_class_iou=iou,
+        point_miou=mean,
+    )
+
+
 def test_metric_report_file(tmp_path):
     cm = accumulate_confusion(np.array([1, 2, 2]), np.array([1, 2, 1]), ConfusionMatrix.empty(3))
     path = tmp_path / "metrics.txt"
-    write_metric_report(path, cm)
+    write_run_report(_metric_report(cm), path)
     text = path.read_text()
-    assert "miou =" in text
-    assert "iou_class_1 =" in text
-    assert "scored_pixels = 3" in text
+    assert "\nmiou = 0.500000" in text
+    assert "iou_class_0 = undefined" in text
+    assert "iou_class_1 = 0.500000" in text
+    assert "n_samples = 3" in text
+
+    # an empty matrix has no defined class: both means read undefined
+    write_run_report(_metric_report(ConfusionMatrix.empty(3)), path)
+    text = path.read_text()
+    assert "\nmiou = undefined" in text
+    assert "point_miou = undefined" in text

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from scanseg.cloud_io import PointCloud
+from scanseg.projection import _azimuth
 from scanseg.synth_lidar import (
     Box,
     Cylinder,
     SceneConfig,
     SensorModel,
     Sphere,
-    azimuth_trace,
     default_beam_elevations,
     generate_scan,
     load_scan_setup,
@@ -78,7 +78,7 @@ def test_azimuth_deltas_bounded_within_beam():
     noise = 0.05
     scene = SceneConfig(seed=3, angular_noise=noise, enclosure_radius=20.0)
     scan = generate_scan(SMALL, scene)
-    phi = azimuth_trace(scan)
+    phi = _azimuth(scan.cloud.points)
     step = math.radians(SMALL.azimuth_step)
     bound = step + 4.0 * math.radians(noise)
     for b in range(SMALL.n_beams):
@@ -128,7 +128,7 @@ def test_default_beam_elevations_descend_within_fov():
 def test_azimuth_trace_fixtures():
     pts = np.array([[-1, 0, 0], [0, 1, 0], [1, -1e-9, 0]], dtype=np.float64)
     cloud = PointCloud(points=pts, reflectance=np.zeros(3))
-    phi = azimuth_trace(cloud)
+    phi = _azimuth(cloud.points)
     assert phi[0] == pytest.approx(math.pi)
     assert phi[1] == pytest.approx(math.pi / 2)
     assert -1e-6 < phi[2] < 0
@@ -137,7 +137,7 @@ def test_azimuth_trace_fixtures():
 def test_azimuth_trace_origin_rejected():
     cloud = PointCloud(points=np.array([[0.0, 0.0, 1.0]]), reflectance=np.zeros(1))
     with pytest.raises(ValueError, match="azimuth undefined"):
-        azimuth_trace(cloud)
+        _azimuth(cloud.points)
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -65,11 +65,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="steps"):
             TrainConfig(steps=0)
 
-    def test_padding_override(self):
-        cfg = TrainConfig(net=TINY_NET, padding="zeros")
-        assert cfg.network_config().padding == "zeros"
-        assert TINY_NET.padding == "cyclic"
-
 
 class TestTraining:
     def test_loss_decreases_on_smoke_set(self):
