@@ -13,6 +13,12 @@ full (alpha = 1, a regular convolution) to none (alpha = H, one filter per
 row). Width may be padded cyclically, closing the 360 degree cylinder of a
 range image; height padding is always zeros because the scan has true top and
 bottom boundaries.
+
+Normalization runs on batch statistics in training. At inference its frozen
+running statistics are an affine map per channel, which ``fold_norm`` folds
+into the preceding convolution's weights and bias, so an eval forward issues
+one convolution per conv + norm pair; ``norm_inference`` is the unfolded
+reference.
 """
 
 from __future__ import annotations
@@ -113,15 +119,6 @@ def _check_rank4(x: np.ndarray):
         raise ValueError(f"expected a [B, H, W, C] tensor, got shape {x.shape}")
 
 
-def _conv_geometry(x, kernel, stride_w):
-    i_k, j_k, c_in, c_out, alpha = kernel.shape
-    if x.shape[3] != c_in:
-        raise ValueError(f"input has {x.shape[3]} channels, kernel expects {c_in}")
-    if stride_w < 1:
-        raise ValueError("stride_w must be >= 1")
-    return i_k, j_k, c_in, c_out, alpha
-
-
 def _gemm_for(dtype):
     if dtype == np.float32:
         return _blas.sgemm
@@ -153,6 +150,33 @@ def _flat_padded(x: np.ndarray, spec: PadSpec, j_k: int):
     return flat, grid
 
 
+def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
+    """Set-up shared by ``slc_forward`` and ``slc_backward``: validation,
+    the GEMM of the result dtype (that of ``x``, the kernel and
+    ``operands``), the kernel weights in that dtype, the padded input and the
+    output geometry.
+
+    Returns ``(gemm, weights, flat, grid, h_out, w_out)``.
+    """
+    _check_rank4(x)
+    i_k, j_k, c_in, _, alpha = kernel.shape
+    if x.shape[3] != c_in:
+        raise ValueError(f"input has {x.shape[3]} channels, kernel expects {c_in}")
+    if stride_w < 1:
+        raise ValueError("stride_w must be >= 1")
+    dtype = np.result_type(x, kernel.weights, *operands)
+    gemm = _gemm_for(dtype)
+    flat, grid = _flat_padded(x.astype(dtype, copy=False), pad_spec, j_k)
+    hp, wp = grid.shape[1:3]
+    h_out = hp - i_k + 1
+    w_out = (wp - j_k) // stride_w + 1
+    if h_out < 1 or w_out < 1:
+        raise ValueError(f"kernel {i_k}x{j_k} too large for padded input {grid.shape}")
+    if alpha > h_out:
+        raise ValueError(f"alpha {alpha} exceeds output height {h_out}")
+    return gemm, kernel.weights.astype(dtype, copy=False), flat, grid, h_out, w_out
+
+
 def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: int = 1) -> np.ndarray:
     """Semi-local convolution; with alpha = 1 this is a plain convolution.
 
@@ -161,19 +185,10 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
     strided. The reduction order per output element is fixed (kernel taps in
     row-major order, channels inside each tap), so results are reproducible.
     """
-    _check_rank4(x)
-    i_k, j_k, c_in, c_out, alpha = _conv_geometry(x, kernel, stride_w)
-    dtype = np.result_type(x, kernel.weights)
-    gemm = _gemm_for(dtype)
-    weights = kernel.weights.astype(dtype, copy=False)
-    flat, grid = _flat_padded(x.astype(dtype, copy=False), pad_spec, j_k)
-    b, hp, wp, _ = grid.shape
-    h_out = hp - i_k + 1
-    w_out = (wp - j_k) // stride_w + 1
-    if h_out < 1 or w_out < 1:
-        raise ValueError(f"kernel {i_k}x{j_k} too large for padded input {grid.shape}")
-    if alpha > h_out:
-        raise ValueError(f"alpha {alpha} exceeds output height {h_out}")
+    gemm, weights, flat, grid, h_out, w_out = _conv_setup(x, kernel, pad_spec, stride_w)
+    i_k, j_k, c_in, c_out, alpha = kernel.shape
+    b, _, wp, _ = grid.shape
+    dtype = weights.dtype
 
     # full padded-width output; columns past the valid stride grid are junk
     # fed by row-wrapped flat positions and are cropped at the end
@@ -206,17 +221,13 @@ def slc_backward(
     columns.
     """
     _check_rank4(upstream)
-    i_k, j_k, c_in, c_out, alpha = _conv_geometry(x, kernel, stride_w)
-    dtype = np.result_type(upstream, kernel.weights, x)
-    gemm = _gemm_for(dtype)
-    weights = kernel.weights.astype(dtype, copy=False)
-    upstream = upstream.astype(dtype, copy=False)
-    flat, grid = _flat_padded(x.astype(dtype, copy=False), pad_spec, j_k)
+    gemm, weights, flat, grid, h_out, w_out = _conv_setup(x, kernel, pad_spec, stride_w, upstream)
+    i_k, j_k, c_in, c_out, alpha = kernel.shape
     b, hp, wp, _ = grid.shape
-    h_out = hp - i_k + 1
-    w_out = (wp - j_k) // stride_w + 1
+    dtype = weights.dtype
     if upstream.shape != (b, h_out, w_out, c_out):
         raise ValueError(f"upstream shape {upstream.shape}, expected {(b, h_out, w_out, c_out)}")
+    upstream = upstream.astype(dtype, copy=False)
 
     # upstream spread onto the padded width grid (zeros between strides);
     # wrapped flat positions then only ever meet zero gradient entries
@@ -342,5 +353,21 @@ def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):
 
 
 def norm_inference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Normalization with frozen running statistics (inference path)."""
+    """Normalization with frozen running statistics, applied to a computed
+    tensor; the reference ``fold_norm`` is checked against."""
     return gamma * (x - running_mean) / np.sqrt(running_var + eps) + beta
+
+
+def fold_norm(kernel: SlcKernel, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5) -> SlcKernel:
+    """The kernel whose convolution equals ``kernel``'s followed by
+    ``norm_inference`` with these statistics (Jacob et al. 2018,
+    arXiv:1712.05877, section 3.2).
+
+    Per output channel, with ``s = gamma / sqrt(running_var + eps)``, the
+    weights become ``w * s`` and the bias ``(b - running_mean) * s + beta``,
+    in every kernel component.
+    """
+    scale = (gamma / np.sqrt(running_var + eps))[:, None]
+    weights = kernel.weights * scale
+    bias = (kernel.bias - running_mean[:, None]) * scale + beta[:, None]
+    return SlcKernel(weights=weights, bias=bias)

@@ -27,10 +27,10 @@ import numpy as np
 from .neural_core import (
     PadSpec,
     SlcKernel,
+    fold_norm,
     glorot_uniform,
     norm_backward,
     norm_forward,
-    norm_inference,
     relu,
     relu_backward,
     slc_backward,
@@ -102,8 +102,8 @@ def config_from_preset(name: str, **overrides) -> NetworkConfig:
 
 
 class SlcLayer:
-    """One semi-local convolution; its kernel lives in ``params`` and its
-    last input is cached for the backward pass."""
+    """One semi-local convolution; its kernel lives in ``params``, and a
+    training forward caches its input for the backward pass."""
 
     def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, stride_w=1):
         kernel = glorot_uniform(rng, i, j, c_in, c_out, alpha)
@@ -120,7 +120,8 @@ class SlcLayer:
         return SlcKernel(*self.params.values())
 
     def forward(self, x, training=False):
-        self._x = x
+        if training:
+            self._x = x
         return slc_forward(x, self.kernel, self.pad_spec, self.stride_w)
 
     def backward(self, upstream):
@@ -130,7 +131,8 @@ class SlcLayer:
 
 
 class NormLayer:
-    """Batch-statistics normalization with running statistics for inference.
+    """Batch-statistics normalization; it runs in training only, and its
+    running statistics are folded into the preceding conv at inference.
 
     ``params`` holds (gamma, beta) and ``buffers`` (running mean, running
     variance), in that order.
@@ -149,11 +151,9 @@ class NormLayer:
         self._cache = None
         layers[name] = self
 
-    def forward(self, x, training=False):
+    def forward(self, x):
         gamma, beta = self.params.values()
         running_mean, running_var = self.buffers.values()
-        if not training:
-            return norm_inference(x, gamma, beta, running_mean, running_var, NORM_EPS)
         y, cache = norm_forward(x, gamma, beta, NORM_EPS)
         self._cache = cache
         _, _, mean, var = cache
@@ -171,7 +171,11 @@ class NormLayer:
 
 class ConvUnit:
     """conv + norm [+ relu], the repeated building element; alpha and
-    padding come from the config."""
+    padding come from the config.
+
+    At inference the norm is folded into the conv on every call, so the fold
+    always reflects the current weights and running statistics.
+    """
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
         alpha = config.alpha_for(name)
@@ -181,8 +185,12 @@ class ConvUnit:
         self._pre_relu = None
 
     def forward(self, x, training=False):
-        y = self.conv.forward(x, training)
-        y = self.norm.forward(y, training)
+        if not training:
+            conv = self.conv
+            kernel = fold_norm(conv.kernel, *self.norm.params.values(), *self.norm.buffers.values(), NORM_EPS)
+            y = slc_forward(x, kernel, conv.pad_spec, conv.stride_w)
+            return np.maximum(y, 0, out=y) if self.activated else y
+        y = self.norm.forward(self.conv.forward(x, training))
         if self.activated:
             self._pre_relu = y
             y = relu(y)
@@ -203,9 +211,9 @@ class ResBlock:
         self._sum = None
 
     def forward(self, x, training=False):
-        r = self.u2.forward(self.u1.forward(x, training), training)
-        s = x + r
-        self._sum = s
+        s = x + self.u2.forward(self.u1.forward(x, training), training)
+        if training:
+            self._sum = s
         return relu(s)
 
     def backward(self, upstream):
@@ -349,8 +357,9 @@ def save_weights(net: Network, path) -> None:
 def load_weights(net: Network, path) -> None:
     """Load a weight archive into a built network.
 
-    Every archive entry must match an existing tensor in name and shape; the
-    error lists all offending names at once.
+    Every archive entry must match an existing tensor in name, shape and
+    dtype; the error lists all offending names at once, and nothing is
+    written unless every entry fits.
     """
     try:
         with np.load(path) as archive:
@@ -365,6 +374,8 @@ def load_weights(net: Network, path) -> None:
             problems.append(f"missing {name}")
         elif stored[name].shape != arr.shape:
             problems.append(f"{name}: archive {stored[name].shape} vs network {arr.shape}")
+        elif stored[name].dtype != arr.dtype:
+            problems.append(f"{name}: archive dtype {stored[name].dtype} vs network {arr.dtype}")
     for name in stored:
         if name not in target:
             problems.append(f"unexpected {name}")

@@ -11,6 +11,7 @@ from scanseg.neural_core import (
     _flat_padded,
     conv_backward,
     conv_forward,
+    fold_norm,
     glorot_uniform,
     norm_backward,
     norm_forward,
@@ -203,6 +204,53 @@ class TestSlcBackward:
             slc_backward(x, k, PadSpec.same(3, 3), np.zeros((1, 4, 5, 2)))
 
 
+class TestStridedGeometry:
+    """slc_forward/slc_backward against the float64 shifted-slice oracles over
+    stride, kernel width, input width parity, padding mode, batch and dtype."""
+
+    @pytest.mark.parametrize("mode", ["zeros", "cyclic"])
+    @pytest.mark.parametrize("w", [7, 8])
+    @pytest.mark.parametrize("j_k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_reference(self, stride, j_k, w, mode):
+        rng = np.random.default_rng(100 * stride + 10 * j_k + w)
+        cyclic = mode == "cyclic"
+        spec = PadSpec.same(3, j_k, mode)
+        for batch in (1, 2):
+            for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+                x = rng.standard_normal((batch, 4, w, 3)).astype(dtype)
+                w4 = rng.standard_normal((3, j_k, 3, 2)).astype(dtype)
+                bias = rng.standard_normal(2).astype(dtype)
+                k = SlcKernel(weights=w4[..., None], bias=bias[:, None])
+                y = slc_forward(x, k, spec, stride)
+                ref = reference_conv(x, w4, bias, stride_w=stride, cyclic=cyclic)
+                assert y.dtype == dtype and y.shape == ref.shape == (batch, 4, (w - 1) // stride + 1, 2)
+                assert max_rel_err(y, ref) < tol
+
+                up = rng.standard_normal(y.shape).astype(dtype)
+                grads = slc_backward(x, k, spec, up, stride)
+                ref_grads = reference_conv_grads(x, w4, up, stride_w=stride, cyclic=cyclic)
+                for got, want in zip(grads, ref_grads):
+                    assert got.dtype == dtype
+                    assert max_rel_err(got.reshape(want.shape), want) < tol
+
+    @pytest.mark.parametrize("mode", ["zeros", "cyclic"])
+    def test_alpha_two_stride_two_central_difference(self, mode):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 6, 9, 2))
+        k = SlcKernel(weights=rng.standard_normal((3, 3, 2, 3, 2)), bias=rng.standard_normal((3, 2)))
+        spec = PadSpec.same(3, 3, mode)
+        up = rng.standard_normal((2, 6, 5, 3))
+
+        def loss():
+            return float((slc_forward(x, k, spec, 2) * up).sum())
+
+        gx, gw, gb = slc_backward(x, k, spec, up, 2)
+        assert max_rel_err(gx, central_diff_grad(loss, x, EPS)) < GRAD_TOL
+        assert max_rel_err(gw, central_diff_grad(loss, k.weights, EPS)) < GRAD_TOL
+        assert max_rel_err(gb, central_diff_grad(loss, k.bias, EPS)) < GRAD_TOL
+
+
 class TestConv:
     def test_stride_halves_width(self):
         x = _rand((1, 4, 8, 2), seed=5)
@@ -311,6 +359,23 @@ class TestNorm:
         x = _rand((1, 2, 2, 2), seed=18)
         y = norm_inference(x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), eps=0.0)
         np.testing.assert_allclose(y, x, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["zeros", "cyclic"])
+    def test_fold_matches_conv_then_inference_norm(self, mode):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((2, 6, 8, 3))
+        k = SlcKernel(weights=rng.standard_normal((3, 3, 3, 4, 2)), bias=rng.standard_normal((4, 2)))
+        stats = (
+            rng.uniform(0.5, 1.5, 4),  # gamma
+            rng.standard_normal(4),  # beta
+            rng.standard_normal(4),  # running mean
+            rng.uniform(0.2, 3.0, 4),  # running variance
+        )
+        spec = PadSpec.same(3, 3, mode)
+        for stride in (1, 2):
+            folded = slc_forward(x, fold_norm(k, *stats, eps=1e-5), spec, stride)
+            unfolded = norm_inference(slc_forward(x, k, spec, stride), *stats, eps=1e-5)
+            assert max_rel_err(folded, unfolded) < 1e-12
 
 
 class TestCyclicEquivariance:

@@ -4,14 +4,20 @@ import pytest
 from oracles import central_diff_grad, max_rel_err
 from scanseg.seg_net import (
     BACKBONE_PRESETS,
+    NORM_EPS,
+    ConvUnit,
     NetworkConfig,
+    NormLayer,
+    ResBlock,
+    SlcLayer,
     build,
     config_from_preset,
     count_params,
     load_weights,
     save_weights,
 )
-from scanseg.neural_core import glorot_uniform
+from scanseg.neural_core import glorot_uniform, norm_inference, relu, slc_forward
+from scanseg.trainer import Adam, evaluate, make_synthetic_dataset
 
 
 def small_config(**kw):
@@ -247,3 +253,134 @@ def test_network_backward_matches_central_differences(padding, alpha):
     for name, probe in GRAD_PROBES.items():
         num = central_diff_grad(loss, params[name][probe], 1e-6)
         assert max_rel_err(grads[name][probe], num) < 1e-5, name
+
+
+def test_load_dtype_mismatch_rejected_before_any_write(tmp_path):
+    net = build(small_config(), seed=15)
+    tensors = net.parameters() | net.buffers()
+    archive = {name: arr.astype(np.float64) for name, arr in tensors.items()}
+    archive["head.bias"][:] = 1e300  # beyond float32 range
+    path = tmp_path / "weights.npz"
+    np.savez(path, **archive)
+    before = {name: arr.copy() for name, arr in tensors.items()}
+    with pytest.raises(ValueError, match=r"head\.bias: archive dtype float64 vs network float32"):
+        load_weights(net, path)
+    assert all(np.array_equal(before[name], arr) for name, arr in tensors.items())
+
+
+def _randomize_norms(net, seed):
+    """Non-trivial scale, shift and running statistics in every norm layer."""
+    rng = np.random.default_rng(seed)
+    for name, layer in net.layers.items():
+        if name.endswith(".norm"):
+            gamma, beta = layer.params.values()
+            mean, var = layer.buffers.values()
+            c = gamma.size
+            gamma[:] = rng.uniform(0.5, 1.5, c)
+            beta[:] = rng.normal(0.0, 0.3, c)
+            mean[:] = rng.normal(0.0, 0.5, c)
+            var[:] = rng.uniform(0.3, 3.0, c)
+    return net
+
+
+def _unfolded_unit_forward(unit, x, training=False):
+    """Eval forward of a conv unit without the fold: its conv, then
+    ``norm_inference`` over its own norm's params and buffers, then relu."""
+    assert not training
+    conv, norm = unit.conv, unit.norm
+    y = slc_forward(x, conv.kernel, conv.pad_spec, conv.stride_w)
+    y = norm_inference(y, *norm.params.values(), *norm.buffers.values(), NORM_EPS)
+    return relu(y) if unit.activated else y
+
+
+def _unfolded_logits(net, x):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ConvUnit, "forward", _unfolded_unit_forward)
+        return net.forward(x, training=False)
+
+
+FOLD_CONFIGS = {
+    "cyclic": dict(padding="cyclic", alpha_overrides={"enc1": 2, "dec2.refine": 3, "head": 2}),
+    "zeros": dict(padding="zeros", alpha_default=2, alpha_overrides={"stem": 1, "enc3.down": 4}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CONFIGS))
+def test_eval_fold_matches_unfolded_composition(case):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((2, 8, 64, 3)).astype(np.float32)
+    net = _randomize_norms(build(small_config(**FOLD_CONFIGS[case]), seed=16), seed=18)
+    net.input_mean[:] = [0.2, -0.1, 0.3]
+    net.input_std[:] = [1.5, 0.8, 1.2]
+    got, want = net.forward(x), _unfolded_logits(net, x)
+    assert got.dtype == np.float32
+    assert max_rel_err(got, want) < 1e-5
+
+    net64 = _as_float64(net)
+    got, want = net64.forward(x.astype(np.float64)), _unfolded_logits(net64, x.astype(np.float64))
+    assert max_rel_err(got, want) < 1e-12
+
+
+def test_eval_miou_folded_equals_unfolded(monkeypatch):
+    train_set, _ = make_synthetic_dataset(n_scans=4, h=16, w=64, n_object_classes=3, seed=5)
+    net = _randomize_norms(build(small_config(n_classes=4), seed=19), seed=20)
+    folded = evaluate(net, train_set).miou
+    monkeypatch.setattr(ConvUnit, "forward", _unfolded_unit_forward)
+    unfolded = evaluate(net, train_set).miou
+    assert abs(folded - unfolded) <= 1e-6
+
+
+def test_eval_fold_follows_loaded_and_stepped_weights(tmp_path):
+    cfg = small_config()
+    x = np.random.default_rng(21).standard_normal((1, 8, 64, 3)).astype(np.float32)
+    net = build(cfg, seed=22)
+    source = _randomize_norms(build(cfg, seed=23), seed=24)
+    before = net.forward(x)
+    path = tmp_path / "weights.npz"
+    save_weights(source, path)
+    load_weights(net, path)
+    loaded = net.forward(x)
+    assert np.abs(loaded - before).max() > 1e-3
+    np.testing.assert_array_equal(loaded, source.forward(x))
+
+    logits = net.forward(x, training=True)  # also moves the running statistics
+    net.backward(np.ones_like(logits))
+    pre_step = net.forward(x)
+    Adam(net.parameters(), lr=1e-2).step(net.grads())
+    stepped = net.forward(x)
+    assert np.abs(stepped - pre_step).max() > 1e-3
+    assert max_rel_err(stepped, _unfolded_logits(net, x)) < 1e-5
+
+
+def _modules(net):
+    """Every conv and norm leaf, conv unit and residual block of a network."""
+    units = [unit for stage in net.decoder for unit in (stage.proj, stage.refine)]
+    for stage in net.encoder:
+        units.append(stage.down)
+        for block in stage.blocks:
+            units += [block, block.u1, block.u2]
+    return list(net.layers.values()) + units
+
+
+ACTIVATION_CACHES = ("_x", "_cache", "_pre_relu", "_sum")
+
+
+def test_eval_forward_keeps_no_activations():
+    net = build(small_config(), seed=25)
+    x = np.random.default_rng(26).standard_normal((1, 8, 64, 3)).astype(np.float32)
+    net.forward(x, training=False)
+    modules = _modules(net)
+    for module in modules:
+        for attr in ACTIVATION_CACHES:
+            assert getattr(module, attr, None) is None, (type(module).__name__, attr)
+
+    net.forward(x, training=True)
+    for module in modules:
+        if isinstance(module, SlcLayer):
+            assert module._x is not None
+        elif isinstance(module, NormLayer):
+            assert module._cache is not None
+        elif isinstance(module, ResBlock):
+            assert module._sum is not None
+        elif module.activated:
+            assert module._pre_relu is not None
