@@ -2,8 +2,8 @@
 
 Subcommands: ``synth`` (scene config to scan files), ``project`` (scan file
 to range image container plus preview), ``stats`` (occlusion comparison of
-the two projections), ``train``, ``eval``, and ``bench`` (forward timing
-across the sized configs). Exit codes: 0 success, 2 usage error, 1 runtime
+the two projections), ``train``, ``eval``, and ``bench`` (size and forward
+timing of the sized configs). Exit codes: 0 success, 2 usage error, 1 runtime
 error.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cloud_io, projection, synth_lidar
-from .seg_net import build, config_from_preset, load_weights, preset_key, save_weights
+from .seg_net import BACKBONE_PRESETS, build, config_from_preset, load_weights, preset_key, save_weights
 from .trainer import (
     TrainConfig,
     bench_forward,
@@ -219,7 +219,8 @@ def _cmd_bench(args) -> int:
     for name, (sec, n_params) in results.items():
         key = preset_key(name)
         times[key] = sec
-        print(f"{key:3s} params={n_params:>10d} forward={sec * 1e3:9.2f} ms")
+        channels = ",".join(str(c) for c in BACKBONE_PRESETS[key])
+        print(f"{key:3s} params={n_params:>10d} channels={channels:<24s} forward={sec * 1e3:9.2f} ms")
     if "D" in times and "R*" in times:
         print(f"time(D) / time(R*) = {times['D'] / times['R*']:.3f}")
     return 0

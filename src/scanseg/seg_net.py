@@ -42,6 +42,7 @@ from .neural_core import (
 N_ENCODER_STAGES = 5  # width-halving stages after the stem
 NORM_MOMENTUM = 0.1  # running-statistics update rate
 NORM_EPS = 1e-5
+IN_CHANNELS = 3  # depth, reflectance, mask
 
 #: Encoder channel tables of the sized backbones, smallest to largest.
 BACKBONE_PRESETS: dict[str, tuple[int, ...]] = {
@@ -62,7 +63,6 @@ class NetworkConfig:
     alpha_default: int = 1
     alpha_overrides: dict[str, int] = field(default_factory=dict)
     padding: str = "cyclic"  # width padding mode: "cyclic" | "zeros"
-    in_channels: int = 3  # depth, reflectance, mask
     n_classes: int = 20
 
     def __post_init__(self):
@@ -277,7 +277,7 @@ class Network:
         self.layers: dict = {}
 
         names = ["stem"] + [f"enc{i}" for i in range(1, N_ENCODER_STAGES + 1)]
-        c_ins = (config.in_channels,) + ch[:-1]
+        c_ins = (IN_CHANNELS,) + ch[:-1]
         self.encoder = [
             EncoderStage(self.layers, rng, config, name, c_in, c_out, n_blocks, stride_w=1 if k == 0 else 2)
             for k, (name, c_in, c_out, n_blocks) in enumerate(zip(names, c_ins, ch, config.blocks_per_stage))
@@ -289,8 +289,8 @@ class Network:
         self.head = SlcLayer(self.layers, "head", rng, 1, 1, ch[0], config.n_classes, alpha, config.padding)
 
         # per-channel input normalization, set from data by the trainer
-        self.input_mean = np.zeros(config.in_channels, dtype=np.float32)
-        self.input_std = np.ones(config.in_channels, dtype=np.float32)
+        self.input_mean = np.zeros(IN_CHANNELS, dtype=np.float32)
+        self.input_std = np.ones(IN_CHANNELS, dtype=np.float32)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {k: v for layer in self.layers.values() for k, v in layer.params.items()}
@@ -304,8 +304,8 @@ class Network:
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         b, h, w, c = x.shape
-        if c != self.config.in_channels:
-            raise ValueError(f"input has {c} channels, config expects {self.config.in_channels}")
+        if c != IN_CHANNELS:
+            raise ValueError(f"input has {c} channels, expected {IN_CHANNELS}")
         stride_total = 2**N_ENCODER_STAGES
         if h < 1 or w % stride_total != 0:
             raise ValueError(f"input width {w} must be a positive multiple of {stride_total}")

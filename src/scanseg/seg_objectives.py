@@ -11,8 +11,7 @@ loss is one minus the mean per-class overlap ratio
 
 over classes whose denominator is nonzero (a class absent from both targets
 and predictions carries no information and is excluded rather than smoothed,
-so an exact match yields exactly zero loss). An optional ``smooth`` term is
-available for the conventional smoothed variant.
+so an exact match yields exactly zero loss).
 """
 
 from __future__ import annotations
@@ -98,17 +97,12 @@ def cross_entropy(
     return LossResult(value, grad)
 
 
-def dice_loss(
-    probs: np.ndarray,
-    targets: np.ndarray,
-    ignore_id: int | None = 0,
-    smooth: float = 0.0,
-) -> LossResult:
+def dice_loss(probs: np.ndarray, targets: np.ndarray, ignore_id: int | None = 0) -> LossResult:
     """Soft Dice loss; gradient is wrt ``probs``.
 
     Chain it to logits with ``softmax_backward``. Classes whose target and
     prediction mass are both zero on the scored pixels are excluded from the
-    class mean (with ``smooth > 0`` nothing needs excluding).
+    class mean.
     """
     n_classes = probs.shape[-1]
     if targets.max(initial=0) >= n_classes:
@@ -122,9 +116,10 @@ def dice_loss(
     one_hot = np.zeros_like(y)
     one_hot[np.arange(y.shape[0]), t] = 1.0
 
-    class_ids = [c for c in range(n_classes) if ignore_id is None or c != ignore_id]
-    inter = 2.0 * (one_hot[:, class_ids] * y[:, class_ids]).sum(axis=0) + smooth
-    denom = (one_hot[:, class_ids] ** 2).sum(axis=0) + (y[:, class_ids] ** 2).sum(axis=0) + smooth
+    class_ids = np.array([c for c in range(n_classes) if c != ignore_id], dtype=np.intp)
+    t_c, y_c = one_hot[:, class_ids], y[:, class_ids]
+    inter = 2.0 * (t_c * y_c).sum(axis=0)
+    denom = (t_c**2).sum(axis=0) + (y_c**2).sum(axis=0)
     included = denom > 0
     n_included = int(included.sum())
     if n_included == 0:
@@ -132,26 +127,19 @@ def dice_loss(
     value = float(1.0 - (inter[included] / denom[included]).sum() / n_included)
 
     # d/dy of -(1/C') * 2 A_c / B_c with A, B the class sums above
+    a, b = inter[included], denom[included]
+    # B_c^2 as float64 scalar powers; an array square can differ in the last bit
+    b_sq = np.array([b_c**2 for b_c in b])
     grad_scored = np.zeros_like(y)
-    for k, c in enumerate(class_ids):
-        if not included[k]:
-            continue
-        grad_scored[:, c] = -(2.0 * one_hot[:, c] * denom[k] - inter[k] * 2.0 * y[:, c]) / (
-            denom[k] ** 2 * n_included
-        )
+    grad_scored[:, class_ids[included]] = -(2.0 * t_c[:, included] * b - a * 2.0 * y_c[:, included]) / (b_sq * n_included)
     grad = np.zeros(probs.shape, dtype=probs.dtype)
     grad[scored] = grad_scored
     return LossResult(value, grad)
 
 
-def dice_loss_on_logits(
-    probs: np.ndarray,
-    targets: np.ndarray,
-    ignore_id: int | None = 0,
-    smooth: float = 0.0,
-) -> LossResult:
+def dice_loss_on_logits(probs: np.ndarray, targets: np.ndarray, ignore_id: int | None = 0) -> LossResult:
     """Dice loss with the gradient already pulled back to the logits."""
-    res = dice_loss(probs, targets, ignore_id, smooth)
+    res = dice_loss(probs, targets, ignore_id)
     return LossResult(res.value, softmax_backward(probs, res.grad), res.all_ignored)
 
 

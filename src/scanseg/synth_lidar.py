@@ -382,52 +382,81 @@ def write_example_config(path) -> None:
     Path(path).write_text(_EXAMPLE_CONFIG)
 
 
-def _primitive_from_mapping(entry: dict) -> Primitive:
-    kind = entry.get("kind")
-    common = dict(class_id=int(entry["class_id"]), reflectance=float(entry.get("reflectance", 0.5)))
-    if kind == "box":
-        return Box(center=tuple(entry["center"]), size=tuple(entry["size"]), **common)
-    if kind == "sphere":
-        return Sphere(center=tuple(entry["center"]), radius=float(entry["radius"]), **common)
-    if kind == "cylinder":
-        return Cylinder(
-            center=tuple(entry["center"]),
-            radius=float(entry["radius"]),
-            height=float(entry["height"]),
-            **common,
-        )
-    raise ValueError(f"unknown primitive kind {kind!r}")
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+# YAML key -> (dataclass field, cast) per section; absent keys keep the
+# dataclass defaults
+_SENSOR_KEYS = {
+    "n_beams": ("n_beams", int),
+    "fov_up_deg": ("fov_up", float),
+    "fov_down_deg": ("fov_down", float),
+    "azimuth_step_deg": ("azimuth_step", float),
+    "beam_elevations_deg": ("beam_elevations", tuple),
+    "rev_period_s": ("rev_period", float),
+    "mount_height_m": ("mount_height", float),
+}
+_SCENE_KEYS = {
+    "seed": ("seed", int),
+    "ground_z": ("ground_z", _optional_float),  # null: no ground plane
+    "ground_class": ("ground_class", int),
+    "ground_reflectance": ("ground_reflectance", float),
+    "angular_noise_deg": ("angular_noise", float),
+    "ego_velocity_mps": ("ego_velocity", float),
+    "n_classes": ("n_classes", int),
+    "max_range_m": ("max_range", _optional_float),
+}
+_ENCLOSURE_KEYS = {
+    "radius": ("enclosure_radius", float),
+    "class_id": ("enclosure_class", int),
+    "reflectance": ("enclosure_reflectance", float),
+}
+_SURFACE_KEYS = {"center": ("center", tuple), "class_id": ("class_id", int), "reflectance": ("reflectance", float)}
+_PRIMITIVE_KEYS = {
+    "box": (Box, _SURFACE_KEYS | {"size": ("size", tuple)}),
+    "sphere": (Sphere, _SURFACE_KEYS | {"radius": ("radius", float)}),
+    "cylinder": (Cylinder, _SURFACE_KEYS | {"radius": ("radius", float), "height": ("height", float)}),
+}
+
+
+def _mapping(section: str, entry) -> dict:
+    """A YAML section as a dict; an empty (null) section reads as ``{}``."""
+    if entry is None:
+        return {}
+    if not isinstance(entry, dict):
+        raise ValueError(f"section {section!r}: expected a mapping, got {entry!r}")
+    return entry
+
+
+def _section_fields(section: str, entry, table: dict) -> dict:
+    """Dataclass keyword arguments from one YAML section; an unknown key is
+    an error, so a misspelled one cannot silently fall back to a default."""
+    entry = _mapping(section, entry)
+    for key in entry:
+        if key not in table:
+            raise ValueError(f"section {section!r}: unknown key {key!r}")
+    return {table[key][0]: table[key][1](value) for key, value in entry.items()}
+
+
+def _primitive_from_mapping(entry) -> Primitive:
+    entry = dict(_mapping("primitives", entry))
+    kind = entry.pop("kind", None)
+    if kind not in _PRIMITIVE_KEYS:
+        raise ValueError(f"unknown primitive kind {kind!r}")
+    cls, table = _PRIMITIVE_KEYS[kind]
+    return cls(**_section_fields(kind, entry, table))
 
 
 def load_scan_setup(path) -> tuple[SensorModel, SceneConfig]:
     """Read a sensor+scene YAML file (see ``write_example_config``)."""
     doc = yaml.safe_load(Path(path).read_text())
-    if not isinstance(doc, dict) or "sensor" not in doc or "scene" not in doc:
-        raise ValueError(f"{path}: expected top-level 'sensor' and 'scene' sections")
-    s = doc["sensor"]
-    sensor = SensorModel(
-        n_beams=int(s.get("n_beams", 64)),
-        fov_up=float(s.get("fov_up_deg", 3.0)),
-        fov_down=float(s.get("fov_down_deg", -25.0)),
-        azimuth_step=float(s.get("azimuth_step_deg", 360.0 / 2048.0)),
-        beam_elevations=tuple(s["beam_elevations_deg"]) if "beam_elevations_deg" in s else None,
-        rev_period=float(s.get("rev_period_s", 0.1)),
-        mount_height=float(s.get("mount_height_m", 1.73)),
-    )
-    c = doc["scene"]
-    enclosure = c.get("enclosure") or {}
-    scene = SceneConfig(
-        ground_z=None if c.get("ground_z", 0.0) is None else float(c.get("ground_z", 0.0)),
-        ground_class=int(c.get("ground_class", 1)),
-        ground_reflectance=float(c.get("ground_reflectance", 0.25)),
-        primitives=tuple(_primitive_from_mapping(p) for p in c.get("primitives", [])),
-        enclosure_radius=float(enclosure["radius"]) if enclosure else None,
-        enclosure_class=int(enclosure.get("class_id", 2)) if enclosure else 2,
-        enclosure_reflectance=float(enclosure.get("reflectance", 0.45)) if enclosure else 0.45,
-        seed=int(c.get("seed", 0)),
-        angular_noise=float(c.get("angular_noise_deg", 0.0)),
-        ego_velocity=float(c.get("ego_velocity_mps", 0.0)),
-        n_classes=int(c.get("n_classes", 8)),
-        max_range=None if c.get("max_range_m") is None else float(c["max_range_m"]),
-    )
-    return sensor, scene
+    if not isinstance(doc, dict) or set(doc) != {"sensor", "scene"}:
+        raise ValueError(f"{path}: expected exactly the top-level 'sensor' and 'scene' sections")
+    sensor = SensorModel(**_section_fields("sensor", doc["sensor"], _SENSOR_KEYS))
+    scene = dict(_mapping("scene", doc["scene"]))
+    enclosure = _section_fields("enclosure", scene.pop("enclosure", None), _ENCLOSURE_KEYS)
+    if enclosure and "enclosure_radius" not in enclosure:
+        raise ValueError("section 'enclosure': missing key 'radius'")
+    primitives = tuple(_primitive_from_mapping(p) for p in scene.pop("primitives", None) or ())
+    return sensor, SceneConfig(primitives=primitives, **enclosure, **_section_fields("scene", scene, _SCENE_KEYS))

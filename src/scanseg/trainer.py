@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .seg_objectives import (
 from .synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan
 
 LOSSES = ("ce", "dice", "ce+dice")
+EVAL_BATCH = 4  # scans per eval forward
 
 
 class TrainingDiverged(RuntimeError):
@@ -84,13 +85,13 @@ class Sample:
 
 @dataclass
 class RunReport:
-    loss_trace: list[float]
     per_class_iou: np.ndarray
     miou: float
     param_count: int
-    sec_per_forward: float
-    config: dict
     n_samples: int
+    loss_trace: list[float] = field(default_factory=list)  # set by train
+    sec_per_forward: float = float("nan")  # set by train
+    config: dict = field(default_factory=dict)  # set by train
     point_per_class_iou: np.ndarray | None = None
     point_miou: float | None = None
 
@@ -202,18 +203,8 @@ def train(config: TrainConfig, dataset: list[Sample]) -> tuple[Network, RunRepor
         trace.append(float(loss_val))
 
     sec_forward = _time_forward(net, xs[: min(len(dataset), config.batch_size)])
-    eval_report = evaluate(net, dataset, backproject=True)
-    return net, RunReport(
-        loss_trace=trace,
-        per_class_iou=eval_report.per_class_iou,
-        miou=eval_report.miou,
-        param_count=count_params(net),
-        sec_per_forward=sec_forward,
-        config=_config_echo(config),
-        n_samples=len(dataset),
-        point_per_class_iou=eval_report.point_per_class_iou,
-        point_miou=eval_report.point_miou,
-    )
+    report = evaluate(net, dataset, backproject=True)
+    return net, replace(report, loss_trace=trace, sec_per_forward=sec_forward, config=_config_echo(config))
 
 
 def _time_forward(net: Network, x: np.ndarray, repeats: int = 3) -> float:
@@ -226,12 +217,7 @@ def _time_forward(net: Network, x: np.ndarray, repeats: int = 3) -> float:
     return float(np.median(times))
 
 
-def evaluate(
-    net: Network,
-    dataset: list[Sample],
-    backproject: bool = False,
-    batch_size: int = 4,
-) -> RunReport:
+def evaluate(net: Network, dataset: list[Sample], backproject: bool = False) -> RunReport:
     """Accumulate per-pixel (and optionally back-projected per-point)
     confusion over the dataset and report IoU metrics."""
     n_classes = net.config.n_classes
@@ -239,8 +225,8 @@ def evaluate(
     cm_point = ConfusionMatrix.empty(n_classes)
     scored_points = False
 
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset[start : start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH):
+        chunk = dataset[start : start + EVAL_BATCH]
         xs, ys = _stack_dataset(chunk)
         logits = net.forward(xs, training=False)
         preds = np.argmax(logits, axis=-1).astype(np.int32)
@@ -254,15 +240,7 @@ def evaluate(
                 scored_points = True
 
     iou, mean = miou(cm_pixel)
-    report = RunReport(
-        loss_trace=[],
-        per_class_iou=iou,
-        miou=mean,
-        param_count=count_params(net),
-        sec_per_forward=float("nan"),
-        config={},
-        n_samples=len(dataset),
-    )
+    report = RunReport(per_class_iou=iou, miou=mean, param_count=count_params(net), n_samples=len(dataset))
     if scored_points:
         report.point_per_class_iou, report.point_miou = miou(cm_point)
     return report
@@ -297,7 +275,7 @@ def write_run_report(report: RunReport, path) -> None:
 # -- synthetic datasets ------------------------------------------------------
 
 
-def _random_scene(rng: np.random.Generator, seed: int, n_object_classes: int, noise_deg: float, ego_velocity: float) -> SceneConfig:
+def _random_scene(rng: np.random.Generator, seed: int, n_object_classes: int, ego_velocity: float) -> SceneConfig:
     prims: list = []
     for _ in range(rng.integers(2, 5)):
         ang = rng.uniform(-np.pi, np.pi)
@@ -336,15 +314,9 @@ def _random_scene(rng: np.random.Generator, seed: int, n_object_classes: int, no
         enclosure_class=5,
         enclosure_reflectance=0.4,
         seed=seed,
-        angular_noise=noise_deg,
         ego_velocity=ego_velocity,
         n_classes=n_object_classes + 1,
     )
-
-
-def desk_sensor(h: int = 64, w: int = 512) -> SensorModel:
-    """A narrow sensor for fast desk-scale runs: h beams, w firings."""
-    return SensorModel(n_beams=h, azimuth_step=360.0 / w)
 
 
 def make_synthetic_dataset(
@@ -355,24 +327,22 @@ def make_synthetic_dataset(
     seed: int = 0,
     projection: str = "unfold",
     ego_velocity: float = 0.0,
-    angular_noise: float = 0.0,
 ) -> tuple[list[Sample], list[Sample]]:
     """Generate projected scans split into train/val by scene seed parity."""
     if projection not in ("unfold", "ego"):
         raise ValueError(f"unknown projection {projection!r}")
-    sensor = desk_sensor(h, w)
-    threshold = 1.7 * math.radians(sensor.azimuth_step)
+    sensor = SensorModel(n_beams=h, azimuth_step=360.0 / w)
     train_set: list[Sample] = []
     val_set: list[Sample] = []
     for i in range(n_scans):
         scene_seed = seed + i
         rng = np.random.default_rng(scene_seed)
-        scene = _random_scene(rng, scene_seed, n_object_classes, angular_noise, ego_velocity)
+        scene = _random_scene(rng, scene_seed, n_object_classes, ego_velocity)
         scan = generate_scan(sensor, scene)
         if projection == "unfold":
             # robust jump detection: open scenes have wide dropped-return gaps
             # inside upper scan lines, which would fake line breaks otherwise
-            img, index_map = unfold_scan(scan.cloud, scan.labels, h, w, threshold, mode="robust")
+            img, index_map = unfold_scan(scan.cloud, scan.labels, h, w, mode="robust")
         else:
             img, index_map = project_ego_corrected(
                 scan.cloud_ego_corrected, scan.labels, h, w, sensor.fov_up, sensor.fov_down

@@ -165,6 +165,8 @@ def test_bench_reports_ratio(capsys):
     assert code == 0
     assert "time(D) / time(R*)" in out
     assert "params=" in out
+    assert "channels=32,48,64,128,256,512 " in out
+    assert "channels=32,64,128,256,512,1024 " in out
 
 
 def test_preview_writers(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scanseg.cloud_io import LabelArray, PointCloud
 from scanseg.projection import (
@@ -252,3 +253,59 @@ class TestBackprojection:
             backproject_labels(index_map, img.label, 5)
         with pytest.raises(ValueError, match="grid"):
             backproject_labels(index_map, np.zeros((2, 2), np.int32), 1)
+
+
+@st.composite
+def _crowded_clouds(draw):
+    """Random clouds where several points share a pixel: copies scaled along
+    one ray (same azimuth and elevation) and exact duplicates (a depth tie),
+    each inserted right after its source so unfolding keeps it on the
+    source's scan line, or at a random index."""
+    n = draw(st.integers(1, 24))
+    coord = st.floats(-40.0, 40.0, allow_nan=False, width=32)
+    pts = draw(hnp.arrays(np.float32, (n, 3), elements=coord))
+    pts[(pts[:, 0] == 0) & (pts[:, 1] == 0), 0] = 1.0  # azimuth is undefined on the z axis
+    pts = list(pts)
+    for _ in range(draw(st.integers(0, 12))):
+        src = draw(st.integers(0, len(pts) - 1))
+        scale = draw(st.sampled_from([1.0, 1.0, 0.5, 2.0, 3.0]))  # 1.0: exact tie
+        at = draw(st.sampled_from([src + 1, draw(st.integers(0, len(pts)))]))
+        pts.insert(at, pts[src] * np.float32(scale))
+    return _cloud(np.array(pts))
+
+
+def _project(cloud, projection, h, w):
+    if projection == "unfold":
+        return unfold_scan(cloud, None, h, w)
+    return project_ego_corrected(cloud, None, h, w)
+
+
+class TestProjectionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_crowded_clouds(), st.sampled_from(["unfold", "ego"]), st.integers(1, 6), st.integers(1, 12))
+    def test_accounting_nearest_wins_and_backprojection(self, cloud, projection, h, w):
+        img, index_map = _project(cloud, projection, h, w)
+        n = len(cloud)
+        stats = occlusion_stats(index_map)
+        assert stats.n_projected + stats.n_occluded + stats.n_out_of_range == n
+
+        depth = np.linalg.norm(cloud.points.astype(np.float64), axis=1).astype(np.float32)
+        in_range = np.flatnonzero(index_map.point_to_pixel[:, 0] >= 0)
+        r, c = index_map.point_to_pixel[in_range].T
+        winner = index_map.pixel_to_point[r, c]
+        assert (winner >= 0).all()
+        np.testing.assert_array_equal(index_map.point_to_pixel[winner], index_map.point_to_pixel[in_range])
+        # the winner is at least as near as every point on its pixel; on an
+        # exact depth tie the later index wins
+        assert (depth[winner] <= depth[in_range]).all()
+        tie = depth[winner] == depth[in_range]
+        assert (winner[tie] >= in_range[tie]).all()
+        np.testing.assert_array_equal(img.depth[r, c], depth[winner])
+
+        # back-projecting an image of winner ids hands each in-range point
+        # its pixel's winner, and each out-of-range point 0
+        back = backproject_labels(index_map, index_map.pixel_to_point, n)
+        np.testing.assert_array_equal(back[in_range], winner)
+        assert (back[index_map.point_to_pixel[:, 0] < 0] == 0).all()
+        if projection == "ego":
+            assert stats.n_out_of_range == 0

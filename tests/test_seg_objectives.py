@@ -184,14 +184,6 @@ class TestDice:
         analytic = dice_loss_on_logits(softmax(z), targets).grad
         assert max_rel_err(analytic, central_diff_grad(loss, z, EPS)) < GRAD_TOL
 
-    def test_smooth_variant(self):
-        probs = np.array([[[0.5, 0.5]]])
-        targets = np.array([[0]], dtype=np.int32)
-        plain = dice_loss(probs, targets, ignore_id=None).value
-        smoothed = dice_loss(probs, targets, ignore_id=None, smooth=1.0).value
-        assert smoothed != pytest.approx(plain)
-        assert 0.0 <= smoothed <= 1.0
-
 
 class TestConfusion:
     def test_diagonal_fixture(self):
@@ -270,15 +262,7 @@ class TestMiou:
 def _metric_report(cm):
     iou, mean = miou(cm)
     return RunReport(
-        loss_trace=[],
-        per_class_iou=iou,
-        miou=mean,
-        param_count=0,
-        sec_per_forward=float("nan"),
-        config={},
-        n_samples=int(cm.counts.sum()),
-        point_per_class_iou=iou,
-        point_miou=mean,
+        per_class_iou=iou, miou=mean, param_count=0, n_samples=int(cm.counts.sum()), point_per_class_iou=iou, point_miou=mean
     )
 
 

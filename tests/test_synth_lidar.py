@@ -151,3 +151,31 @@ def test_config_file_roundtrip(tmp_path):
     assert kinds == {"Box", "Sphere", "Cylinder"}
     scan = generate_scan(SensorModel(n_beams=8, azimuth_step=360 / 64), scene)
     assert len(scan) > 0
+
+
+@pytest.mark.parametrize(
+    "sensor, scene, section, key",
+    [
+        ("{n_beam: 16}", "{}", "sensor", "n_beam"),
+        ("{}", "{ego_velocity: 8.0}", "scene", "ego_velocity"),
+        ("{}", "{enclosure: {radius: 30, class: 4}}", "enclosure", "class"),
+        ("{}", "{primitives: [{kind: box, center: [9, 0, 1], sise: [1, 1, 1], class_id: 2}]}", "box", "sise"),
+        ("{}", "{primitives: [{kind: sphere, center: [9, 0, 1], radius: 1, class: 2}]}", "sphere", "class"),
+        ("{}", "{primitives: [{kind: cylinder, center: [9, 0, 1], radius: 1, hight: 2, class_id: 2}]}", "cylinder", "hight"),
+    ],
+)
+def test_config_file_rejects_misspelled_key(tmp_path, sensor, scene, section, key):
+    path = tmp_path / "setup.yaml"
+    path.write_text(f"sensor: {sensor}\nscene: {scene}\n")
+    with pytest.raises(ValueError, match=f"section '{section}': unknown key '{key}'"):
+        load_scan_setup(path)
+
+
+def test_config_file_defaults_and_required_keys(tmp_path):
+    path = tmp_path / "setup.yaml"
+    path.write_text("sensor: {}\nscene: {ground_z: null}\n")
+    sensor, scene = load_scan_setup(path)
+    assert (sensor, scene) == (SensorModel(), SceneConfig(ground_z=None))
+    path.write_text("sensor: {}\nscene: {enclosure: {class_id: 4}}\n")
+    with pytest.raises(ValueError, match="'enclosure': missing key 'radius'"):
+        load_scan_setup(path)

@@ -113,6 +113,11 @@ class TestTraining:
         again = evaluate(net, train_set, backproject=True)
         assert again.miou == pytest.approx(report.miou, abs=1e-12)
         assert again.point_miou == pytest.approx(report.point_miou, abs=1e-12)
+        np.testing.assert_array_equal(again.per_class_iou, report.per_class_iou)
+        assert (again.param_count, again.n_samples) == (report.param_count, report.n_samples)
+        # evaluate reports only what it measures; train adds the rest
+        assert again.loss_trace == [] and math.isnan(again.sec_per_forward) and again.config == {}
+        assert len(report.loss_trace) == 8 and report.config["loss"] == "ce+dice"
 
 
 class TestEvaluation:
