@@ -18,7 +18,14 @@ Normalization runs on batch statistics in training. At inference its frozen
 running statistics are an affine map per channel, which ``fold_norm`` folds
 into the preceding convolution's weights and bias, so an eval forward issues
 one convolution per conv + norm pair; ``norm_inference`` is the unfolded
-reference.
+reference. In training, the batch variance takes one float64 pass over the
+centred tensor the forward builds anyway, and both norm passes work on the
+[N, C] view of the input.
+
+The weight gradient of a convolution sums over every output row of a band.
+``slc_backward`` runs that sum in row blocks sized to the BLAS's fast
+small-matrix path (see ``_GW_MNK``), every kernel tap inside a block; the
+blocks issue the same multiply-adds as one GEMM per tap and sample would.
 """
 
 from __future__ import annotations
@@ -104,6 +111,19 @@ def glorot_uniform(rng: np.random.Generator, i: int, j: int, c_in: int, c_out: i
     weights = rng.uniform(-limit, limit, size=(i, j, c_in, c_out, alpha)).astype(dtype)
     bias = np.zeros((c_out, alpha), dtype=dtype)
     return SlcKernel(weights=weights, bias=bias)
+
+
+# Row blocking of the weight-gradient GEMMs (Goto & van de Geijn, ACM TOMS
+# 2008). Each has a c_out x c_in result and a K of every row of a band.
+# Measured with OpenBLAS 0.3.30 (scipy's), float32, 2 vCPU, 3 x 3 taps over
+# 2 x 64 x 258 padded rows at 32 -> 32 channels: unblocked 12.4 ms, blocks of
+# 768-879 rows 5.8-5.9 ms, blocks of 1024 rows or more 15-16 ms. The cliff sits
+# near c_in * c_out * rows = 1e6, so a block holds _GW_MNK // (c_in * c_out)
+# rows. Blocks shorter than _GW_MIN_ROWS lose (64 -> 128: 109 rows 48 ms,
+# unblocked 42 ms; 128 -> 128: 67 rows 134 ms, unblocked 80 ms), so such
+# channel counts run each band as one block.
+_GW_MNK = 900_000
+_GW_MIN_ROWS = 256
 
 
 def _component_bands(h: int, alpha: int):
@@ -242,20 +262,32 @@ def slc_backward(
     gw_taps = np.zeros((i_k, j_k, alpha, c_in, c_out), dtype=dtype)
     bias_grads = np.zeros((c_out, alpha), dtype=dtype)
 
+    gw_rows = _GW_MNK // (c_in * c_out)
+    taps = [(i, j) for i in range(i_k) for j in range(j_k)]
     for a, h0, h1 in _component_bands(h_out, alpha):
         bias_grads[:, a] = upstream[:, h0:h1].sum(axis=(0, 1, 2))
         rows = (h1 - h0) * wp
         lo, hi = h0 * wp * c_in, h1 * wp * c_in
-        for i in range(i_k):
-            for j in range(j_k):
-                off = (i * wp + j) * c_in
-                w_f = np.asfortranarray(weights[i, j, :, :, a])
-                gw_t = gw_taps[i, j, a].T
-                for bi in range(b):
-                    g_t = g_grid[bi, h0:h1].reshape(rows, c_out).T
-                    m_t = flat[bi, off + lo : off + hi].reshape(rows, c_in).T
-                    gx_t = g_flat[bi, off + lo : off + hi].reshape(rows, c_in).T
-                    gemm(1.0, w_f, g_t, beta=1.0, c=gx_t, overwrite_c=True)
+        for i, j in taps:
+            off = (i * wp + j) * c_in
+            w_f = np.asfortranarray(weights[i, j, :, :, a])
+            for bi in range(b):
+                g_t = g_grid[bi, h0:h1].reshape(rows, c_out).T
+                gx_t = g_flat[bi, off + lo : off + hi].reshape(rows, c_in).T
+                gemm(1.0, w_f, g_t, beta=1.0, c=gx_t, overwrite_c=True)
+
+        # weight gradient over row blocks, every tap inside a block while
+        # its upstream rows are in cache; the row sum is split, not changed
+        step = gw_rows if gw_rows >= _GW_MIN_ROWS else rows
+        gw_ts = [gw_taps[i, j, a].T for i, j in taps]
+        for bi in range(b):
+            g_rows = g_grid[bi, h0:h1].reshape(rows, c_out)
+            for r0 in range(0, rows, step):
+                n_r = min(step, rows - r0)
+                g_t = g_rows[r0 : r0 + n_r].T
+                for (i, j), gw_t in zip(taps, gw_ts):
+                    start = lo + (i * wp + j + r0) * c_in
+                    m_t = flat[bi, start : start + n_r * c_in].reshape(n_r, c_in).T
                     gemm(1.0, g_t, m_t, trans_b=True, beta=1.0, c=gw_t, overwrite_c=True)
 
     grad_w = np.ascontiguousarray(np.moveaxis(gw_taps, 2, 4))
@@ -330,26 +362,41 @@ def norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float 
     iteration order (e.g. horizontally rotated inputs), then applied in the
     input dtype. The cache feeds ``norm_backward`` and carries the batch
     statistics for running-average updates.
+
+    The variance takes one float64 pass over ``x - mean``, the centred tensor
+    ``x_hat`` is built from anyway: the mean of squares about the input-dtype
+    mean, less the square of that mean's rounding offset. Taken about zero,
+    the same pass would cancel catastrophically when the mean dwarfs the
+    spread.
     """
     _check_rank4(x)
-    mean64 = x.mean(axis=(0, 1, 2), dtype=np.float64)
-    var64 = x.var(axis=(0, 1, 2), dtype=np.float64)
+    x2 = x.reshape(-1, x.shape[3])
+    n = x2.shape[0]
+    mean64 = x2.sum(axis=0, dtype=np.float64) / n
     mean = mean64.astype(x.dtype)
+    x_hat = x2 - mean
+    sq64 = np.einsum("ij,ij->j", x_hat, x_hat, dtype=np.float64)
+    var64 = np.maximum(sq64 / n - (mean64 - mean) ** 2, 0.0)
     inv_std = (1.0 / np.sqrt(var64 + eps)).astype(x.dtype)
-    x_hat = (x - mean) * inv_std
-    y = gamma * x_hat + beta
-    return y, (x_hat, inv_std, mean.astype(np.float64), var64)
+    x_hat *= inv_std
+    y = x_hat * gamma
+    y += beta
+    return y.reshape(x.shape), (x_hat.reshape(x.shape), inv_std, mean.astype(np.float64), var64)
 
 
 def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):
     """Gradients of ``norm_forward`` wrt input, gamma and beta."""
     x_hat, inv_std, _, _ = cache
-    b, h, w, _ = upstream.shape
-    n = b * h * w
-    d_beta = upstream.sum(axis=(0, 1, 2))
-    d_gamma = (upstream * x_hat).sum(axis=(0, 1, 2))
-    gx = (gamma * inv_std / n) * (n * upstream - d_beta - x_hat * d_gamma)
-    return gx, d_gamma, d_beta
+    c = upstream.shape[3]
+    g2, xh2 = upstream.reshape(-1, c), x_hat.reshape(-1, c)
+    n = g2.shape[0]
+    d_beta = g2.sum(axis=0)
+    d_gamma = np.einsum("ij,ij->j", g2, xh2)
+    gx = g2 * n
+    gx -= d_beta
+    gx -= xh2 * d_gamma
+    gx *= gamma * inv_std / n
+    return gx.reshape(upstream.shape), d_gamma, d_beta
 
 
 def norm_inference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -130,8 +130,11 @@ def dice_loss(probs: np.ndarray, targets: np.ndarray, ignore_id: int | None = 0)
     a, b = inter[included], denom[included]
     # B_c^2 as float64 scalar powers; an array square can differ in the last bit
     b_sq = np.array([b_c**2 for b_c in b])
+    # B_c^2 underflows to 0 for an absent class with a tiny predicted mass;
+    # there t and A_c are exactly 0, so the column's true gradient is 0
+    num = -(2.0 * t_c[:, included] * b - a * 2.0 * y_c[:, included])
     grad_scored = np.zeros_like(y)
-    grad_scored[:, class_ids[included]] = -(2.0 * t_c[:, included] * b - a * 2.0 * y_c[:, included]) / (b_sq * n_included)
+    grad_scored[:, class_ids[included]] = np.divide(num, b_sq * n_included, out=np.zeros_like(num), where=b_sq > 0)
     grad = np.zeros(probs.shape, dtype=probs.dtype)
     grad[scored] = grad_scored
     return LossResult(value, grad)

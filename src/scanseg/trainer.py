@@ -359,12 +359,21 @@ def bench_forward(
     repeats: int = 3,
     seed: int = 0,
 ) -> dict[str, tuple[float, int]]:
-    """Median forward-pass seconds and parameter count per config (default
-    class count), timed on a random input."""
+    """Fastest of ``repeats`` forward-pass seconds, and the parameter count,
+    per config (default class count), timed on a random input.
+
+    Each repeat runs every config's forward once, so a load that comes or
+    goes during the run reaches all configs alike and their ratios hold.
+    """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, h, w, 3)).astype(np.float32)
-    out = {}
-    for name in preset_names:
-        net = build(config_from_preset(name), seed=seed)
-        out[name] = (_time_forward(net, x, repeats), count_params(net))
-    return out
+    nets = {name: build(config_from_preset(name), seed=seed) for name in preset_names}
+    for net in nets.values():
+        net.forward(x, training=False)  # warmup
+    times = {name: [] for name in nets}
+    for _ in range(repeats):
+        for name, net in nets.items():
+            t0 = time.perf_counter()
+            net.forward(x, training=False)
+            times[name].append(time.perf_counter() - t0)
+    return {name: (min(times[name]), count_params(net)) for name, net in nets.items()}

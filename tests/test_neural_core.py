@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import central_diff_grad, max_rel_err, reference_conv, reference_conv_grads
+from scanseg import neural_core
 from scanseg.neural_core import (
     PadSpec,
     SlcKernel,
@@ -251,6 +252,38 @@ class TestStridedGeometry:
         assert max_rel_err(gb, central_diff_grad(loss, k.bias, EPS)) < GRAD_TOL
 
 
+    @pytest.mark.parametrize("mode", ["zeros", "cyclic"])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("w", [7, 8])
+    def test_weight_gradient_across_row_blocks(self, monkeypatch, w, stride, alpha, mode):
+        c_in, c_out, block = 3, 2, 7
+        monkeypatch.setattr(neural_core, "_GW_MNK", block * c_in * c_out)
+        monkeypatch.setattr(neural_core, "_GW_MIN_ROWS", 1)
+        rng = np.random.default_rng(10 * w + 5 * stride + alpha)
+        h, wp = 5, w + 2
+        bands = list(_component_bands(h, alpha))
+        # every band spans several blocks and ends in a partial one
+        assert all((h1 - h0) * wp > block and (h1 - h0) * wp % block for _, h0, h1 in bands)
+        spec = PadSpec.same(3, 3, mode)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            x = rng.standard_normal((2, h, w, c_in)).astype(dtype)
+            k = SlcKernel(weights=rng.standard_normal((3, 3, c_in, c_out, alpha)).astype(dtype), bias=np.zeros((c_out, alpha), dtype))
+            up = rng.standard_normal((2, h, (w - 1) // stride + 1, c_out)).astype(dtype)
+            gx, gw, gb = slc_backward(x, k, spec, up, stride)
+            # the semi-local conv is a sum over components of plain convs
+            # whose upstream is masked to the component's rows
+            ref_gx = np.zeros(x.shape)
+            for a, h0, h1 in bands:
+                up_a = np.zeros(up.shape)
+                up_a[:, h0:h1] = up[:, h0:h1]
+                rx, rw, rb = reference_conv_grads(x, k.weights[..., a], up_a, stride_w=stride, cyclic=(mode == "cyclic"))
+                ref_gx += rx
+                assert gw.dtype == dtype and max_rel_err(gw[..., a], rw) < tol
+                assert max_rel_err(gb[:, a], rb) < tol
+            assert max_rel_err(gx, ref_gx) < tol
+
+
 class TestConv:
     def test_stride_halves_width(self):
         x = _rand((1, 4, 8, 2), seed=5)
@@ -354,6 +387,29 @@ class TestNorm:
         assert max_rel_err(gx, central_diff_grad(loss, x, EPS)) < GRAD_TOL
         assert max_rel_err(d_gamma, central_diff_grad(loss, gamma, EPS)) < GRAD_TOL
         assert max_rel_err(d_beta, central_diff_grad(loss, beta, EPS)) < GRAD_TOL
+
+    def test_statistics_match_two_pass_reference(self):
+        # mean = 1e3 * std per channel: the variance must not cancel away
+        rng = np.random.default_rng(20)
+        std = np.array([0.5, 1.0, 2.0, 10.0])
+        for dtype in (np.float32, np.float64):
+            x = (1e3 * std + std * rng.standard_normal((2, 64, 256, 4))).astype(dtype)
+            _, (_, _, mean, var) = norm_forward(x, np.ones(4, dtype), np.zeros(4, dtype))
+            x64 = x.astype(np.float64)
+            ref_mean = x64.mean(axis=(0, 1, 2))
+            ref_var = ((x64 - ref_mean) ** 2).mean(axis=(0, 1, 2))
+            np.testing.assert_allclose(mean, ref_mean, rtol=np.finfo(dtype).eps)
+            np.testing.assert_allclose(var, ref_var, rtol=1e-9)
+
+    @pytest.mark.parametrize("level", [0.1, 1e3 + 0.1])
+    def test_constant_channel(self, level):
+        rng = np.random.default_rng(21)
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal((2, 8, 16, 2)).astype(dtype)
+            x[..., 1] = level
+            y, (_, _, _, var) = norm_forward(x, np.ones(2, dtype), np.zeros(2, dtype))
+            assert (var >= 0).all() and var[1] < 1e-20
+            assert np.isfinite(y).all()
 
     def test_inference_uses_running_stats(self):
         x = _rand((1, 2, 2, 2), seed=18)

@@ -184,6 +184,22 @@ class TestDice:
         analytic = dice_loss_on_logits(softmax(z), targets).grad
         assert max_rel_err(analytic, central_diff_grad(loss, z, EPS)) < GRAD_TOL
 
+    @pytest.mark.parametrize("gap", [190, 250, 310, 370])
+    def test_absent_class_with_underflowing_mass_has_zero_gradient(self, gap):
+        # class 2 is absent and its probability ~exp(-gap): its B_c is
+        # positive but B_c**2 underflows to 0 in float64
+        targets = np.array([1, 1, 0, 1])
+        logits = np.zeros((4, 3))
+        logits[2, 0] = 1.0
+        logits[:, 2] = -float(gap)
+        probs = softmax(logits)
+        assert (probs[:, 2] ** 2).sum() > 0 and (probs[:, 2] ** 2).sum() ** 2 == 0
+        res = dice_loss(probs, targets, ignore_id=None)
+        assert np.isfinite(res.value) and np.isfinite(res.grad).all()
+        assert not res.grad[:, 2].any()
+        on_logits = dice_loss_on_logits(probs, targets, ignore_id=None)
+        assert np.isfinite(on_logits.grad).all()
+
 
 class TestConfusion:
     def test_diagonal_fixture(self):
