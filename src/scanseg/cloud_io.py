@@ -55,8 +55,8 @@ class PointCloud:
                 f"point/reflectance length mismatch: {self.points.shape[0]} vs "
                 f"{self.reflectance.shape[0]}"
             )
-        finite = np.isfinite(self.points).all(axis=1) & np.isfinite(self.reflectance)
-        if not finite.all():
+        if not (np.isfinite(self.points).all() and np.isfinite(self.reflectance).all()):
+            finite = np.isfinite(self.points).all(axis=1) & np.isfinite(self.reflectance)
             raise ValueError(f"non-finite value in point {int(np.flatnonzero(~finite)[0])}")
 
     def __len__(self) -> int:

@@ -8,11 +8,13 @@ spherical proxy used for motion-compensated clouds, binning rows by elevation;
 it trades the native layout for mutual occlusions whenever the cloud was
 captured from more than one pose.
 
-Both scatter points in decreasing-depth order so the nearest point wins each
-pixel; displaced points are recorded as occluded, and points whose row falls
-outside the grid as out of range. The IndexMap keeps the full point/pixel
-correspondence either way so per-point labels can be recovered from per-pixel
-predictions.
+Both let the nearest point win each pixel: points take their positions in a
+stable decreasing-depth order, and one scatter-max (``np.maximum.at``) over
+pixel ids keeps each pixel's largest position, so the nearest point wins and
+an exact depth tie goes to the later index. Displaced points are recorded as
+occluded, and points whose row falls outside the grid as out of range. The
+IndexMap keeps the full point/pixel correspondence either way so per-point
+labels can be recovered from per-pixel predictions.
 """
 
 from __future__ import annotations
@@ -98,9 +100,15 @@ def get_rows(
     return rows
 
 
+def _ranges(cloud: PointCloud) -> np.ndarray:
+    """Float64 distance of each point from the sensor origin."""
+    return np.linalg.norm(cloud.points.astype(np.float64), axis=1)
+
+
 def _scatter_nearest(
     cloud: PointCloud,
     labels: LabelArray | None,
+    ranges: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
     in_range: np.ndarray,
@@ -109,11 +117,13 @@ def _scatter_nearest(
 ) -> tuple[RangeImage, IndexMap]:
     """Nearest-wins scatter shared by both projections.
 
-    Points are written in decreasing depth order (stable, so equal depths are
-    resolved by original index); the last write per pixel is the winner.
+    Points are ranked in decreasing float32 depth (stable, so equal depths
+    keep their original order); the highest rank landing on a pixel wins it.
     """
     n = len(cloud)
-    depth = np.linalg.norm(cloud.points.astype(np.float64), axis=1).astype(np.float32)
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} points")
+    depth = ranges.astype(np.float32)
 
     point_to_pixel = np.full((n, 2), -1, dtype=np.int32)
     point_to_pixel[in_range, 0] = rows[in_range]
@@ -122,34 +132,29 @@ def _scatter_nearest(
     order = np.argsort(-depth, kind="stable")
     ordered = order[in_range[order]]
 
-    # the winner of a pixel is the last ordered point that lands on it
-    lin = rows[ordered].astype(np.int64) * w + cols[ordered]
-    rev = lin[::-1]
-    _, first_rev = np.unique(rev, return_index=True)
-    winners = ordered[::-1][first_rev]
-
-    pixel_to_point = np.full((h, w), -1, dtype=np.int32)
-    pixel_to_point[rows[winners], cols[winners]] = winners
+    # flat pixel id -> highest rank landing there; winners in pixel-id order
+    top = np.full(h * w, -1, dtype=np.int64)
+    np.maximum.at(top, rows[ordered].astype(np.int64) * w + cols[ordered], np.arange(ordered.size))
+    taken = top >= 0
+    winners = ordered[top[taken]]
 
     is_winner = np.zeros(n, dtype=bool)
     is_winner[winners] = True
     occluded = np.flatnonzero(in_range & ~is_winner).astype(np.int32)
 
+    def plane(fill, values, dtype):
+        out = np.full(h * w, fill, dtype=dtype)
+        out[taken] = values
+        return out.reshape(h, w)
+
     img = RangeImage(
-        depth=np.zeros((h, w), dtype=np.float32),
-        reflectance=np.zeros((h, w), dtype=np.float32),
-        label=np.zeros((h, w), dtype=np.int32),
-        mask=np.zeros((h, w), dtype=bool),
+        depth=plane(0, depth[winners], np.float32),
+        reflectance=plane(0, cloud.reflectance[winners], np.float32),
+        label=plane(0, 0 if labels is None else labels.semantic[winners], np.int32),
+        mask=taken.reshape(h, w),
     )
-    r, c = rows[winners], cols[winners]
-    img.depth[r, c] = depth[winners]
-    img.reflectance[r, c] = cloud.reflectance[winners]
-    img.mask[r, c] = True
-    if labels is not None:
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for {n} points")
-        img.label[r, c] = labels.semantic[winners]
-    return img, IndexMap(pixel_to_point=pixel_to_point, point_to_pixel=point_to_pixel, occluded=occluded)
+    index_map = IndexMap(pixel_to_point=plane(-1, winners, np.int32), point_to_pixel=point_to_pixel, occluded=occluded)
+    return img, index_map
 
 
 def unfold_scan(
@@ -168,7 +173,7 @@ def unfold_scan(
     rows = get_rows(cloud, threshold, mode)
     cols = get_columns(cloud, w)
     in_range = rows < h
-    return _scatter_nearest(cloud, labels, rows, cols, in_range, h, w)
+    return _scatter_nearest(cloud, labels, _ranges(cloud), rows, cols, in_range, h, w)
 
 
 def project_ego_corrected(
@@ -187,16 +192,15 @@ def project_ego_corrected(
     """
     if not fov_down < fov_up:
         raise ValueError("fov_down must be below fov_up")
-    pts = cloud.points.astype(np.float64)
-    depth = np.linalg.norm(pts, axis=1)
-    if (depth == 0).any():
+    ranges = _ranges(cloud)
+    if (ranges == 0).any():
         raise ValueError("point at the sensor origin cannot be projected")
-    elev = np.degrees(np.arcsin(np.clip(pts[:, 2] / depth, -1.0, 1.0)))
+    elev = np.degrees(np.arcsin(np.clip(cloud.points[:, 2].astype(np.float64) / ranges, -1.0, 1.0)))
     rows_f = np.floor(h * (1.0 - (elev - fov_down) / (fov_up - fov_down)))
     rows = np.clip(rows_f, 0, h - 1).astype(np.int32)
     cols = get_columns(cloud, w)
     in_range = np.ones(len(cloud), dtype=bool)
-    return _scatter_nearest(cloud, labels, rows, cols, in_range, h, w)
+    return _scatter_nearest(cloud, labels, ranges, rows, cols, in_range, h, w)
 
 
 def occlusion_stats(index_map: IndexMap) -> OcclusionStats:

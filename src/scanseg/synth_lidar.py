@@ -19,6 +19,23 @@ deviation equal to the configured value. The jitter is smooth between
 consecutive firings (its increments are far below the azimuth step), which
 is what real rotation encoders exhibit; white per-point jitter would tear
 the row-recovery recurrence apart.
+
+The ground plane and the enclosure span every azimuth, so every ray is cast
+at them. A box, sphere or cylinder is cast at only the firings whose azimuth
+can reach it, a bounding-volume cull (Kay & Kajiya, "Ray Tracing Complex
+Scenes", SIGGRAPH 1986). The origins move along the x axis over a segment of
+length L with midpoint m. The primitive's xy footprint lies in a disc D(c, r):
+the half diagonal of a box's xy size, the radius of a sphere or cylinder.
+Grow r to r' = (r + L/2) * 1.01 + 1e-6, the margin covering rounding. Seen
+from m at distance d > r', the candidates are the firings whose azimuth lies
+within asin(r'/d) of the bearing of c, for all beams; when d <= r' every
+firing is a candidate. The cull is exact: a ray from o = m + delta,
+|delta| <= L/2, that hits D(c, r) is parallel to a ray from m that hits
+D(c - delta, r), a disc inside D(c, r + L/2), and a ray from m meets that
+disc only within asin(r'/d) of its bearing. Beam elevations lie in
+[-90, 90] degrees, so a ray's xy heading is its firing's azimuth. A
+candidate ray gets the same arithmetic as when every ray is cast, and no ray
+outside the window can hit, so the scan is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +53,11 @@ MIN_RANGE = 1.0  # meters; closer returns are discarded like a real sensor does
 
 _NOISE_HARMONICS = 4
 _MAX_HARMONIC = 8
+
+# growth of a primitive's footprint radius before its azimuth window is
+# taken: relative, then absolute (meters); covers rounding in the window
+_WINDOW_GROWTH = 1.01
+_WINDOW_SLACK = 1e-6
 
 
 def default_beam_elevations(n_beams: int, fov_up: float, fov_down: float) -> tuple[float, ...]:
@@ -64,8 +86,8 @@ class SensorModel:
     def __post_init__(self):
         if not self.fov_down < self.fov_up:
             raise ValueError("fov_down must be below fov_up")
-        if self.azimuth_step <= 0:
-            raise ValueError("azimuth_step must be positive")
+        if not 0 < self.azimuth_step <= 360:
+            raise ValueError(f"azimuth_step must lie in (0, 360] degrees, got {self.azimuth_step}")
         if self.beam_elevations is None:
             object.__setattr__(
                 self,
@@ -76,6 +98,9 @@ class SensorModel:
             raise ValueError(
                 f"{len(self.beam_elevations)} elevations for {self.n_beams} beams"
             )
+        # past the vertical a ray would head away from its firing's azimuth
+        if not all(-90.0 <= e <= 90.0 for e in self.beam_elevations):
+            raise ValueError(f"beam elevations must lie in [-90, 90] degrees: {self.beam_elevations}")
 
     @property
     def firings_per_rev(self) -> int:
@@ -135,7 +160,14 @@ class SceneConfig:
     max_range: float | None = None  # meters; None = unlimited
 
     def __post_init__(self):
+        for name in ("ground_z", "enclosure_radius", "ego_velocity", "max_range", "angular_noise"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for p in self.primitives:
+            for name in ("center", "size", "radius", "height"):
+                if hasattr(p, name) and not np.isfinite(getattr(p, name)).all():
+                    raise ValueError(f"non-finite {name} in {p}")
             if isinstance(p, Box) and min(p.size) <= 0:
                 raise ValueError(f"box with non-positive extent: {p}")
             if isinstance(p, Sphere) and p.radius <= 0:
@@ -261,12 +293,12 @@ def _ray_enclosure(origins, dirs, radius):
     return np.where(valid & (t_far > 0), t_far, np.inf)
 
 
-def generate_scan(sensor: SensorModel, scene: SceneConfig) -> SynthScan:
-    """Simulate one revolution; points are listed beam-major in firing order.
+_RAY_CASTERS = {Box: _ray_box, Sphere: _ray_sphere, Cylinder: _ray_cylinder}
 
-    Rays that hit nothing (or only beyond ``max_range``) are dropped. A scene
-    with no hits at all yields an empty scan rather than an error.
-    """
+
+def _ray_grid(sensor: SensorModel, scene: SceneConfig):
+    """Per-firing azimuth and origin x, and the beam-major ray origins and
+    directions of one revolution."""
     n_beams = sensor.n_beams
     n_firings = sensor.firings_per_rev
     rng = np.random.default_rng(scene.seed)
@@ -294,34 +326,62 @@ def generate_scan(sensor: SensorModel, scene: SceneConfig) -> SynthScan:
     origins[:, :, 0] = origin_x[None, :]
     origins[:, :, 2] = sensor.mount_height
     origins = origins.reshape(-1, 3)
+    return azimuth, origin_x, origins, dirs
+
+
+def _candidate_firings(prim: Primitive, azimuth: np.ndarray, origin_x: np.ndarray) -> np.ndarray | None:
+    """Firings whose rays can reach ``prim`` (see the module docstring), or
+    None when any firing can."""
+    cx, cy = prim.center[0], prim.center[1]
+    radius = 0.5 * math.hypot(prim.size[0], prim.size[1]) if isinstance(prim, Box) else prim.radius
+    mid = 0.5 * (origin_x[0] + origin_x[-1])
+    grown = (radius + 0.5 * abs(origin_x[-1] - origin_x[0])) * _WINDOW_GROWTH + _WINDOW_SLACK
+    dist = math.hypot(cx - mid, cy)
+    if not dist > grown:
+        return None
+    offset = np.remainder(azimuth - math.atan2(cy, cx - mid) + np.pi, 2.0 * np.pi) - np.pi
+    return np.flatnonzero(np.abs(offset) <= math.asin(grown / dist))
+
+
+def generate_scan(sensor: SensorModel, scene: SceneConfig) -> SynthScan:
+    """Simulate one revolution; points are listed beam-major in firing order.
+
+    Rays that hit nothing (or only beyond ``max_range``) are dropped. A scene
+    with no hits at all yields an empty scan rather than an error.
+    """
+    n_beams = sensor.n_beams
+    n_firings = sensor.firings_per_rev
+    azimuth, origin_x, origins, dirs = _ray_grid(sensor, scene)
 
     n_rays = n_beams * n_firings
     best_t = np.full(n_rays, np.inf)
     best_class = np.zeros(n_rays, dtype=np.uint16)
     best_refl = np.zeros(n_rays, dtype=np.float32)
+    every_ray = slice(None)
 
-    def consider(t, class_id, reflectance):
-        closer = t < best_t
-        best_t[closer] = t[closer]
-        best_class[closer] = class_id
-        best_refl[closer] = reflectance
+    def consider(rays, t, class_id, reflectance):
+        # ``t`` holds the hits of ``rays``, flat indices or every_ray; a tie
+        # keeps the surface considered first
+        closer = t < best_t[rays]
+        won = closer if rays is every_ray else rays[closer]
+        best_t[won] = t[closer]
+        best_class[won] = class_id
+        best_refl[won] = reflectance
 
     if scene.ground_z is not None:
-        consider(_ray_ground(origins, dirs, scene.ground_z), scene.ground_class, scene.ground_reflectance)
+        consider(every_ray, _ray_ground(origins, dirs, scene.ground_z), scene.ground_class, scene.ground_reflectance)
     if scene.enclosure_radius is not None:
         consider(
+            every_ray,
             _ray_enclosure(origins, dirs, scene.enclosure_radius),
             scene.enclosure_class,
             scene.enclosure_reflectance,
         )
+    beam_start = np.arange(n_beams)[:, None] * n_firings
     for prim in scene.primitives:
-        if isinstance(prim, Box):
-            t = _ray_box(origins, dirs, prim)
-        elif isinstance(prim, Sphere):
-            t = _ray_sphere(origins, dirs, prim)
-        else:
-            t = _ray_cylinder(origins, dirs, prim)
-        consider(t, prim.class_id, prim.reflectance)
+        firings = _candidate_firings(prim, azimuth, origin_x)
+        rays = every_ray if firings is None else (beam_start + firings).ravel()
+        consider(rays, _RAY_CASTERS[type(prim)](origins[rays], dirs[rays], prim), prim.class_id, prim.reflectance)
 
     hit = np.isfinite(best_t) & (best_t >= MIN_RANGE)
     if scene.max_range is not None:

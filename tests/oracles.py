@@ -2,13 +2,25 @@
 
 Everything here is written for clarity over speed and stays independent of
 the library's compute paths: the reference convolution indexes shifted slices
-directly in float64, gradients come from central differences, and IoU comes
-from explicit set counting.
+directly in float64, gradients come from central differences, IoU comes
+from explicit set counting, and the simulator's nearest hits come from casting
+every ray at every surface.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from scanseg.synth_lidar import (
+    Box,
+    SceneConfig,
+    Sphere,
+    _ray_box,
+    _ray_cylinder,
+    _ray_enclosure,
+    _ray_ground,
+    _ray_sphere,
+)
 
 
 def central_diff_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -139,3 +151,38 @@ def direct_dice(probs, targets, n_classes, ignore_id=None):
     if not terms:
         return 0.0
     return 1.0 - sum(terms) / len(terms)
+
+
+def brute_force_hits(origins: np.ndarray, dirs: np.ndarray, scene: SceneConfig):
+    """Nearest hit of every ray against every surface of ``scene``, with no
+    culling: (distance, class id, reflectance) per ray, inf / 0 / 0 where a
+    ray hits nothing. Surfaces are taken in scene order and a tie keeps the
+    earlier one."""
+    n = origins.shape[0]
+    best_t = np.full(n, np.inf)
+    best_class = np.zeros(n, dtype=np.uint16)
+    best_refl = np.zeros(n, dtype=np.float32)
+
+    def consider(t, class_id, reflectance):
+        closer = t < best_t
+        best_t[closer] = t[closer]
+        best_class[closer] = class_id
+        best_refl[closer] = reflectance
+
+    if scene.ground_z is not None:
+        consider(_ray_ground(origins, dirs, scene.ground_z), scene.ground_class, scene.ground_reflectance)
+    if scene.enclosure_radius is not None:
+        consider(
+            _ray_enclosure(origins, dirs, scene.enclosure_radius),
+            scene.enclosure_class,
+            scene.enclosure_reflectance,
+        )
+    for prim in scene.primitives:
+        if isinstance(prim, Box):
+            t = _ray_box(origins, dirs, prim)
+        elif isinstance(prim, Sphere):
+            t = _ray_sphere(origins, dirs, prim)
+        else:
+            t = _ray_cylinder(origins, dirs, prim)
+        consider(t, prim.class_id, prim.reflectance)
+    return best_t, best_class, best_refl

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from scanseg.projection import (
     project_ego_corrected,
     unfold_scan,
 )
-from scanseg.synth_lidar import SceneConfig, SensorModel, generate_scan
+from scanseg.synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan
 
 SMALL = SensorModel(n_beams=8, azimuth_step=360.0 / 64.0)
 THRESHOLD = 1.7 * math.radians(SMALL.azimuth_step)
@@ -309,3 +310,108 @@ class TestProjectionProperties:
         assert (back[index_map.point_to_pixel[:, 0] < 0] == 0).all()
         if projection == "ego":
             assert stats.n_out_of_range == 0
+
+
+# Two paper-resolution scenes and the sha256 of every array the simulator and
+# both projections return for them (numpy 2.4, x86-64). Any change to the
+# cast points, their order or the pixel winners shows here.
+PINNED_SCENES = {
+    "enclosed_moving_noisy": SceneConfig(
+        seed=21,
+        primitives=(
+            Box(center=(-9.0, 0.4, 1.0), size=(2.5, 3.0, 2.0), class_id=2),
+            Box(center=(1.2, -0.9, 0.8), size=(1.0, 1.5, 1.6), class_id=2),
+            Sphere(center=(4.0, 6.0, 1.1), radius=1.1, class_id=3),
+            Cylinder(center=(-3.0, -5.0, 1.5), radius=0.3, height=3.0, class_id=4),
+        ),
+        enclosure_radius=32.0,
+        angular_noise=0.05,
+        ego_velocity=10.0,
+    ),
+    "open_reversing": SceneConfig(
+        seed=5,
+        primitives=(
+            Box(center=(5.0, 2.0, 1.0), size=(3.0, 2.0, 2.0), class_id=2),
+            Sphere(center=(-6.0, -0.2, 0.9), radius=0.9, class_id=3),
+            Cylinder(center=(2.0, -4.0, 1.2), radius=0.4, height=2.4, class_id=4),
+        ),
+        max_range=7.0,
+        ego_velocity=-8.0,
+    ),
+}
+PINNED_DIGESTS = {
+    "enclosed_moving_noisy": {
+        "cloud.points": "0d69046bfb907744ea5619568e255409f0e4e45dca00d06b9471fbdb7d80fb49",
+        "cloud.reflectance": "135becd947b604fc52274b818ef9db62cf35246fe300ba1812cad0094a9e343b",
+        "ego.points": "7480b9c96f089c33c2801cb584dfec976d408e30a8ce79585b5a3211e0eff946",
+        "ego.reflectance": "135becd947b604fc52274b818ef9db62cf35246fe300ba1812cad0094a9e343b",
+        "true_rows": "e3ff9596450ad39f8c0997d92dc0c54249b18ba66f569fcdb8d6783594253073",
+        "true_cols": "e6779aee76b6b4bcfc4456dea1b781c99b8a800accdd996e325bb33eeb8e02e6",
+        "semantic": "f101a1ba6aa21f0274528fff202c0a3d42532f2c967e709ff24ae01578ea79cf",
+        "instance": "2f0cc01b6f98593908d5b117abda85dca03321daef6e17e9a9d80616f746f43b",
+        "unfold.depth": "da2e2059e8ef54365aea53b903629773cd9b9dfc0ede5f1148060d090d7d5e65",
+        "unfold.reflectance": "7541205349853d150e33fe41d36e9c71bcfcf1cc0896cdf0448f39ab85662d9f",
+        "unfold.label": "b21db2f21bb8d2817affb42fba794c971a907dd713db29b85e6e6f4eab8d7998",
+        "unfold.mask": "eade19342d611caca7a13d798f383db7cad7562332500aecb97b24d34dd66d1f",
+        "unfold.pixel_to_point": "106295ab5556da6db15242ac2aac276b681335a289835ded5e2ac04ef4d793b9",
+        "unfold.point_to_pixel": "1998031c8c1a25d0ccec8c13d81d6219fe1bc8fc87c383b6e6ca9dd7b43cb7da",
+        "unfold.occluded": "382a458d3d4efd47ba254e889d720b722c76aead35b576d81b32d2e4a7c62c23",
+        "corrected.depth": "96219f9c9b3bc74c123b9763def0d70620a46da0c74e0fcaaa3b0724f4dfe630",
+        "corrected.reflectance": "770786fc852047095e1e293ef3da8815b45bbba82c04c7a337c6975fda6be730",
+        "corrected.label": "e6b4d2d76383a1a1b6b94bd667b570967e54987ff49cef99787b73431f3f7d2c",
+        "corrected.mask": "92d6a1bec2cc276f489a67dfb3579038d6f85378651c1c128e6a4f22a0671df9",
+        "corrected.pixel_to_point": "25f7de32b05f3d2fdd6287515fe32daab727c843f264cbab61322a999c247f46",
+        "corrected.point_to_pixel": "cd439f153b37a7247b5e621b27050febe48ead5a7a7f46512cf9dd4506b85f93",
+        "corrected.occluded": "5a1a259204575386aa1113fd72b89261da00e731e92cb27fcdfd96083a3e8103",
+    },
+    "open_reversing": {
+        "cloud.points": "424831b552e454055362aa8795e6ec76c3a86f32260ced873321d6f834bc7351",
+        "cloud.reflectance": "03bbcb1f763b73d5fe89031042089620de675210d16e41473ab1f625181868a1",
+        "ego.points": "8057c889d4cf10822e2423cc7fe5005f9c1ea5738634f8e9167ba2f5c4ec8d61",
+        "ego.reflectance": "03bbcb1f763b73d5fe89031042089620de675210d16e41473ab1f625181868a1",
+        "true_rows": "c01ab9c0557118ab1ecb80193d0d75ec9169907d468e366cc1b8fdf0cc6cd832",
+        "true_cols": "e9fc2be0361e54e661d39311255889b27d225b82d24abebdf3127ae7aebdc322",
+        "semantic": "66415fd4793a6a6138a5682388a9c9281cb73790fa2b25efe97d5fdc158158ab",
+        "instance": "041e66e10e651b2d9c852dba3ef756c827010e625dd337bdd09a39f90869327d",
+        "unfold.depth": "92783487d74f349b529d3880959f5357d1b5b1655b475ffa923c859de580db5e",
+        "unfold.reflectance": "a24bc3c4329d916bf9f7f44e31db3da9270c2606ff78b3ce2f6aedbb459d5d13",
+        "unfold.label": "e06c77d15b3ca160ca78630ece1f5e1f8012c88d94bc3c909a546be79eff914b",
+        "unfold.mask": "399265248138380d40365a50e071851c50bfd3fba32e6770deacf4a33e3fc091",
+        "unfold.pixel_to_point": "2789fc48dbc1ae906d6b50566b0b52bb848977b2d76a68ad3feac97c3283b784",
+        "unfold.point_to_pixel": "c55a31707e29231e0dd41c6bccc66a79df268bd803544dcace86f4997dbc1f47",
+        "unfold.occluded": "ef4b7877dffaa36803eb26526adce6d105d7fde2b3c993166505bddd6c2aeb9c",
+        "corrected.depth": "898532c760934c4bcd0ac76a14f4db8083e28497406d709b33731d3b6ee5e4d5",
+        "corrected.reflectance": "fe3f70ae8d053336aa46a3733a6d8fb89a83e7888b7e1c2a64ed689f81956fa0",
+        "corrected.label": "31e1bee92a0141cfca151b7d58197272cb9f4eb24c2bea4bebcac641b781cd00",
+        "corrected.mask": "a4cec1deb2a389a002f9b6ff322ec4cf2aa51a7fb6d05a5c503bf68ae36474b4",
+        "corrected.pixel_to_point": "ff55d3df23c2de79eaf7b6f7c56c36307678e099d5c7a2c6f00763a5598c223a",
+        "corrected.point_to_pixel": "c8138a51bcb2a35221a5e6ce6896fdfb3243dbf6f5bd4cb79d39769feeec50d2",
+        "corrected.occluded": "d313bae9ec688e4a72d2da9f567d4dbb1888bcad3e5b5e473c801be49e0354eb",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENES))
+def test_pinned_scan_and_projections_bit_exact(name):
+    scan = generate_scan(SensorModel(), PINNED_SCENES[name])
+    arrays = {
+        "cloud.points": scan.cloud.points,
+        "cloud.reflectance": scan.cloud.reflectance,
+        "ego.points": scan.cloud_ego_corrected.points,
+        "ego.reflectance": scan.cloud_ego_corrected.reflectance,
+        "true_rows": scan.true_rows,
+        "true_cols": scan.true_cols,
+        "semantic": scan.labels.semantic,
+        "instance": scan.labels.instance,
+    }
+    projections = {
+        "unfold": unfold_scan(scan.cloud, scan.labels, mode="robust"),
+        "corrected": project_ego_corrected(scan.cloud_ego_corrected, scan.labels),
+    }
+    for projection, (image, index_map) in projections.items():
+        for plane in ("depth", "reflectance", "label", "mask"):
+            arrays[f"{projection}.{plane}"] = getattr(image, plane)
+        for field in ("pixel_to_point", "point_to_pixel", "occluded"):
+            arrays[f"{projection}.{field}"] = getattr(index_map, field)
+    digests = {key: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for key, a in arrays.items()}
+    assert digests == PINNED_DIGESTS[name]

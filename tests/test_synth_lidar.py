@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_hits
 
 from scanseg.cloud_io import PointCloud
 from scanseg.projection import _azimuth
 from scanseg.synth_lidar import (
+    MIN_RANGE,
     Box,
     Cylinder,
     SceneConfig,
     SensorModel,
     Sphere,
+    _candidate_firings,
+    _ray_grid,
     default_beam_elevations,
     generate_scan,
     load_scan_setup,
@@ -117,6 +123,175 @@ def test_scene_validation():
         SensorModel(fov_up=-30.0, fov_down=3.0)
     with pytest.raises(ValueError, match="elevations"):
         SensorModel(n_beams=4, beam_elevations=(0.0, -1.0))
+    with pytest.raises(ValueError, match=r"\[-90, 90\]"):
+        SensorModel(n_beams=2, beam_elevations=(95.0, -1.0))
+    for step in (0.0, 400.0, math.nan):
+        with pytest.raises(ValueError, match="azimuth_step"):
+            SensorModel(azimuth_step=step)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "scene_kw, message",
+    [
+        ({"primitives": (Box(center=(NAN, 0, 1), size=(1, 1, 1), class_id=2),)}, "non-finite center in Box"),
+        ({"primitives": (Box(center=(5, 0, 1), size=(1, NAN, 1), class_id=2),)}, "non-finite size in Box"),
+        ({"primitives": (Sphere(center=(5, 0, INF), radius=1, class_id=3),)}, "non-finite center in Sphere"),
+        ({"primitives": (Sphere(center=(5, 0, 1), radius=NAN, class_id=3),)}, "non-finite radius in Sphere"),
+        ({"primitives": (Cylinder(center=(5, 0, 1), radius=INF, height=2, class_id=4),)}, "non-finite radius in Cylinder"),
+        ({"primitives": (Cylinder(center=(5, 0, 1), radius=0.5, height=NAN, class_id=4),)}, "non-finite height in Cylinder"),
+        ({"ground_z": NAN}, "ground_z must be finite"),
+        ({"enclosure_radius": INF}, "enclosure_radius must be finite"),
+        ({"ego_velocity": NAN}, "ego_velocity must be finite"),
+        ({"max_range": NAN}, "max_range must be finite"),
+        ({"angular_noise": INF}, "angular_noise must be finite"),
+    ],
+)
+def test_scene_rejects_non_finite_geometry(scene_kw, message):
+    with pytest.raises(ValueError, match=message):
+        SceneConfig(**scene_kw)
+
+
+def _assert_matches_brute_force(sensor, scene):
+    """``generate_scan`` against every ray cast at every surface: the same
+    arrays bit for bit, and no primitive reached from outside its window."""
+    scan = generate_scan(sensor, scene)
+    azimuth, origin_x, origins, dirs = _ray_grid(sensor, scene)
+    t, semantic, reflectance = brute_force_hits(origins, dirs, scene)
+    hit = np.isfinite(t) & (t >= MIN_RANGE)
+    if scene.max_range is not None:
+        hit &= t <= scene.max_range
+    idx = np.flatnonzero(hit)
+    raw = t[idx, None] * dirs[idx]
+    corrected = raw.copy()
+    corrected[:, 0] += origins[idx, 0] - scene.ego_velocity * sensor.rev_period
+    want = {
+        "points": raw.astype(np.float32),
+        "corrected": corrected.astype(np.float32),
+        "reflectance": reflectance[idx],
+        "rows": (idx // sensor.firings_per_rev).astype(np.int32),
+        "cols": (idx % sensor.firings_per_rev).astype(np.int32),
+        "semantic": semantic[idx],
+    }
+    got = {
+        "points": scan.cloud.points,
+        "corrected": scan.cloud_ego_corrected.points,
+        "reflectance": scan.cloud.reflectance,
+        "rows": scan.true_rows,
+        "cols": scan.true_cols,
+        "semantic": scan.labels.semantic,
+    }
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype and got[name].tobytes() == array.tobytes(), name
+    for prim in scene.primitives:
+        firings = _candidate_firings(prim, azimuth, origin_x)
+        if firings is None:
+            continue
+        alone, _, _ = brute_force_hits(origins, dirs, SceneConfig(ground_z=None, primitives=(prim,)))
+        reached = np.flatnonzero(np.isfinite(alone)) % sensor.firings_per_rev
+        assert np.isin(reached, firings).all(), f"{prim} reached outside its window"
+
+
+WINDOW_SENSOR = SensorModel(n_beams=8, azimuth_step=360.0 / 1024.0)
+REAR_BOX = Box(center=(-9.0, 0.2, 1.0), size=(2.0, 3.0, 2.0), class_id=2)
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [
+        # the sensor path inside the grown footprint: every firing is cast
+        SceneConfig(seed=1, ego_velocity=15.0, primitives=(Box(center=(1.0, 0.4, 1.0), size=(1.0, 1.2, 2.0), class_id=2), REAR_BOX)),
+        SceneConfig(seed=2, ego_velocity=-12.0, angular_noise=0.3, enclosure_radius=30.0, primitives=(REAR_BOX,)),
+        SceneConfig(
+            seed=3,
+            max_range=9.0,
+            ego_velocity=9.0,
+            primitives=(
+                Sphere(center=(6.0, -3.0, 1.0), radius=1.0, class_id=3),
+                Cylinder(center=(-2.0, -6.0, 1.5), radius=0.3, height=3.0, class_id=4),
+                Sphere(center=(-7.0, -0.01, 1.73), radius=0.8, class_id=3),
+            ),
+        ),
+        # coincident surfaces tie exactly: the one listed first keeps the ray
+        SceneConfig(
+            seed=4,
+            ego_velocity=6.0,
+            primitives=(
+                Sphere(center=(5.0, 5.0, 1.0), radius=1.0, class_id=3),
+                Sphere(center=(5.0, 5.0, 1.0), radius=1.0, class_id=4),
+                Box(center=(-6.0, 2.0, 1.0), size=(2.0, 2.0, 2.0), class_id=2),
+                Box(center=(-6.0, 2.0, 1.0), size=(2.0, 2.0, 2.0), class_id=5),
+            ),
+        ),
+    ],
+    ids=["inside-grown-circle", "rear-cut-reversing-noisy", "max-range-objects", "coincident-tie"],
+)
+def test_culled_scan_matches_brute_force(scene):
+    _assert_matches_brute_force(WINDOW_SENSOR, scene)
+
+
+def test_candidate_window_narrow_and_across_rear_cut():
+    azimuth, origin_x, _, _ = _ray_grid(WINDOW_SENSOR, SceneConfig(ego_velocity=10.0))
+    far = _candidate_firings(Sphere(center=(0.5, 20.0, 1.0), radius=1.0, class_id=3), azimuth, origin_x)
+    assert 0 < far.size < WINDOW_SENSOR.firings_per_rev // 10
+    rear = _candidate_firings(REAR_BOX, azimuth, origin_x)
+    assert rear.min() == 0 and rear.max() == WINDOW_SENSOR.firings_per_rev - 1
+    assert rear.size < WINDOW_SENSOR.firings_per_rev // 4
+    near = Box(center=(0.8, 0.0, 1.0), size=(1.0, 1.0, 2.0), class_id=2)
+    assert _candidate_firings(near, azimuth, origin_x) is None
+
+
+@st.composite
+def _window_cases(draw):
+    sensor = SensorModel(
+        n_beams=draw(st.sampled_from([4, 8])),
+        azimuth_step=360.0 / draw(st.sampled_from([90, 512, 1024])),
+    )
+    n_firings = sensor.firings_per_rev
+    ego_velocity = draw(st.sampled_from([0.0, 12.0, -12.0]) | st.floats(-25.0, 25.0))
+    prims = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["box", "sphere", "cylinder", "grazing sphere"]))
+        bearing = draw(st.sampled_from([math.pi, -math.pi, math.pi - 0.02]) | st.floats(-math.pi, math.pi))
+        dist = draw(st.floats(0.0, 16.0))
+        x, y = dist * math.cos(bearing), dist * math.sin(bearing)
+        if kind == "box":
+            size = tuple(draw(st.floats(0.2, 4.0)) for _ in range(3))
+            prims.append(Box(center=(x, y, size[2] / 2), size=size, class_id=2))
+        elif kind == "sphere":
+            radius = draw(st.floats(0.2, 2.0))
+            prims.append(Sphere(center=(x, y, radius), radius=radius, class_id=3))
+        elif kind == "cylinder":
+            prims.append(Cylinder(center=(x, y, 1.5), radius=draw(st.floats(0.1, 1.0)), height=3.0, class_id=4))
+        else:
+            # tangent in xy to the horizontal heading of one firing, seen
+            # from that firing's own origin, at sensor height
+            f = draw(st.integers(0, n_firings - 1))
+            radius = draw(st.floats(0.2, 2.0))
+            dist = draw(st.floats(radius + 1.0, 16.0))
+            side = draw(st.sampled_from([-1.0, 1.0]))
+            heading = math.pi - (f + 0.5) * math.radians(sensor.azimuth_step) + side * math.asin(radius / dist)
+            origin = ego_velocity * f * sensor.rev_period / n_firings
+            center = (origin + dist * math.cos(heading), dist * math.sin(heading), sensor.mount_height)
+            prims.append(Sphere(center=center, radius=radius, class_id=3))
+    scene = SceneConfig(
+        ground_z=draw(st.sampled_from([None, 0.0])),
+        primitives=tuple(prims),
+        enclosure_radius=draw(st.sampled_from([None, 30.0])),
+        seed=draw(st.integers(0, 2**16)),
+        angular_noise=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        ego_velocity=ego_velocity,
+        max_range=draw(st.sampled_from([None, 6.0, 12.0])),
+    )
+    return sensor, scene
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_cases())
+def test_culled_scan_matches_brute_force_property(case):
+    _assert_matches_brute_force(*case)
 
 
 def test_default_beam_elevations_descend_within_fov():
