@@ -9,7 +9,6 @@ vehicle moves.
 """
 
 import argparse
-import math
 
 import numpy as np
 
@@ -25,7 +24,6 @@ def main():
     args = ap.parse_args()
 
     sensor = SensorModel(n_beams=args.beams, azimuth_step=360.0 / args.width)
-    threshold = 1.7 * math.radians(sensor.azimuth_step)
 
     print(f"{'v [m/s]':>8} {'points':>8} {'occ(unfold)':>12} {'occ(ego)':>10} {'lost [%]':>9}")
     for velocity in (0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0):
@@ -40,7 +38,7 @@ def main():
         )
         scene = SceneConfig(seed=args.seed, primitives=boxes, enclosure_radius=25.0, ego_velocity=velocity)
         scan = generate_scan(sensor, scene)
-        _, m_unfold = unfold_scan(scan.cloud, scan.labels, sensor.n_beams, sensor.firings_per_rev, threshold)
+        _, m_unfold = unfold_scan(scan.cloud, scan.labels, sensor.n_beams, sensor.firings_per_rev)
         _, m_ego = project_ego_corrected(
             scan.cloud_ego_corrected, scan.labels, sensor.n_beams, sensor.firings_per_rev,
             sensor.fov_up, sensor.fov_down,

@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from . import cloud_io, projection, synth_lidar
 from .seg_net import BACKBONE_PRESETS, build, config_from_preset, load_weights, preset_key, save_weights
 from .trainer import (
     TrainConfig,
+    _metric,
     bench_forward,
     evaluate,
     make_synthetic_dataset,
@@ -123,9 +123,7 @@ def _cmd_project(args) -> int:
     cloud = cloud_io.load_point_cloud(args.input)
     labels = cloud_io.load_labels(args.labels) if args.labels else None
     if args.mode == "unfold":
-        img, index_map = projection.unfold_scan(
-            cloud, labels, args.height, args.width, math.radians(args.threshold_deg)
-        )
+        img, index_map = projection.unfold_scan(cloud, labels, args.height, args.width)
     else:
         img, index_map = projection.project_ego_corrected(
             cloud, labels, args.height, args.width, args.fov_up, args.fov_down
@@ -147,8 +145,7 @@ def _cmd_stats(args) -> int:
     sensor, scene = synth_lidar.load_scan_setup(args.config)
     scan = synth_lidar.generate_scan(sensor, scene)
     h, w = sensor.n_beams, sensor.firings_per_rev
-    threshold = max(math.radians(args.threshold_deg), 1.5 * math.radians(sensor.azimuth_step))
-    _, map_unfold = projection.unfold_scan(scan.cloud, scan.labels, h, w, threshold)
+    _, map_unfold = projection.unfold_scan(scan.cloud, scan.labels, h, w)
     _, map_ego = projection.project_ego_corrected(
         scan.cloud_ego_corrected, scan.labels, h, w, sensor.fov_up, sensor.fov_down
     )
@@ -180,8 +177,8 @@ def _cmd_train(args) -> int:
     save_weights(net, out / "weights.npz")
     _write_previews(net, train_set[0], out)
     print(f"params = {report.param_count}")
-    print(f"final_loss = {report.loss_trace[-1]:.6f}")
-    print(f"miou = {report.miou:.6f}")
+    print(f"final_loss = {_metric(report.loss_trace[-1])}")
+    print(f"miou = {_metric(report.miou)}")
     print(f"wrote {out}/report.txt and {out}/weights.npz")
     return 0
 
@@ -203,13 +200,13 @@ def _cmd_eval(args) -> int:
     dataset = train_set if args.split == "train" else val_set
     net = build(_net_config(args, n_classes=args.classes + 1), seed=args.seed)
     load_weights(net, args.weights)
-    report = evaluate(net, dataset, backproject=args.backproject)
+    report = evaluate(net, dataset)
     if args.out:
         write_run_report(report, args.out)
         print(f"wrote {args.out}")
-    print(f"miou = {report.miou:.6f}")
+    print(f"miou = {_metric(report.miou)}")
     if report.point_miou is not None:
-        print(f"point_miou = {report.point_miou:.6f}")
+        print(f"point_miou = {_metric(report.point_miou)}")
     return 0
 
 
@@ -244,14 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("unfold", "ego"), default="unfold")
     p.add_argument("--height", type=int, default=projection.DEFAULT_H)
     p.add_argument("--width", type=int, default=projection.DEFAULT_W)
-    p.add_argument("--threshold-deg", type=float, default=0.3)
     p.add_argument("--fov-up", type=float, default=3.0)
     p.add_argument("--fov-down", type=float, default=-25.0)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("stats", help="occlusion report comparing both projections")
     p.add_argument("--config", required=True, help="sensor+scene YAML file")
-    p.add_argument("--threshold-deg", type=float, default=0.3)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("train", help="train on synthetic scans")
@@ -270,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_net_args(p)
     p.add_argument("--weights", required=True)
     p.add_argument("--split", choices=("train", "val"), default="val")
-    p.add_argument("--backproject", action="store_true", help="also score per point via the index map")
     p.add_argument("--out", default=None, help="optional report path")
     p.set_defaults(func=_cmd_eval)
 

@@ -6,10 +6,12 @@ Three on-disk formats are handled here:
   one quadruplet per point, in acquisition order.
 * ``.label`` -- packed little-endian uint32 words, one per point; the low 16 bits
   hold the semantic class id, the high 16 bits an instance id.
-* ``.rimg``  -- range image container: a 16-byte header (magic ``RIMG``, version,
-  height, width as little-endian uint32), a channel directory, then one plane per
-  channel. Float channels are stored as little-endian float32 planes, the validity
-  mask as one byte per pixel. Round-trips are bit-exact.
+* ``.rimg``  -- range image container with one fixed layout: a 16-byte header
+  (magic ``RIMG``, version, height, width as little-endian uint32), the constant
+  37-byte channel directory ``RIMG_DIRECTORY``, then the depth, reflectance and
+  label planes as little-endian float32 and the validity mask as one byte per
+  pixel, each row-major. A container is exactly ``53 + 13 * h * w`` bytes long.
+  Round-trips are bit-exact.
 
 All parsers take raw ``bytes`` so they stay pure; ``load_*``/``save_*`` helpers
 wrap them for paths.
@@ -25,10 +27,9 @@ import numpy as np
 
 RIMG_MAGIC = b"RIMG"
 RIMG_VERSION = 1
-
-# channel directory entry kinds
-_KIND_F32 = 0
-_KIND_U8 = 1
+# channel count, then per channel: name length, kind (0 float32, 1 uint8), name
+RIMG_DIRECTORY = struct.pack("<I", 4) + b"\x05\x00depth\x0b\x00reflectance\x05\x00label\x04\x01mask"
+_RIMG_HEADER = 16 + len(RIMG_DIRECTORY)
 
 
 class FormatError(ValueError):
@@ -145,81 +146,37 @@ def write_labels(labels: LabelArray) -> bytes:
     return words.astype("<u4").tobytes()
 
 
-def _channel_planes(img: RangeImage):
-    return [
-        ("depth", _KIND_F32, img.depth),
-        ("reflectance", _KIND_F32, img.reflectance),
-        ("label", _KIND_F32, img.label.astype("<f4")),
-        ("mask", _KIND_U8, img.mask.astype(np.uint8)),
-    ]
-
-
 def write_range_image_bytes(img: RangeImage) -> bytes:
     h, w = img.shape
-    out = [RIMG_MAGIC, struct.pack("<III", RIMG_VERSION, h, w)]
-    planes = _channel_planes(img)
-    out.append(struct.pack("<I", len(planes)))
-    for name, kind, _ in planes:
-        enc = name.encode("ascii")
-        out.append(struct.pack("<BB", len(enc), kind))
-        out.append(enc)
-    for _, kind, plane in planes:
-        if kind == _KIND_F32:
-            out.append(np.ascontiguousarray(plane, dtype="<f4").tobytes())
-        else:
-            out.append(np.ascontiguousarray(plane, dtype=np.uint8).tobytes())
-    return b"".join(out)
+    floats = (np.ascontiguousarray(p, dtype="<f4").tobytes() for p in (img.depth, img.reflectance, img.label))
+    mask = np.ascontiguousarray(img.mask, dtype=np.uint8).tobytes()
+    return b"".join([RIMG_MAGIC, struct.pack("<III", RIMG_VERSION, h, w), RIMG_DIRECTORY, *floats, mask])
 
 
 def read_range_image_bytes(data: bytes) -> RangeImage:
-    """Decode a ``RIMG`` container; raises FormatError on bad magic/version
-    or truncation."""
-    if len(data) < 16:
+    """Decode a ``RIMG`` container; raises FormatError on bad magic, version or
+    channel directory, and on any length but ``53 + 13 * h * w``."""
+    if len(data) < _RIMG_HEADER:
         raise FormatError("truncated range image: header incomplete")
     if data[:4] != RIMG_MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {RIMG_MAGIC!r}")
     version, h, w = struct.unpack("<III", data[4:16])
     if version != RIMG_VERSION:
         raise FormatError(f"unsupported container version {version}")
-    off = 16
-    try:
-        (n_channels,) = struct.unpack_from("<I", data, off)
-        off += 4
-        directory = []
-        for _ in range(n_channels):
-            name_len, kind = struct.unpack_from("<BB", data, off)
-            off += 2
-            name = data[off : off + name_len].decode("ascii")
-            if len(name) != name_len:
-                raise struct.error
-            off += name_len
-            directory.append((name, kind))
-    except struct.error:
-        raise FormatError("truncated range image: channel directory incomplete")
-
-    planes = {}
-    for name, kind in directory:
-        if kind == _KIND_F32:
-            nbytes = h * w * 4
-            dtype = "<f4"
-        elif kind == _KIND_U8:
-            nbytes = h * w
-            dtype = np.uint8
-        else:
-            raise FormatError(f"unknown channel kind {kind} for {name!r}")
-        if off + nbytes > len(data):
-            raise FormatError(f"truncated range image: plane {name!r} incomplete")
-        planes[name] = np.frombuffer(data, dtype=dtype, count=h * w, offset=off).reshape(h, w)
-        off += nbytes
-
-    missing = {"depth", "reflectance", "label", "mask"} - planes.keys()
-    if missing:
-        raise FormatError(f"container is missing channels: {sorted(missing)}")
+    if data[16:_RIMG_HEADER] != RIMG_DIRECTORY:
+        raise FormatError("channel directory is not depth, reflectance, label (float32), mask (uint8)")
+    n = h * w
+    expected = _RIMG_HEADER + 13 * n
+    if len(data) != expected:
+        what = "truncated range image" if len(data) < expected else "trailing bytes after range image"
+        raise FormatError(f"{what}: {len(data)} bytes, {h}x{w} needs {expected}")
+    floats = np.frombuffer(data, dtype="<f4", count=3 * n, offset=_RIMG_HEADER).reshape(3, h, w)
+    mask = np.frombuffer(data, dtype=np.uint8, count=n, offset=_RIMG_HEADER + 12 * n).reshape(h, w)
     return RangeImage(
-        depth=planes["depth"].copy(),
-        reflectance=planes["reflectance"].copy(),
-        label=planes["label"].astype(np.int32),
-        mask=planes["mask"].astype(bool),
+        depth=floats[0].copy(),
+        reflectance=floats[1].copy(),
+        label=floats[2].astype(np.int32),
+        mask=mask.astype(bool),
     )
 
 

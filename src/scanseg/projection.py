@@ -8,6 +8,11 @@ spherical proxy used for motion-compensated clouds, binning rows by elevation;
 it trades the native layout for mutual occlusions whenever the cloud was
 captured from more than one pose.
 
+A jump only has to exceed one firing step, so ``unfold_scan`` derives its
+threshold from the grid width: ``DEFAULT_JUMP_THRESHOLD`` (0.3 degrees) at
+``DEFAULT_W`` columns, scaled by ``DEFAULT_W / w``, which is about 1.7 columns
+at any width.
+
 Both let the nearest point win each pixel: points take their positions in a
 stable decreasing-depth order, and one scatter-max (``np.maximum.at``) over
 pixel ids keeps each pixel's largest position, so the nearest point wins and
@@ -162,14 +167,17 @@ def unfold_scan(
     labels: LabelArray | None = None,
     h: int = DEFAULT_H,
     w: int = DEFAULT_W,
-    threshold: float = DEFAULT_JUMP_THRESHOLD,
+    threshold: float | None = None,
     mode: str = "literal",
 ) -> tuple[RangeImage, IndexMap]:
     """Project an acquisition-ordered cloud by unfolding its scan lines.
 
-    Rows come from ``get_rows``; rows past ``h - 1`` mark their points out of
-    range rather than clipping into the image.
+    Rows come from ``get_rows``, with ``threshold`` (radians) defaulting to
+    ``DEFAULT_JUMP_THRESHOLD * DEFAULT_W / w``; rows past ``h - 1`` mark their
+    points out of range rather than clipping into the image.
     """
+    if threshold is None:
+        threshold = DEFAULT_JUMP_THRESHOLD * DEFAULT_W / w
     rows = get_rows(cloud, threshold, mode)
     cols = get_columns(cloud, w)
     in_range = rows < h

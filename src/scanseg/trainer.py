@@ -202,24 +202,15 @@ def train(config: TrainConfig, dataset: list[Sample]) -> tuple[Network, RunRepor
         opt.step(net.grads())
         trace.append(float(loss_val))
 
-    sec_forward = _time_forward(net, xs[: min(len(dataset), config.batch_size)])
-    report = evaluate(net, dataset, backproject=True)
+    (sec_forward,) = _fastest_forwards([net], xs[: min(len(dataset), config.batch_size)], repeats=3)
+    report = evaluate(net, dataset)
     return net, replace(report, loss_trace=trace, sec_per_forward=sec_forward, config=_config_echo(config))
 
 
-def _time_forward(net: Network, x: np.ndarray, repeats: int = 3) -> float:
-    net.forward(x, training=False)  # warmup
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        net.forward(x, training=False)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def evaluate(net: Network, dataset: list[Sample], backproject: bool = False) -> RunReport:
-    """Accumulate per-pixel (and optionally back-projected per-point)
-    confusion over the dataset and report IoU metrics."""
+def evaluate(net: Network, dataset: list[Sample]) -> RunReport:
+    """Accumulate per-pixel confusion over the dataset, and per-point confusion
+    over the samples that carry an index map and point labels (their pixel
+    predictions back-projected), and report IoU metrics."""
     n_classes = net.config.n_classes
     cm_pixel = ConfusionMatrix.empty(n_classes)
     cm_point = ConfusionMatrix.empty(n_classes)
@@ -231,13 +222,12 @@ def evaluate(net: Network, dataset: list[Sample], backproject: bool = False) -> 
         logits = net.forward(xs, training=False)
         preds = np.argmax(logits, axis=-1).astype(np.int32)
         accumulate_confusion(preds, ys, cm_pixel)
-        if backproject:
-            for k, sample in enumerate(chunk):
-                if sample.index_map is None or sample.point_labels is None:
-                    continue
-                point_preds = backproject_labels(sample.index_map, preds[k], len(sample.point_labels))
-                accumulate_confusion(point_preds, sample.point_labels, cm_point)
-                scored_points = True
+        for k, sample in enumerate(chunk):
+            if sample.index_map is None or sample.point_labels is None:
+                continue
+            point_preds = backproject_labels(sample.index_map, preds[k], len(sample.point_labels))
+            accumulate_confusion(point_preds, sample.point_labels, cm_point)
+            scored_points = True
 
     iou, mean = miou(cm_pixel)
     report = RunReport(per_class_iou=iou, miou=mean, param_count=count_params(net), n_samples=len(dataset))
@@ -247,21 +237,24 @@ def evaluate(net: Network, dataset: list[Sample], backproject: bool = False) -> 
 
 
 def _metric(v: float) -> str:
+    """A reported float with six decimals, or ``undefined`` where it is NaN."""
     return "undefined" if np.isnan(v) else f"{v:.6f}"
 
 
 def write_run_report(report: RunReport, path) -> None:
-    """Emit the report as stable ``key = value`` lines; an IoU that is NaN
-    (empty union, or no defined class for a mean) reads ``undefined``."""
+    """Emit the report as stable ``key = value`` lines. Every float goes
+    through ``_metric``, so a NaN (an IoU with an empty union, a mean with no
+    defined class, the forward time of a report ``train`` did not fill) reads
+    ``undefined``."""
     lines = []
     for key, val in sorted(report.config.items()):
         lines.append(f"config.{key} = {val}")
     lines.append(f"n_samples = {report.n_samples}")
     lines.append(f"param_count = {report.param_count}")
-    lines.append(f"sec_per_forward = {report.sec_per_forward:.6f}")
+    lines.append(f"sec_per_forward = {_metric(report.sec_per_forward)}")
     if report.loss_trace:
-        lines.append(f"final_loss = {report.loss_trace[-1]:.6f}")
-        lines.append("loss_trace = " + ",".join(f"{v:.6f}" for v in report.loss_trace))
+        lines.append(f"final_loss = {_metric(report.loss_trace[-1])}")
+        lines.append("loss_trace = " + ",".join(_metric(v) for v in report.loss_trace))
     for c, v in enumerate(report.per_class_iou):
         lines.append(f"iou_class_{c} = {_metric(v)}")
     lines.append(f"miou = {_metric(report.miou)}")
@@ -360,20 +353,28 @@ def bench_forward(
     seed: int = 0,
 ) -> dict[str, tuple[float, int]]:
     """Fastest of ``repeats`` forward-pass seconds, and the parameter count,
-    per config (default class count), timed on a random input.
-
-    Each repeat runs every config's forward once, so a load that comes or
-    goes during the run reaches all configs alike and their ratios hold.
-    """
+    per config (default class count), timed on a random input by
+    ``_fastest_forwards``."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, h, w, 3)).astype(np.float32)
     nets = {name: build(config_from_preset(name), seed=seed) for name in preset_names}
-    for net in nets.values():
+    seconds = _fastest_forwards(list(nets.values()), x, repeats)
+    return {name: (sec, count_params(net)) for (name, net), sec in zip(nets.items(), seconds)}
+
+
+def _fastest_forwards(nets: list[Network], x: np.ndarray, repeats: int) -> list[float]:
+    """Fastest of ``repeats`` eval forwards of ``x`` per net, after one warm-up
+    forward each.
+
+    Each repeat runs every net's forward once, so a load that comes or goes
+    during the run reaches all nets alike and their ratios hold.
+    """
+    for net in nets:
         net.forward(x, training=False)  # warmup
-    times = {name: [] for name in nets}
+    times = [[] for _ in nets]
     for _ in range(repeats):
-        for name, net in nets.items():
+        for net, net_times in zip(nets, times):
             t0 = time.perf_counter()
             net.forward(x, training=False)
-            times[name].append(time.perf_counter() - t0)
-    return {name: (min(times[name]), count_params(net)) for name, net in nets.items()}
+            net_times.append(time.perf_counter() - t0)
+    return [min(net_times) for net_times in times]

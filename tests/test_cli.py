@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from scanseg import cli
 from scanseg.cli import main, write_pgm, write_ppm
 from scanseg.cloud_io import load_range_image
+from scanseg.trainer import RunReport
 
 
 @pytest.fixture()
@@ -62,13 +64,12 @@ def test_synth_project_stats_pipeline(tmp_path, scene_config, capsys):
             "16",
             "--width",
             "128",
-            "--threshold-deg",
-            "4.8",
         ]
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "occluded=0" in out  # noise-free unfolding loses nothing
+    # noise-free unfolding loses nothing; the jump threshold follows the width
+    assert "occluded=0 out_of_range=0" in out
     img = load_range_image(rimg)
     assert img.shape == (16, 128)
     assert preview.read_bytes().startswith(b"P5\n128 16\n255\n")
@@ -126,7 +127,6 @@ def test_train_eval_roundtrip(tmp_path, capsys):
             "--classes", "3",
             "--preset", "a",
             "--split", "val",
-            "--backproject",
             "--out", str(tmp_path / "eval.txt"),
         ]
     )
@@ -134,7 +134,33 @@ def test_train_eval_roundtrip(tmp_path, capsys):
     assert code == 0
     assert "miou =" in out
     assert "point_miou =" in out
-    assert (tmp_path / "eval.txt").exists()
+    assert "sec_per_forward = undefined" in (tmp_path / "eval.txt").read_text()
+
+
+def test_nan_metrics_read_undefined_in_file_and_on_stdout(tmp_path, capsys, monkeypatch):
+    # no class ever seen: every IoU, both means and the untimed forward are NaN
+    def no_class_seen(net, dataset):
+        nan = np.full(2, np.nan)
+        return RunReport(
+            per_class_iou=nan, miou=np.nan, param_count=1, n_samples=0, point_per_class_iou=nan, point_miou=np.nan
+        )
+
+    monkeypatch.setattr(cli, "load_weights", lambda net, path: None)
+    monkeypatch.setattr(cli, "evaluate", no_class_seen)
+    report = tmp_path / "eval.txt"
+    code = main(
+        [
+            "eval",
+            "--weights", "unused.npz", "--scans", "2", "--height", "16", "--width", "64",
+            "--out", str(report),
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "miou = undefined" in out and "point_miou = undefined" in out
+    text = report.read_text()
+    for key in ("sec_per_forward", "iou_class_1", "miou", "point_miou"):
+        assert f"\n{key} = undefined\n" in text
 
 
 def test_eval_weight_mismatch_is_runtime_error(tmp_path, capsys):

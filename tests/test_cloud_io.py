@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -139,6 +140,33 @@ def test_range_image_bad_magic_and_version():
     bad_version = data[:4] + struct.pack("<I", 9) + data[8:]
     with pytest.raises(FormatError, match="version"):
         read_range_image_bytes(bad_version)
+
+
+def test_range_image_bytes_pinned():
+    # sha256 of the bytes the general channel-directory writer produced, so
+    # containers written before the layout became fixed still read; the
+    # planes are exact float32 values, so no random stream is involved
+    k = np.arange(24).reshape(4, 6)
+    mask = k % 5 != 0
+    img = RangeImage(
+        depth=np.where(mask, 1.5 + 0.75 * k, 0),
+        reflectance=np.where(mask, k / 32, 0),
+        label=np.where(mask, k % 7, 0),
+        mask=mask,
+    )
+    data = write_range_image_bytes(img)
+    assert len(data) == 53 + 13 * 24
+    assert hashlib.sha256(data).hexdigest() == "506e62087a70e913d869a0acda466a7be1ac8725828de11095154af15c19de13"
+
+
+def test_range_image_rejects_reordered_directory_and_trailing_bytes():
+    data = write_range_image_bytes(_random_image(np.random.default_rng(7), 4, 8))
+    swapped = data.replace(b"\x05\x00depth\x0b\x00reflectance", b"\x0b\x00reflectance\x05\x00depth")
+    assert len(swapped) == len(data) and swapped != data
+    with pytest.raises(FormatError, match="directory"):
+        read_range_image_bytes(swapped)
+    with pytest.raises(FormatError, match="trailing"):
+        read_range_image_bytes(data + b"\x00")
 
 
 def test_parsing_preserves_order():

@@ -131,6 +131,15 @@ class TestUnfold:
         assert img.mask.sum() == len(scan)
         np.testing.assert_array_equal(img.label[img.mask] > 0, True)
 
+    @pytest.mark.parametrize("w", [128, 512, 1024, 2048])
+    def test_default_threshold_recovers_true_rows_at_any_width(self, w):
+        # a fixed 0.3 degree threshold lies below one firing step under 1200
+        # columns, where every firing would open a new row
+        sensor = SensorModel(n_beams=16, azimuth_step=360.0 / w)
+        scan = _covered_scan(sensor, seed=15)
+        _, index_map = unfold_scan(scan.cloud, scan.labels, sensor.n_beams, w)
+        np.testing.assert_array_equal(index_map.point_to_pixel[:, 0], scan.true_rows)
+
     def test_rows_beyond_grid_marked_out_of_range(self):
         scan = _covered_scan(seed=13)
         h = 4  # fewer rows than beams

@@ -110,7 +110,7 @@ class TestTraining:
         train_set, _ = tiny_dataset()
         cfg = TrainConfig(net=TINY_NET, steps=8, batch_size=2, seed=1, lr=3e-3)
         net, report = train(cfg, train_set)
-        again = evaluate(net, train_set, backproject=True)
+        again = evaluate(net, train_set)
         assert again.miou == pytest.approx(report.miou, abs=1e-12)
         assert again.point_miou == pytest.approx(report.point_miou, abs=1e-12)
         np.testing.assert_array_equal(again.per_class_iou, report.per_class_iou)
@@ -180,7 +180,7 @@ class TestEvaluation:
     def test_unfold_point_scores_match_brute_force(self):
         train_set, _ = tiny_dataset(n_scans=2)
         net = build(TINY_NET, seed=2)
-        report = evaluate(net, train_set, backproject=True)
+        report = evaluate(net, train_set)
         assert report.point_miou is not None
 
         sample = train_set[0]
