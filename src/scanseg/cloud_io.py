@@ -153,9 +153,17 @@ def write_range_image_bytes(img: RangeImage) -> bytes:
     return b"".join([RIMG_MAGIC, struct.pack("<III", RIMG_VERSION, h, w), RIMG_DIRECTORY, *floats, mask])
 
 
+def _reject_pixels(bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise FormatError(f"{what} at pixel {int(np.flatnonzero(bad)[0])} (row-major)")
+
+
 def read_range_image_bytes(data: bytes) -> RangeImage:
     """Decode a ``RIMG`` container; raises FormatError on bad magic, version or
-    channel directory, and on any length but ``53 + 13 * h * w``."""
+    channel directory, on any length but ``53 + 13 * h * w``, and on planes
+    that break the ``RangeImage`` invariants: a label that is not an int32
+    integer, a mask byte other than 0 or 1, a masked depth not above 0, or a
+    nonzero depth or label off the mask."""
     if len(data) < _RIMG_HEADER:
         raise FormatError("truncated range image: header incomplete")
     if data[:4] != RIMG_MAGIC:
@@ -170,14 +178,16 @@ def read_range_image_bytes(data: bytes) -> RangeImage:
     if len(data) != expected:
         what = "truncated range image" if len(data) < expected else "trailing bytes after range image"
         raise FormatError(f"{what}: {len(data)} bytes, {h}x{w} needs {expected}")
-    floats = np.frombuffer(data, dtype="<f4", count=3 * n, offset=_RIMG_HEADER).reshape(3, h, w)
+    depth, reflectance, label = np.frombuffer(data, dtype="<f4", count=3 * n, offset=_RIMG_HEADER).reshape(3, h, w)
     mask = np.frombuffer(data, dtype=np.uint8, count=n, offset=_RIMG_HEADER + 12 * n).reshape(h, w)
-    return RangeImage(
-        depth=floats[0].copy(),
-        reflectance=floats[1].copy(),
-        label=floats[2].astype(np.int32),
-        mask=mask.astype(bool),
-    )
+    # NaN fails every comparison, so each test is written to pass only good values
+    _reject_pixels(mask > 1, "mask byte other than 0 or 1")
+    on = mask.view(bool)
+    int32_label = (label >= -(2.0**31)) & (label < 2.0**31) & (np.trunc(label) == label)
+    _reject_pixels(~int32_label, "label not an int32 integer")
+    _reject_pixels(on & ~(depth > 0), "masked depth not above 0")
+    _reject_pixels(~on & ((depth != 0) | (label != 0)), "nonzero depth or label off the mask")
+    return RangeImage(depth=depth.copy(), reflectance=reflectance.copy(), label=label.astype(np.int32), mask=on.copy())
 
 
 def load_point_cloud(path) -> PointCloud:

@@ -13,13 +13,17 @@ threshold from the grid width: ``DEFAULT_JUMP_THRESHOLD`` (0.3 degrees) at
 ``DEFAULT_W`` columns, scaled by ``DEFAULT_W / w``, which is about 1.7 columns
 at any width.
 
-Both let the nearest point win each pixel: points take their positions in a
-stable decreasing-depth order, and one scatter-max (``np.maximum.at``) over
-pixel ids keeps each pixel's largest position, so the nearest point wins and
-an exact depth tie goes to the later index. Displaced points are recorded as
-occluded, and points whose row falls outside the grid as out of range. The
-IndexMap keeps the full point/pixel correspondence either way so per-point
-labels can be recovered from per-pixel predictions.
+Both let the nearest point win each pixel in two linear passes over the
+in-range points, with no sort: a scatter-min (``np.minimum.at``) of the
+float32 depth over flat pixel ids finds each pixel's nearest depth, and a
+scatter-max (``np.maximum.at``) of the point index over the points at that
+depth picks the winner, so an exact depth tie goes to the later index.
+Displaced points are recorded as occluded, and points whose row falls outside
+the grid as out of range. The IndexMap keeps the full point/pixel
+correspondence either way so per-point labels can be recovered from
+per-pixel predictions.
+
+Both reject a grid height ``h`` or width ``w`` below 1.
 """
 
 from __future__ import annotations
@@ -106,8 +110,19 @@ def get_rows(
 
 
 def _ranges(cloud: PointCloud) -> np.ndarray:
-    """Float64 distance of each point from the sensor origin."""
-    return np.linalg.norm(cloud.points.astype(np.float64), axis=1)
+    """Float64 distance of each point from the sensor origin.
+
+    ``sqrt(x*x + y*y + z*z)`` over float64 columns sums in the order
+    ``np.linalg.norm(axis=1)`` does, so the bits are the same.
+    """
+    x, y, z = cloud.points.astype(np.float64).T
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _check_grid(h: int, w: int) -> None:
+    for name, size in (("h", h), ("w", w)):
+        if size < 1:
+            raise ValueError(f"grid size {name} must be at least 1, got {size}")
 
 
 def _scatter_nearest(
@@ -122,26 +137,30 @@ def _scatter_nearest(
 ) -> tuple[RangeImage, IndexMap]:
     """Nearest-wins scatter shared by both projections.
 
-    Points are ranked in decreasing float32 depth (stable, so equal depths
-    keep their original order); the highest rank landing on a pixel wins it.
+    Each pixel goes to the in-range point of least float32 depth landing on
+    it, and among equal depths to the one of largest index.
     """
     n = len(cloud)
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
     depth = ranges.astype(np.float32)
 
-    point_to_pixel = np.full((n, 2), -1, dtype=np.int32)
-    point_to_pixel[in_range, 0] = rows[in_range]
-    point_to_pixel[in_range, 1] = cols[in_range]
+    point_to_pixel = np.empty((n, 2), dtype=np.int32)
+    point_to_pixel[:, 0] = np.where(in_range, rows, -1)
+    point_to_pixel[:, 1] = np.where(in_range, cols, -1)
 
-    order = np.argsort(-depth, kind="stable")
-    ordered = order[in_range[order]]
-
-    # flat pixel id -> highest rank landing there; winners in pixel-id order
+    ids = np.flatnonzero(in_range)
+    pixels = rows[ids].astype(np.int64) * w + cols[ids]
+    id_depth = depth[ids]
+    nearest = np.full(h * w, np.inf, dtype=np.float32)
+    np.minimum.at(nearest, pixels, id_depth)
+    # flat pixel id -> largest index among its nearest points; winners in
+    # pixel-id order
+    at_nearest = id_depth == nearest[pixels]
     top = np.full(h * w, -1, dtype=np.int64)
-    np.maximum.at(top, rows[ordered].astype(np.int64) * w + cols[ordered], np.arange(ordered.size))
+    np.maximum.at(top, pixels[at_nearest], ids[at_nearest])
     taken = top >= 0
-    winners = ordered[top[taken]]
+    winners = top[taken]
 
     is_winner = np.zeros(n, dtype=bool)
     is_winner[winners] = True
@@ -176,6 +195,7 @@ def unfold_scan(
     ``DEFAULT_JUMP_THRESHOLD * DEFAULT_W / w``; rows past ``h - 1`` mark their
     points out of range rather than clipping into the image.
     """
+    _check_grid(h, w)
     if threshold is None:
         threshold = DEFAULT_JUMP_THRESHOLD * DEFAULT_W / w
     rows = get_rows(cloud, threshold, mode)
@@ -198,6 +218,7 @@ def project_ego_corrected(
     price of projecting a motion-corrected cloud is paid in occlusions
     instead.
     """
+    _check_grid(h, w)
     if not fov_down < fov_up:
         raise ValueError("fov_down must be below fov_up")
     ranges = _ranges(cloud)

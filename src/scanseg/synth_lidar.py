@@ -231,16 +231,24 @@ def _ray_ground(origins, dirs, z0):
 
 
 def _ray_box(origins, dirs, box: Box):
+    """Slab test, one axis at a time: the entry distance is the largest
+    near-plane distance and the exit the smallest far-plane one."""
     lo = np.asarray(box.center) - np.asarray(box.size) / 2.0
     hi = np.asarray(box.center) + np.asarray(box.size) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origins) / dirs
-        t2 = (hi - origins) / dirs
-    # rays parallel to a slab: +-inf bounds keep the slab test correct
-    t1 = np.where(np.isnan(t1), -np.inf, t1)
-    t2 = np.where(np.isnan(t2), np.inf, t2)
-    tmin = np.minimum(t1, t2).max(axis=1)
-    tmax = np.maximum(t1, t2).min(axis=1)
+    tmin = np.full(origins.shape[0], -np.inf)
+    tmax = np.full(origins.shape[0], np.inf)
+    for k in range(3):
+        t1 = lo[k] - origins[:, k]
+        t2 = hi[k] - origins[:, k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 /= dirs[:, k]
+            t2 /= dirs[:, k]
+        # a ray parallel to a slab gives +-inf bounds, and 0/0 when it starts
+        # in the plane of a face; fmax/fmin turn that NaN into -inf / +inf
+        np.fmax(t1, -np.inf, out=t1)
+        np.fmin(t2, np.inf, out=t2)
+        np.maximum(tmin, np.minimum(t1, t2), out=tmin)
+        np.minimum(tmax, np.maximum(t1, t2), out=tmax)
     hit = (tmax >= tmin) & (tmin > 0)
     return np.where(hit, tmin, np.inf)
 

@@ -3,19 +3,21 @@
 Everything here is written for clarity over speed and stays independent of
 the library's compute paths: the reference convolution indexes shifted slices
 directly in float64, gradients come from central differences, IoU comes
-from explicit set counting, and the simulator's nearest hits come from casting
-every ray at every surface.
+from explicit set counting, the simulator's nearest hits come from casting
+every ray at every surface with an all-axes slab test, and the projections'
+pixel winners come from a stable depth sort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from scanseg.cloud_io import LabelArray, PointCloud, RangeImage
+from scanseg.projection import IndexMap
 from scanseg.synth_lidar import (
     Box,
     SceneConfig,
     Sphere,
-    _ray_box,
     _ray_cylinder,
     _ray_enclosure,
     _ray_ground,
@@ -153,6 +155,69 @@ def direct_dice(probs, targets, n_classes, ignore_id=None):
     return 1.0 - sum(terms) / len(terms)
 
 
+def reference_ray_box(origins: np.ndarray, dirs: np.ndarray, box: Box) -> np.ndarray:
+    """Slab test over all three axes at once: distance to the entry point of
+    each ray into ``box``, inf where it misses or starts inside."""
+    lo = np.asarray(box.center) - np.asarray(box.size) / 2.0
+    hi = np.asarray(box.center) + np.asarray(box.size) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - origins) / dirs
+        t2 = (hi - origins) / dirs
+    # rays parallel to a slab: +-inf bounds keep the slab test correct
+    t1 = np.where(np.isnan(t1), -np.inf, t1)
+    t2 = np.where(np.isnan(t2), np.inf, t2)
+    tmin = np.minimum(t1, t2).max(axis=1)
+    tmax = np.maximum(t1, t2).min(axis=1)
+    hit = (tmax >= tmin) & (tmin > 0)
+    return np.where(hit, tmin, np.inf)
+
+
+def sorted_scatter_nearest(
+    cloud: PointCloud,
+    labels: LabelArray | None,
+    ranges: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    in_range: np.ndarray,
+    h: int,
+    w: int,
+) -> tuple[RangeImage, IndexMap]:
+    """Nearest-wins scatter by sorting: points ranked in decreasing float32
+    depth (stable, so equal depths keep their index order), each pixel won by
+    the highest rank landing on it."""
+    n = len(cloud)
+    depth = ranges.astype(np.float32)
+
+    point_to_pixel = np.full((n, 2), -1, dtype=np.int32)
+    point_to_pixel[in_range, 0] = rows[in_range]
+    point_to_pixel[in_range, 1] = cols[in_range]
+
+    order = np.argsort(-depth, kind="stable")
+    ordered = order[in_range[order]]
+    top = np.full(h * w, -1, dtype=np.int64)
+    np.maximum.at(top, rows[ordered].astype(np.int64) * w + cols[ordered], np.arange(ordered.size))
+    taken = top >= 0
+    winners = ordered[top[taken]]
+
+    is_winner = np.zeros(n, dtype=bool)
+    is_winner[winners] = True
+    occluded = np.flatnonzero(in_range & ~is_winner).astype(np.int32)
+
+    def plane(fill, values, dtype):
+        out = np.full(h * w, fill, dtype=dtype)
+        out[taken] = values
+        return out.reshape(h, w)
+
+    img = RangeImage(
+        depth=plane(0, depth[winners], np.float32),
+        reflectance=plane(0, cloud.reflectance[winners], np.float32),
+        label=plane(0, 0 if labels is None else labels.semantic[winners], np.int32),
+        mask=taken.reshape(h, w),
+    )
+    index_map = IndexMap(pixel_to_point=plane(-1, winners, np.int32), point_to_pixel=point_to_pixel, occluded=occluded)
+    return img, index_map
+
+
 def brute_force_hits(origins: np.ndarray, dirs: np.ndarray, scene: SceneConfig):
     """Nearest hit of every ray against every surface of ``scene``, with no
     culling: (distance, class id, reflectance) per ray, inf / 0 / 0 where a
@@ -179,7 +244,7 @@ def brute_force_hits(origins: np.ndarray, dirs: np.ndarray, scene: SceneConfig):
         )
     for prim in scene.primitives:
         if isinstance(prim, Box):
-            t = _ray_box(origins, dirs, prim)
+            t = reference_ray_box(origins, dirs, prim)
         elif isinstance(prim, Sphere):
             t = _ray_sphere(origins, dirs, prim)
         else:

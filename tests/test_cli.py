@@ -86,6 +86,15 @@ def test_project_missing_file(tmp_path, capsys):
     assert "nope.bin" in err
 
 
+def test_project_rejects_zero_width(tmp_path, scene_config, capsys):
+    out_dir = tmp_path / "scan"
+    assert main(["synth", "--config", str(scene_config), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["project", str(out_dir / "raw.bin"), "--width", "0"]) == 1
+    assert "grid size w must be at least 1, got 0" in capsys.readouterr().err
+    assert not (out_dir / "raw.rimg").exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["project", "x.bin", "--no-such-flag"]) == 2
     assert main([]) == 2

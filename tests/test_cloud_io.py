@@ -169,6 +169,53 @@ def test_range_image_rejects_reordered_directory_and_trailing_bytes():
         read_range_image_bytes(data + b"\x00")
 
 
+def _patched(img, plane, pixel, value):
+    """The container of ``img`` with one pixel of one plane overwritten:
+    ``plane`` 0-2 are the float32 depth, reflectance and label planes, 3 the
+    mask bytes."""
+    data = bytearray(write_range_image_bytes(img))
+    n = img.depth.size
+    if plane == 3:
+        data[53 + 12 * n + pixel] = value
+    else:
+        struct.pack_into("<f", data, 53 + 4 * (plane * n + pixel), value)
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    ("plane", "on_mask", "value", "message"),
+    [
+        (2, True, float("nan"), "label not an int32 integer"),
+        (2, True, float("inf"), "label not an int32 integer"),
+        (2, True, 2.5, "label not an int32 integer"),
+        (2, True, 2.0**31, "label not an int32 integer"),
+        (2, True, -(2.0**32), "label not an int32 integer"),
+        (3, True, 7, "mask byte other than 0 or 1"),
+        (3, False, 2, "mask byte other than 0 or 1"),
+        (0, True, 0.0, "masked depth not above 0"),
+        (0, True, -1.0, "masked depth not above 0"),
+        (0, True, float("nan"), "masked depth not above 0"),
+        (0, False, 3.0, "nonzero depth or label off the mask"),
+        (2, False, 4.0, "nonzero depth or label off the mask"),
+    ],
+)
+def test_range_image_rejects_bad_planes(plane, on_mask, value, message):
+    img = _random_image(np.random.default_rng(8), 4, 8)
+    pixel = int(np.flatnonzero(img.mask.ravel() == on_mask)[1])
+    with pytest.raises(FormatError, match=f"{message} at pixel {pixel} "):
+        read_range_image_bytes(_patched(img, plane, pixel, value))
+
+
+def test_range_image_accepts_int32_label_extremes():
+    # the largest int32 a float32 holds exactly is 2**31 - 128
+    img = _random_image(np.random.default_rng(9), 4, 8)
+    on = np.flatnonzero(img.mask.ravel())[:2]
+    img.label.ravel()[on] = [-(2**31), 2**31 - 128]
+    assert img.label.min() == -(2**31) and img.label.max() == 2**31 - 128
+    back = read_range_image_bytes(write_range_image_bytes(img))
+    np.testing.assert_array_equal(back.label, img.label)
+
+
 def test_parsing_preserves_order():
     n = 100
     pts = np.zeros((n, 3), dtype=np.float32)

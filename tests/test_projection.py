@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import sorted_scatter_nearest
 
 from scanseg.cloud_io import LabelArray, PointCloud
 from scanseg.projection import (
     IndexMap,
+    _ranges,
+    _scatter_nearest,
     backproject_labels,
     get_columns,
     get_rows,
@@ -212,6 +215,12 @@ class TestOcclusionAccounting:
             stats = occlusion_stats(index_map)
             assert (stats.n_points, stats.n_projected, stats.n_occluded, stats.n_out_of_range) == (0, 0, 0, 0)
 
+    @pytest.mark.parametrize("project", [unfold_scan, project_ego_corrected])
+    @pytest.mark.parametrize(("h", "w", "name"), [(0, 8, "h"), (-1, 8, "h"), (4, 0, "w"), (4, -2, "w")])
+    def test_grid_below_one_rejected(self, project, h, w, name):
+        with pytest.raises(ValueError, match=f"grid size {name} must be at least 1, got {min(h, w)}"):
+            project(_cloud([[1, 0, 0], [0, 1, 0]]), None, h, w)
+
     def test_inconsistent_index_map_rejected(self):
         # three points, one pixel won, nothing occluded or out of range
         index_map = IndexMap(
@@ -321,6 +330,50 @@ class TestProjectionProperties:
             assert stats.n_out_of_range == 0
 
 
+@st.composite
+def _scatter_inputs(draw):
+    """Pixel coordinates on a small grid (rows past ``h - 1`` out of range)
+    and depths from a short list, so pixels are shared and depths tie: 1.0
+    and 1.0 + 1e-12 differ in float64 but not in float32, and 1e39 is past
+    float32's range."""
+    h, w, n = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(0, 40))
+    rows = draw(hnp.arrays(np.int32, n, elements=st.integers(0, h + 1)))
+    cols = draw(hnp.arrays(np.int32, n, elements=st.integers(0, w - 1)))
+    ranges = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 2.0, 7.25, 1e39])))
+    reflectance = draw(hnp.arrays(np.float32, n, elements=st.floats(0.0, 1.0, width=32)))
+    semantic = draw(hnp.arrays(np.uint16, n, elements=st.integers(0, 19)))
+    labels = draw(st.sampled_from([None, LabelArray(semantic=semantic, instance=np.zeros(n, np.uint16))]))
+    cloud = PointCloud(points=np.ones((n, 3)), reflectance=reflectance)
+    return cloud, labels, ranges, rows, cols, rows < h, h, w
+
+
+def _arrays(image, index_map):
+    planes = {plane: getattr(image, plane) for plane in ("depth", "reflectance", "label", "mask")}
+    return planes | {field: getattr(index_map, field) for field in ("pixel_to_point", "point_to_pixel", "occluded")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scatter_inputs())
+def test_scatter_matches_sorted_scatter_bit_for_bit(inputs):
+    with np.errstate(over="ignore"):  # 1e39 overflows the float32 depth to inf
+        got = _arrays(*_scatter_nearest(*inputs))
+        want = _arrays(*sorted_scatter_nearest(*inputs))
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype and got[name].tobytes() == array.tobytes(), name
+
+
+def _assert_ranges_are_norm(cloud):
+    want = np.linalg.norm(cloud.points.astype(np.float64), axis=1)
+    assert _ranges(cloud).tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31), st.integers(0, 300), st.sampled_from([1e-3, 1.0, 80.0, 1e30]))
+def test_ranges_bit_equal_to_norm(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    _assert_ranges_are_norm(_cloud(rng.normal(0.0, scale, size=(n, 3))))
+
+
 # Two paper-resolution scenes and the sha256 of every array the simulator and
 # both projections return for them (numpy 2.4, x86-64). Any change to the
 # cast points, their order or the pixel winners shows here.
@@ -424,3 +477,10 @@ def test_pinned_scan_and_projections_bit_exact(name):
             arrays[f"{projection}.{field}"] = getattr(index_map, field)
     digests = {key: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for key, a in arrays.items()}
     assert digests == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENES))
+def test_ranges_bit_equal_to_norm_on_pinned_scenes(name):
+    scan = generate_scan(SensorModel(), PINNED_SCENES[name])
+    _assert_ranges_are_norm(scan.cloud)
+    _assert_ranges_are_norm(scan.cloud_ego_corrected)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_hits
+from hypothesis.extra import numpy as hnp
+from oracles import brute_force_hits, reference_ray_box
 
 from scanseg.cloud_io import PointCloud
 from scanseg.projection import _azimuth
@@ -16,6 +17,7 @@ from scanseg.synth_lidar import (
     SensorModel,
     Sphere,
     _candidate_firings,
+    _ray_box,
     _ray_grid,
     default_beam_elevations,
     generate_scan,
@@ -292,6 +294,45 @@ def _window_cases(draw):
 @given(_window_cases())
 def test_culled_scan_matches_brute_force_property(case):
     _assert_matches_brute_force(*case)
+
+
+@st.composite
+def _box_rays(draw):
+    """A box and rays at it from origins outside it or inside it, each aimed
+    at a point of the box or in a random direction, often with a component
+    set to +-0. Half the origins and aim points move onto the plane of one
+    face, so the ray runs along that plane: there the slab test divides 0 by
+    0."""
+    center = draw(hnp.arrays(np.float64, 3, elements=st.floats(-4.0, 4.0)))
+    size = draw(hnp.arrays(np.float64, 3, elements=st.floats(0.25, 4.0)))
+    lo, hi = center - size / 2.0, center + size / 2.0
+    n = draw(st.integers(1, 24))
+    unit = hnp.arrays(np.float64, 3, elements=st.floats(0.0, 1.0))
+    origins, dirs = np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        if draw(st.booleans()):
+            origin = draw(hnp.arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)))
+        else:
+            origin = lo + draw(unit) * (hi - lo)
+        target = lo + draw(unit) * (hi - lo)
+        if draw(st.booleans()):
+            axis = draw(st.integers(0, 2))
+            origin[axis] = target[axis] = draw(st.sampled_from([lo[axis], hi[axis]]))
+        if draw(st.integers(0, 3)) == 0:
+            target = origin + draw(hnp.arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)))
+        origins[i], dirs[i] = origin, target - origin
+        for k in range(3):
+            if draw(st.integers(0, 3)) == 0:
+                dirs[i, k] = draw(st.sampled_from([0.0, -0.0]))
+    return origins, dirs, Box(center=tuple(center), size=tuple(size), class_id=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_box_rays())
+def test_ray_box_matches_all_axes_slab_test(case):
+    with np.errstate(over="ignore"):  # a tiny component puts a slab at +-inf in both
+        got, want = _ray_box(*case), reference_ray_box(*case)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_default_beam_elevations_descend_within_fov():
