@@ -16,13 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from . import cloud_io, projection, synth_lidar
+from .neural_core import PADDING_MODES
 from .seg_net import BACKBONE_PRESETS, build, config_from_preset, load_weights, preset_key, save_weights
 from .trainer import (
+    LOSSES,
     TrainConfig,
     _metric,
     bench_forward,
     evaluate,
     make_synthetic_dataset,
+    sample_tensors,
     train,
     write_run_report,
 )
@@ -62,7 +65,7 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=512)
     p.add_argument("--classes", type=int, default=3, help="object classes (plus unlabeled 0)")
-    p.add_argument("--projection", choices=("unfold", "ego"), default="unfold")
+    p.add_argument("--projection", choices=projection.PROJECTIONS, default="unfold")
     p.add_argument("--ego-velocity", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
 
@@ -82,7 +85,7 @@ def _dataset(args):
 
 def _add_net_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", default="a", help="backbone size: a, b, c, d, rstar")
-    p.add_argument("--padding", choices=("cyclic", "zeros"), default="cyclic")
+    p.add_argument("--padding", choices=PADDING_MODES, default="cyclic")
     p.add_argument("--alpha", type=int, default=1, help="vertical kernel components in every conv")
     p.add_argument("--head-alpha", type=int, default=None, help="override alpha for the output head")
 
@@ -163,7 +166,6 @@ def _cmd_train(args) -> int:
     config = TrainConfig(
         net=_net_config(args, n_classes=args.classes + 1),
         loss=args.loss,
-        optimizer=args.optimizer,
         lr=args.lr,
         steps=args.steps,
         batch_size=args.batch,
@@ -185,8 +187,6 @@ def _cmd_train(args) -> int:
 
 def _write_previews(net, sample, out: Path) -> None:
     """Depth PGM plus predicted/true class-color PPMs of one sample."""
-    from .trainer import sample_tensors
-
     x, y = sample_tensors(sample)
     logits = net.forward(x[None], training=False)
     preds = np.argmax(logits[0], axis=-1).astype(np.int32)
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None, help=".label file")
     p.add_argument("--out", default=None, help="output .rimg path")
     p.add_argument("--preview", default=None, help="optional depth preview .pgm path")
-    p.add_argument("--mode", choices=("unfold", "ego"), default="unfold")
+    p.add_argument("--mode", choices=projection.PROJECTIONS, default="unfold")
     p.add_argument("--height", type=int, default=projection.DEFAULT_H)
     p.add_argument("--width", type=int, default=projection.DEFAULT_W)
     p.add_argument("--fov-up", type=float, default=3.0)
@@ -252,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on synthetic scans")
     _add_dataset_args(p)
     _add_net_args(p)
-    p.add_argument("--loss", choices=("ce", "dice", "ce+dice"), default="ce+dice")
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
+    p.add_argument("--loss", choices=LOSSES, default="ce+dice")
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--batch", type=int, default=2)
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="forward-pass timing across configs")
-    p.add_argument("--presets", nargs="+", default=["a", "b", "c", "d", "rstar"])
+    p.add_argument("--presets", nargs="+", default=list(BACKBONE_PRESETS))
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=2048)
     p.add_argument("--repeats", type=int, default=3)

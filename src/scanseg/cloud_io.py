@@ -162,8 +162,9 @@ def read_range_image_bytes(data: bytes) -> RangeImage:
     """Decode a ``RIMG`` container; raises FormatError on bad magic, version or
     channel directory, on any length but ``53 + 13 * h * w``, and on planes
     that break the ``RangeImage`` invariants: a label that is not an int32
-    integer, a mask byte other than 0 or 1, a masked depth not above 0, or a
-    nonzero depth or label off the mask."""
+    integer, a mask byte other than 0 or 1, a masked depth not above 0, a
+    masked reflectance not finite, or a nonzero depth, label or reflectance
+    off the mask."""
     if len(data) < _RIMG_HEADER:
         raise FormatError("truncated range image: header incomplete")
     if data[:4] != RIMG_MAGIC:
@@ -187,6 +188,8 @@ def read_range_image_bytes(data: bytes) -> RangeImage:
     _reject_pixels(~int32_label, "label not an int32 integer")
     _reject_pixels(on & ~(depth > 0), "masked depth not above 0")
     _reject_pixels(~on & ((depth != 0) | (label != 0)), "nonzero depth or label off the mask")
+    _reject_pixels(on & ~np.isfinite(reflectance), "masked reflectance not finite")
+    _reject_pixels(~on & (reflectance != 0), "nonzero reflectance off the mask")
     return RangeImage(depth=depth.copy(), reflectance=reflectance.copy(), label=label.astype(np.int32), mask=on.copy())
 
 

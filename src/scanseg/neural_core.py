@@ -20,7 +20,8 @@ into the preceding convolution's weights and bias, so an eval forward issues
 one convolution per conv + norm pair; ``norm_inference`` is the unfolded
 reference. In training, the batch variance takes one float64 pass over the
 centred tensor the forward builds anyway, and both norm passes work on the
-[N, C] view of the input.
+[N, C] view of the input. Every norm adds ``NORM_EPS`` to its variance
+(Ioffe & Szegedy 2015, arXiv:1502.03167).
 
 The weight gradient of a convolution sums over every output row of a band.
 ``slc_backward`` runs that sum in row blocks sized to the BLAS's fast
@@ -35,6 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas as _blas
 
+NORM_EPS = 1e-5  # added to every norm variance before its square root
+PADDING_MODES = ("cyclic", "zeros")  # width padding; height is always zeros
+
 
 @dataclass(frozen=True)
 class PadSpec:
@@ -42,12 +46,12 @@ class PadSpec:
 
     i_pad: int
     j_pad: int
-    width_mode: str = "zeros"  # "zeros" | "cyclic"
+    width_mode: str = "zeros"  # one of PADDING_MODES
 
     def __post_init__(self):
         if self.i_pad < 0 or self.j_pad < 0:
             raise ValueError("pad amounts must be >= 0")
-        if self.width_mode not in ("zeros", "cyclic"):
+        if self.width_mode not in PADDING_MODES:
             raise ValueError(f"unknown width padding mode {self.width_mode!r}")
 
     @classmethod
@@ -354,7 +358,7 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return upstream * (x > 0)
 
 
-def norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+def norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Per-channel normalization by batch statistics with learned scale/shift.
 
     Returns (y, cache); statistics are the biased mean/variance over batch,
@@ -377,7 +381,7 @@ def norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float 
     x_hat = x2 - mean
     sq64 = np.einsum("ij,ij->j", x_hat, x_hat, dtype=np.float64)
     var64 = np.maximum(sq64 / n - (mean64 - mean) ** 2, 0.0)
-    inv_std = (1.0 / np.sqrt(var64 + eps)).astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(var64 + NORM_EPS)).astype(x.dtype)
     x_hat *= inv_std
     y = x_hat * gamma
     y += beta
@@ -399,22 +403,22 @@ def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):
     return gx.reshape(upstream.shape), d_gamma, d_beta
 
 
-def norm_inference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def norm_inference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray) -> np.ndarray:
     """Normalization with frozen running statistics, applied to a computed
     tensor; the reference ``fold_norm`` is checked against."""
-    return gamma * (x - running_mean) / np.sqrt(running_var + eps) + beta
+    return gamma * (x - running_mean) / np.sqrt(running_var + NORM_EPS) + beta
 
 
-def fold_norm(kernel: SlcKernel, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5) -> SlcKernel:
+def fold_norm(kernel: SlcKernel, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray) -> SlcKernel:
     """The kernel whose convolution equals ``kernel``'s followed by
     ``norm_inference`` with these statistics (Jacob et al. 2018,
     arXiv:1712.05877, section 3.2).
 
-    Per output channel, with ``s = gamma / sqrt(running_var + eps)``, the
+    Per output channel, with ``s = gamma / sqrt(running_var + NORM_EPS)``, the
     weights become ``w * s`` and the bias ``(b - running_mean) * s + beta``,
     in every kernel component.
     """
-    scale = (gamma / np.sqrt(running_var + eps))[:, None]
+    scale = (gamma / np.sqrt(running_var + NORM_EPS))[:, None]
     weights = kernel.weights * scale
     bias = (kernel.bias - running_mean[:, None]) * scale + beta[:, None]
     return SlcKernel(weights=weights, bias=bias)

@@ -38,6 +38,7 @@ from .cloud_io import LabelArray, PointCloud, RangeImage
 DEFAULT_H = 64
 DEFAULT_W = 2048
 DEFAULT_JUMP_THRESHOLD = math.radians(0.3)
+PROJECTIONS = ("unfold", "ego")  # unfold_scan, project_ego_corrected
 
 
 @dataclass
@@ -79,7 +80,10 @@ def _azimuth(points: np.ndarray) -> np.ndarray:
 
 def get_columns(cloud: PointCloud, w: int = DEFAULT_W) -> np.ndarray:
     """Column index per point: floor(W * (pi - azimuth) / 2pi), wrapped into [0, W)."""
-    phi = _azimuth(cloud.points)
+    return _columns(_azimuth(cloud.points), w)
+
+
+def _columns(phi: np.ndarray, w: int) -> np.ndarray:
     cols = np.floor(w * (np.pi - phi) / (2.0 * np.pi)).astype(np.int64)
     return (cols % w).astype(np.int32)
 
@@ -96,7 +100,10 @@ def get_rows(
     step). ``robust`` flags one only when the azimuth wraps by more than pi,
     which dropped-return gaps inside a line cannot fake.
     """
-    phi = _azimuth(cloud.points)
+    return _rows(_azimuth(cloud.points), threshold, mode)
+
+
+def _rows(phi: np.ndarray, threshold: float, mode: str) -> np.ndarray:
     delta = np.abs(phi[1:] - phi[:-1])
     if mode == "literal":
         jump = delta > threshold
@@ -104,7 +111,7 @@ def get_rows(
         jump = delta > np.pi
     else:
         raise ValueError(f"unknown row recovery mode {mode!r}")
-    rows = np.zeros(len(cloud), dtype=np.int32)
+    rows = np.zeros(len(phi), dtype=np.int32)
     np.cumsum(jump, out=rows[1:])
     return rows
 
@@ -198,8 +205,9 @@ def unfold_scan(
     _check_grid(h, w)
     if threshold is None:
         threshold = DEFAULT_JUMP_THRESHOLD * DEFAULT_W / w
-    rows = get_rows(cloud, threshold, mode)
-    cols = get_columns(cloud, w)
+    phi = _azimuth(cloud.points)  # once for both rows and columns
+    rows = _rows(phi, threshold, mode)
+    cols = _columns(phi, w)
     in_range = rows < h
     return _scatter_nearest(cloud, labels, _ranges(cloud), rows, cols, in_range, h, w)
 

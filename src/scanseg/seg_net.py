@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .neural_core import (
+    PADDING_MODES,
     PadSpec,
     SlcKernel,
     fold_norm,
@@ -41,7 +42,6 @@ from .neural_core import (
 
 N_ENCODER_STAGES = 5  # width-halving stages after the stem
 NORM_MOMENTUM = 0.1  # running-statistics update rate
-NORM_EPS = 1e-5
 IN_CHANNELS = 3  # depth, reflectance, mask
 
 #: Encoder channel tables of the sized backbones, smallest to largest.
@@ -62,7 +62,7 @@ class NetworkConfig:
     blocks_per_stage: tuple[int, ...] = (1, 1, 2, 2, 2, 2)
     alpha_default: int = 1
     alpha_overrides: dict[str, int] = field(default_factory=dict)
-    padding: str = "cyclic"  # width padding mode: "cyclic" | "zeros"
+    padding: str = "cyclic"  # width padding mode, one of PADDING_MODES
     n_classes: int = 20
 
     def __post_init__(self):
@@ -74,7 +74,7 @@ class NetworkConfig:
             raise ValueError("channel counts must be positive")
         if self.alpha_default < 1 or any(a < 1 for a in self.alpha_overrides.values()):
             raise ValueError("alpha must be >= 1")
-        if self.padding not in ("cyclic", "zeros"):
+        if self.padding not in PADDING_MODES:
             raise ValueError(f"unknown padding mode {self.padding!r}")
 
     def alpha_for(self, layer_name: str) -> int:
@@ -154,7 +154,7 @@ class NormLayer:
     def forward(self, x):
         gamma, beta = self.params.values()
         running_mean, running_var = self.buffers.values()
-        y, cache = norm_forward(x, gamma, beta, NORM_EPS)
+        y, cache = norm_forward(x, gamma, beta)
         self._cache = cache
         _, _, mean, var = cache
         m = NORM_MOMENTUM
@@ -174,7 +174,8 @@ class ConvUnit:
     padding come from the config.
 
     At inference the norm is folded into the conv on every call, so the fold
-    always reflects the current weights and running statistics.
+    always reflects the current weights and running statistics. The relu
+    runs in place; training caches its output, which the next layer holds.
     """
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
@@ -182,22 +183,22 @@ class ConvUnit:
         self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, stride_w)
         self.norm = NormLayer(layers, f"{name}.norm", c_out)
         self.activated = activated
-        self._pre_relu = None
+        self._out = None
 
     def forward(self, x, training=False):
-        if not training:
-            conv = self.conv
-            kernel = fold_norm(conv.kernel, *self.norm.params.values(), *self.norm.buffers.values(), NORM_EPS)
+        if training:
+            y = self.norm.forward(self.conv.forward(x, training))
+        else:
+            conv, norm = self.conv, self.norm
+            kernel = fold_norm(conv.kernel, *norm.params.values(), *norm.buffers.values())
             y = slc_forward(x, kernel, conv.pad_spec, conv.stride_w)
-            return np.maximum(y, 0, out=y) if self.activated else y
-        y = self.norm.forward(self.conv.forward(x, training))
         if self.activated:
-            self._pre_relu = y
-            y = relu(y)
+            np.maximum(y, 0, out=y)
+            self._out = y if training else None
         return y
 
     def backward(self, upstream):
-        g = relu_backward(self._pre_relu, upstream) if self.activated else upstream
+        g = relu_backward(self._out, upstream) if self.activated else upstream
         g = self.norm.backward(g)  # rebound, so the relu gradient is freed here
         return self.conv.backward(g)
 
@@ -208,16 +209,15 @@ class ResBlock:
     def __init__(self, layers, rng, config, name, channels):
         self.u1 = ConvUnit(layers, rng, config, f"{name}.conv1", 3, 3, channels, channels)
         self.u2 = ConvUnit(layers, rng, config, f"{name}.conv2", 3, 3, channels, channels, activated=False)
-        self._sum = None
+        self._out = None
 
     def forward(self, x, training=False):
-        s = x + self.u2.forward(self.u1.forward(x, training), training)
-        if training:
-            self._sum = s
-        return relu(s)
+        y = relu(x + self.u2.forward(self.u1.forward(x, training), training))
+        self._out = y if training else None
+        return y
 
     def backward(self, upstream):
-        gs = relu_backward(self._sum, upstream)
+        gs = relu_backward(self._out, upstream)
         gx_branch = self.u1.backward(self.u2.backward(gs))
         return gs + gx_branch
 

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .cloud_io import RangeImage
-from .projection import IndexMap, backproject_labels, project_ego_corrected, unfold_scan
-from .seg_net import Network, NetworkConfig, build, config_from_preset, count_params
+from .projection import PROJECTIONS, IndexMap, backproject_labels, project_ego_corrected, unfold_scan
+from .seg_net import IN_CHANNELS, Network, NetworkConfig, build, config_from_preset, count_params
 from .seg_objectives import (
     ConfusionMatrix,
     accumulate_confusion,
@@ -41,25 +41,48 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
+class Adam:
+    """Adaptive-moment optimizer; parameter order is fixed by sorted names."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.names = sorted(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = {k: np.zeros_like(params[k]) for k in self.names}
+        self.v = {k: np.zeros_like(params[k]) for k in self.names}
+        self.t = 0
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for name in self.names:
+            g = grads[name]
+            m, v = self.m[name], self.v[name]
+            m[...] = self.beta1 * m + (1 - self.beta1) * g
+            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
+            self.params[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
 @dataclass
 class TrainConfig:
     net: NetworkConfig = field(default_factory=NetworkConfig)
     loss: str = "ce+dice"
-    optimizer: str = "adam"  # "adam" | "sgd"
     lr: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     steps: int = 200
     batch_size: int = 2
     seed: int = 0
-    projection: str = "unfold"  # data side: "unfold" | "ego"
+    projection: str = "unfold"  # data side, one of PROJECTIONS
+
+    # not fields: train always steps Adam (arXiv:1412.6980) at its defaults; scanbench reads these
+    optimizer = "adam"
+    beta1, beta2, adam_eps = Adam.__init__.__defaults__
 
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, choose from {LOSSES}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.projection not in PROJECTIONS:
+            raise ValueError(f"unknown projection {self.projection!r}, choose from {PROJECTIONS}")
         # lr = 0 is allowed on purpose: a frozen run is the no-op baseline
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
@@ -94,40 +117,6 @@ class RunReport:
     config: dict = field(default_factory=dict)  # set by train
     point_per_class_iou: np.ndarray | None = None
     point_miou: float | None = None
-
-
-class Adam:
-    """Adaptive-moment optimizer; parameter order is fixed by sorted names."""
-
-    def __init__(self, params: dict[str, np.ndarray], lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
-        self.names = sorted(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(params[k]) for k in self.names}
-        self.v = {k: np.zeros_like(params[k]) for k in self.names}
-        self.t = 0
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        for name in self.names:
-            g = grads[name]
-            m, v = self.m[name], self.v[name]
-            m[...] = self.beta1 * m + (1 - self.beta1) * g
-            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
-            self.params[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-class Sgd:
-    def __init__(self, params: dict[str, np.ndarray], lr):
-        self.params = params
-        self.names = sorted(params)
-        self.lr = lr
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name in self.names:
-            self.params[name] -= self.lr * grads[name]
 
 
 def sample_tensors(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +169,7 @@ def train(config: TrainConfig, dataset: list[Sample]) -> tuple[Network, RunRepor
     xs, ys = _stack_dataset(dataset)
     fit_input_stats(net, xs)
 
-    params = net.parameters()
-    if config.optimizer == "adam":
-        opt = Adam(params, config.lr, config.beta1, config.beta2, config.adam_eps)
-    else:
-        opt = Sgd(params, config.lr)
+    opt = Adam(net.parameters(), config.lr)
 
     rng = np.random.default_rng(config.seed + 1)
     queue: list[int] = []
@@ -322,7 +307,7 @@ def make_synthetic_dataset(
     ego_velocity: float = 0.0,
 ) -> tuple[list[Sample], list[Sample]]:
     """Generate projected scans split into train/val by scene seed parity."""
-    if projection not in ("unfold", "ego"):
+    if projection not in PROJECTIONS:
         raise ValueError(f"unknown projection {projection!r}")
     sensor = SensorModel(n_beams=h, azimuth_step=360.0 / w)
     train_set: list[Sample] = []
@@ -356,7 +341,7 @@ def bench_forward(
     per config (default class count), timed on a random input by
     ``_fastest_forwards``."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, h, w, 3)).astype(np.float32)
+    x = rng.standard_normal((1, h, w, IN_CHANNELS)).astype(np.float32)
     nets = {name: build(config_from_preset(name), seed=seed) for name in preset_names}
     seconds = _fastest_forwards(list(nets.values()), x, repeats)
     return {name: (sec, count_params(net)) for (name, net), sec in zip(nets.items(), seconds)}

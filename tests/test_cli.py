@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from scanseg import cli
-from scanseg.cli import main, write_pgm, write_ppm
+from scanseg.cli import build_parser, main, write_pgm, write_ppm
 from scanseg.cloud_io import load_range_image
-from scanseg.trainer import RunReport
+from scanseg.neural_core import PADDING_MODES
+from scanseg.projection import PROJECTIONS
+from scanseg.seg_net import BACKBONE_PRESETS
+from scanseg.trainer import LOSSES, RunReport
 
 
 @pytest.fixture()
@@ -99,6 +102,32 @@ def test_usage_error_exit_code(capsys):
     assert main(["project", "x.bin", "--no-such-flag"]) == 2
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+    assert main(["train", "--optimizer", "sgd"]) == 2  # Adam is the only optimizer
+
+
+def _option(command, dest):
+    """The argparse action of one subcommand option."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+@pytest.mark.parametrize(
+    ("command", "dest", "choices"),
+    [
+        ("train", "loss", LOSSES),
+        ("train", "padding", PADDING_MODES),
+        ("eval", "padding", PADDING_MODES),
+        ("train", "projection", PROJECTIONS),
+        ("eval", "projection", PROJECTIONS),
+        ("project", "mode", PROJECTIONS),
+    ],
+)
+def test_choices_are_the_library_tuples(command, dest, choices):
+    assert _option(command, dest).choices is choices
+
+
+def test_bench_defaults_to_every_preset():
+    assert _option("bench", "presets").default == list(BACKBONE_PRESETS)
 
 
 def test_train_eval_roundtrip(tmp_path, capsys):

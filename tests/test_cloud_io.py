@@ -197,6 +197,8 @@ def _patched(img, plane, pixel, value):
         (0, True, float("nan"), "masked depth not above 0"),
         (0, False, 3.0, "nonzero depth or label off the mask"),
         (2, False, 4.0, "nonzero depth or label off the mask"),
+        (1, True, float("nan"), "masked reflectance not finite"),
+        (1, False, 5.0, "nonzero reflectance off the mask"),
     ],
 )
 def test_range_image_rejects_bad_planes(plane, on_mask, value, message):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import central_diff_grad, max_rel_err, reference_conv, reference_conv_grads
 from scanseg import neural_core
 from scanseg.neural_core import (
+    NORM_EPS,
     PadSpec,
     SlcKernel,
     _component_bands,
@@ -413,8 +414,8 @@ class TestNorm:
 
     def test_inference_uses_running_stats(self):
         x = _rand((1, 2, 2, 2), seed=18)
-        y = norm_inference(x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), eps=0.0)
-        np.testing.assert_allclose(y, x, atol=1e-12)
+        y = norm_inference(x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
+        np.testing.assert_allclose(y, x / np.sqrt(1.0 + NORM_EPS), atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["zeros", "cyclic"])
     def test_fold_matches_conv_then_inference_norm(self, mode):
@@ -429,8 +430,8 @@ class TestNorm:
         )
         spec = PadSpec.same(3, 3, mode)
         for stride in (1, 2):
-            folded = slc_forward(x, fold_norm(k, *stats, eps=1e-5), spec, stride)
-            unfolded = norm_inference(slc_forward(x, k, spec, stride), *stats, eps=1e-5)
+            folded = slc_forward(x, fold_norm(k, *stats), spec, stride)
+            unfolded = norm_inference(slc_forward(x, k, spec, stride), *stats)
             assert max_rel_err(folded, unfolded) < 1e-12
 
 

@@ -4,7 +4,6 @@ import pytest
 from oracles import central_diff_grad, max_rel_err
 from scanseg.seg_net import (
     BACKBONE_PRESETS,
-    NORM_EPS,
     ConvUnit,
     NetworkConfig,
     NormLayer,
@@ -289,7 +288,7 @@ def _unfolded_unit_forward(unit, x, training=False):
     assert not training
     conv, norm = unit.conv, unit.norm
     y = slc_forward(x, conv.kernel, conv.pad_spec, conv.stride_w)
-    y = norm_inference(y, *norm.params.values(), *norm.buffers.values(), NORM_EPS)
+    y = norm_inference(y, *norm.params.values(), *norm.buffers.values())
     return relu(y) if unit.activated else y
 
 
@@ -362,7 +361,7 @@ def _modules(net):
     return list(net.layers.values()) + units
 
 
-ACTIVATION_CACHES = ("_x", "_cache", "_pre_relu", "_sum")
+ACTIVATION_CACHES = ("_x", "_cache", "_out")
 
 
 def test_eval_forward_keeps_no_activations():
@@ -380,7 +379,5 @@ def test_eval_forward_keeps_no_activations():
             assert module._x is not None
         elif isinstance(module, NormLayer):
             assert module._cache is not None
-        elif isinstance(module, ResBlock):
-            assert module._sum is not None
-        elif module.activated:
-            assert module._pre_relu is not None
+        elif isinstance(module, ResBlock) or module.activated:
+            assert module._out is not None

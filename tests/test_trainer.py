@@ -13,7 +13,6 @@ from scanseg.trainer import (
     Adam,
     RunReport,
     Sample,
-    Sgd,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -42,11 +41,6 @@ class TestOptimizers:
             opt.step({"x": 2.0 * p["x"]})
         assert abs(float(p["x"][0])) < 0.1
 
-    def test_sgd_step(self):
-        p = {"x": np.array([1.0], dtype=np.float32)}
-        Sgd(p, lr=0.5).step({"x": np.array([2.0], dtype=np.float32)})
-        assert p["x"][0] == pytest.approx(0.0)
-
     def test_adam_in_place(self):
         arr = np.array([1.0], dtype=np.float32)
         opt = Adam({"x": arr}, lr=0.1)
@@ -58,12 +52,22 @@ class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError, match="loss"):
             TrainConfig(loss="mse")
-        with pytest.raises(ValueError, match="optimizer"):
-            TrainConfig(optimizer="lion")
+        with pytest.raises(ValueError, match="projection"):
+            TrainConfig(projection="bird")
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=-1.0)
         with pytest.raises(ValueError, match="steps"):
             TrainConfig(steps=0)
+
+    @pytest.mark.parametrize("name", ["optimizer", "beta1", "beta2", "adam_eps"])
+    def test_optimizer_is_fixed(self, name):
+        with pytest.raises(TypeError, match=name):
+            TrainConfig(**{name: getattr(TrainConfig, name)})
+
+    def test_optimizer_constants_are_adams_defaults(self):
+        opt = Adam({}, lr=1e-3)
+        assert TrainConfig.optimizer == "adam"
+        assert (TrainConfig.beta1, TrainConfig.beta2, TrainConfig.adam_eps) == (opt.beta1, opt.beta2, opt.eps)
 
 
 class TestTraining:
