@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cloud_io, projection, synth_lidar
 from .neural_core import PADDING_MODES
-from .seg_net import BACKBONE_PRESETS, build, config_from_preset, load_weights, preset_key, save_weights
+from .seg_net import BACKBONE_PRESETS, config_from_preset, load_network, preset_key, save_weights
 from .trainer import (
     LOSSES,
     TrainConfig,
@@ -83,26 +83,6 @@ def _dataset(args):
     )
 
 
-def _add_net_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", default="a", help="backbone size: a, b, c, d, rstar")
-    p.add_argument("--padding", choices=PADDING_MODES, default="cyclic")
-    p.add_argument("--alpha", type=int, default=1, help="vertical kernel components in every conv")
-    p.add_argument("--head-alpha", type=int, default=None, help="override alpha for the output head")
-
-
-def _net_config(args, n_classes: int):
-    overrides = {}
-    if args.head_alpha is not None:
-        overrides["head"] = args.head_alpha
-    return config_from_preset(
-        args.preset,
-        padding=args.padding,
-        alpha_default=args.alpha,
-        alpha_overrides=overrides,
-        n_classes=n_classes,
-    )
-
-
 def _cmd_synth(args) -> int:
     if args.init:
         synth_lidar.write_example_config(args.init)
@@ -163,14 +143,12 @@ def _cmd_stats(args) -> int:
 
 def _cmd_train(args) -> int:
     train_set, _ = _dataset(args)
+    overrides = {} if args.head_alpha is None else {"head": args.head_alpha}
+    net_config = config_from_preset(
+        args.preset, padding=args.padding, alpha_default=args.alpha, alpha_overrides=overrides, n_classes=args.classes + 1
+    )
     config = TrainConfig(
-        net=_net_config(args, n_classes=args.classes + 1),
-        loss=args.loss,
-        lr=args.lr,
-        steps=args.steps,
-        batch_size=args.batch,
-        seed=args.seed,
-        projection=args.projection,
+        net=net_config, loss=args.loss, lr=args.lr, steps=args.steps, batch_size=args.batch, seed=args.seed
     )
     net, report = train(config, train_set)
     out = Path(args.out_dir)
@@ -198,8 +176,7 @@ def _write_previews(net, sample, out: Path) -> None:
 def _cmd_eval(args) -> int:
     train_set, val_set = _dataset(args)
     dataset = train_set if args.split == "train" else val_set
-    net = build(_net_config(args, n_classes=args.classes + 1), seed=args.seed)
-    load_weights(net, args.weights)
+    net = load_network(args.weights)
     report = evaluate(net, dataset)
     if args.out:
         write_run_report(report, args.out)
@@ -213,8 +190,7 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     results = bench_forward(args.presets, h=args.height, w=args.width, repeats=args.repeats, seed=args.seed)
     times = {}
-    for name, (sec, n_params) in results.items():
-        key = preset_key(name)
+    for key, (sec, n_params) in results.items():
         times[key] = sec
         channels = ",".join(str(c) for c in BACKBONE_PRESETS[key])
         print(f"{key:3s} params={n_params:>10d} channels={channels:<24s} forward={sec * 1e3:9.2f} ms")
@@ -249,9 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="sensor+scene YAML file")
     p.set_defaults(func=_cmd_stats)
 
+    presets = f"one of {', '.join(BACKBONE_PRESETS)} in any case, rstar spelling R*"
     p = sub.add_parser("train", help="train on synthetic scans")
     _add_dataset_args(p)
-    _add_net_args(p)
+    p.add_argument("--preset", type=preset_key, default="A", help=f"backbone size, {presets}")
+    p.add_argument("--padding", choices=PADDING_MODES, default="cyclic")
+    p.add_argument("--alpha", type=int, default=1, help="vertical kernel components in every conv")
+    p.add_argument("--head-alpha", type=int, default=None, help="override alpha for the output head")
     p.add_argument("--loss", choices=LOSSES, default="ce+dice")
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--steps", type=int, default=200)
@@ -261,14 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate saved weights on a synthetic split")
     _add_dataset_args(p)
-    _add_net_args(p)
-    p.add_argument("--weights", required=True)
+    p.add_argument("--weights", required=True, help="archive written by train; it names its own network")
     p.add_argument("--split", choices=("train", "val"), default="val")
     p.add_argument("--out", default=None, help="optional report path")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="forward-pass timing across configs")
-    p.add_argument("--presets", nargs="+", default=list(BACKBONE_PRESETS))
+    p.add_argument("--presets", nargs="+", type=preset_key, default=list(BACKBONE_PRESETS), help=presets)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=2048)
     p.add_argument("--repeats", type=int, default=3)

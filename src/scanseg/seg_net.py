@@ -16,12 +16,15 @@ Every conv and norm leaf registers itself at construction in
 parameter order, and owns ``params``, ``buffers`` and ``grads`` dicts keyed
 by archive name (``"head.weights"``). Networks are deterministic: the same
 config and seed yield bit-identical parameters. Weights serialize to
-``.npz`` archives of exactly those names.
+``.npz`` archives of exactly those names plus the config, which rebuilds the
+network on load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field, fields
+
 import numpy as np
 
 from .neural_core import (
@@ -70,12 +73,16 @@ class NetworkConfig:
             raise ValueError(f"expected 6 stage channel counts, got {len(self.stage_channels)}")
         if len(self.blocks_per_stage) != 6:
             raise ValueError(f"expected 6 block counts, got {len(self.blocks_per_stage)}")
-        if any(c <= 0 for c in self.stage_channels):
-            raise ValueError("channel counts must be positive")
+        if any(c <= 0 for c in self.stage_channels) or any(b < 0 for b in self.blocks_per_stage):
+            raise ValueError("channel counts must be positive and block counts non-negative")
+        if not isinstance(self.alpha_overrides, dict):
+            raise ValueError("alpha_overrides must map layer names to alphas")
         if self.alpha_default < 1 or any(a < 1 for a in self.alpha_overrides.values()):
             raise ValueError("alpha must be >= 1")
         if self.padding not in PADDING_MODES:
             raise ValueError(f"unknown padding mode {self.padding!r}")
+        if self.n_classes < 1:
+            raise ValueError("n_classes must be >= 1")
 
     def alpha_for(self, layer_name: str) -> int:
         """Component count for a named layer: the longest key of
@@ -349,24 +356,39 @@ def count_params(net: Network) -> int:
 
 
 def save_weights(net: Network, path) -> None:
-    """Write all parameters and buffers to a flat ``.npz`` archive."""
+    """Write all parameters and buffers, and ``net.config`` as the JSON
+    entry ``config``, to a flat ``.npz`` archive."""
     with open(path, "wb") as f:
-        np.savez(f, **net.parameters(), **net.buffers())
+        np.savez(f, config=json.dumps(asdict(net.config)), **net.parameters(), **net.buffers())
 
 
-def load_weights(net: Network, path) -> None:
-    """Load a weight archive into a built network.
+def load_network(path) -> Network:
+    """Build the network a weight archive was saved from and load its tensors.
 
-    Every archive entry must match an existing tensor in name, shape and
-    dtype; the error lists all offending names at once, and nothing is
-    written unless every entry fits.
+    The ``config`` entry must give every ``NetworkConfig`` field and no
+    other, with valid values. Every other entry must match a tensor of the
+    network so built in name, shape and dtype; the error lists all offending
+    names at once, and no network is returned unless every entry fits.
     """
     try:
         with np.load(path) as archive:
             stored = {k: archive[k] for k in archive.files}
     except Exception as exc:
         raise ValueError(f"unreadable weight archive {path}: {exc}") from exc
-
+    if "config" not in stored:
+        raise ValueError(f"weight archive {path} has no config entry")
+    try:
+        values = json.loads(str(stored.pop("config")))
+        if not isinstance(values, dict):
+            raise ValueError("not a JSON object")
+        names = {f.name for f in fields(NetworkConfig)}
+        wrong = [f"unknown key {k!r}" for k in sorted(set(values) - names)]
+        wrong += [f"missing key {k!r}" for k in sorted(names - set(values))]
+        if wrong:
+            raise ValueError("; ".join(wrong))
+        net = build(NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"weight archive {path} has a bad config: {exc}") from exc
     target = net.parameters() | net.buffers()
     problems = []
     for name, arr in target.items():
@@ -380,6 +402,7 @@ def load_weights(net: Network, path) -> None:
         if name not in target:
             problems.append(f"unexpected {name}")
     if problems:
-        raise ValueError("weight archive does not fit the network: " + "; ".join(sorted(problems)))
+        raise ValueError(f"weight archive {path} does not fit its config: " + "; ".join(sorted(problems)))
     for name, arr in target.items():
         arr[...] = stored[name]
+    return net

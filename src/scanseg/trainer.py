@@ -72,7 +72,6 @@ class TrainConfig:
     steps: int = 200
     batch_size: int = 2
     seed: int = 0
-    projection: str = "unfold"  # data side, one of PROJECTIONS
 
     # not fields: train always steps Adam (arXiv:1412.6980) at its defaults; scanbench reads these
     optimizer = "adam"
@@ -81,8 +80,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, choose from {LOSSES}")
-        if self.projection not in PROJECTIONS:
-            raise ValueError(f"unknown projection {self.projection!r}, choose from {PROJECTIONS}")
         # lr = 0 is allowed on purpose: a frozen run is the no-op baseline
         if self.lr < 0:
             raise ValueError("lr must be >= 0")

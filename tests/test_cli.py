@@ -1,3 +1,7 @@
+import json
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from scanseg.cli import build_parser, main, write_pgm, write_ppm
 from scanseg.cloud_io import load_range_image
 from scanseg.neural_core import PADDING_MODES
 from scanseg.projection import PROJECTIONS
-from scanseg.seg_net import BACKBONE_PRESETS
+from scanseg.seg_net import BACKBONE_PRESETS, preset_key
 from scanseg.trainer import LOSSES, RunReport
 
 
@@ -103,6 +107,8 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["train", "--optimizer", "sgd"]) == 2  # Adam is the only optimizer
+    assert main(["train", "--preset", "q"]) == 2
+    assert main(["eval", "--weights", "w.npz", "--padding", "zeros"]) == 2  # the archive names its network
 
 
 def _option(command, dest):
@@ -116,10 +122,9 @@ def _option(command, dest):
     [
         ("train", "loss", LOSSES),
         ("train", "padding", PADDING_MODES),
-        ("eval", "padding", PADDING_MODES),
+        ("project", "mode", PROJECTIONS),
         ("train", "projection", PROJECTIONS),
         ("eval", "projection", PROJECTIONS),
-        ("project", "mode", PROJECTIONS),
     ],
 )
 def test_choices_are_the_library_tuples(command, dest, choices):
@@ -128,6 +133,23 @@ def test_choices_are_the_library_tuples(command, dest, choices):
 
 def test_bench_defaults_to_every_preset():
     assert _option("bench", "presets").default == list(BACKBONE_PRESETS)
+
+
+@pytest.mark.parametrize(("command", "dest"), [("train", "preset"), ("bench", "presets")])
+def test_preset_options_take_the_table_keys(command, dest):
+    option = _option(command, dest)
+    assert option.type is preset_key
+    assert all(key in option.help for key in BACKBONE_PRESETS)
+
+
+def test_readme_walkthrough_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("scanseg ")]
+    assert {argv[0] for argv in commands} == {"synth", "project", "stats", "train", "eval", "bench"}
+    for argv in commands:
+        build_parser().parse_args(argv)  # a usage error exits
 
 
 def test_train_eval_roundtrip(tmp_path, capsys):
@@ -142,10 +164,13 @@ def test_train_eval_roundtrip(tmp_path, capsys):
             "--steps", "3",
             "--batch", "1",
             "--preset", "a",
+            "--padding", "zeros",
+            "--alpha", "2",
             "--out-dir", str(run_dir),
         ]
     )
     assert code == 0
+    train_miou = capsys.readouterr().out.split("miou = ")[1].splitlines()[0]
     report = (run_dir / "report.txt").read_text()
     assert "config.loss = ce+dice" in report
     assert "miou =" in report
@@ -153,17 +178,17 @@ def test_train_eval_roundtrip(tmp_path, capsys):
     assert (run_dir / "depth_preview.pgm").exists()
     assert (run_dir / "pred_preview.ppm").exists()
     assert (run_dir / "label_preview.ppm").exists()
-    capsys.readouterr()
+
+    # the archive brings its padding and alpha: eval on the training split
+    # reproduces the training report's mIoU
+    common = ["--weights", str(run_dir / "weights.npz"), "--scans", "2", "--height", "16", "--width", "64", "--classes", "3"]
+    assert main(["eval", *common, "--split", "train"]) == 0
+    assert f"miou = {train_miou}" in capsys.readouterr().out
 
     code = main(
         [
             "eval",
-            "--weights", str(run_dir / "weights.npz"),
-            "--scans", "2",
-            "--height", "16",
-            "--width", "64",
-            "--classes", "3",
-            "--preset", "a",
+            *common,
             "--split", "val",
             "--out", str(tmp_path / "eval.txt"),
         ]
@@ -183,7 +208,7 @@ def test_nan_metrics_read_undefined_in_file_and_on_stdout(tmp_path, capsys, monk
             per_class_iou=nan, miou=np.nan, param_count=1, n_samples=0, point_per_class_iou=nan, point_miou=np.nan
         )
 
-    monkeypatch.setattr(cli, "load_weights", lambda net, path: None)
+    monkeypatch.setattr(cli, "load_network", lambda path: None)
     monkeypatch.setattr(cli, "evaluate", no_class_seen)
     report = tmp_path / "eval.txt"
     code = main(
@@ -211,14 +236,13 @@ def test_eval_weight_mismatch_is_runtime_error(tmp_path, capsys):
         ]
     )
     capsys.readouterr()
-    code = main(
-        [
-            "eval",
-            "--weights", str(run_dir / "weights.npz"),
-            "--scans", "2", "--height", "16", "--width", "64", "--classes", "3",
-            "--preset", "b",  # wrong architecture for the stored weights
-        ]
-    )
+    path = run_dir / "weights.npz"
+    with np.load(path) as archive:
+        entries = {k: archive[k] for k in archive.files}
+    config = json.loads(str(entries["config"]))
+    entries["config"] = json.dumps(config | {"stage_channels": BACKBONE_PRESETS["B"]})  # not the stored tensors
+    np.savez(path, **entries)
+    code = main(["eval", "--weights", str(path), "--scans", "2", "--height", "16", "--width", "64", "--classes", "3"])
     assert code == 1
     assert "does not fit" in capsys.readouterr().err
 

@@ -1,3 +1,7 @@
+import json
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,7 @@ from scanseg.seg_net import (
     build,
     config_from_preset,
     count_params,
-    load_weights,
+    load_network,
     save_weights,
 )
 from scanseg.neural_core import glorot_uniform, norm_inference, relu, slc_forward
@@ -72,6 +76,12 @@ def test_config_validation():
         NetworkConfig(stage_channels=(32, 32))
     with pytest.raises(ValueError, match="positive"):
         NetworkConfig(stage_channels=(32, 32, 32, 0, 32, 32))
+    with pytest.raises(ValueError, match="non-negative"):
+        NetworkConfig(blocks_per_stage=(1, 1, 2, 2, 2, -1))
+    with pytest.raises(ValueError, match="n_classes"):
+        NetworkConfig(n_classes=0)
+    with pytest.raises(ValueError, match="alpha_overrides"):
+        NetworkConfig(alpha_overrides=(("head", 2),))
     with pytest.raises(ValueError, match="alpha"):
         NetworkConfig(alpha_default=0)
     with pytest.raises(ValueError, match="padding"):
@@ -152,19 +162,49 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "weights.npz"
     save_weights(net, path)
 
-    other = build(small_config(), seed=99)
-    assert np.abs(other.forward(x) - before).max() > 0
-    load_weights(other, path)
+    assert np.abs(build(small_config(), seed=0).forward(x) - before).max() > 0  # the seed load_network builds at
+    other = load_network(path)
+    assert other.config == net.config
     np.testing.assert_array_equal(other.forward(x), before)
 
 
 def test_load_shape_mismatch_names_offenders(tmp_path):
     net = build(small_config(), seed=11)
+    net.config = small_config(stage_channels=(8, 16, 16, 16, 16, 16))  # the stored config, not the tensors
     path = tmp_path / "weights.npz"
     save_weights(net, path)
-    bigger = build(small_config(stage_channels=(8, 16, 16, 16, 16, 16)), seed=11)
-    with pytest.raises(ValueError, match="enc1.down.conv.weights"):
-        load_weights(bigger, path)
+    with pytest.raises(ValueError, match=re.escape(f"{path} does not fit its config") + ".*enc1.down.conv.weights"):
+        load_network(path)
+
+
+def _write_archive(path, net, config):
+    """``net``'s tensors under a hand-made ``config`` entry, none if ``config`` is None."""
+    entries = net.parameters() | net.buffers()
+    if config is not None:
+        entries["config"] = json.dumps(config)
+    np.savez(path, **entries)
+
+
+BAD_CONFIGS = {
+    "no config entry": lambda c: None,
+    "unknown key 'dropout'": lambda c: c | {"dropout": 0.1},
+    "missing key 'padding'": lambda c: {k: v for k, v in c.items() if k != "padding"},
+    "alpha must be >= 1": lambda c: c | {"alpha_default": 0},
+    "unknown padding mode 'reflect'": lambda c: c | {"padding": "reflect"},
+    "n_classes must be >= 1": lambda c: c | {"n_classes": 0},
+    "cannot be interpreted as an integer": lambda c: c | {"alpha_overrides": {"head": 1.5}},
+    "not a JSON object": lambda c: [c],
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_CONFIGS))
+def test_load_rejects_bad_config(tmp_path, problem):
+    net = build(small_config(), seed=33)
+    path = tmp_path / "weights.npz"
+    _write_archive(path, net, BAD_CONFIGS[problem](asdict(net.config)))
+    with pytest.raises(ValueError, match=problem) as info:
+        load_network(path)
+    assert str(path) in str(info.value)
 
 
 def test_load_truncated_file(tmp_path):
@@ -174,7 +214,7 @@ def test_load_truncated_file(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="unreadable"):
-        load_weights(net, path)
+        load_network(path)
 
 
 def test_input_stats_buffers_serialized(tmp_path):
@@ -183,8 +223,7 @@ def test_input_stats_buffers_serialized(tmp_path):
     net.input_std[:] = [4.0, 5.0, 6.0]
     path = tmp_path / "weights.npz"
     save_weights(net, path)
-    other = build(small_config(), seed=14)
-    load_weights(other, path)
+    other = load_network(path)
     np.testing.assert_array_equal(other.input_mean, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(other.input_std, [4.0, 5.0, 6.0])
 
@@ -260,11 +299,9 @@ def test_load_dtype_mismatch_rejected_before_any_write(tmp_path):
     archive = {name: arr.astype(np.float64) for name, arr in tensors.items()}
     archive["head.bias"][:] = 1e300  # beyond float32 range
     path = tmp_path / "weights.npz"
-    np.savez(path, **archive)
-    before = {name: arr.copy() for name, arr in tensors.items()}
+    np.savez(path, config=json.dumps(asdict(net.config)), **archive)
     with pytest.raises(ValueError, match=r"head\.bias: archive dtype float64 vs network float32"):
-        load_weights(net, path)
-    assert all(np.array_equal(before[name], arr) for name, arr in tensors.items())
+        load_network(path)
 
 
 def _randomize_norms(net, seed):
@@ -332,12 +369,11 @@ def test_eval_miou_folded_equals_unfolded(monkeypatch):
 def test_eval_fold_follows_loaded_and_stepped_weights(tmp_path):
     cfg = small_config()
     x = np.random.default_rng(21).standard_normal((1, 8, 64, 3)).astype(np.float32)
-    net = build(cfg, seed=22)
+    before = build(cfg, seed=22).forward(x)
     source = _randomize_norms(build(cfg, seed=23), seed=24)
-    before = net.forward(x)
     path = tmp_path / "weights.npz"
     save_weights(source, path)
-    load_weights(net, path)
+    net = load_network(path)
     loaded = net.forward(x)
     assert np.abs(loaded - before).max() > 1e-3
     np.testing.assert_array_equal(loaded, source.forward(x))
@@ -381,3 +417,16 @@ def test_eval_forward_keeps_no_activations():
             assert module._cache is not None
         elif isinstance(module, ResBlock) or module.activated:
             assert module._out is not None
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CONFIGS))
+def test_load_network_reproduces_eval_logits(tmp_path, case):
+    net = _randomize_norms(build(small_config(**FOLD_CONFIGS[case]), seed=30), seed=31)
+    net.input_mean[:] = [0.2, -0.1, 0.3]
+    net.input_std[:] = [1.5, 0.8, 1.2]
+    path = tmp_path / "weights.npz"
+    save_weights(net, path)
+    loaded = load_network(path)
+    assert loaded.config == net.config
+    x = np.random.default_rng(32).standard_normal((2, 8, 64, 3)).astype(np.float32)
+    np.testing.assert_array_equal(loaded.forward(x), net.forward(x))

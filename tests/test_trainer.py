@@ -52,8 +52,8 @@ class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError, match="loss"):
             TrainConfig(loss="mse")
-        with pytest.raises(ValueError, match="projection"):
-            TrainConfig(projection="bird")
+        with pytest.raises(TypeError, match="projection"):
+            TrainConfig(projection="bird")  # the dataset owns its projection
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=-1.0)
         with pytest.raises(ValueError, match="steps"):
