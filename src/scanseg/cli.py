@@ -225,10 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="sensor+scene YAML file")
     p.set_defaults(func=_cmd_stats)
 
+    def preset(name):  # argparse prints the message of an ArgumentTypeError only
+        try:
+            return preset_key(name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
     presets = f"one of {', '.join(BACKBONE_PRESETS)} in any case, rstar spelling R*"
     p = sub.add_parser("train", help="train on synthetic scans")
     _add_dataset_args(p)
-    p.add_argument("--preset", type=preset_key, default="A", help=f"backbone size, {presets}")
+    p.add_argument("--preset", type=preset, default="A", help=f"backbone size, {presets}")
     p.add_argument("--padding", choices=PADDING_MODES, default="cyclic")
     p.add_argument("--alpha", type=int, default=1, help="vertical kernel components in every conv")
     p.add_argument("--head-alpha", type=int, default=None, help="override alpha for the output head")
@@ -247,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="forward-pass timing across configs")
-    p.add_argument("--presets", nargs="+", type=preset_key, default=list(BACKBONE_PRESETS), help=presets)
+    p.add_argument("--presets", nargs="+", type=preset, default=list(BACKBONE_PRESETS), help=presets)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=2048)
     p.add_argument("--repeats", type=int, default=3)

@@ -109,12 +109,14 @@ def config_from_preset(name: str, **overrides) -> NetworkConfig:
 
 
 class SlcLayer:
-    """One semi-local convolution; its kernel lives in ``params``, and a
-    training forward caches its input for the backward pass."""
+    """One semi-local convolution; its kernel lives in ``params`` (a bias not
+    there is a constant zero), and a training forward caches its input."""
 
-    def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, stride_w=1):
+    def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, bias, stride_w=1):
         kernel = glorot_uniform(rng, i, j, c_in, c_out, alpha)
-        self.params = {f"{name}.weights": kernel.weights, f"{name}.bias": kernel.bias}
+        self.params = {f"{name}.weights": kernel.weights}
+        if bias:
+            self.params[f"{name}.bias"] = kernel.bias
         self.buffers: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.pad_spec = PadSpec.same(i, j, pad_mode)
@@ -124,7 +126,8 @@ class SlcLayer:
 
     @property
     def kernel(self) -> SlcKernel:
-        return SlcKernel(*self.params.values())
+        weights, *bias = self.params.values()
+        return SlcKernel(weights, bias[0] if bias else np.zeros(weights.shape[3:], weights.dtype))
 
     def forward(self, x, training=False):
         if training:
@@ -178,7 +181,8 @@ class NormLayer:
 
 class ConvUnit:
     """conv + norm [+ relu], the repeated building element; alpha and
-    padding come from the config.
+    padding come from the config. The norm cancels a conv bias that is the
+    same in every row, so the conv has one only at alpha > 1.
 
     At inference the norm is folded into the conv on every call, so the fold
     always reflects the current weights and running statistics. The relu
@@ -187,7 +191,7 @@ class ConvUnit:
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
         alpha = config.alpha_for(name)
-        self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, stride_w)
+        self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, bias=alpha > 1, stride_w=stride_w)
         self.norm = NormLayer(layers, f"{name}.norm", c_out)
         self.activated = activated
         self._out = None
@@ -293,7 +297,7 @@ class Network:
             DecoderStage(self.layers, rng, config, f"dec{i}", ch[i], ch[i - 1]) for i in range(N_ENCODER_STAGES, 0, -1)
         ]
         alpha = config.alpha_for("head")
-        self.head = SlcLayer(self.layers, "head", rng, 1, 1, ch[0], config.n_classes, alpha, config.padding)
+        self.head = SlcLayer(self.layers, "head", rng, 1, 1, ch[0], config.n_classes, alpha, config.padding, bias=True)
 
         # per-channel input normalization, set from data by the trainer
         self.input_mean = np.zeros(IN_CHANNELS, dtype=np.float32)

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -107,8 +109,12 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["train", "--optimizer", "sgd"]) == 2  # Adam is the only optimizer
-    assert main(["train", "--preset", "q"]) == 2
     assert main(["eval", "--weights", "w.npz", "--padding", "zeros"]) == 2  # the archive names its network
+    for argv in (["train", "--preset", "q"], ["bench", "--presets", "a", "q"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown preset 'q'" in err and "R*" in err  # the message lists the valid presets
 
 
 def _option(command, dest):
@@ -138,7 +144,10 @@ def test_bench_defaults_to_every_preset():
 @pytest.mark.parametrize(("command", "dest"), [("train", "preset"), ("bench", "presets")])
 def test_preset_options_take_the_table_keys(command, dest):
     option = _option(command, dest)
-    assert option.type is preset_key
+    assert [option.type(key.lower()) for key in BACKBONE_PRESETS] == list(BACKBONE_PRESETS)
+    assert option.type("rstar") == preset_key("rstar") == "R*"
+    with pytest.raises(argparse.ArgumentTypeError, match=re.escape(str(sorted(BACKBONE_PRESETS)))):
+        option.type("q")
     assert all(key in option.help for key in BACKBONE_PRESETS)
 
 

@@ -106,12 +106,16 @@ def test_rstar_count_order_of_magnitude():
 
 
 def test_alpha_two_roughly_doubles_conv_params():
+    # alpha 2 adds every conv weight once, the head bias once, and c_out * 2
+    # bias scalars per conv unit, whose conv has no bias at alpha 1
     base = build(small_config(), seed=0)
     doubled = build(small_config(alpha_default=2), seed=0)
-    conv_params = sum(
-        p.size for name, p in base.parameters().items() if name.endswith((".weights", ".bias"))
-    )
-    assert count_params(doubled) - count_params(base) == conv_params
+    params = base.parameters()
+    weights = sum(p.size for name, p in params.items() if name.endswith(".weights"))
+    unit_convs = [name.removesuffix(".weights") for name in params if name.endswith(".conv.weights")]
+    unit_biases = sum(params[f"{conv}.weights"].shape[3] * 2 for conv in unit_convs)
+    assert count_params(doubled) - count_params(base) == weights + params["head.bias"].size + unit_biases
+    assert sorted(doubled.parameters()) == sorted([*params, *(f"{conv}.bias" for conv in unit_convs)])
 
 
 def test_alpha_override_targets_named_layer():
@@ -174,6 +178,16 @@ def test_load_shape_mismatch_names_offenders(tmp_path):
     path = tmp_path / "weights.npz"
     save_weights(net, path)
     with pytest.raises(ValueError, match=re.escape(f"{path} does not fit its config") + ".*enc1.down.conv.weights"):
+        load_network(path)
+
+
+def test_load_rejects_conv_bias_the_norm_cancels(tmp_path):
+    # a conv unit has no bias at alpha 1, so an archive that holds one does not fit
+    net = build(small_config(), seed=14)
+    path = tmp_path / "weights.npz"
+    stale = {"stem.conv.bias": np.zeros((8, 1), dtype=np.float32)}
+    np.savez(path, config=json.dumps(asdict(net.config)), **net.parameters(), **net.buffers(), **stale)
+    with pytest.raises(ValueError, match=r"does not fit its config: unexpected stem\.conv\.bias$"):
         load_network(path)
 
 
@@ -248,12 +262,13 @@ def _as_float64(net):
 
 
 # sampled parameter entries (basic-slice views, so probes write through)
-# from the stem, one encoder stage, one decoder stage and the head; conv
-# biases in front of a norm are left out, their gradient is exactly zero
+# from the stem, one encoder stage, one decoder stage and the head; a conv
+# unit's bias is a parameter only at alpha > 1, so it is probed only there
 GRAD_PROBES = {
     "stem.conv.weights": np.s_[:, :, 0, 1],
     "stem.norm.gamma": np.s_[:],
     "enc2.down.conv.weights": np.s_[1, :, 2, 0],
+    "enc2.down.conv.bias": np.s_[:],
     "enc2.block0.conv2.norm.beta": np.s_[:],
     "dec3.proj.conv.weights": np.s_[0, 0, :, 1],
     "dec3.refine.norm.gamma": np.s_[:],
@@ -262,15 +277,36 @@ GRAD_PROBES = {
 }
 
 
-@pytest.mark.parametrize("padding", ["cyclic", "zeros"])
-@pytest.mark.parametrize("alpha", [1, 2])
-def test_network_backward_matches_central_differences(padding, alpha):
+def _tiny_float64_net(padding, alpha):
+    """A seeded 4-channel float64 network with a non-trivial input normalization."""
     cfg = NetworkConfig(
         stage_channels=(4,) * 6, blocks_per_stage=(1,) * 6, n_classes=3, padding=padding, alpha_default=alpha
     )
     net = _as_float64(build(cfg, seed=21))
     net.input_mean[:] = [0.2, -0.1, 0.3]
     net.input_std[:] = [1.5, 0.8, 1.2]
+    return net
+
+
+@pytest.mark.parametrize("padding", ["cyclic", "zeros"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_every_parameter_has_a_live_gradient(padding, alpha):
+    # a parameter whose gradient is only rounding noise, like a conv bias
+    # that the next norm cancels, would still take Adam steps of about lr
+    net = _tiny_float64_net(padding, alpha)
+    rng = np.random.default_rng(23)
+    net.forward(rng.standard_normal((2, 4, 32, 3)), training=True)
+    net.backward(rng.standard_normal((2, 4, 32, 3)))
+    peaks = {name: np.abs(g).max() for name, g in net.grads().items()}
+    assert sorted(peaks) == sorted(net.parameters())
+    largest = max(peaks.values())
+    assert [name for name, peak in peaks.items() if peak <= 1e-8 * largest] == []
+
+
+@pytest.mark.parametrize("padding", ["cyclic", "zeros"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_network_backward_matches_central_differences(padding, alpha):
+    net = _tiny_float64_net(padding, alpha)
     rng = np.random.default_rng(22)
     x = rng.standard_normal((2, 4, 32, 3))
     up = rng.standard_normal((2, 4, 32, 3))
@@ -288,9 +324,15 @@ def test_network_backward_matches_central_differences(padding, alpha):
         num = central_diff_grad(loss, x[:, :, cols], 1e-6)
         assert max_rel_err(gx[:, :, cols], num) < 1e-5, cols
     params = net.parameters()
-    for name, probe in GRAD_PROBES.items():
+    probes = {name: probe for name, probe in GRAD_PROBES.items() if name in params}
+    assert set(GRAD_PROBES) - set(probes) == ({"enc2.down.conv.bias"} if alpha == 1 else set())
+    for name, probe in probes.items():
         num = central_diff_grad(loss, params[name][probe], 1e-6)
         assert max_rel_err(grads[name][probe], num) < 1e-5, name
+    if alpha > 1:
+        # each band's bias is live; the norm cancels only their per-channel sum
+        band_grads = grads["enc2.down.conv.bias"]
+        assert np.abs(band_grads.sum(axis=1)).max() < 1e-9 * np.abs(band_grads).max()
 
 
 def test_load_dtype_mismatch_rejected_before_any_write(tmp_path):
