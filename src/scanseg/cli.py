@@ -138,6 +138,7 @@ def _cmd_stats(args) -> int:
     print(f"unfold: projected={s_u.n_projected} occluded={s_u.n_occluded} out_of_range={s_u.n_out_of_range}")
     print(f"ego:    projected={s_e.n_projected} occluded={s_e.n_occluded} out_of_range={s_e.n_out_of_range}")
     print(f"occluded(ego) > occluded(unfold): {s_e.n_occluded > s_u.n_occluded}")
+    print(f"rows_recovered = {(map_unfold.point_to_pixel[:, 0] == scan.true_rows).mean():.6f}")
     return 0
 
 

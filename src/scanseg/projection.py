@@ -1,17 +1,23 @@
 """Point list to range image projections.
 
 Two projections are provided. ``unfold_scan`` reconstructs the sensor's
-native row-major image from the acquisition order alone: consecutive points
-belong to the same scan line until the azimuth jumps at the rear cut, so the
-row index is a cumulative sum of jump flags. ``project_ego_corrected`` is the
-spherical proxy used for motion-compensated clouds, binning rows by elevation;
-it trades the native layout for mutual occlusions whenever the cloud was
-captured from more than one pose.
+native row-major image from the acquisition order alone, so it has no
+systematic occlusions. ``project_ego_corrected`` is the spherical proxy used
+for motion-compensated clouds, binning rows by elevation; it trades the
+native layout for mutual occlusions whenever the cloud was captured from more
+than one pose.
 
-A jump only has to exceed one firing step, so ``unfold_scan`` derives its
-threshold from the grid width: ``DEFAULT_JUMP_THRESHOLD`` (0.3 degrees) at
-``DEFAULT_W`` columns, scaled by ``DEFAULT_W / w``, which is about 1.7 columns
-at any width.
+Unfolding has one row rule, with no parameter: a new scan line starts where
+the azimuth rises. The cloud lists the lines one after another, each in
+firing order. Within a line the head turns clockwise from the rear cut at +pi
+(the origin of the columns too), so the azimuth falls strictly from one
+return to the next, however many returns a gap drops. Each line starts again
+after the rear cut, so from one line's last return to the next line's first
+the azimuth rises, as long as the next line's first return fires before the
+last one. That is the rule's one blind spot: a line whose returns all come
+before the next line's first return, in firing order, merges with it. A line
+with no returns at all leaves no trace in the order, and the lines after it
+move up one row.
 
 Both let the nearest point win each pixel in two linear passes over the
 in-range points, with no sort: a scatter-min (``np.minimum.at``) of the
@@ -28,7 +34,6 @@ Both reject a grid height ``h`` or width ``w`` below 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,6 @@ from .cloud_io import LabelArray, PointCloud, RangeImage
 
 DEFAULT_H = 64
 DEFAULT_W = 2048
-DEFAULT_JUMP_THRESHOLD = math.radians(0.3)
 PROJECTIONS = ("unfold", "ego")  # unfold_scan, project_ego_corrected
 
 
@@ -88,31 +92,14 @@ def _columns(phi: np.ndarray, w: int) -> np.ndarray:
     return (cols % w).astype(np.int32)
 
 
-def get_rows(
-    cloud: PointCloud,
-    threshold: float = DEFAULT_JUMP_THRESHOLD,
-    mode: str = "literal",
-) -> np.ndarray:
-    """Scan line index per point, recovered from azimuth jumps.
-
-    ``literal`` flags a new line whenever |delta azimuth| between consecutive
-    points exceeds ``threshold`` (radians; must exceed the sensor's azimuth
-    step). ``robust`` flags one only when the azimuth wraps by more than pi,
-    which dropped-return gaps inside a line cannot fake.
-    """
-    return _rows(_azimuth(cloud.points), threshold, mode)
+def get_rows(cloud: PointCloud) -> np.ndarray:
+    """Scan line index per point: a new line starts where the azimuth rises."""
+    return _rows(_azimuth(cloud.points))
 
 
-def _rows(phi: np.ndarray, threshold: float, mode: str) -> np.ndarray:
-    delta = np.abs(phi[1:] - phi[:-1])
-    if mode == "literal":
-        jump = delta > threshold
-    elif mode == "robust":
-        jump = delta > np.pi
-    else:
-        raise ValueError(f"unknown row recovery mode {mode!r}")
+def _rows(phi: np.ndarray) -> np.ndarray:
     rows = np.zeros(len(phi), dtype=np.int32)
-    np.cumsum(jump, out=rows[1:])
+    np.cumsum(phi[1:] > phi[:-1], out=rows[1:])
     return rows
 
 
@@ -193,20 +180,19 @@ def unfold_scan(
     labels: LabelArray | None = None,
     h: int = DEFAULT_H,
     w: int = DEFAULT_W,
-    threshold: float | None = None,
-    mode: str = "literal",
+    mode: str = "robust",
 ) -> tuple[RangeImage, IndexMap]:
     """Project an acquisition-ordered cloud by unfolding its scan lines.
 
-    Rows come from ``get_rows``, with ``threshold`` (radians) defaulting to
-    ``DEFAULT_JUMP_THRESHOLD * DEFAULT_W / w``; rows past ``h - 1`` mark their
-    points out of range rather than clipping into the image.
+    Rows come from ``get_rows``; rows past ``h - 1`` mark their points out of
+    range rather than clipping into the image. ``mode`` stays only for
+    ``scanbench``, which passes ``mode="robust"``; no other value is accepted.
     """
+    if mode != "robust":
+        raise ValueError(f"unfold_scan has one row rule: mode must be 'robust', got {mode!r}")
     _check_grid(h, w)
-    if threshold is None:
-        threshold = DEFAULT_JUMP_THRESHOLD * DEFAULT_W / w
     phi = _azimuth(cloud.points)  # once for both rows and columns
-    rows = _rows(phi, threshold, mode)
+    rows = _rows(phi)
     cols = _columns(phi, w)
     in_range = rows < h
     return _scatter_nearest(cloud, labels, _ranges(cloud), rows, cols, in_range, h, w)

@@ -315,9 +315,7 @@ def make_synthetic_dataset(
         scene = _random_scene(rng, scene_seed, n_object_classes, ego_velocity)
         scan = generate_scan(sensor, scene)
         if projection == "unfold":
-            # robust jump detection: open scenes have wide dropped-return gaps
-            # inside upper scan lines, which would fake line breaks otherwise
-            img, index_map = unfold_scan(scan.cloud, scan.labels, h, w, mode="robust")
+            img, index_map = unfold_scan(scan.cloud, scan.labels, h, w)
         else:
             img, index_map = project_ego_corrected(
                 scan.cloud_ego_corrected, scan.labels, h, w, sensor.fov_up, sensor.fov_down

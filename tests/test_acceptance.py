@@ -233,30 +233,16 @@ def test_03_cyclic_shift_equivariance():
 def test_04_row_recovery():
     t0 = time.perf_counter()
     sensor = SensorModel()  # 64 beams, 2048 firings
-    threshold = math.radians(0.3)
     clean = generate_scan(sensor, SceneConfig(seed=404, enclosure_radius=35.0))
-    noisy = generate_scan(
-        sensor,
-        SceneConfig(seed=405, enclosure_radius=35.0, angular_noise=math.degrees(threshold) / 4.0),
-    )
-    rates = {}
-    for mode in ("literal", "robust"):
-        rates[f"clean/{mode}"] = float((get_rows(clean.cloud, threshold, mode) == clean.true_rows).mean())
-        rates[f"noisy/{mode}"] = float((get_rows(noisy.cloud, threshold, mode) == noisy.true_rows).mean())
+    noisy = generate_scan(sensor, SceneConfig(seed=405, enclosure_radius=35.0, angular_noise=0.075))
+    clean_rate = float((get_rows(clean.cloud) == clean.true_rows).mean())
+    noisy_rate = float((get_rows(noisy.cloud) == noisy.true_rows).mean())
     elapsed = time.perf_counter() - t0
-    ok = (
-        rates["clean/literal"] == 1.0
-        and rates["clean/robust"] == 1.0
-        and rates["noisy/literal"] >= 0.999
-        and rates["noisy/robust"] >= 0.999
-        and elapsed < 10.0
-    )
     _report(
         4,
-        "scan line recovery from azimuth jumps",
-        ok,
-        f"clean 100%: {rates['clean/literal'] == 1.0}, noisy literal {rates['noisy/literal']:.6f}, "
-        f"robust {rates['noisy/robust']:.6f} in {elapsed:.1f} s",
+        "scan line recovery where the azimuth turns back",
+        clean_rate == 1.0 and noisy_rate >= 0.999 and elapsed < 10.0,
+        f"clean 100%: {clean_rate == 1.0}, noisy {noisy_rate:.6f} in {elapsed:.1f} s",
     )
 
 
@@ -286,13 +272,12 @@ def _occlusion_scene(seed: int, velocity: float) -> SceneConfig:
 
 def test_05_occlusion_ordering_over_twenty_scenes():
     sensor = SensorModel(n_beams=32, azimuth_step=360.0 / 512.0)
-    threshold = 1.7 * math.radians(sensor.azimuth_step)
     ego_counts, unfold_counts = [], []
     for i in range(20):
         velocity = 5.0 + 10.0 * i / 19.0  # spans 5 to 15 m/s
         scene = _occlusion_scene(500 + i, velocity)
         scan = generate_scan(sensor, scene)
-        _, m_unfold = unfold_scan(scan.cloud, scan.labels, sensor.n_beams, sensor.firings_per_rev, threshold)
+        _, m_unfold = unfold_scan(scan.cloud, scan.labels, sensor.n_beams, sensor.firings_per_rev)
         _, m_ego = project_ego_corrected(
             scan.cloud_ego_corrected, scan.labels, sensor.n_beams, sensor.firings_per_rev,
             sensor.fov_up, sensor.fov_down,

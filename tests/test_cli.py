@@ -45,6 +45,10 @@ def test_synth_init_writes_example(tmp_path, capsys):
     assert main(["synth", "--init", str(target)]) == 0
     assert target.exists()
     assert "sensor:" in target.read_text()
+    capsys.readouterr()
+    # the example scene unfolds every point into its beam's row
+    assert main(["stats", "--config", str(target)]) == 0
+    assert "rows_recovered = 1.000000" in capsys.readouterr().out
 
 
 def test_synth_project_stats_pipeline(tmp_path, scene_config, capsys):
@@ -77,7 +81,7 @@ def test_synth_project_stats_pipeline(tmp_path, scene_config, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    # noise-free unfolding loses nothing; the jump threshold follows the width
+    # noise-free unfolding loses nothing at any width
     assert "occluded=0 out_of_range=0" in out
     img = load_range_image(rimg)
     assert img.shape == (16, 128)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -21,9 +22,9 @@ from scanseg.projection import (
     unfold_scan,
 )
 from scanseg.synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan
+from scanseg.trainer import _random_scene
 
 SMALL = SensorModel(n_beams=8, azimuth_step=360.0 / 64.0)
-THRESHOLD = 1.7 * math.radians(SMALL.azimuth_step)
 
 
 def _cloud(points):
@@ -55,11 +56,22 @@ class TestColumns:
         assert cols.min() >= 0 and cols.max() < w
 
 
+def _line_cloud(*lines_deg):
+    """Points 10 m out at the given azimuths (degrees), one list per scan line,
+    listed line by line."""
+    az = np.radians(np.concatenate(lines_deg))
+    return _cloud(10.0 * np.stack([np.cos(az), np.sin(az), np.zeros_like(az)], axis=1))
+
+
+def _line_rows(*lines_deg):
+    return np.concatenate([np.full(len(line), i) for i, line in enumerate(lines_deg)])
+
+
 class TestRows:
     def test_hand_trace(self):
         az = np.radians([170.0, 169.8, 169.6, 170.0, 169.8, 169.6])
         pts = np.stack([np.cos(az), np.sin(az), np.zeros(6)], axis=1)
-        rows = get_rows(_cloud(pts), math.radians(0.3))
+        rows = get_rows(_cloud(pts))
         np.testing.assert_array_equal(rows, [0, 0, 0, 1, 1, 1])
 
     def test_single_point(self):
@@ -70,40 +82,83 @@ class TestRows:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            get_rows(_cloud([[1, 0, 0]]), mode="magic")
+            unfold_scan(_cloud([[1, 0, 0]]), mode="literal")
 
     def test_recovers_true_rows_noise_free(self):
         scan = _covered_scan(seed=11)
-        for mode in ("literal", "robust"):
-            rows = get_rows(scan.cloud, THRESHOLD, mode=mode)
-            assert (rows == scan.true_rows).all()
+        np.testing.assert_array_equal(get_rows(scan.cloud), scan.true_rows)
 
-    def test_dropped_return_gap_splits_literal_rows_only(self):
-        # a dropped-return notch inside one line: the literal recurrence sees
-        # the widened delta as a line break, the wrap-only test does not
-        step = math.radians(SMALL.azimuth_step)
-        az_full = np.pi - (np.arange(64) + 0.5) * step
-        keep = np.ones(64, dtype=bool)
-        keep[20:23] = False
-        az = np.concatenate([az_full[keep], az_full])
-        true_rows = np.concatenate([np.zeros(int(keep.sum()), int), np.ones(64, int)])
-        pts = 10.0 * np.stack([np.cos(az), np.sin(az), np.zeros_like(az)], axis=1)
-        literal = get_rows(_cloud(pts), THRESHOLD, mode="literal")
-        robust = get_rows(_cloud(pts), THRESHOLD, mode="robust")
-        np.testing.assert_array_equal(robust, true_rows)
-        assert not (literal == true_rows).all()
-        assert literal.max() == 2
+    def test_dropped_return_gap_wider_than_pi_stays_one_row(self):
+        # a line that skips from 152.5 to -76.4 degrees: the gap crosses
+        # +-180 degrees in scan order, yet the azimuth only falls
+        step = 360.0 / 2048.0
+        line0 = np.concatenate([np.arange(179.9, 152.5, -step), np.arange(-76.4, -180.0, -step)])
+        line1 = np.arange(179.9, -180.0, -step)
+        np.testing.assert_array_equal(get_rows(_line_cloud(line0, line1)), _line_rows(line0, line1))
+
+    def test_line_change_rising_less_than_pi_is_a_break(self):
+        # sparse lines (every eighth return kept): the last return of one line
+        # at -105.4 degrees, the first of the next at 70.9
+        step = 8 * 360.0 / 2048.0
+        line0 = np.append(np.arange(179.9, -105.4, -step), -105.4)
+        line1 = np.arange(70.9, -180.0, -step)
+        np.testing.assert_array_equal(get_rows(_line_cloud(line0, line1)), _line_rows(line0, line1))
+
+    def test_line_wholly_before_the_next_merges_with_it(self):
+        # the rule's blind spot: line 0 ends before line 1's first return in
+        # firing order, so the azimuth never rises between them
+        line0 = np.arange(170.0, 100.0, -1.0)
+        line1 = np.arange(90.0, -170.0, -1.0)
+        np.testing.assert_array_equal(get_rows(_line_cloud(line0, line1)), 0)
 
     def test_smooth_jitter_keeps_recovery(self):
-        # realistic geometry: 2048 firings per revolution, 0.3 deg threshold,
-        # jitter stddev a quarter of the threshold
+        # realistic geometry: 2048 firings per revolution, jitter stddev
+        # 0.075 degrees, 0.43 of a firing step
         sensor = SensorModel(n_beams=64)
-        threshold = math.radians(0.3)
-        scene = SceneConfig(seed=12, enclosure_radius=30.0, angular_noise=math.degrees(threshold) / 4.0)
+        scene = SceneConfig(seed=12, enclosure_radius=30.0, angular_noise=0.075)
         scan = generate_scan(sensor, scene)
-        for mode in ("literal", "robust"):
-            rows = get_rows(scan.cloud, threshold, mode=mode)
-            assert (rows == scan.true_rows).mean() >= 0.999
+        np.testing.assert_array_equal(get_rows(scan.cloud), scan.true_rows)
+
+
+def _open_scene(rng, seed, ego_velocity):
+    """A scene without enclosure returning only up to 7 m: ground, and boxes,
+    spheres and cylinders 2.5-12 m out."""
+    prims = []
+    for _ in range(3):
+        ang, dist = rng.uniform(-np.pi, np.pi), rng.uniform(3.0, 12.0)
+        size = rng.uniform(1.5, 4.0, size=3)
+        prims.append(Box(center=(dist * np.cos(ang), dist * np.sin(ang), size[2] / 2), size=tuple(size), class_id=2))
+    for _ in range(2):
+        ang, dist, r = rng.uniform(-np.pi, np.pi), rng.uniform(3.0, 12.0), rng.uniform(0.6, 1.5)
+        prims.append(Sphere(center=(dist * np.cos(ang), dist * np.sin(ang), r), radius=r, class_id=3))
+    for _ in range(2):
+        ang, dist, height = rng.uniform(-np.pi, np.pi), rng.uniform(2.5, 10.0), rng.uniform(2.0, 4.0)
+        center = (dist * np.cos(ang), dist * np.sin(ang), height / 2)
+        prims.append(Cylinder(center=center, radius=float(rng.uniform(0.2, 0.5)), height=height, class_id=4))
+    return SceneConfig(primitives=tuple(prims), max_range=7.0, seed=seed, ego_velocity=ego_velocity)
+
+
+_SCENE_KINDS = {
+    "random3": lambda rng, seed, v: _random_scene(rng, seed, 3, v),  # open
+    "random5": lambda rng, seed, v: _random_scene(rng, seed, 5, v),  # enclosed
+    "open7m": _open_scene,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCENE_KINDS))
+@pytest.mark.parametrize(("h", "w"), [(16, 128), (32, 512), (64, 256), (64, 1024)])
+def test_rows_equal_true_rows_on_simulated_scans(kind, h, w):
+    sensor = SensorModel(n_beams=h, azimuth_step=360.0 / w)
+    wrong = []
+    for seed in range(8):
+        for ego_velocity in (0.0, 10.0, -8.0):
+            scene = _SCENE_KINDS[kind](np.random.default_rng(seed), seed, ego_velocity)
+            for angular_noise in (0.0, 0.05):
+                scan = generate_scan(sensor, dataclasses.replace(scene, angular_noise=angular_noise))
+                rate = float((get_rows(scan.cloud) == scan.true_rows).mean())
+                if rate < 1.0:
+                    wrong.append((seed, ego_velocity, angular_noise, rate))
+    assert wrong == []
 
 
 class TestUnfold:
@@ -111,7 +166,7 @@ class TestUnfold:
         # same pixel, the nearer point wins, the farther lands in occluded
         pts = [[10, 0.01, 0], [5, 0.005, 0]]
         labels = LabelArray(semantic=np.array([3, 4], np.uint16), instance=np.zeros(2, np.uint16))
-        img, index_map = unfold_scan(_cloud(pts), labels, h=4, w=64, threshold=math.radians(0.3))
+        img, index_map = unfold_scan(_cloud(pts), labels, h=4, w=64)
         stats = occlusion_stats(index_map)
         assert (stats.n_points, stats.n_projected, stats.n_occluded, stats.n_out_of_range) == (2, 1, 1, 0)
         r, c = index_map.point_to_pixel[1]
@@ -127,7 +182,7 @@ class TestUnfold:
 
     def test_noise_free_scan_dense_and_collision_free(self):
         scan = _covered_scan(seed=13)
-        img, index_map = unfold_scan(scan.cloud, scan.labels, SMALL.n_beams, SMALL.firings_per_rev, THRESHOLD)
+        img, index_map = unfold_scan(scan.cloud, scan.labels, SMALL.n_beams, SMALL.firings_per_rev)
         stats = occlusion_stats(index_map)
         assert stats.n_occluded == 0
         assert stats.n_projected == len(scan)
@@ -136,8 +191,6 @@ class TestUnfold:
 
     @pytest.mark.parametrize("w", [128, 512, 1024, 2048])
     def test_default_threshold_recovers_true_rows_at_any_width(self, w):
-        # a fixed 0.3 degree threshold lies below one firing step under 1200
-        # columns, where every firing would open a new row
         sensor = SensorModel(n_beams=16, azimuth_step=360.0 / w)
         scan = _covered_scan(sensor, seed=15)
         _, index_map = unfold_scan(scan.cloud, scan.labels, sensor.n_beams, w)
@@ -146,7 +199,7 @@ class TestUnfold:
     def test_rows_beyond_grid_marked_out_of_range(self):
         scan = _covered_scan(seed=13)
         h = 4  # fewer rows than beams
-        _, index_map = unfold_scan(scan.cloud, scan.labels, h, SMALL.firings_per_rev, THRESHOLD)
+        _, index_map = unfold_scan(scan.cloud, scan.labels, h, SMALL.firings_per_rev)
         stats = occlusion_stats(index_map)
         expected_out = int((scan.true_rows >= h).sum())
         assert stats.n_out_of_range == expected_out
@@ -234,7 +287,7 @@ class TestOcclusionAccounting:
     def test_ego_exceeds_unfold_on_moving_scenes(self):
         for seed in range(3):
             scan = _covered_scan(seed=20 + seed, ego_velocity=7.0)
-            _, m_unfold = unfold_scan(scan.cloud, scan.labels, SMALL.n_beams, SMALL.firings_per_rev, THRESHOLD)
+            _, m_unfold = unfold_scan(scan.cloud, scan.labels, SMALL.n_beams, SMALL.firings_per_rev)
             _, m_ego = project_ego_corrected(
                 scan.cloud_ego_corrected, scan.labels, SMALL.n_beams, SMALL.firings_per_rev
             )
@@ -245,22 +298,22 @@ class TestOcclusionAccounting:
 class TestBackprojection:
     def test_roundtrip_identity_for_winners(self):
         scan = _covered_scan(seed=17)
-        img, index_map = unfold_scan(scan.cloud, scan.labels, SMALL.n_beams, SMALL.firings_per_rev, THRESHOLD)
+        img, index_map = unfold_scan(scan.cloud, scan.labels, SMALL.n_beams, SMALL.firings_per_rev)
         back = backproject_labels(index_map, img.label, len(scan))
         np.testing.assert_array_equal(back, scan.labels.semantic)
 
     def test_occluded_point_takes_occluder_label(self):
         pts = [[10, 0.01, 0], [5, 0.005, 0]]
         labels = LabelArray(semantic=np.array([3, 4], np.uint16), instance=np.zeros(2, np.uint16))
-        img, index_map = unfold_scan(_cloud(pts), labels, h=4, w=64, threshold=math.radians(0.3))
+        img, index_map = unfold_scan(_cloud(pts), labels, h=4, w=64)
         back = backproject_labels(index_map, img.label, 2)
         np.testing.assert_array_equal(back, [4, 4])
 
     def test_out_of_range_gets_zero(self):
-        # azimuths far apart with a tiny threshold: the second point jumps to
+        # the azimuth rises from the first point to the second, which starts
         # row 1, outside the single-row grid
         pts = [[10, 0.01, 0], [5, 1.0, 0]]
-        img, index_map = unfold_scan(_cloud(pts), None, h=1, w=64, threshold=1e-6)
+        img, index_map = unfold_scan(_cloud(pts), None, h=1, w=64)
         assert occlusion_stats(index_map).n_out_of_range == 1
         back = backproject_labels(index_map, img.label, 2)
         assert back[1] == 0
@@ -436,13 +489,13 @@ PINNED_DIGESTS = {
         "true_cols": "e9fc2be0361e54e661d39311255889b27d225b82d24abebdf3127ae7aebdc322",
         "semantic": "66415fd4793a6a6138a5682388a9c9281cb73790fa2b25efe97d5fdc158158ab",
         "instance": "041e66e10e651b2d9c852dba3ef756c827010e625dd337bdd09a39f90869327d",
-        "unfold.depth": "92783487d74f349b529d3880959f5357d1b5b1655b475ffa923c859de580db5e",
-        "unfold.reflectance": "a24bc3c4329d916bf9f7f44e31db3da9270c2606ff78b3ce2f6aedbb459d5d13",
-        "unfold.label": "e06c77d15b3ca160ca78630ece1f5e1f8012c88d94bc3c909a546be79eff914b",
-        "unfold.mask": "399265248138380d40365a50e071851c50bfd3fba32e6770deacf4a33e3fc091",
-        "unfold.pixel_to_point": "2789fc48dbc1ae906d6b50566b0b52bb848977b2d76a68ad3feac97c3283b784",
-        "unfold.point_to_pixel": "c55a31707e29231e0dd41c6bccc66a79df268bd803544dcace86f4997dbc1f47",
-        "unfold.occluded": "ef4b7877dffaa36803eb26526adce6d105d7fde2b3c993166505bddd6c2aeb9c",
+        "unfold.depth": "2ab0d0b84d59b449565fddedd22a00f30a83a60c501af46ab19276ae1d4070a1",
+        "unfold.reflectance": "e34d3e8f538bca3b34a3daa813c132eda088cd247ae25eb04a6729c5962886ab",
+        "unfold.label": "7a47aa0a9da7aeeb785bbddccd26796e2cc1eeaf0c30a5f2e99127ee8fc22aac",
+        "unfold.mask": "6c2dfffdaee6f6730212ba2a3ce0389828026826237bcdad9a4a4980dc7b2581",
+        "unfold.pixel_to_point": "a1bd54b0434287654087892872614b215d5c672bb1227253c1d77cafc38279c8",
+        "unfold.point_to_pixel": "d89d8cabf8361f58f6f7dacbf78e31d75aa1ef8595b4573ed0f1661d15fe957f",
+        "unfold.occluded": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "corrected.depth": "898532c760934c4bcd0ac76a14f4db8083e28497406d709b33731d3b6ee5e4d5",
         "corrected.reflectance": "fe3f70ae8d053336aa46a3733a6d8fb89a83e7888b7e1c2a64ed689f81956fa0",
         "corrected.label": "31e1bee92a0141cfca151b7d58197272cb9f4eb24c2bea4bebcac641b781cd00",
@@ -468,7 +521,7 @@ def test_pinned_scan_and_projections_bit_exact(name):
         "instance": scan.labels.instance,
     }
     projections = {
-        "unfold": unfold_scan(scan.cloud, scan.labels, mode="robust"),
+        "unfold": unfold_scan(scan.cloud, scan.labels),
         "corrected": project_ego_corrected(scan.cloud_ego_corrected, scan.labels),
     }
     for projection, (image, index_map) in projections.items():
