@@ -86,7 +86,8 @@ class RangeImage:
     """H x W grid of projected returns.
 
     Invariants: ``depth > 0`` wherever ``mask`` is true; where the mask is
-    false, depth is 0 and label is 0 (unlabeled). Labels are small class ids.
+    false, depth is 0 and label is 0 (unlabeled). Labels are class ids, never
+    negative.
     """
 
     depth: np.ndarray
@@ -162,9 +163,9 @@ def read_range_image_bytes(data: bytes) -> RangeImage:
     """Decode a ``RIMG`` container; raises FormatError on bad magic, version or
     channel directory, on any length but ``53 + 13 * h * w``, and on planes
     that break the ``RangeImage`` invariants: a label that is not an int32
-    integer, a mask byte other than 0 or 1, a masked depth not above 0, a
-    masked reflectance not finite, or a nonzero depth, label or reflectance
-    off the mask."""
+    integer or is negative, a mask byte other than 0 or 1, a masked depth
+    not above 0, a masked reflectance not finite, or a nonzero depth, label
+    or reflectance off the mask."""
     if len(data) < _RIMG_HEADER:
         raise FormatError("truncated range image: header incomplete")
     if data[:4] != RIMG_MAGIC:
@@ -186,6 +187,7 @@ def read_range_image_bytes(data: bytes) -> RangeImage:
     on = mask.view(bool)
     int32_label = (label >= -(2.0**31)) & (label < 2.0**31) & (np.trunc(label) == label)
     _reject_pixels(~int32_label, "label not an int32 integer")
+    _reject_pixels(label < 0, "negative label")
     _reject_pixels(on & ~(depth > 0), "masked depth not above 0")
     _reject_pixels(~on & ((depth != 0) | (label != 0)), "nonzero depth or label off the mask")
     _reject_pixels(on & ~np.isfinite(reflectance), "masked reflectance not finite")

@@ -1,10 +1,10 @@
 """Segmentation losses and the mean-IoU evaluation stack.
 
-Class id 0 is "unlabeled": by default it is skipped in both losses and the
-metric mean, which is the convention the benchmark tables use. Pass
-``ignore_id=None`` to score every class, e.g. in small hand-built fixtures.
+Class id ``UNLABELED`` (0) is never scored: its pixels add nothing to either
+loss or its gradient, and its class is left out of the Dice and mIoU class
+means, as in the benchmark tables.
 
-Cross-entropy is the mean over scored pixels of -w_c log y_c. The soft Dice
+Cross-entropy is the mean over scored pixels of -log y_c. The soft Dice
 loss is one minus the mean per-class overlap ratio
 
     2 sum_i t y / (sum_i t^2 + sum_i y^2)
@@ -21,16 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG_CLAMP = 1e-12
+UNLABELED = 0
 
 
 @dataclass
 class LossResult:
-    """Scalar loss plus its gradient; ``all_ignored`` flags a loss that was
-    defined as 0 because no pixel was scored."""
+    """Scalar loss plus its gradient. A loss with no scored pixel is 0 with a
+    zero gradient."""
 
     value: float
     grad: np.ndarray
-    all_ignored: bool = False
 
 
 @dataclass
@@ -61,69 +61,61 @@ def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     return probs * (grad_probs - inner)
 
 
-def _scored_mask(targets: np.ndarray, ignore_id: int | None) -> np.ndarray:
-    if ignore_id is None:
-        return np.ones(targets.shape, dtype=bool)
-    return targets != ignore_id
+def _check_targets(probs: np.ndarray, targets: np.ndarray) -> None:
+    """Reject targets that are not one class id in [0, C) per pixel of ``probs``."""
+    if targets.shape != probs.shape[:-1]:
+        raise ValueError(f"targets shape {targets.shape} does not match probs shape {probs.shape} less its class axis")
+    if targets.min(initial=0) < 0:
+        raise ValueError(f"negative target id {int(targets.min())}")
+    if targets.max(initial=0) >= probs.shape[-1]:
+        raise ValueError(f"target id {int(targets.max())} >= {probs.shape[-1]} classes")
 
 
-def cross_entropy(
-    probs: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray | None = None,
-    ignore_id: int | None = 0,
-) -> LossResult:
-    """Weighted cross-entropy over scored pixels; gradient is wrt the logits
-    that produced ``probs`` through softmax."""
-    n_classes = probs.shape[-1]
-    if targets.max(initial=0) >= n_classes:
-        raise ValueError(f"target id {int(targets.max())} >= {n_classes} classes")
-    scored = _scored_mask(targets, ignore_id)
+def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> LossResult:
+    """Cross-entropy over scored pixels; gradient is wrt the logits that
+    produced ``probs`` through softmax."""
+    _check_targets(probs, targets)
+    scored = targets != UNLABELED
     n = int(scored.sum())
     if n == 0:
-        return LossResult(0.0, np.zeros_like(probs), all_ignored=True)
-    if weights is None:
-        weights = np.ones(n_classes)
+        return LossResult(0.0, np.zeros_like(probs))
 
     t = targets[scored]
     p = probs[scored, t].astype(np.float64)
-    w = weights[t]
-    value = float(-(w * np.log(np.maximum(p, LOG_CLAMP))).sum() / n)
+    value = float(-np.log(np.maximum(p, LOG_CLAMP)).sum() / n)
 
     one_hot = np.zeros(probs[scored].shape, dtype=np.float64)
     one_hot[np.arange(n), t] = 1.0
     grad = np.zeros(probs.shape, dtype=probs.dtype)
-    grad[scored] = (w[:, None] * (probs[scored] - one_hot)) / n
+    grad[scored] = (probs[scored] - one_hot) / n
     return LossResult(value, grad)
 
 
-def dice_loss(probs: np.ndarray, targets: np.ndarray, ignore_id: int | None = 0) -> LossResult:
+def dice_loss(probs: np.ndarray, targets: np.ndarray) -> LossResult:
     """Soft Dice loss; gradient is wrt ``probs``.
 
     Chain it to logits with ``softmax_backward``. Classes whose target and
     prediction mass are both zero on the scored pixels are excluded from the
     class mean.
     """
-    n_classes = probs.shape[-1]
-    if targets.max(initial=0) >= n_classes:
-        raise ValueError(f"target id {int(targets.max())} >= {n_classes} classes")
-    scored = _scored_mask(targets, ignore_id)
+    _check_targets(probs, targets)
+    scored = targets != UNLABELED
     if not scored.any():
-        return LossResult(0.0, np.zeros_like(probs), all_ignored=True)
+        return LossResult(0.0, np.zeros_like(probs))
 
     y = probs[scored].astype(np.float64)  # (n, C)
     t = targets[scored]
     one_hot = np.zeros_like(y)
     one_hot[np.arange(y.shape[0]), t] = 1.0
 
-    class_ids = np.array([c for c in range(n_classes) if c != ignore_id], dtype=np.intp)
+    class_ids = np.arange(UNLABELED + 1, probs.shape[-1])
     t_c, y_c = one_hot[:, class_ids], y[:, class_ids]
     inter = 2.0 * (t_c * y_c).sum(axis=0)
     denom = (t_c**2).sum(axis=0) + (y_c**2).sum(axis=0)
     included = denom > 0
     n_included = int(included.sum())
     if n_included == 0:
-        return LossResult(0.0, np.zeros_like(probs), all_ignored=True)
+        return LossResult(0.0, np.zeros_like(probs))
     value = float(1.0 - (inter[included] / denom[included]).sum() / n_included)
 
     # d/dy of -(1/C') * 2 A_c / B_c with A, B the class sums above
@@ -140,26 +132,21 @@ def dice_loss(probs: np.ndarray, targets: np.ndarray, ignore_id: int | None = 0)
     return LossResult(value, grad)
 
 
-def dice_loss_on_logits(probs: np.ndarray, targets: np.ndarray, ignore_id: int | None = 0) -> LossResult:
+def dice_loss_on_logits(probs: np.ndarray, targets: np.ndarray) -> LossResult:
     """Dice loss with the gradient already pulled back to the logits."""
-    res = dice_loss(probs, targets, ignore_id)
-    return LossResult(res.value, softmax_backward(probs, res.grad), res.all_ignored)
+    res = dice_loss(probs, targets)
+    return LossResult(res.value, softmax_backward(probs, res.grad))
 
 
-def accumulate_confusion(
-    preds: np.ndarray,
-    targets: np.ndarray,
-    cm: ConfusionMatrix,
-    ignore_id: int | None = 0,
-) -> ConfusionMatrix:
-    """Count (target, prediction) pairs into ``cm`` in place; targets equal to
-    ``ignore_id`` are skipped. Accumulation is associative across batches."""
+def accumulate_confusion(preds: np.ndarray, targets: np.ndarray, cm: ConfusionMatrix) -> ConfusionMatrix:
+    """Count (target, prediction) pairs into ``cm`` in place; ``UNLABELED``
+    targets are skipped. Accumulation is associative across batches."""
     preds = np.asarray(preds).reshape(-1)
     targets = np.asarray(targets).reshape(-1)
     if preds.shape != targets.shape:
         raise ValueError(f"length mismatch: {preds.shape} vs {targets.shape}")
     c = cm.n_classes
-    scored = _scored_mask(targets, ignore_id)
+    scored = targets != UNLABELED
     p, t = preds[scored], targets[scored]
     if p.size and (int(p.max()) >= c or int(t.max()) >= c or int(p.min()) < 0 or int(t.min()) < 0):
         raise ValueError(f"class id outside [0, {c})")
@@ -168,20 +155,19 @@ def accumulate_confusion(
     return cm
 
 
-def miou(cm: ConfusionMatrix, ignore_id: int | None = 0) -> tuple[np.ndarray, float]:
+def miou(cm: ConfusionMatrix) -> tuple[np.ndarray, float]:
     """Per-class IoU and their mean.
 
     IoU_c = TP / (TP + FP + FN). Classes with an empty union are undefined
-    (NaN in the per-class list) and excluded from the mean, as is the ignore
-    class; an all-undefined matrix yields a NaN mean.
+    (NaN in the per-class list) and excluded from the mean, as is
+    ``UNLABELED``; an all-undefined matrix yields a NaN mean.
     """
     counts = cm.counts.astype(np.float64)
     tp = np.diag(counts)
     union = counts.sum(axis=0) + counts.sum(axis=1) - tp
     with np.errstate(invalid="ignore", divide="ignore"):
         iou = np.where(union > 0, tp / union, np.nan)
-    if ignore_id is not None:
-        iou[ignore_id] = np.nan
+    iou[UNLABELED] = np.nan
     defined = ~np.isnan(iou)
     mean = float(iou[defined].mean()) if defined.any() else float("nan")
     return iou, mean

@@ -307,17 +307,17 @@ def test_06_loss_identities():
     checks.append(("ce exact", cross_entropy(one_hot, targets).value, 0.0))
 
     # disjoint single pixel
-    disjoint = dice_loss(np.array([[[0.0, 1.0]]]), np.array([[0]], dtype=np.int32), ignore_id=None)
+    disjoint = dice_loss(np.array([[[0.0, 0.0, 1.0]]]), np.array([[1]], dtype=np.int32))
     checks.append(("dice disjoint", disjoint.value, 1.0))
 
     # the half/half fixture, cross-checked against the direct formula
-    half = dice_loss(np.array([[[0.5, 0.5]]]), np.array([[0]], dtype=np.int32), ignore_id=None)
-    oracle = direct_dice(np.array([[[0.5, 0.5]]]), np.array([[0]]), 2, ignore_id=None)
+    half = dice_loss(np.array([[[0.0, 0.5, 0.5]]]), np.array([[1]], dtype=np.int32))
+    oracle = direct_dice(np.array([[[0.0, 0.5, 0.5]]]), np.array([[1]]), 3, ignore_id=0)
     checks.append(("dice half", half.value, oracle))
     checks.append(("dice half oracle", oracle, 0.6))
 
     # uniform prediction over four classes
-    uniform = cross_entropy(np.full((1, 1, 4), 0.25), np.array([[2]], dtype=np.int32), ignore_id=None)
+    uniform = cross_entropy(np.full((1, 1, 4), 0.25), np.array([[2]], dtype=np.int32))
     checks.append(("ce uniform", uniform.value, math.log(4.0)))
 
     bad = [f"{name}: {got:.8f} != {want:.8f}" for name, got, want in checks if abs(got - want) >= 1e-6]

@@ -190,6 +190,8 @@ def _patched(img, plane, pixel, value):
         (2, True, 2.5, "label not an int32 integer"),
         (2, True, 2.0**31, "label not an int32 integer"),
         (2, True, -(2.0**32), "label not an int32 integer"),
+        (2, True, -3.0, "negative label"),
+        (2, True, -(2.0**31), "negative label"),
         (3, True, 7, "mask byte other than 0 or 1"),
         (3, False, 2, "mask byte other than 0 or 1"),
         (0, True, 0.0, "masked depth not above 0"),
@@ -209,11 +211,12 @@ def test_range_image_rejects_bad_planes(plane, on_mask, value, message):
 
 
 def test_range_image_accepts_int32_label_extremes():
-    # the largest int32 a float32 holds exactly is 2**31 - 128
+    # labels are class ids: 0 is the least, and the largest int32 a float32
+    # holds exactly is 2**31 - 128
     img = _random_image(np.random.default_rng(9), 4, 8)
     on = np.flatnonzero(img.mask.ravel())[:2]
-    img.label.ravel()[on] = [-(2**31), 2**31 - 128]
-    assert img.label.min() == -(2**31) and img.label.max() == 2**31 - 128
+    img.label.ravel()[on] = [0, 2**31 - 128]
+    assert img.label.min() == 0 and img.label.max() == 2**31 - 128
     back = read_range_image_bytes(write_range_image_bytes(img))
     np.testing.assert_array_equal(back.label, img.label)
 

@@ -65,22 +65,12 @@ class TestCrossEntropy:
 
     def test_uniform_prediction_log4(self):
         probs = np.full((1, 1, 4), 0.25)
-        res = cross_entropy(probs, np.array([[2]]), ignore_id=None)
+        res = cross_entropy(probs, np.array([[2]]))
         assert res.value == pytest.approx(math.log(4.0), abs=1e-6)
-
-    def test_weighted_two_pixel_hand_sum(self):
-        probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]]).reshape(1, 2, 3)
-        targets = np.array([[0, 1]], dtype=np.int32)
-        weights = np.array([2.0, 0.5, 1.0])
-        # direct evaluation of the weighted mean of -w log p
-        expected = -(2.0 * math.log(0.7) + 0.5 * math.log(0.6)) / 2.0
-        res = cross_entropy(probs, targets, weights=weights, ignore_id=None)
-        assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_all_ignored_flagged(self):
         probs = np.full((1, 2, 3), 1 / 3)
         res = cross_entropy(probs, np.zeros((1, 2), dtype=np.int32))
-        assert res.all_ignored
         assert res.value == 0.0
         assert not res.grad.any()
 
@@ -95,12 +85,11 @@ class TestCrossEntropy:
         rng = np.random.default_rng(2)
         z = rng.standard_normal((2, 3, 4))
         targets = rng.integers(0, 4, size=(2, 3)).astype(np.int32)
-        weights = rng.uniform(0.5, 2.0, size=4)
 
         def loss():
-            return cross_entropy(softmax(z), targets, weights=weights).value
+            return cross_entropy(softmax(z), targets).value
 
-        analytic = cross_entropy(softmax(z), targets, weights=weights).grad
+        analytic = cross_entropy(softmax(z), targets).grad
         assert max_rel_err(analytic, central_diff_grad(loss, z, EPS)) < GRAD_TOL
 
     def test_monotone_toward_target(self):
@@ -112,6 +101,17 @@ class TestCrossEntropy:
     def test_bad_target_id(self):
         with pytest.raises(ValueError, match=">="):
             cross_entropy(np.full((1, 1, 2), 0.5), np.array([[7]]))
+
+
+@pytest.mark.parametrize("loss", [cross_entropy, dice_loss, dice_loss_on_logits])
+class TestTargetChecks:
+    def test_shape_mismatch_names_both_shapes(self, loss):
+        with pytest.raises(ValueError, match=r"targets shape \(1, 3\).*probs shape \(1, 2, 3\)"):
+            loss(np.full((1, 2, 3), 1 / 3), np.ones((1, 3), dtype=np.int32))
+
+    def test_negative_target_id_named(self, loss):
+        with pytest.raises(ValueError, match="negative target id -1"):
+            loss(np.full((1, 2, 3), 1 / 3), np.array([[1, -1]], dtype=np.int32))
 
 
 class TestDice:
@@ -126,16 +126,16 @@ class TestDice:
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_disjoint_one_pixel_is_one(self):
-        probs = np.array([[[0.0, 1.0]]])
-        targets = np.array([[0]], dtype=np.int32)
-        res = dice_loss(probs, targets, ignore_id=None)
+        probs = np.array([[[0.0, 0.0, 1.0]]])
+        targets = np.array([[1]], dtype=np.int32)
+        res = dice_loss(probs, targets)
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_half_half_fixture(self):
-        probs = np.array([[[0.5, 0.5]]])
-        targets = np.array([[0]], dtype=np.int32)
-        res = dice_loss(probs, targets, ignore_id=None)
-        oracle = direct_dice(probs, targets, 2, ignore_id=None)
+        probs = np.array([[[0.0, 0.5, 0.5]]])
+        targets = np.array([[1]], dtype=np.int32)
+        res = dice_loss(probs, targets)
+        oracle = direct_dice(probs, targets, 3, ignore_id=0)
         assert oracle == pytest.approx(0.6, abs=1e-12)
         assert res.value == pytest.approx(oracle, abs=1e-12)
 
@@ -145,12 +145,13 @@ class TestDice:
             logits = rng.standard_normal((2, 6, 5))
             targets = rng.integers(0, 5, size=(2, 6)).astype(np.int32)
             probs = softmax(logits)
-            res = dice_loss(probs, targets, ignore_id=0)
+            res = dice_loss(probs, targets)
             assert res.value == pytest.approx(direct_dice(probs, targets, 5, ignore_id=0), abs=1e-10)
 
     def test_all_ignored_flagged(self):
         res = dice_loss(np.full((1, 1, 2), 0.5), np.zeros((1, 1), dtype=np.int32))
-        assert res.all_ignored and res.value == 0.0
+        assert res.value == 0.0
+        assert not res.grad.any()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31))
@@ -163,14 +164,14 @@ class TestDice:
 
     def test_gradient_wrt_probs(self):
         rng = np.random.default_rng(5)
-        probs = rng.uniform(0.05, 1.0, size=(1, 6, 3))
+        probs = rng.uniform(0.05, 1.0, size=(1, 6, 4))
         probs /= probs.sum(axis=-1, keepdims=True)
-        targets = rng.integers(0, 3, size=(1, 6)).astype(np.int32)
+        targets = rng.integers(1, 4, size=(1, 6)).astype(np.int32)
 
         def loss():
-            return dice_loss(probs, targets, ignore_id=None).value
+            return dice_loss(probs, targets).value
 
-        analytic = dice_loss(probs, targets, ignore_id=None).grad
+        analytic = dice_loss(probs, targets).grad
         assert max_rel_err(analytic, central_diff_grad(loss, probs, EPS)) < GRAD_TOL
 
     def test_gradient_wrt_logits(self):
@@ -186,26 +187,26 @@ class TestDice:
 
     @pytest.mark.parametrize("gap", [190, 250, 310, 370])
     def test_absent_class_with_underflowing_mass_has_zero_gradient(self, gap):
-        # class 2 is absent and its probability ~exp(-gap): its B_c is
+        # class 3 is absent and its probability ~exp(-gap): its B_c is
         # positive but B_c**2 underflows to 0 in float64
-        targets = np.array([1, 1, 0, 1])
-        logits = np.zeros((4, 3))
-        logits[2, 0] = 1.0
-        logits[:, 2] = -float(gap)
+        targets = np.array([2, 2, 1, 2])
+        logits = np.zeros((4, 4))
+        logits[2, 1] = 1.0
+        logits[:, 3] = -float(gap)
         probs = softmax(logits)
-        assert (probs[:, 2] ** 2).sum() > 0 and (probs[:, 2] ** 2).sum() ** 2 == 0
-        res = dice_loss(probs, targets, ignore_id=None)
+        assert (probs[:, 3] ** 2).sum() > 0 and (probs[:, 3] ** 2).sum() ** 2 == 0
+        res = dice_loss(probs, targets)
         assert np.isfinite(res.value) and np.isfinite(res.grad).all()
-        assert not res.grad[:, 2].any()
-        on_logits = dice_loss_on_logits(probs, targets, ignore_id=None)
+        assert not res.grad[:, 3].any()
+        on_logits = dice_loss_on_logits(probs, targets)
         assert np.isfinite(on_logits.grad).all()
 
 
 class TestConfusion:
     def test_diagonal_fixture(self):
-        cm = ConfusionMatrix.empty(3)
-        accumulate_confusion(np.array([1, 2, 1]), np.array([1, 2, 1]), cm, ignore_id=None)
-        np.testing.assert_array_equal(np.diag(cm.counts), [0, 2, 1])
+        cm = ConfusionMatrix.empty(4)
+        accumulate_confusion(np.array([2, 3, 2]), np.array([2, 3, 2]), cm)
+        np.testing.assert_array_equal(np.diag(cm.counts), [0, 0, 2, 1])
         assert cm.counts.sum() == 3
 
     def test_ignore_rule(self):
@@ -232,6 +233,30 @@ class TestConfusion:
         np.testing.assert_array_equal(whole.counts, split.counts)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.integers(2, 6), st.integers(1, 40), st.sampled_from([np.float32, np.float64]))
+def test_unlabeled_pixels_change_nothing(seed, n_classes, n, dtype):
+    # whatever is predicted at a class-0 pixel, no loss, gradient or count moves
+    rng = np.random.default_rng(seed)
+    probs = softmax(rng.standard_normal((1, n, n_classes)) * 3).astype(dtype)
+    targets = rng.integers(0, n_classes, size=(1, n))
+    unlabeled = targets == 0
+    k = int(unlabeled.sum())
+    other = probs.copy()
+    other[unlabeled] = rng.uniform(0.0, 1.0, size=(k, n_classes)) * 10.0 ** rng.integers(-30, 30, size=(k, n_classes))
+    for loss in (cross_entropy, dice_loss, dice_loss_on_logits):
+        base, moved = loss(probs, targets), loss(other, targets)
+        assert moved.value == base.value
+        assert np.array_equal(moved.grad, base.grad)
+        assert not moved.grad[unlabeled].any()
+    preds = probs.argmax(axis=-1)
+    other_preds = preds.copy()
+    other_preds[unlabeled] = rng.integers(0, n_classes, size=k)
+    base_cm = accumulate_confusion(preds, targets, ConfusionMatrix.empty(n_classes))
+    moved_cm = accumulate_confusion(other_preds, targets, ConfusionMatrix.empty(n_classes))
+    np.testing.assert_array_equal(moved_cm.counts, base_cm.counts)
+
+
 class TestMiou:
     def test_perfect_diagonal(self):
         cm = ConfusionMatrix(np.diag([0, 4, 9, 2]).astype(np.int64))
@@ -240,12 +265,12 @@ class TestMiou:
         assert mean == pytest.approx(1.0)
 
     def test_two_class_example_no_ignore(self):
-        preds = np.array([0, 0, 1, 1])
-        targets = np.array([0, 1, 1, 1])
-        cm = accumulate_confusion(preds, targets, ConfusionMatrix.empty(2), ignore_id=None)
-        iou, mean = miou(cm, ignore_id=None)
-        assert iou[0] == pytest.approx(1 / 2)
-        assert iou[1] == pytest.approx(2 / 3)
+        preds = np.array([1, 1, 2, 2])
+        targets = np.array([1, 2, 2, 2])
+        cm = accumulate_confusion(preds, targets, ConfusionMatrix.empty(3))
+        iou, mean = miou(cm)
+        assert iou[1] == pytest.approx(1 / 2)
+        assert iou[2] == pytest.approx(2 / 3)
         assert mean == pytest.approx(7 / 12, abs=1e-12)
 
     def test_absent_class_excluded(self):
