@@ -229,6 +229,8 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
                     m_t = flat[bi, off + lo : off + hi].reshape(rows, c_in).T
                     y_t = y_full[bi, h0:h1].reshape(rows, c_out).T
                     gemm(1.0, w_t, m_t, beta=1.0, c=y_t, overwrite_c=True)
+    # the padded input (m_t is the last view of it) is dead before the crop copies
+    flat = grid = m_t = None
     return np.ascontiguousarray(y_full[:, :, 0 : stride_w * (w_out - 1) + 1 : stride_w, :])
 
 
@@ -269,7 +271,10 @@ def slc_backward(
     gw_rows = _GW_MNK // (c_in * c_out)
     taps = [(i, j) for i in range(i_k) for j in range(j_k)]
     for a, h0, h1 in _component_bands(h_out, alpha):
-        bias_grads[:, a] = upstream[:, h0:h1].sum(axis=(0, 1, 2))
+        # float32 partials down the columns of the [B, H_band, W * C_out]
+        # view, then over W: row-wise adds, not a strided 3-axis reduction
+        band = upstream[:, h0:h1].reshape(b, h1 - h0, w_out * c_out)
+        bias_grads[:, a] = band.sum(axis=(0, 1)).reshape(w_out, c_out).sum(axis=0)
         rows = (h1 - h0) * wp
         lo, hi = h0 * wp * c_in, h1 * wp * c_in
         for i, j in taps:
@@ -295,6 +300,8 @@ def slc_backward(
                     gemm(1.0, g_t, m_t, trans_b=True, beta=1.0, c=gw_t, overwrite_c=True)
 
     grad_w = np.ascontiguousarray(np.moveaxis(gw_taps, 2, 4))
+    # the padded input (m_t is the last view of it) is dead before the crop copies
+    flat = grid = m_t = None
     grad_x = pad_backward(gxpf_grid, pad_spec, x.shape[1], x.shape[2])
     return grad_x, grad_w, bias_grads
 
@@ -344,10 +351,16 @@ def upsample_width(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def upsample_width_backward(upstream: np.ndarray, factor: int) -> np.ndarray:
-    b, h, w_up, c = upstream.shape
+    """Sum of each output column's ``factor`` copies, added as strided
+    slices in column order."""
+    _check_rank4(upstream)
+    w_up = upstream.shape[2]
     if w_up % factor != 0:
         raise ValueError(f"upstream width {w_up} not divisible by factor {factor}")
-    return upstream.reshape(b, h, w_up // factor, factor, c).sum(axis=3)
+    g = upstream[:, :, ::factor].copy()
+    for k in range(1, factor):
+        g += upstream[:, :, k::factor]
+    return g
 
 
 def relu(x: np.ndarray) -> np.ndarray:

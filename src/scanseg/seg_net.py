@@ -18,6 +18,20 @@ by archive name (``"head.weights"``). Networks are deterministic: the same
 config and seed yield bit-identical parameters. Weights serialize to
 ``.npz`` archives of exactly those names plus the config, which rebuilds the
 network on load.
+
+Each activation is freed once its last reader has run (the liveness rule
+behind Chen et al. 2016, arXiv:1604.06174). The forward pops each skip as
+its decoder stage consumes it, and adds shortcuts and skips in place on
+fresh outputs that no cache holds. Backward releases every cache of the
+training forward once it has read it, so a finished step holds no
+activations, and a backward with nothing to read names the layer that
+lacks its cache. A decoder stage runs its 1x1 matcher before the width
+upsample, at half the width, and this order gives the same result as
+upsampling first: nearest repetition along the width commutes with every
+per-pixel op (a 1x1 conv, a folded norm, relu), and a norm's biased batch
+mean and variance do not change when every value is repeated the same
+number of times. Eval logits are bit-identical to the upsample-first order;
+training gradients differ from it only by rounding.
 """
 
 from __future__ import annotations
@@ -35,7 +49,6 @@ from .neural_core import (
     glorot_uniform,
     norm_backward,
     norm_forward,
-    relu,
     relu_backward,
     slc_backward,
     slc_forward,
@@ -108,11 +121,23 @@ def config_from_preset(name: str, **overrides) -> NetworkConfig:
     return NetworkConfig(stage_channels=BACKBONE_PRESETS[preset_key(name)], **overrides)
 
 
+def _take(module, attr: str):
+    """Read a cache of the last training forward and release it, so each
+    activation is freed once backward has used it; a module without one
+    (after an eval forward, or a second backward) names itself."""
+    value = getattr(module, attr)
+    if value is None:
+        raise RuntimeError(f"{module.name}: backward needs a training forward first")
+    setattr(module, attr, None)
+    return value
+
+
 class SlcLayer:
     """One semi-local convolution; its kernel lives in ``params`` (a bias not
     there is a constant zero), and a training forward caches its input."""
 
     def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, bias, stride_w=1):
+        self.name = name
         kernel = glorot_uniform(rng, i, j, c_in, c_out, alpha)
         self.params = {f"{name}.weights": kernel.weights}
         if bias:
@@ -135,7 +160,7 @@ class SlcLayer:
         return slc_forward(x, self.kernel, self.pad_spec, self.stride_w)
 
     def backward(self, upstream):
-        gx, gw, gb = slc_backward(self._x, self.kernel, self.pad_spec, upstream, self.stride_w)
+        gx, gw, gb = slc_backward(_take(self, "_x"), self.kernel, self.pad_spec, upstream, self.stride_w)
         self.grads = dict(zip(self.params, (gw, gb)))
         return gx
 
@@ -149,6 +174,7 @@ class NormLayer:
     """
 
     def __init__(self, layers, name, channels):
+        self.name = name
         self.params = {
             f"{name}.gamma": np.ones(channels, dtype=np.float32),
             f"{name}.beta": np.zeros(channels, dtype=np.float32),
@@ -174,7 +200,7 @@ class NormLayer:
 
     def backward(self, upstream):
         gamma, _ = self.params.values()
-        gx, d_gamma, d_beta = norm_backward(upstream, self._cache, gamma)
+        gx, d_gamma, d_beta = norm_backward(upstream, _take(self, "_cache"), gamma)
         self.grads = dict(zip(self.params, (d_gamma, d_beta)))
         return gx
 
@@ -190,6 +216,7 @@ class ConvUnit:
     """
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
+        self.name = name
         alpha = config.alpha_for(name)
         self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, bias=alpha > 1, stride_w=stride_w)
         self.norm = NormLayer(layers, f"{name}.norm", c_out)
@@ -209,28 +236,36 @@ class ConvUnit:
         return y
 
     def backward(self, upstream):
-        g = relu_backward(self._out, upstream) if self.activated else upstream
+        g = relu_backward(_take(self, "_out"), upstream) if self.activated else upstream
         g = self.norm.backward(g)  # rebound, so the relu gradient is freed here
         return self.conv.backward(g)
 
 
 class ResBlock:
-    """Two 3x3 conv units with an additive shortcut."""
+    """Two 3x3 conv units with an additive shortcut.
+
+    The shortcut add and the relu run in place on the second unit's output,
+    which is fresh: its norm caches x_hat, not its output.
+    """
 
     def __init__(self, layers, rng, config, name, channels):
+        self.name = name
         self.u1 = ConvUnit(layers, rng, config, f"{name}.conv1", 3, 3, channels, channels)
         self.u2 = ConvUnit(layers, rng, config, f"{name}.conv2", 3, 3, channels, channels, activated=False)
         self._out = None
 
     def forward(self, x, training=False):
-        y = relu(x + self.u2.forward(self.u1.forward(x, training), training))
+        y = self.u2.forward(self.u1.forward(x, training), training)
+        y += x
+        np.maximum(y, 0, out=y)
         self._out = y if training else None
         return y
 
     def backward(self, upstream):
-        gs = relu_backward(self._out, upstream)
-        gx_branch = self.u1.backward(self.u2.backward(gs))
-        return gs + gx_branch
+        gs = relu_backward(_take(self, "_out"), upstream)
+        g = self.u1.backward(self.u2.backward(gs))
+        g += gs
+        return g
 
 
 class EncoderStage:
@@ -258,21 +293,26 @@ class EncoderStage:
 
 
 class DecoderStage:
-    """Width upsample, 1x1 channel matcher, additive skip, 3x3 refine."""
+    """1x1 channel matcher, width upsample, additive skip, 3x3 refine.
+
+    The matcher runs before the upsample, at half the width; the two commute
+    (see the module docstring). The skip is added in place on the fresh
+    upsample output.
+    """
 
     def __init__(self, layers, rng, config, name, c_in, c_out):
         self.proj = ConvUnit(layers, rng, config, f"{name}.proj", 1, 1, c_in, c_out)
         self.refine = ConvUnit(layers, rng, config, f"{name}.refine", 3, 3, c_out, c_out)
 
     def forward(self, x, skip, training=False):
-        u = upsample_width(x, 2)
-        p = self.proj.forward(u, training)
-        return self.refine.forward(p + skip, training)
+        u = upsample_width(self.proj.forward(x, training), 2)
+        u += skip
+        del skip  # the caller popped it, so it is freed before the refine
+        return self.refine.forward(u, training)
 
     def backward(self, upstream):
         gs = self.refine.backward(upstream)
-        gu = self.proj.backward(gs)
-        gx = upsample_width_backward(gu, 2)
+        gx = self.proj.backward(upsample_width_backward(gs, 2))
         return gx, gs
 
 
@@ -322,29 +362,32 @@ class Network:
             raise ValueError(f"input width {w} must be a positive multiple of {stride_total}")
         x = (x - self.input_mean) / self.input_std
 
+        # the deepest stage's output is the decoder input, not a skip; each
+        # decoder stage pops the skip it consumes, so none outlives its reader
         skips = []
-        for stage in self.encoder:
+        for stage in self.encoder[:-1]:
             x = stage.forward(x, training)
             skips.append(x)
-        # decoder[k] consumes skips[-(k + 2)]: the deepest stage's output is
-        # the decoder input, not a skip
-        for stage, skip in zip(self.decoder, reversed(skips[:-1])):
-            x = stage.forward(x, skip, training)
+        x = self.encoder[-1].forward(x, training)
+        for stage in self.decoder:
+            x = stage.forward(x, skips.pop(), training)
         return self.head.forward(x, training)
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Gradients of the last ``forward(x, training=True)``: parameter
-        gradients go to each leaf's ``grads``; returns the gradient wrt ``x``."""
+        gradients go to each leaf's ``grads``; returns the gradient wrt ``x``.
+        It releases the forward's caches, so a second call raises."""
         g = self.head.backward(grad_logits)
-        # reversed(decoder)[k] is the stage whose skip is encoder[k]'s output
+        # reversed(decoder)[k] is the stage whose skip is encoder[k]'s output,
+        # so the encoder pops the skip gradients deepest first
         skip_grads = []
         for stage in reversed(self.decoder):
             g, gs = stage.backward(g)
             skip_grads.append(gs)
-        for k in range(N_ENCODER_STAGES, -1, -1):
-            if k < N_ENCODER_STAGES:
-                g = g + skip_grads[k]
-            g = self.encoder[k].backward(g)
+        g = self.encoder[-1].backward(g)
+        for stage in reversed(self.encoder[:-1]):
+            g += skip_grads.pop()
+            g = stage.backward(g)
         # through the input normalization, so the gradient is wrt ``x``
         return g / self.input_std
 

@@ -140,16 +140,20 @@ def dice_loss_on_logits(probs: np.ndarray, targets: np.ndarray) -> LossResult:
 
 def accumulate_confusion(preds: np.ndarray, targets: np.ndarray, cm: ConfusionMatrix) -> ConfusionMatrix:
     """Count (target, prediction) pairs into ``cm`` in place; ``UNLABELED``
-    targets are skipped. Accumulation is associative across batches."""
-    preds = np.asarray(preds).reshape(-1)
-    targets = np.asarray(targets).reshape(-1)
+    targets are skipped. Accumulation is associative across batches.
+
+    ``preds`` and ``targets`` must have the same shape, and every id in
+    either, at unlabeled pixels too, must lie in ``[0, n_classes)``.
+    """
+    preds, targets = np.asarray(preds), np.asarray(targets)
     if preds.shape != targets.shape:
-        raise ValueError(f"length mismatch: {preds.shape} vs {targets.shape}")
+        raise ValueError(f"shape mismatch: preds {preds.shape} vs targets {targets.shape}")
     c = cm.n_classes
+    for name, ids in (("prediction", preds), ("target", targets)):
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= c:
+            raise ValueError(f"{name} class id outside [0, {c})")
     scored = targets != UNLABELED
     p, t = preds[scored], targets[scored]
-    if p.size and (int(p.max()) >= c or int(t.max()) >= c or int(p.min()) < 0 or int(t.min()) < 0):
-        raise ValueError(f"class id outside [0, {c})")
     lin = t.astype(np.int64) * c + p
     cm.counts += np.bincount(lin, minlength=c * c).reshape(c, c)
     return cm

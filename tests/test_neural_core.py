@@ -338,6 +338,14 @@ class TestSimpleOps:
         with pytest.raises(ValueError, match="factor"):
             upsample_width(np.ones((1, 1, 2, 1)), 0)
 
+    def test_upsample_backward_sums_each_columns_copies(self):
+        up = _rand((2, 3, 12, 4), seed=14)
+        for factor in (1, 2, 3, 4):
+            want = up.reshape(2, 3, 12 // factor, factor, 4).sum(axis=3)
+            np.testing.assert_allclose(upsample_width_backward(up, factor), want, rtol=1e-14)
+        with pytest.raises(ValueError, match="not divisible"):
+            upsample_width_backward(up, 5)
+
     def test_upsample_gradient(self):
         x = _rand((1, 2, 3, 2), seed=12)
         up = _rand((1, 2, 6, 2), seed=13)

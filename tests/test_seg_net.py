@@ -1,6 +1,8 @@
 import json
 import re
+import tracemalloc
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from oracles import central_diff_grad, max_rel_err
 from scanseg.seg_net import (
     BACKBONE_PRESETS,
     ConvUnit,
+    DecoderStage,
     NetworkConfig,
     NormLayer,
     ResBlock,
@@ -19,7 +22,14 @@ from scanseg.seg_net import (
     load_network,
     save_weights,
 )
-from scanseg.neural_core import glorot_uniform, norm_inference, relu, slc_forward
+from scanseg.neural_core import (
+    glorot_uniform,
+    norm_inference,
+    relu,
+    slc_forward,
+    upsample_width,
+    upsample_width_backward,
+)
 from scanseg.trainer import Adam, evaluate, make_synthetic_dataset
 
 
@@ -459,6 +469,113 @@ def test_eval_forward_keeps_no_activations():
             assert module._cache is not None
         elif isinstance(module, ResBlock) or module.activated:
             assert module._out is not None
+
+    # a finished training step holds no activations: backward released
+    # every cache once it had read it, so beyond the parameter gradients
+    # the step leaves almost nothing traced behind
+    x2 = np.random.default_rng(27).standard_normal((2, 16, 128, 3)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        logits = net.forward(x2, training=True)
+        gx = net.backward(np.ones_like(logits))
+        del logits, gx
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    for module in modules:
+        for attr in ACTIVATION_CACHES:
+            assert getattr(module, attr, None) is None, (type(module).__name__, attr)
+    held -= sum(g.nbytes for g in net.grads().values())
+    stem_bytes = 2 * 16 * 128 * net.config.stage_channels[0] * 4
+    assert held < stem_bytes
+
+
+def test_eval_forward_peak_memory():
+    # each activation is freed once its last reader has run; keeping dead
+    # skips, padded conv inputs or the upsample-first decoder's full-width
+    # tensor reached 8.5x the stem output
+    net = build(config_from_preset("a"), seed=28)
+    x = np.random.default_rng(29).standard_normal((1, 64, 256, 3)).astype(np.float32)
+    net.forward(x)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    stem_bytes = 64 * 256 * net.config.stage_channels[0] * 4
+    assert peak <= 5 * stem_bytes
+
+
+def test_backward_after_eval_forward_names_the_layer():
+    net = build(small_config(), seed=33)
+    logits = net.forward(np.ones((1, 8, 64, 3), np.float32))
+    with pytest.raises(RuntimeError, match=r"^head: backward needs a training forward first$"):
+        net.backward(np.ones_like(logits))
+    stem = net.layers["stem.conv"]
+    with pytest.raises(RuntimeError, match=r"^stem\.conv: backward needs a training forward first$"):
+        stem.backward(np.ones((1, 8, 64, 8), np.float32))
+
+
+def test_second_backward_names_the_layer():
+    net = build(small_config(), seed=34)
+    logits = net.forward(np.ones((1, 8, 64, 3), np.float32), training=True)
+    net.backward(np.ones_like(logits))
+    with pytest.raises(RuntimeError, match=r"^head: backward needs a training forward first$"):
+        net.backward(np.ones_like(logits))
+    for name in ("dec1.refine.norm", "stem.conv"):
+        with pytest.raises(RuntimeError, match=rf"^{re.escape(name)}: backward needs a training forward first$"):
+            net.layers[name].backward(np.ones((1, 8, 64, 8), np.float32))
+
+
+def _upsample_first_forward(stage, x, skip, training):
+    """A decoder stage in the order it replaced: upsample, 1x1 matcher at
+    full width, skip add, refine."""
+    p = stage.proj.forward(upsample_width(x, 2), training)
+    return stage.refine.forward(p + skip, training)
+
+
+def _upsample_first_backward(stage, upstream):
+    gs = stage.refine.backward(upstream)
+    return upsample_width_backward(stage.proj.backward(gs), 2), gs
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_decoder_matcher_before_upsample_matches_upsample_first(alpha):
+    # nearest width repetition commutes with the per-pixel matcher, and a
+    # norm's batch statistics ignore repeating every value twice
+    cfg = NetworkConfig(stage_channels=(4,) * 6, blocks_per_stage=(1,) * 6, n_classes=3, alpha_default=alpha)
+    layers = {}
+    stage = DecoderStage(layers, np.random.default_rng(35), cfg, "dec1", 6, 4)
+    _randomize_norms(_as_float64(SimpleNamespace(layers=layers)), seed=36)
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((2, 4, 16, 6))
+    skip = rng.standard_normal((2, 4, 32, 4))
+    up = rng.standard_normal((2, 4, 32, 4))
+
+    got, want = stage.forward(x, skip), _upsample_first_forward(stage, x, skip, False)
+    assert max_rel_err(got, want) < 1e-12
+
+    def state():
+        """Copies of the stage's gradients and running statistics."""
+        return {k: v.copy() for layer in layers.values() for k, v in (layer.grads | layer.buffers).items()}
+
+    start = state()
+    got = [stage.forward(x, skip, training=True), *stage.backward(up)]
+    got_state = state()
+    for layer in layers.values():
+        for name, buffer in layer.buffers.items():
+            buffer[...] = start[name]
+    want = [_upsample_first_forward(stage, x, skip, True), *_upsample_first_backward(stage, up)]
+    want_state = state()
+    for g, w in zip(got, want):  # output, then input and skip gradients
+        assert max_rel_err(g, w) < 1e-12
+    assert got_state.keys() == want_state.keys()
+    for name in want_state:
+        assert max_rel_err(got_state[name], want_state[name]) < 1e-12, name
 
 
 @pytest.mark.parametrize("case", sorted(FOLD_CONFIGS))

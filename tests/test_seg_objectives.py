@@ -219,6 +219,20 @@ class TestConfusion:
         with pytest.raises(ValueError, match="class id"):
             accumulate_confusion(np.array([5]), np.array([1]), cm)
 
+    def test_shape_mismatch_names_both_shapes(self):
+        # same size, different shape: flattening would pair the wrong pixels
+        cm = ConfusionMatrix.empty(3)
+        preds, targets = np.arange(6).reshape(2, 3) % 3, np.arange(6).reshape(3, 2) % 3
+        with pytest.raises(ValueError, match=r"preds \(2, 3\) vs targets \(3, 2\)"):
+            accumulate_confusion(preds, targets, cm)
+        assert cm.counts.sum() == 0
+
+    def test_prediction_id_checked_at_unlabeled_pixels(self):
+        cm = ConfusionMatrix.empty(3)
+        with pytest.raises(ValueError, match=r"prediction class id outside \[0, 3\)"):
+            accumulate_confusion(np.array([7, 1]), np.array([0, 1]), cm)
+        assert cm.counts.sum() == 0
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31), st.integers(1, 60))
     def test_chunked_equals_oneshot(self, seed, n):
