@@ -306,42 +306,6 @@ def slc_backward(
     return grad_x, grad_w, bias_grads
 
 
-def _as_slc_kernel(weights: np.ndarray, bias: np.ndarray | None) -> SlcKernel:
-    if weights.ndim != 4:
-        raise ValueError(f"conv weights must be rank 4, got {weights.shape}")
-    c_out = weights.shape[3]
-    if bias is None:
-        bias = np.zeros(c_out, dtype=weights.dtype)
-    return SlcKernel(weights=weights[..., None], bias=bias.reshape(c_out, 1))
-
-
-def conv_forward(
-    x: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray | None = None,
-    stride_w: int = 1,
-    pad_spec: PadSpec | None = None,
-) -> np.ndarray:
-    """Plain convolution [I, J, C_in, C_out]; one engine with the alpha = 1
-    semi-local case."""
-    if pad_spec is None:
-        pad_spec = PadSpec.same(weights.shape[0], weights.shape[1])
-    return slc_forward(x, _as_slc_kernel(weights, bias), pad_spec, stride_w)
-
-
-def conv_backward(
-    x: np.ndarray,
-    weights: np.ndarray,
-    upstream: np.ndarray,
-    stride_w: int = 1,
-    pad_spec: PadSpec | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if pad_spec is None:
-        pad_spec = PadSpec.same(weights.shape[0], weights.shape[1])
-    gx, gw, gb = slc_backward(x, _as_slc_kernel(weights, None), pad_spec, upstream, stride_w)
-    return gx, gw[..., 0], gb[:, 0]
-
-
 def upsample_width(x: np.ndarray, factor: int) -> np.ndarray:
     """Nearest-neighbor repetition along the width axis."""
     _check_rank4(x)

@@ -19,6 +19,13 @@ config and seed yield bit-identical parameters. Weights serialize to
 ``.npz`` archives of exactly those names plus the config, which rebuilds the
 network on load.
 
+Training and eval run the same leaf calls, and a leaf's forward is the only
+place its op runs. At eval a conv leaf convolves with its norm's fold
+(Jacob et al. 2018, arXiv:1712.05877), made on every call, and the norm
+passes that result through, so each conv + norm pair costs one convolution.
+Every forward assigns each cache its module owns: the tensor in training,
+``None`` at eval, so an eval forward leaves no activation behind.
+
 Each activation is freed once its last reader has run (the liveness rule
 behind Chen et al. 2016, arXiv:1604.06174). The forward pops each skip as
 its decoder stage consumes it, and adds shortcuts and skips in place on
@@ -134,7 +141,9 @@ def _take(module, attr: str):
 
 class SlcLayer:
     """One semi-local convolution; its kernel lives in ``params`` (a bias not
-    there is a constant zero), and a training forward caches its input."""
+    there is a constant zero). An eval forward convolves with the fold of
+    ``norm``, the norm that follows it if any; a training forward convolves
+    with the kernel itself and caches its input."""
 
     def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, bias, stride_w=1):
         self.name = name
@@ -146,6 +155,7 @@ class SlcLayer:
         self.grads: dict[str, np.ndarray] = {}
         self.pad_spec = PadSpec.same(i, j, pad_mode)
         self.stride_w = stride_w
+        self.norm = None
         self._x = None
         layers[name] = self
 
@@ -155,9 +165,9 @@ class SlcLayer:
         return SlcKernel(weights, bias[0] if bias else np.zeros(weights.shape[3:], weights.dtype))
 
     def forward(self, x, training=False):
-        if training:
-            self._x = x
-        return slc_forward(x, self.kernel, self.pad_spec, self.stride_w)
+        self._x = x if training else None
+        kernel = self.kernel if training or self.norm is None else self.norm.fold(self.kernel)
+        return slc_forward(x, kernel, self.pad_spec, self.stride_w)
 
     def backward(self, upstream):
         gx, gw, gb = slc_backward(_take(self, "_x"), self.kernel, self.pad_spec, upstream, self.stride_w)
@@ -166,8 +176,9 @@ class SlcLayer:
 
 
 class NormLayer:
-    """Batch-statistics normalization; it runs in training only, and its
-    running statistics are folded into the preceding conv at inference.
+    """Batch-statistics normalization. A training forward normalizes by the
+    batch and updates the running statistics; at eval the conv before it
+    has already applied it through ``fold``, so the input passes through.
 
     ``params`` holds (gamma, beta) and ``buffers`` (running mean, running
     variance), in that order.
@@ -187,12 +198,19 @@ class NormLayer:
         self._cache = None
         layers[name] = self
 
-    def forward(self, x):
+    def fold(self, kernel: SlcKernel) -> SlcKernel:
+        """``kernel`` with this norm's running statistics folded in, made on
+        every call so it follows the current weights and statistics."""
+        return fold_norm(kernel, *self.params.values(), *self.buffers.values())
+
+    def forward(self, x, training=False):
+        self._cache = None
+        if not training:
+            return x
         gamma, beta = self.params.values()
         running_mean, running_var = self.buffers.values()
-        y, cache = norm_forward(x, gamma, beta)
-        self._cache = cache
-        _, _, mean, var = cache
+        y, self._cache = norm_forward(x, gamma, beta)
+        _, _, mean, var = self._cache
         m = NORM_MOMENTUM
         running_mean[:] = (1 - m) * running_mean + m * mean
         running_var[:] = (1 - m) * running_var + m * var
@@ -210,26 +228,21 @@ class ConvUnit:
     padding come from the config. The norm cancels a conv bias that is the
     same in every row, so the conv has one only at alpha > 1.
 
-    At inference the norm is folded into the conv on every call, so the fold
-    always reflects the current weights and running statistics. The relu
-    runs in place; training caches its output, which the next layer holds.
+    Both modes run the same two leaves; at eval the conv folds the norm in
+    and the norm passes its input through. The relu runs in place; training
+    caches its output, which the next layer holds.
     """
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
         self.name = name
         alpha = config.alpha_for(name)
         self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, bias=alpha > 1, stride_w=stride_w)
-        self.norm = NormLayer(layers, f"{name}.norm", c_out)
+        self.norm = self.conv.norm = NormLayer(layers, f"{name}.norm", c_out)
         self.activated = activated
         self._out = None
 
     def forward(self, x, training=False):
-        if training:
-            y = self.norm.forward(self.conv.forward(x, training))
-        else:
-            conv, norm = self.conv, self.norm
-            kernel = fold_norm(conv.kernel, *norm.params.values(), *norm.buffers.values())
-            y = slc_forward(x, kernel, conv.pad_spec, conv.stride_w)
+        y = self.norm.forward(self.conv.forward(x, training), training)
         if self.activated:
             np.maximum(y, 0, out=y)
             self._out = y if training else None
@@ -358,8 +371,12 @@ class Network:
         if c != IN_CHANNELS:
             raise ValueError(f"input has {c} channels, expected {IN_CHANNELS}")
         stride_total = 2**N_ENCODER_STAGES
-        if h < 1 or w % stride_total != 0:
+        if w < 1 or w % stride_total != 0:
             raise ValueError(f"input width {w} must be a positive multiple of {stride_total}")
+        # height is never strided, so every conv's output is h rows high
+        for name, layer in self.layers.items():
+            if isinstance(layer, SlcLayer) and layer.kernel.alpha > h:
+                raise ValueError(f"{name}: alpha {layer.kernel.alpha} exceeds input height {h}")
         x = (x - self.input_mean) / self.input_std
 
         # the deepest stage's output is the decoder input, not a skip; each

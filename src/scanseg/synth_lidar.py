@@ -84,6 +84,8 @@ class SensorModel:
     mount_height: float = 1.73  # sensor origin above ground, meters
 
     def __post_init__(self):
+        if self.n_beams < 1:
+            raise ValueError(f"n_beams must be >= 1, got {self.n_beams}")
         if not self.fov_down < self.fov_up:
             raise ValueError("fov_down must be below fov_up")
         if not 0 < self.azimuth_step <= 360:

@@ -73,6 +73,8 @@ def test_width_must_fit_strides():
     net = build(small_config(), seed=0)
     with pytest.raises(ValueError, match="multiple of 32"):
         net.forward(np.zeros((1, 8, 48, 3), dtype=np.float32))
+    with pytest.raises(ValueError, match="positive multiple of 32"):
+        net.forward(np.zeros((1, 8, 0, 3), dtype=np.float32))
 
 
 def test_channel_mismatch():
@@ -470,6 +472,12 @@ def test_eval_forward_keeps_no_activations():
         elif isinstance(module, ResBlock) or module.activated:
             assert module._out is not None
 
+    # an eval forward drops every cache an earlier training forward left
+    net.forward(x, training=False)
+    for module in modules:
+        for attr in ACTIVATION_CACHES:
+            assert getattr(module, attr, None) is None, (type(module).__name__, attr)
+
     # a finished training step holds no activations: backward released
     # every cache once it had read it, so beyond the parameter gradients
     # the step leaves almost nothing traced behind
@@ -515,9 +523,41 @@ def test_backward_after_eval_forward_names_the_layer():
     logits = net.forward(np.ones((1, 8, 64, 3), np.float32))
     with pytest.raises(RuntimeError, match=r"^head: backward needs a training forward first$"):
         net.backward(np.ones_like(logits))
+    # after a training forward, the eval forward that follows it wins
+    net.forward(np.ones((1, 8, 64, 3), np.float32), training=True)
+    logits = net.forward(np.ones((1, 8, 64, 3), np.float32))
+    with pytest.raises(RuntimeError, match=r"^head: backward needs a training forward first$"):
+        net.backward(np.ones_like(logits))
     stem = net.layers["stem.conv"]
     with pytest.raises(RuntimeError, match=r"^stem\.conv: backward needs a training forward first$"):
         stem.backward(np.ones((1, 8, 64, 8), np.float32))
+
+
+def test_train_and_eval_run_the_same_conv_leaves(monkeypatch):
+    net = build(small_config(alpha_overrides={"enc2": 2}), seed=38)
+    calls = []
+    leaf_forward = SlcLayer.forward
+
+    def recorded(layer, x, training=False):
+        calls.append(layer.name)
+        return leaf_forward(layer, x, training)
+
+    monkeypatch.setattr(SlcLayer, "forward", recorded)
+    x = np.random.default_rng(39).standard_normal((1, 8, 64, 3)).astype(np.float32)
+    net.forward(x, training=True)
+    train_calls, calls[:] = calls[:], []
+    net.forward(x)
+    assert train_calls == calls == [name for name, layer in net.layers.items() if isinstance(layer, SlcLayer)]
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_alpha_above_input_height_names_the_layer_before_any_conv_runs(monkeypatch, training):
+    net = build(small_config(alpha_overrides={"enc3": 4}), seed=40)
+    monkeypatch.setattr(SlcLayer, "forward", lambda *args: pytest.fail("a conv ran"))
+    with pytest.raises(ValueError, match=r"^enc3\.down\.conv: alpha 4 exceeds input height 2$"):
+        net.forward(np.ones((1, 2, 64, 3), np.float32), training)
+    with pytest.raises(ValueError, match=r"^stem\.conv: alpha 1 exceeds input height 0$"):
+        net.forward(np.ones((1, 0, 64, 3), np.float32), training)
 
 
 def test_second_backward_names_the_layer():

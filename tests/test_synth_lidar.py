@@ -127,6 +127,9 @@ def test_scene_validation():
         SensorModel(n_beams=4, beam_elevations=(0.0, -1.0))
     with pytest.raises(ValueError, match=r"\[-90, 90\]"):
         SensorModel(n_beams=2, beam_elevations=(95.0, -1.0))
+    for n_beams in (0, -1):
+        with pytest.raises(ValueError, match="n_beams must be >= 1"):
+            SensorModel(n_beams=n_beams)
     for step in (0.0, 400.0, math.nan):
         with pytest.raises(ValueError, match="azimuth_step"):
             SensorModel(azimuth_step=step)
