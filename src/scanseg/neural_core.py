@@ -27,6 +27,15 @@ The weight gradient of a convolution sums over every output row of a band.
 ``slc_backward`` runs that sum in row blocks sized to the BLAS's fast
 small-matrix path (see ``_GW_MNK``), every kernel tap inside a block; the
 blocks issue the same multiply-adds as one GEMM per tap and sample would.
+It runs every weight-gradient GEMM before it allocates the input-gradient
+grid, so one backward holds two full-size temporaries at a time.
+
+All BLAS calls go through ``scipy.linalg.blas``. numpy links its own
+OpenBLAS build with its own thread pool, so a matrix product through numpy
+(``@``, ``np.matmul``, ``np.dot``, ``np.tensordot``) contends with scipy's
+pool: column sums as ``np.ones(n) @ g`` inside ``norm_backward`` took a
+preset-A training step from 0.57 to 0.87 s on 2 cores. Reductions use
+``sum`` and ``einsum`` instead, which run in numpy's own loops.
 """
 
 from __future__ import annotations
@@ -263,30 +272,21 @@ def slc_backward(
         g_grid = np.zeros((b, h_out, wp, c_out), dtype=dtype)
         g_grid[:, :, 0 : stride_w * w_out : stride_w, :] = upstream
 
-    g_flat = np.zeros_like(flat)
-    gxpf_grid = g_flat[:, : hp * wp * c_in].reshape(b, hp, wp, c_in)
     gw_taps = np.zeros((i_k, j_k, alpha, c_in, c_out), dtype=dtype)
     bias_grads = np.zeros((c_out, alpha), dtype=dtype)
-
     gw_rows = _GW_MNK // (c_in * c_out)
     taps = [(i, j) for i in range(i_k) for j in range(j_k)]
-    for a, h0, h1 in _component_bands(h_out, alpha):
+    bands = list(_component_bands(h_out, alpha))
+    for a, h0, h1 in bands:
         # float32 partials down the columns of the [B, H_band, W * C_out]
         # view, then over W: row-wise adds, not a strided 3-axis reduction
         band = upstream[:, h0:h1].reshape(b, h1 - h0, w_out * c_out)
         bias_grads[:, a] = band.sum(axis=(0, 1)).reshape(w_out, c_out).sum(axis=0)
-        rows = (h1 - h0) * wp
-        lo, hi = h0 * wp * c_in, h1 * wp * c_in
-        for i, j in taps:
-            off = (i * wp + j) * c_in
-            w_f = np.asfortranarray(weights[i, j, :, :, a])
-            for bi in range(b):
-                g_t = g_grid[bi, h0:h1].reshape(rows, c_out).T
-                gx_t = g_flat[bi, off + lo : off + hi].reshape(rows, c_in).T
-                gemm(1.0, w_f, g_t, beta=1.0, c=gx_t, overwrite_c=True)
 
         # weight gradient over row blocks, every tap inside a block while
         # its upstream rows are in cache; the row sum is split, not changed
+        rows = (h1 - h0) * wp
+        lo = h0 * wp * c_in
         step = gw_rows if gw_rows >= _GW_MIN_ROWS else rows
         gw_ts = [gw_taps[i, j, a].T for i, j in taps]
         for bi in range(b):
@@ -298,11 +298,27 @@ def slc_backward(
                     start = lo + (i * wp + j + r0) * c_in
                     m_t = flat[bi, start : start + n_r * c_in].reshape(n_r, c_in).T
                     gemm(1.0, g_t, m_t, trans_b=True, beta=1.0, c=gw_t, overwrite_c=True)
-
     grad_w = np.ascontiguousarray(np.moveaxis(gw_taps, 2, 4))
-    # the padded input (m_t is the last view of it) is dead before the crop copies
+
+    # the padded input (m_t is the last view of it) is dead before the
+    # input-gradient grid of the same size is allocated
+    flat_shape = flat.shape
     flat = grid = m_t = None
-    grad_x = pad_backward(gxpf_grid, pad_spec, x.shape[1], x.shape[2])
+    g_flat = np.zeros(flat_shape, dtype=dtype)
+    for a, h0, h1 in bands:
+        rows = (h1 - h0) * wp
+        lo, hi = h0 * wp * c_in, h1 * wp * c_in
+        for i, j in taps:
+            off = (i * wp + j) * c_in
+            w_f = np.asfortranarray(weights[i, j, :, :, a])
+            for bi in range(b):
+                g_t = g_grid[bi, h0:h1].reshape(rows, c_out).T
+                gx_t = g_flat[bi, off + lo : off + hi].reshape(rows, c_in).T
+                gemm(1.0, w_f, g_t, beta=1.0, c=gx_t, overwrite_c=True)
+
+    # so is the spread upstream (g_t and g_rows are views of it) before the crop copies
+    g_grid = g_t = g_rows = None
+    grad_x = pad_backward(g_flat[:, : hp * wp * c_in].reshape(b, hp, wp, c_in), pad_spec, x.shape[1], x.shape[2])
     return grad_x, grad_w, bias_grads
 
 
@@ -332,7 +348,9 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    return upstream * (x > 0)
+    """``upstream`` where ``x > 0``, else 0, written into ``x`` and returned:
+    ``x`` is the spent relu output the mask is taken from."""
+    return np.multiply(upstream, x > 0, out=x)
 
 
 def norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -359,10 +377,17 @@ def norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     sq64 = np.einsum("ij,ij->j", x_hat, x_hat, dtype=np.float64)
     var64 = np.maximum(sq64 / n - (mean64 - mean) ** 2, 0.0)
     inv_std = (1.0 / np.sqrt(var64 + NORM_EPS)).astype(x.dtype)
+    x_hat = x_hat.reshape(x.shape)
     x_hat *= inv_std
+    return norm_output(x_hat, gamma, beta), (x_hat, inv_std, mean.astype(np.float64), var64)
+
+
+def norm_output(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``x_hat * gamma + beta``, the output ``norm_forward`` returns, rebuilt
+    from its cached ``x_hat`` with the same float ops and so the same bits."""
     y = x_hat * gamma
     y += beta
-    return y.reshape(x.shape), (x_hat.reshape(x.shape), inv_std, mean.astype(np.float64), var64)
+    return y
 
 
 def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):

@@ -26,15 +26,25 @@ passes that result through, so each conv + norm pair costs one convolution.
 Every forward assigns each cache its module owns: the tensor in training,
 ``None`` at eval, so an eval forward leaves no activation behind.
 
-Each activation is freed once its last reader has run (the liveness rule
-behind Chen et al. 2016, arXiv:1604.06174). The forward pops each skip as
-its decoder stage consumes it, and adds shortcuts and skips in place on
-fresh outputs that no cache holds. Backward releases every cache of the
-training forward once it has read it, so a finished step holds no
-activations, and a backward with nothing to read names the layer that
-lacks its cache. A decoder stage runs its 1x1 matcher before the width
-upsample, at half the width, and this order gives the same result as
-upsampling first: nearest repetition along the width commutes with every
+A training forward caches three kinds of tensor: each norm's x_hat, each
+residual block's output, and the network's normalized input. Every other
+activation is rebuilt in backward from what is cached (Chen et al. 2016,
+arXiv:1604.06174; the norm-plus-activation case of Rota Bulo et al. 2018,
+arXiv:1712.02616): a conv unit's output is its norm's ``norm_output`` of
+x_hat, relu applied where the unit is activated, with the forward's own
+float ops, so the rebuild has the forward's bits. The backward of each
+conv unit, block and stage, ``backward(upstream, x, y)``, takes its forward
+input ``x`` and its output ``y`` from its parent (a conv leaf's takes only
+``x``). The parent rebuilds ``x`` through its producer's ``output()`` just
+before the call, and once the call has read it hands it on as the
+producer's ``y``, into which a relu backward writes its gradient. Which
+stage feeds which is set once, when the network is built. The forward
+pops each skip as its decoder stage consumes it and adds shortcuts and
+skips in place on fresh outputs. Backward releases every cache once it is
+done with it, so a finished step holds no activations, and a backward
+with nothing to read names the layer that lacks its cache. A decoder
+stage runs its 1x1 matcher before the width upsample, at half the width,
+and this order gives the same result as upsampling first: nearest repetition along the width commutes with every
 per-pixel op (a 1x1 conv, a folded norm, relu), and a norm's biased batch
 mean and variance do not change when every value is repeated the same
 number of times. Eval logits are bit-identical to the upsample-first order;
@@ -56,6 +66,7 @@ from .neural_core import (
     glorot_uniform,
     norm_backward,
     norm_forward,
+    norm_output,
     relu_backward,
     slc_backward,
     slc_forward,
@@ -128,13 +139,18 @@ def config_from_preset(name: str, **overrides) -> NetworkConfig:
     return NetworkConfig(stage_channels=BACKBONE_PRESETS[preset_key(name)], **overrides)
 
 
-def _take(module, attr: str):
-    """Read a cache of the last training forward and release it, so each
-    activation is freed once backward has used it; a module without one
-    (after an eval forward, or a second backward) names itself."""
+def _peek(module, attr: str):
+    """A cache of the last training forward; a module without one (after an
+    eval forward, or once backward has released it) names itself."""
     value = getattr(module, attr)
     if value is None:
         raise RuntimeError(f"{module.name}: backward needs a training forward first")
+    return value
+
+
+def _take(module, attr: str):
+    """``_peek``, releasing the cache, so it is freed once backward is done with it."""
+    value = _peek(module, attr)
     setattr(module, attr, None)
     return value
 
@@ -143,7 +159,7 @@ class SlcLayer:
     """One semi-local convolution; its kernel lives in ``params`` (a bias not
     there is a constant zero). An eval forward convolves with the fold of
     ``norm``, the norm that follows it if any; a training forward convolves
-    with the kernel itself and caches its input."""
+    with the kernel itself. It caches nothing: backward takes its input."""
 
     def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, bias, stride_w=1):
         self.name = name
@@ -156,7 +172,6 @@ class SlcLayer:
         self.pad_spec = PadSpec.same(i, j, pad_mode)
         self.stride_w = stride_w
         self.norm = None
-        self._x = None
         layers[name] = self
 
     @property
@@ -165,12 +180,11 @@ class SlcLayer:
         return SlcKernel(weights, bias[0] if bias else np.zeros(weights.shape[3:], weights.dtype))
 
     def forward(self, x, training=False):
-        self._x = x if training else None
         kernel = self.kernel if training or self.norm is None else self.norm.fold(self.kernel)
         return slc_forward(x, kernel, self.pad_spec, self.stride_w)
 
-    def backward(self, upstream):
-        gx, gw, gb = slc_backward(_take(self, "_x"), self.kernel, self.pad_spec, upstream, self.stride_w)
+    def backward(self, upstream, x):
+        gx, gw, gb = slc_backward(x, self.kernel, self.pad_spec, upstream, self.stride_w)
         self.grads = dict(zip(self.params, (gw, gb)))
         return gx
 
@@ -181,7 +195,8 @@ class NormLayer:
     has already applied it through ``fold``, so the input passes through.
 
     ``params`` holds (gamma, beta) and ``buffers`` (running mean, running
-    variance), in that order.
+    variance), in that order. The training cache holds x_hat, from which
+    ``output`` rebuilds the forward's result.
     """
 
     def __init__(self, layers, name, channels):
@@ -216,6 +231,11 @@ class NormLayer:
         running_var[:] = (1 - m) * running_var + m * var
         return y
 
+    def output(self):
+        """The last training forward's result, rebuilt bit for bit."""
+        x_hat = _peek(self, "_cache")[0]
+        return norm_output(x_hat, *self.params.values())
+
     def backward(self, upstream):
         gamma, _ = self.params.values()
         gx, d_gamma, d_beta = norm_backward(upstream, _take(self, "_cache"), gamma)
@@ -229,8 +249,9 @@ class ConvUnit:
     same in every row, so the conv has one only at alpha > 1.
 
     Both modes run the same two leaves; at eval the conv folds the norm in
-    and the norm passes its input through. The relu runs in place; training
-    caches its output, which the next layer holds.
+    and the norm passes its input through. The relu runs in place, and the
+    unit caches nothing of its own: ``output`` rebuilds its result from the
+    norm's cache.
     """
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
@@ -239,26 +260,36 @@ class ConvUnit:
         self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, bias=alpha > 1, stride_w=stride_w)
         self.norm = self.conv.norm = NormLayer(layers, f"{name}.norm", c_out)
         self.activated = activated
-        self._out = None
 
     def forward(self, x, training=False):
         y = self.norm.forward(self.conv.forward(x, training), training)
         if self.activated:
             np.maximum(y, 0, out=y)
-            self._out = y if training else None
         return y
 
-    def backward(self, upstream):
-        g = relu_backward(_take(self, "_out"), upstream) if self.activated else upstream
+    def output(self):
+        """The last training forward's result, rebuilt bit for bit."""
+        y = self.norm.output()
+        if self.activated:
+            np.maximum(y, 0, out=y)
+        return y
+
+    def backward(self, upstream, x, y):
+        """``x`` is the unit's forward input and ``y`` its ``output()``, both
+        spent by the caller: an activated unit writes its relu gradient into
+        ``y``. A plain unit reads no ``y``."""
+        g = relu_backward(y, upstream) if self.activated else upstream
         g = self.norm.backward(g)  # rebound, so the relu gradient is freed here
-        return self.conv.backward(g)
+        return self.conv.backward(g, x)
 
 
 class ResBlock:
     """Two 3x3 conv units with an additive shortcut.
 
     The shortcut add and the relu run in place on the second unit's output,
-    which is fresh: its norm caches x_hat, not its output.
+    which is fresh: its norm caches x_hat, not its output. Training caches
+    the block's output, which the next module reads as its input and the
+    relu backward then overwrites with its gradient.
     """
 
     def __init__(self, layers, rng, config, name, channels):
@@ -274,9 +305,16 @@ class ResBlock:
         self._out = y if training else None
         return y
 
-    def backward(self, upstream):
-        gs = relu_backward(_take(self, "_out"), upstream)
-        g = self.u1.backward(self.u2.backward(gs))
+    def output(self):
+        return _peek(self, "_out")
+
+    def backward(self, upstream, x, y):
+        """``y`` is this block's cached ``output()``; backward releases it
+        and writes the relu gradient into it."""
+        self._out = None
+        gs = relu_backward(y, upstream)
+        y1 = self.u1.output()
+        g = self.u1.backward(self.u2.backward(gs, y1, None), x, y1)
         g += gs
         return g
 
@@ -285,13 +323,16 @@ class EncoderStage:
     """Entry conv unit followed by residual blocks.
 
     The entry unit of a width-stride-2 stage is named ``<name>.down``; the
-    stride-1 stem stage's entry unit is named ``<name>`` itself.
+    stride-1 stem stage's entry unit is named ``<name>`` itself. ``src``,
+    set by the network, is the stage whose output this one reads (``None``
+    for the stem, which reads the normalized input).
     """
 
     def __init__(self, layers, rng, config, name, c_in, c_out, n_blocks, stride_w=2):
         entry = f"{name}.down" if stride_w > 1 else name
         self.down = ConvUnit(layers, rng, config, entry, 3, 3, c_in, c_out, stride_w=stride_w)
         self.blocks = [ResBlock(layers, rng, config, f"{name}.block{k}", c_out) for k in range(n_blocks)]
+        self.src = None
 
     def forward(self, x, training=False):
         y = self.down.forward(x, training)
@@ -299,10 +340,19 @@ class EncoderStage:
             y = b.forward(y, training)
         return y
 
-    def backward(self, g):
-        for b in reversed(self.blocks):
-            g = b.backward(g)
-        return self.down.backward(g)
+    def output(self):
+        """The last training forward's result: the last block's cached
+        output, or the rebuilt entry unit's if there is no block."""
+        return (self.blocks[-1] if self.blocks else self.down).output()
+
+    def backward(self, g, x, y):
+        # each block reads the output of the module before it, rebuilt here
+        # and then handed to that module as its spent output
+        for src, block in reversed(list(zip([self.down, *self.blocks], self.blocks))):
+            x_block = src.output()
+            g = block.backward(g, x_block, y)
+            y = x_block
+        return self.down.backward(g, x, y)
 
 
 class DecoderStage:
@@ -310,12 +360,14 @@ class DecoderStage:
 
     The matcher runs before the upsample, at half the width; the two commute
     (see the module docstring). The skip is added in place on the fresh
-    upsample output.
+    upsample output. ``src`` and ``skip_src``, set by the network, are the
+    stages whose outputs this one reads as its input and its skip.
     """
 
     def __init__(self, layers, rng, config, name, c_in, c_out):
         self.proj = ConvUnit(layers, rng, config, f"{name}.proj", 1, 1, c_in, c_out)
         self.refine = ConvUnit(layers, rng, config, f"{name}.refine", 3, 3, c_out, c_out)
+        self.src = self.skip_src = None
 
     def forward(self, x, skip, training=False):
         u = upsample_width(self.proj.forward(x, training), 2)
@@ -323,9 +375,17 @@ class DecoderStage:
         del skip  # the caller popped it, so it is freed before the refine
         return self.refine.forward(u, training)
 
-    def backward(self, upstream):
-        gs = self.refine.backward(upstream)
-        gx = self.proj.backward(upsample_width_backward(gs, 2))
+    def output(self):
+        return self.refine.output()
+
+    def backward(self, upstream, x, y, skip):
+        u = upsample_width(self.proj.output(), 2)
+        u += skip
+        gs = self.refine.backward(upstream, u, y)
+        del u  # freed before the matcher's backward
+        # the matcher's output is rebuilt again for its relu mask, not held
+        # through the refine's backward
+        gx = self.proj.backward(upsample_width_backward(gs, 2), x, self.proj.output())
         return gx, gs
 
 
@@ -349,12 +409,21 @@ class Network:
         self.decoder = [
             DecoderStage(self.layers, rng, config, f"dec{i}", ch[i], ch[i - 1]) for i in range(N_ENCODER_STAGES, 0, -1)
         ]
+        # the wiring, read by forward and backward alike: each stage reads the
+        # output of the stage before it (the stem, the normalized input), and
+        # each decoder stage adds the output of the encoder stage of its width
+        stages = self.encoder + self.decoder
+        for src, stage in zip([None, *stages], stages):
+            stage.src = src
+        for stage, skip_src in zip(self.decoder, reversed(self.encoder[:-1])):
+            stage.skip_src = skip_src
         alpha = config.alpha_for("head")
         self.head = SlcLayer(self.layers, "head", rng, 1, 1, ch[0], config.n_classes, alpha, config.padding, bias=True)
 
         # per-channel input normalization, set from data by the trainer
         self.input_mean = np.zeros(IN_CHANNELS, dtype=np.float32)
         self.input_std = np.ones(IN_CHANNELS, dtype=np.float32)
+        self._x = None  # the normalized input of the last training forward
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {k: v for layer in self.layers.values() for k, v in layer.params.items()}
@@ -378,33 +447,42 @@ class Network:
             if isinstance(layer, SlcLayer) and layer.kernel.alpha > h:
                 raise ValueError(f"{name}: alpha {layer.kernel.alpha} exceeds input height {h}")
         x = (x - self.input_mean) / self.input_std
+        self._x = x if training else None
 
         # the deepest stage's output is the decoder input, not a skip; each
         # decoder stage pops the skip it consumes, so none outlives its reader
-        skips = []
+        skips = {}
         for stage in self.encoder[:-1]:
             x = stage.forward(x, training)
-            skips.append(x)
+            skips[stage] = x
         x = self.encoder[-1].forward(x, training)
         for stage in self.decoder:
-            x = stage.forward(x, skips.pop(), training)
+            x = stage.forward(x, skips.pop(stage.skip_src), training)
         return self.head.forward(x, training)
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Gradients of the last ``forward(x, training=True)``: parameter
         gradients go to each leaf's ``grads``; returns the gradient wrt ``x``.
-        It releases the forward's caches, so a second call raises."""
-        g = self.head.backward(grad_logits)
-        # reversed(decoder)[k] is the stage whose skip is encoder[k]'s output,
-        # so the encoder pops the skip gradients deepest first
-        skip_grads = []
+        It releases the forward's caches, so a second call raises.
+
+        Each stage's input ``x`` is rebuilt through its source's ``output()``
+        just before its backward, and once read is handed on as the source's
+        spent output ``y``. The rebuilds read caches no backward has released
+        yet: every decoder stage runs before any encoder stage, and each
+        source runs after its reader here."""
+        x = self.decoder[-1].output()
+        g = self.head.backward(grad_logits, x)
+        skip_grads = {}
         for stage in reversed(self.decoder):
-            g, gs = stage.backward(g)
-            skip_grads.append(gs)
-        g = self.encoder[-1].backward(g)
-        for stage in reversed(self.encoder[:-1]):
-            g += skip_grads.pop()
-            g = stage.backward(g)
+            y, x = x, stage.src.output()
+            g, skip_grads[stage.skip_src] = stage.backward(g, x, y, stage.skip_src.output())
+        for stage in reversed(self.encoder):
+            if stage in skip_grads:
+                g += skip_grads.pop(stage)
+            y = x
+            x = stage.src.output() if stage.src else self._x
+            g = stage.backward(g, x, y)
+        self._x = None
         # through the input normalization, so the gradient is wrt ``x``
         return g / self.input_std
 

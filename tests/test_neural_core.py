@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import central_diff_grad, max_rel_err, reference_conv, reference_conv_grads
+import scanseg
 from scanseg import neural_core
 from scanseg.neural_core import (
     NORM_EPS,
@@ -16,6 +20,7 @@ from scanseg.neural_core import (
     norm_backward,
     norm_forward,
     norm_inference,
+    norm_output,
     pad_backward,
     relu,
     relu_backward,
@@ -366,9 +371,17 @@ class TestSimpleOps:
         x = rng.standard_normal((2, 3, 4, 2))
         x[np.abs(x) < 0.05] = 0.1
         up = rng.standard_normal(x.shape)
-        analytic = relu_backward(x, up)
+        analytic = relu_backward(x.copy(), up)
         num = central_diff_grad(lambda: float((relu(x) * up).sum()), x, EPS)
         assert max_rel_err(analytic, num) < GRAD_TOL
+
+    def test_relu_backward_writes_into_x(self):
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((2, 3, 4, 2)).astype(np.float32)
+        up = rng.standard_normal(x.shape).astype(np.float32)
+        want = up * (x > 0)
+        got = relu_backward(x, up)
+        assert got is x and got.tobytes() == want.tobytes()
 
 
 class TestNorm:
@@ -384,6 +397,17 @@ class TestNorm:
         gamma, beta = np.array([2.0, 0.5]), np.array([1.0, -1.0])
         y, _ = norm_forward(x, gamma, beta)
         np.testing.assert_allclose(y.mean(axis=(0, 1, 2)), beta, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_rebuilds_forward_bits_from_cache(self, dtype):
+        rng = np.random.default_rng(25)
+        x = rng.normal(2.0, 3.0, size=(2, 5, 8, 3)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 3).astype(np.float32)
+        beta = rng.standard_normal(3).astype(np.float32)
+        y, (x_hat, *_) = norm_forward(x, gamma, beta)
+        rebuilt = norm_output(x_hat, gamma, beta)
+        assert rebuilt.dtype == y.dtype == dtype and rebuilt.shape == x.shape
+        assert rebuilt.tobytes() == y.tobytes()
 
     def test_gradients(self):
         rng = np.random.default_rng(17)
@@ -478,3 +502,30 @@ class TestCyclicEquivariance:
         x = _rand((1, 8, 32, 2), seed=23)
         diff = np.abs(run(np.roll(x, 5, axis=2)) - np.roll(run(x), 5, axis=2)).max()
         assert diff > 1e-3
+
+
+# numpy names whose calls run a matrix product on numpy's own BLAS
+NUMPY_PRODUCTS = ("dot", "inner", "matmul", "multi_dot", "tensordot", "vdot")
+
+
+def _on_numpy(node):
+    """Whether an attribute's owner is numpy or one of its modules (np.linalg)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+def test_every_matrix_product_goes_through_scipy_blas():
+    # numpy's own OpenBLAS runs a second thread pool beside scipy's (see the
+    # neural_core docstring), so src/scanseg runs no product through numpy
+    offenders = []
+    for path in sorted(Path(scanseg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            op = getattr(node, "op", None)
+            if isinstance(op, ast.MatMult):
+                offenders.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in NUMPY_PRODUCTS and _on_numpy(node.value):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                offenders += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names if a.name in NUMPY_PRODUCTS]
+    assert offenders == []

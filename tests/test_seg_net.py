@@ -12,6 +12,8 @@ from scanseg.seg_net import (
     BACKBONE_PRESETS,
     ConvUnit,
     DecoderStage,
+    EncoderStage,
+    Network,
     NetworkConfig,
     NormLayer,
     ResBlock,
@@ -442,16 +444,23 @@ def test_eval_fold_follows_loaded_and_stepped_weights(tmp_path):
 
 
 def _modules(net):
-    """Every conv and norm leaf, conv unit and residual block of a network."""
-    units = [unit for stage in net.decoder for unit in (stage.proj, stage.refine)]
+    """The network and every stage, conv unit, residual block and conv and
+    norm leaf of it."""
+    units = [unit for stage in net.decoder for unit in (stage, stage.proj, stage.refine)]
     for stage in net.encoder:
-        units.append(stage.down)
+        units += [stage, stage.down]
         for block in stage.blocks:
             units += [block, block.u1, block.u2]
-    return list(net.layers.values()) + units
+    return [net] + list(net.layers.values()) + units
 
 
-ACTIVATION_CACHES = ("_x", "_cache", "_out")
+# the one cache each kind of module keeps in training; every other module
+# keeps no activation, since backward takes its input from its parent
+ACTIVATION_CACHES = {NormLayer: "_cache", ResBlock: "_out", Network: "_x"}
+
+
+def _held_activations(module):
+    return [attr for attr, value in vars(module).items() if isinstance(value, (np.ndarray, tuple))]
 
 
 def test_eval_forward_keeps_no_activations():
@@ -460,22 +469,23 @@ def test_eval_forward_keeps_no_activations():
     net.forward(x, training=False)
     modules = _modules(net)
     for module in modules:
-        for attr in ACTIVATION_CACHES:
+        for attr in ACTIVATION_CACHES.values():
             assert getattr(module, attr, None) is None, (type(module).__name__, attr)
 
     net.forward(x, training=True)
     for module in modules:
-        if isinstance(module, SlcLayer):
-            assert module._x is not None
-        elif isinstance(module, NormLayer):
-            assert module._cache is not None
-        elif isinstance(module, ResBlock) or module.activated:
-            assert module._out is not None
+        cache = ACTIVATION_CACHES.get(type(module))
+        if cache is not None:
+            assert getattr(module, cache) is not None, (type(module).__name__, cache)
+            held = [cache, "input_mean", "input_std"] if module is net else [cache]
+            assert sorted(_held_activations(module)) == sorted(held), type(module).__name__
+        else:
+            assert _held_activations(module) == [], type(module).__name__
 
     # an eval forward drops every cache an earlier training forward left
     net.forward(x, training=False)
     for module in modules:
-        for attr in ACTIVATION_CACHES:
+        for attr in ACTIVATION_CACHES.values():
             assert getattr(module, attr, None) is None, (type(module).__name__, attr)
 
     # a finished training step holds no activations: backward released
@@ -492,7 +502,7 @@ def test_eval_forward_keeps_no_activations():
     finally:
         tracemalloc.stop()
     for module in modules:
-        for attr in ACTIVATION_CACHES:
+        for attr in ACTIVATION_CACHES.values():
             assert getattr(module, attr, None) is None, (type(module).__name__, attr)
     held -= sum(g.nbytes for g in net.grads().values())
     stem_bytes = 2 * 16 * 128 * net.config.stage_channels[0] * 4
@@ -518,19 +528,77 @@ def test_eval_forward_peak_memory():
     assert peak <= 5 * stem_bytes
 
 
+def test_training_step_peak_memory():
+    # a training forward caches only norm x_hats, residual block outputs and
+    # the normalized input, and backward rebuilds the rest; caching every
+    # conv input and relu output as well peaked at 25.9x the stem output,
+    # against 19.1x without them
+    net = build(config_from_preset("a"), seed=41)
+    x = np.random.default_rng(42).standard_normal((2, 64, 256, 3)).astype(np.float32)
+    logits = net.forward(x, training=True)
+    net.backward(np.ones_like(logits))
+    del logits
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        logits = net.forward(x, training=True)
+        net.backward(np.ones_like(logits))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    stem_bytes = 2 * 64 * 256 * net.config.stage_channels[0] * 4
+    assert peak <= 22 * stem_bytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", ["cyclic", "zeros"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_output_rebuilds_each_training_forward_result(monkeypatch, dtype, padding, alpha):
+    # backward feeds each module the rebuilt output of the one before it, so
+    # the rebuild must be the forward's result bit for bit; the stages with
+    # no block cover an encoder output taken from its entry unit
+    cfg = small_config(padding=padding, alpha_default=alpha, blocks_per_stage=(1, 0, 1, 2, 0, 1))
+    net = _randomize_norms(build(cfg, seed=43), seed=44)
+    if dtype == np.float64:
+        _as_float64(net)
+    returned = {}
+    for cls in (ConvUnit, EncoderStage, DecoderStage):
+
+        def recorded(module, *args, _forward=cls.forward):
+            y = _forward(module, *args)
+            returned[id(module)] = y.copy()  # a residual block adds its shortcut in place
+            return y
+
+        monkeypatch.setattr(cls, "forward", recorded)
+    x = np.random.default_rng(45).standard_normal((2, 8, 64, 3)).astype(dtype)
+    net.forward(x, training=True)
+
+    modules = [m for m in _modules(net) if isinstance(m, (ConvUnit, EncoderStage, DecoderStage))]
+    assert sorted(returned) == sorted(map(id, modules))
+    assert {m.activated for m in modules if isinstance(m, ConvUnit)} == {False, True}
+    for module in modules:
+        got, want = module.output(), returned[id(module)]
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), getattr(module, "name", type(module).__name__)
+
+
 def test_backward_after_eval_forward_names_the_layer():
     net = build(small_config(), seed=33)
     logits = net.forward(np.ones((1, 8, 64, 3), np.float32))
-    with pytest.raises(RuntimeError, match=r"^head: backward needs a training forward first$"):
+    with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
         net.backward(np.ones_like(logits))
     # after a training forward, the eval forward that follows it wins
     net.forward(np.ones((1, 8, 64, 3), np.float32), training=True)
     logits = net.forward(np.ones((1, 8, 64, 3), np.float32))
-    with pytest.raises(RuntimeError, match=r"^head: backward needs a training forward first$"):
+    with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
         net.backward(np.ones_like(logits))
-    stem = net.layers["stem.conv"]
-    with pytest.raises(RuntimeError, match=r"^stem\.conv: backward needs a training forward first$"):
-        stem.backward(np.ones((1, 8, 64, 8), np.float32))
+    # the head's input is rebuilt from the last decoder's norm, which is the first to be missed
+    with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
+        net.decoder[-1].output()
+    stem = net.encoder[0].down
+    with pytest.raises(RuntimeError, match=r"^stem\.norm: backward needs a training forward first$"):
+        stem.backward(np.ones((1, 8, 64, 8), np.float32), np.ones((1, 8, 64, 3), np.float32), np.ones((1, 8, 64, 8), np.float32))
 
 
 def test_train_and_eval_run_the_same_conv_leaves(monkeypatch):
@@ -564,11 +632,18 @@ def test_second_backward_names_the_layer():
     net = build(small_config(), seed=34)
     logits = net.forward(np.ones((1, 8, 64, 3), np.float32), training=True)
     net.backward(np.ones_like(logits))
-    with pytest.raises(RuntimeError, match=r"^head: backward needs a training forward first$"):
+    with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
         net.backward(np.ones_like(logits))
-    for name in ("dec1.refine.norm", "stem.conv"):
+    up = np.ones((1, 8, 64, 8), np.float32)
+    for name in ("dec1.refine.norm", "stem.norm"):
         with pytest.raises(RuntimeError, match=rf"^{re.escape(name)}: backward needs a training forward first$"):
-            net.layers[name].backward(np.ones((1, 8, 64, 8), np.float32))
+            net.layers[name].backward(up)
+    # a parent takes a block's spent output from the block, which names itself
+    block = net.encoder[0].blocks[0]
+    with pytest.raises(RuntimeError, match=r"^stem\.block0: backward needs a training forward first$"):
+        block.output()
+    with pytest.raises(RuntimeError, match=r"^stem\.block0\.conv1\.norm: backward needs a training forward first$"):
+        block.backward(up, up, up.copy())
 
 
 def _upsample_first_forward(stage, x, skip, training):
@@ -578,9 +653,9 @@ def _upsample_first_forward(stage, x, skip, training):
     return stage.refine.forward(p + skip, training)
 
 
-def _upsample_first_backward(stage, upstream):
-    gs = stage.refine.backward(upstream)
-    return upsample_width_backward(stage.proj.backward(gs), 2), gs
+def _upsample_first_backward(stage, upstream, x, y, skip):
+    gs = stage.refine.backward(upstream, stage.proj.output() + skip, y)
+    return upsample_width_backward(stage.proj.backward(gs, upsample_width(x, 2), stage.proj.output()), 2), gs
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -604,12 +679,12 @@ def test_decoder_matcher_before_upsample_matches_upsample_first(alpha):
         return {k: v.copy() for layer in layers.values() for k, v in (layer.grads | layer.buffers).items()}
 
     start = state()
-    got = [stage.forward(x, skip, training=True), *stage.backward(up)]
+    got = [stage.forward(x, skip, training=True), *stage.backward(up, x, stage.output(), skip)]
     got_state = state()
     for layer in layers.values():
         for name, buffer in layer.buffers.items():
             buffer[...] = start[name]
-    want = [_upsample_first_forward(stage, x, skip, True), *_upsample_first_backward(stage, up)]
+    want = [_upsample_first_forward(stage, x, skip, True), *_upsample_first_backward(stage, up, x, stage.output(), skip)]
     want_state = state()
     for g, w in zip(got, want):  # output, then input and skip gradients
         assert max_rel_err(g, w) < 1e-12
