@@ -19,12 +19,14 @@ before the next line's first return, in firing order, merges with it. A line
 with no returns at all leaves no trace in the order, and the lines after it
 move up one row.
 
-Both let the nearest point win each pixel in two linear passes over the
-in-range points, with no sort: a scatter-min (``np.minimum.at``) of the
-float32 depth over flat pixel ids finds each pixel's nearest depth, and a
-scatter-max (``np.maximum.at``) of the point index over the points at that
-depth picks the winner, so an exact depth tie goes to the later index.
-Displaced points are recorded as occluded, and points whose row falls outside
+Both let the nearest point win each pixel in one linear pass, with no sort:
+each point's key packs the complement of its float32 depth's bits above its
+index, and a scatter-max (``np.maximum.at``) of the keys over flat pixel ids
+leaves each pixel its nearest point, the later index on an exact depth tie.
+Each point's azimuth and range come from one pass over its float64 columns,
+and every intermediate is computed in place where it can be, so a
+projection allocates few full-length arrays beyond its outputs. Displaced
+points are recorded as occluded, and points whose row falls outside
 the grid as out of range. The IndexMap keeps the full point/pixel
 correspondence either way so per-point labels can be recovered from
 per-pixel predictions.
@@ -73,50 +75,79 @@ class OcclusionStats:
     n_out_of_range: int
 
 
-def _azimuth(points: np.ndarray) -> np.ndarray:
-    on_axis = (points[:, 0] == 0.0) & (points[:, 1] == 0.0)
-    if on_axis.any():
-        raise ValueError(
-            f"azimuth undefined for point {int(np.flatnonzero(on_axis)[0])} on the z axis"
-        )
-    return np.arctan2(points[:, 1].astype(np.float64), points[:, 0].astype(np.float64))
+def _polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuth and float64 distance from the sensor origin of each point.
+
+    The range is ``sqrt(x*x + y*y + z*z)`` over float64 columns, which sums
+    in the order ``np.linalg.norm(axis=1)`` does, so the bits are the same.
+    The squares reuse the buffers of the columns they square.
+    """
+    x = points[:, 0].astype(np.float64)
+    y = points[:, 1].astype(np.float64)
+    phi = np.arctan2(y, x)
+    ranges = np.multiply(x, x, out=x)
+    ranges += np.multiply(y, y, out=y)
+    # a float32 square never underflows in float64, so x*x + y*y is 0
+    # exactly on the z axis
+    if not ranges.all():
+        raise ValueError(f"azimuth undefined for point {int(np.flatnonzero(ranges == 0.0)[0])} on the z axis")
+    z = y
+    np.copyto(z, points[:, 2])
+    ranges += np.multiply(z, z, out=z)
+    return phi, np.sqrt(ranges, out=ranges)
 
 
 def get_columns(cloud: PointCloud, w: int = DEFAULT_W) -> np.ndarray:
     """Column index per point: floor(W * (pi - azimuth) / 2pi), wrapped into [0, W)."""
-    return _columns(_azimuth(cloud.points), w)
+    return _columns(_polar(cloud.points)[0], w)
 
 
 def _columns(phi: np.ndarray, w: int) -> np.ndarray:
-    cols = np.floor(w * (np.pi - phi) / (2.0 * np.pi)).astype(np.int64)
-    return (cols % w).astype(np.int32)
+    """Columns of the azimuths ``phi``, which this overwrites. The floor lies
+    in [0, w], and only phi = -pi reaches w, which wraps to 0."""
+    cols = np.subtract(np.pi, phi, out=phi)
+    cols *= w
+    cols /= 2.0 * np.pi
+    cols = np.floor(cols, out=cols).astype(np.int32)
+    cols[cols == w] = 0
+    return cols
 
 
 def get_rows(cloud: PointCloud) -> np.ndarray:
     """Scan line index per point: a new line starts where the azimuth rises."""
-    return _rows(_azimuth(cloud.points))
+    return _rows(_polar(cloud.points)[0])
 
 
 def _rows(phi: np.ndarray) -> np.ndarray:
-    rows = np.zeros(len(phi), dtype=np.int32)
-    np.cumsum(phi[1:] > phi[:-1], out=rows[1:])
-    return rows
-
-
-def _ranges(cloud: PointCloud) -> np.ndarray:
-    """Float64 distance of each point from the sensor origin.
-
-    ``sqrt(x*x + y*y + z*z)`` over float64 columns sums in the order
-    ``np.linalg.norm(axis=1)`` does, so the bits are the same.
-    """
-    x, y, z = cloud.points.astype(np.float64).T
-    return np.sqrt(x * x + y * y + z * z)
+    starts = np.flatnonzero(phi[1:] > phi[:-1]) + 1
+    lengths = np.diff(starts, prepend=0, append=phi.size)
+    return np.repeat(np.arange(lengths.size, dtype=np.int32), lengths)
 
 
 def _check_grid(h: int, w: int) -> None:
     for name, size in (("h", h), ("w", w)):
         if size < 1:
             raise ValueError(f"grid size {name} must be at least 1, got {size}")
+
+
+def _pixel_winners(depth: np.ndarray, rows: np.ndarray, cols: np.ndarray, out_of_range: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Winning point per flat pixel id, -1 where no in-range point lands.
+
+    Each point gets one uint64 key, the complement of its float32 depth's
+    bits above its index. A depth is never negative, so its bits order as it
+    does: the largest key landing on a pixel is that of its nearest point,
+    and on an exact depth tie that of the later point. An empty pixel keeps
+    2**32 - 1, below every key, whose low 32 bits read as int32 are -1, as a
+    winner's read as its index.
+    """
+    pixels = np.multiply(rows, w, dtype=np.intp)
+    pixels += cols
+    pixels[out_of_range] = h * w  # one extra slot, dropped below
+    key = np.left_shift(np.invert(depth.view(np.uint32)), 32, dtype=np.uint64)
+    key |= np.arange(depth.size, dtype=np.uint32)
+    top = np.full(h * w + 1, 2**32 - 1, dtype=np.uint64)
+    np.maximum.at(top, pixels, key)
+    return top[:-1].astype(np.uint32).view(np.int32)
 
 
 def _scatter_nearest(
@@ -132,46 +163,40 @@ def _scatter_nearest(
     """Nearest-wins scatter shared by both projections.
 
     Each pixel goes to the in-range point of least float32 depth landing on
-    it, and among equal depths to the one of largest index.
+    it, and among equal depths to the one of largest index. ``ranges`` are
+    the points' distances, in float32 already or rounded to it here.
     """
     n = len(cloud)
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
-    depth = ranges.astype(np.float32)
+    depth = ranges.astype(np.float32, copy=False)
+    out_of_range = ~in_range
 
     point_to_pixel = np.empty((n, 2), dtype=np.int32)
-    point_to_pixel[:, 0] = np.where(in_range, rows, -1)
-    point_to_pixel[:, 1] = np.where(in_range, cols, -1)
+    point_to_pixel[:, 0] = rows
+    point_to_pixel[:, 1] = cols
+    point_to_pixel[out_of_range] = -1
 
-    ids = np.flatnonzero(in_range)
-    pixels = rows[ids].astype(np.int64) * w + cols[ids]
-    id_depth = depth[ids]
-    nearest = np.full(h * w, np.inf, dtype=np.float32)
-    np.minimum.at(nearest, pixels, id_depth)
-    # flat pixel id -> largest index among its nearest points; winners in
-    # pixel-id order
-    at_nearest = id_depth == nearest[pixels]
-    top = np.full(h * w, -1, dtype=np.int64)
-    np.maximum.at(top, pixels[at_nearest], ids[at_nearest])
-    taken = top >= 0
-    winners = top[taken]
+    pixel_to_point = _pixel_winners(depth, rows, cols, out_of_range, h, w)
+    empty = pixel_to_point < 0
+    out_of_range[pixel_to_point[~empty]] = True  # now marks every point but the occluded
+    occluded = np.flatnonzero(~out_of_range).astype(np.int32)
 
-    is_winner = np.zeros(n, dtype=bool)
-    is_winner[winners] = True
-    occluded = np.flatnonzero(in_range & ~is_winner).astype(np.int32)
-
-    def plane(fill, values, dtype):
-        out = np.full(h * w, fill, dtype=dtype)
-        out[taken] = values
+    def plane(values, dtype):
+        if n == 0:
+            return np.zeros((h, w), dtype)
+        # an empty pixel's -1 takes the last point's value: zeroed after
+        out = values.take(pixel_to_point, mode="wrap").astype(dtype, copy=False)
+        out[empty] = 0
         return out.reshape(h, w)
 
     img = RangeImage(
-        depth=plane(0, depth[winners], np.float32),
-        reflectance=plane(0, cloud.reflectance[winners], np.float32),
-        label=plane(0, 0 if labels is None else labels.semantic[winners], np.int32),
-        mask=taken.reshape(h, w),
+        depth=plane(depth, np.float32),
+        reflectance=plane(cloud.reflectance, np.float32),
+        label=np.zeros((h, w), np.int32) if labels is None else plane(labels.semantic, np.int32),
+        mask=~empty.reshape(h, w),
     )
-    index_map = IndexMap(pixel_to_point=plane(-1, winners, np.int32), point_to_pixel=point_to_pixel, occluded=occluded)
+    index_map = IndexMap(pixel_to_point=pixel_to_point.reshape(h, w), point_to_pixel=point_to_pixel, occluded=occluded)
     return img, index_map
 
 
@@ -191,11 +216,27 @@ def unfold_scan(
     if mode != "robust":
         raise ValueError(f"unfold_scan has one row rule: mode must be 'robust', got {mode!r}")
     _check_grid(h, w)
-    phi = _azimuth(cloud.points)  # once for both rows and columns
+    phi, ranges = _polar(cloud.points)
     rows = _rows(phi)
     cols = _columns(phi, w)
-    in_range = rows < h
-    return _scatter_nearest(cloud, labels, _ranges(cloud), rows, cols, in_range, h, w)
+    depth = ranges.astype(np.float32)
+    del phi, ranges  # the float64 columns are done with before the scatter
+    return _scatter_nearest(cloud, labels, depth, rows, cols, rows < h, h, w)
+
+
+def _elevation_rows(z: np.ndarray, ranges: np.ndarray, h: int, fov_up: float, fov_down: float) -> np.ndarray:
+    """Row of each point's elevation, floor(h * (1 - (elev - fov_down) /
+    (fov_up - fov_down))) with elev in degrees, clamped into [0, h)."""
+    rows = z.astype(np.float64)
+    rows /= ranges
+    np.clip(rows, -1.0, 1.0, out=rows)
+    np.degrees(np.arcsin(rows, out=rows), out=rows)
+    rows -= fov_down
+    rows /= fov_up - fov_down
+    np.subtract(1.0, rows, out=rows)
+    rows *= h
+    np.floor(rows, out=rows)
+    return np.clip(rows, 0, h - 1, out=rows).astype(np.int32)
 
 
 def project_ego_corrected(
@@ -210,20 +251,19 @@ def project_ego_corrected(
 
     Rows are clamped into the grid, so no point is out of range here; the
     price of projecting a motion-corrected cloud is paid in occlusions
-    instead.
+    instead. A point on the z axis, the sensor origin included, has no
+    azimuth and is rejected.
     """
     _check_grid(h, w)
     if not fov_down < fov_up:
         raise ValueError("fov_down must be below fov_up")
-    ranges = _ranges(cloud)
-    if (ranges == 0).any():
-        raise ValueError("point at the sensor origin cannot be projected")
-    elev = np.degrees(np.arcsin(np.clip(cloud.points[:, 2].astype(np.float64) / ranges, -1.0, 1.0)))
-    rows_f = np.floor(h * (1.0 - (elev - fov_down) / (fov_up - fov_down)))
-    rows = np.clip(rows_f, 0, h - 1).astype(np.int32)
-    cols = get_columns(cloud, w)
+    phi, ranges = _polar(cloud.points)
+    rows = _elevation_rows(cloud.points[:, 2], ranges, h, fov_up, fov_down)
+    cols = _columns(phi, w)
+    depth = ranges.astype(np.float32)
+    del phi, ranges  # the float64 columns are done with before the scatter
     in_range = np.ones(len(cloud), dtype=bool)
-    return _scatter_nearest(cloud, labels, ranges, rows, cols, in_range, h, w)
+    return _scatter_nearest(cloud, labels, depth, rows, cols, in_range, h, w)
 
 
 def occlusion_stats(index_map: IndexMap) -> OcclusionStats:

@@ -36,6 +36,27 @@ disc only within asin(r'/d) of its bearing. Beam elevations lie in
 [-90, 90] degrees, so a ray's xy heading is its firing's azimuth. A
 candidate ray gets the same arithmetic as when every ray is cast, and no ray
 outside the window can hit, so the scan is the same bit for bit.
+
+No per-ray [N, 3] grid is built. Ray (b, f) starts at (x_f, 0, h), with x_f
+the origin of firing f and h the mount height, and heads along
+(cos_el[b] * cos_az[f], cos_el[b] * sin_az[f], sin_el[b]). Each quantity is
+held at the lowest rank it varies at: per beam (sin_el, the ground distance
+(z0 - h) / sin_el, a box's z slab), per firing (x_f, the offsets from a
+center, a cylinder's or sphere's c) or per ray, as a [beams, firings] block
+that numpy broadcasts the others into. A per-ray value still comes from the
+same float operations on the same operands as in a per-ray grid, since a
+broadcast only repeats an operand: a product of the per-ray form
+``cos_el[b] * cos_az[f]`` or ``t * d`` is the same multiplication, and the
+sphere's b is the same einsum over the same rows. Two steps differ and
+cannot change a bit: the enclosure takes (root - b) / a, which rounds as
+(-b + root) / a does, and the enclosure and cylinder keep no validity mask,
+because a ray without a real root (NaN) or an xy heading (+-inf or NaN)
+already fails their test of t > 0 and a finite hit height. The ground
+and the enclosure are cast, and the points assembled, a block of beams at a
+time, which bounds every full-width temporary; the clouds are filled
+column by column from the hit rays, in beam-major order, with each beam's
+hit count giving its rows. ``tests/oracles.py`` keeps the per-ray grid and
+casters, and the tests check every scan against them bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +79,10 @@ _MAX_HARMONIC = 8
 # taken: relative, then absolute (meters); covers rounding in the window
 _WINDOW_GROWTH = 1.01
 _WINDOW_SLACK = 1e-6
+
+# rays cast and assembled together at the ground and the enclosure: at 2048
+# firings a block is 8 beams, and each of its float64 temporaries 128 KiB
+_BLOCK_RAYS = 16384
 
 
 def default_beam_elevations(n_beams: int, fov_up: float, fov_down: float) -> tuple[float, ...]:
@@ -162,12 +187,25 @@ class SceneConfig:
     max_range: float | None = None  # meters; None = unlimited
 
     def __post_init__(self):
-        for name in ("ground_z", "enclosure_radius", "ego_velocity", "max_range", "angular_noise"):
+        for name in (
+            "ground_z",
+            "ground_reflectance",
+            "enclosure_radius",
+            "enclosure_reflectance",
+            "ego_velocity",
+            "max_range",
+            "angular_noise",
+        ):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # a surface's class is checked only when the surface is present
+        for present, name in ((self.ground_z, "ground_class"), (self.enclosure_radius, "enclosure_class")):
+            class_id = getattr(self, name)
+            if present is not None and not 1 <= class_id < self.n_classes:
+                raise ValueError(f"{name} {class_id} outside [1, {self.n_classes})")
         for p in self.primitives:
-            for name in ("center", "size", "radius", "height"):
+            for name in ("center", "size", "radius", "height", "reflectance"):
                 if hasattr(p, name) and not np.isfinite(getattr(p, name)).all():
                     raise ValueError(f"non-finite {name} in {p}")
             if isinstance(p, Box) and min(p.size) <= 0:
@@ -224,41 +262,42 @@ def _smooth_azimuth_jitter(rng: np.random.Generator, n_firings: int, stddev_rad:
     return jitter
 
 
-def _ray_ground(origins, dirs, z0):
-    dz = dirs[:, 2]
+def _ray_ground(origin, direction, z0):
+    dz = direction[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (z0 - origins[:, 2]) / dz
-    t = np.where((dz != 0) & (t > 0), t, np.inf)
-    return t
+        t = (z0 - origin[2]) / dz
+    return np.where((dz != 0) & (t > 0), t, np.inf)
 
 
-def _ray_box(origins, dirs, box: Box):
+def _ray_box(origin, direction, box: Box):
     """Slab test, one axis at a time: the entry distance is the largest
     near-plane distance and the exit the smallest far-plane one."""
     lo = np.asarray(box.center) - np.asarray(box.size) / 2.0
     hi = np.asarray(box.center) + np.asarray(box.size) / 2.0
-    tmin = np.full(origins.shape[0], -np.inf)
-    tmax = np.full(origins.shape[0], np.inf)
     for k in range(3):
-        t1 = lo[k] - origins[:, k]
-        t2 = hi[k] - origins[:, k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 /= dirs[:, k]
-            t2 /= dirs[:, k]
+            t1 = (lo[k] - origin[k]) / direction[k]
+            t2 = (hi[k] - origin[k]) / direction[k]
         # a ray parallel to a slab gives +-inf bounds, and 0/0 when it starts
         # in the plane of a face; fmax/fmin turn that NaN into -inf / +inf
         np.fmax(t1, -np.inf, out=t1)
         np.fmin(t2, np.inf, out=t2)
-        np.maximum(tmin, np.minimum(t1, t2), out=tmin)
-        np.minimum(tmax, np.maximum(t1, t2), out=tmax)
+        if k == 0:
+            tmin, tmax = np.minimum(t1, t2), np.maximum(t1, t2)
+        else:
+            tmin = np.maximum(tmin, np.minimum(t1, t2))
+            tmax = np.minimum(tmax, np.maximum(t1, t2))
     hit = (tmax >= tmin) & (tmin > 0)
     return np.where(hit, tmin, np.inf)
 
 
-def _ray_sphere(origins, dirs, sphere: Sphere):
-    oc = origins - np.asarray(sphere.center)
-    b = np.einsum("ij,ij->i", oc, dirs)
-    c = np.einsum("ij,ij->i", oc, oc) - sphere.radius**2
+def _ray_sphere(origin, direction, sphere: Sphere):
+    # the offsets from the center vary per firing at most, and c with them;
+    # b is the same einsum over the same [n, 3] rows as a per-ray grid's
+    oc = np.stack(np.broadcast_arrays(*(o - c for o, c in zip(origin, sphere.center))), axis=-1)
+    c = np.einsum("ij,ij->i", oc.reshape(-1, 3), oc.reshape(-1, 3)).reshape(oc.shape[:-1]) - sphere.radius**2
+    rays = np.stack(np.broadcast_arrays(*direction), axis=-1)
+    b = np.einsum("ij,ij->i", np.broadcast_to(oc, rays.shape).reshape(-1, 3), rays.reshape(-1, 3)).reshape(rays.shape[:-1])
     disc = b * b - c
     with np.errstate(invalid="ignore"):
         root = np.sqrt(disc)
@@ -268,48 +307,63 @@ def _ray_sphere(origins, dirs, sphere: Sphere):
     return np.where((disc >= 0) & (t > 0), t, np.inf)
 
 
-def _cylinder_side_roots(origins, dirs, cx, cy, radius):
-    ox = origins[:, 0] - cx
-    oy = origins[:, 1] - cy
-    dx, dy = dirs[:, 0], dirs[:, 1]
-    a = dx * dx + dy * dy
-    b = ox * dx + oy * dy
+def _side_roots(origin, direction, cx, cy, radius):
+    """b, sqrt(b*b - a*c) and a of the quadratic whose roots are the
+    distances at which a ray's xy offset from (cx, cy) reaches ``radius``:
+    the near root is (-b - root) / a and the far one (-b + root) / a.
+
+    A ray with no real root has a NaN root, and one with no xy heading
+    (a = 0) roots of +-inf or NaN. Neither passes a caller's test of t > 0
+    with a finite hit point, so no validity mask is kept.
+    """
+    ox = origin[0] - cx
+    oy = origin[1] - cy
+    dx, dy = direction[0], direction[1]
+    a = dx * dx
+    square = dy * dy
+    a += square
+    b = ox * dx
+    b += np.multiply(oy, dy, out=square)
     c = ox * ox + oy * oy - radius**2
-    disc = b * b - a * c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = np.sqrt(disc)
-        t_near = (-b - root) / a
-        t_far = (-b + root) / a
-    valid = (disc >= 0) & (a > 0)
-    return t_near, t_far, valid
+    root = np.multiply(b, b, out=square)
+    root -= a * c
+    with np.errstate(invalid="ignore"):
+        np.sqrt(root, out=root)
+    return b, root, a
 
 
-def _ray_cylinder(origins, dirs, cyl: Cylinder):
+def _ray_cylinder(origin, direction, cyl: Cylinder):
     cx, cy, cz = cyl.center
-    t_near, t_far, valid = _cylinder_side_roots(origins, dirs, cx, cy, cyl.radius)
+    b, root, a = _side_roots(origin, direction, cx, cy, cyl.radius)
+    neg_b = -b
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t_near = (neg_b - root) / a
+        t_far = (neg_b + root) / a
     z_lo, z_hi = cz - cyl.height / 2.0, cz + cyl.height / 2.0
 
     def in_band(t):
-        z = origins[:, 2] + t * dirs[:, 2]
-        return valid & (t > 0) & (z >= z_lo) & (z <= z_hi)
+        z = origin[2] + t * direction[2]
+        return (t > 0) & (z >= z_lo) & (z <= z_hi)
 
-    t = np.where(in_band(t_near), t_near, np.where(in_band(t_far), t_far, np.inf))
-    return t
+    return np.where(in_band(t_near), t_near, np.where(in_band(t_far), t_far, np.inf))
 
 
-def _ray_enclosure(origins, dirs, radius):
-    # wall around the origin, hit from inside: take the far (exit) root
-    _, t_far, valid = _cylinder_side_roots(origins, dirs, 0.0, 0.0, radius)
-    return np.where(valid & (t_far > 0), t_far, np.inf)
+def _ray_enclosure(origin, direction, radius):
+    # wall around the origin, hit from inside: the far (exit) root;
+    # root - b is -b + root bit for bit
+    b, root, a = _side_roots(origin, direction, 0.0, 0.0, radius)
+    t_far = np.subtract(root, b, out=root)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t_far /= a
+    t_far[~(t_far > 0)] = np.inf
+    return t_far
 
 
 _RAY_CASTERS = {Box: _ray_box, Sphere: _ray_sphere, Cylinder: _ray_cylinder}
 
 
-def _ray_grid(sensor: SensorModel, scene: SceneConfig):
-    """Per-firing azimuth and origin x, and the beam-major ray origins and
-    directions of one revolution."""
-    n_beams = sensor.n_beams
+def _firings(sensor: SensorModel, scene: SceneConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuth and origin x of each firing of one revolution."""
     n_firings = sensor.firings_per_rev
     rng = np.random.default_rng(scene.seed)
 
@@ -319,24 +373,8 @@ def _ray_grid(sensor: SensorModel, scene: SceneConfig):
     # center of column f so the spherical column formula recovers f exactly
     azimuth = np.pi - (np.arange(n_firings) + 0.5) * step_rad + jitter
 
-    elev_rad = np.radians(np.asarray(sensor.beam_elevations))
-    cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
-    cos_el, sin_el = np.cos(elev_rad), np.sin(elev_rad)
-
-    # directions for the full (beam, firing) grid, beam-major
-    dirs = np.empty((n_beams, n_firings, 3))
-    dirs[:, :, 0] = cos_el[:, None] * cos_az[None, :]
-    dirs[:, :, 1] = cos_el[:, None] * sin_az[None, :]
-    dirs[:, :, 2] = sin_el[:, None]
-    dirs = dirs.reshape(-1, 3)
-
     t_firing = np.arange(n_firings) * (sensor.rev_period / n_firings)
-    origin_x = scene.ego_velocity * t_firing
-    origins = np.zeros((n_beams, n_firings, 3))
-    origins[:, :, 0] = origin_x[None, :]
-    origins[:, :, 2] = sensor.mount_height
-    origins = origins.reshape(-1, 3)
-    return azimuth, origin_x, origins, dirs
+    return azimuth, scene.ego_velocity * t_firing
 
 
 def _candidate_firings(prim: Primitive, azimuth: np.ndarray, origin_x: np.ndarray) -> np.ndarray | None:
@@ -361,57 +399,90 @@ def generate_scan(sensor: SensorModel, scene: SceneConfig) -> SynthScan:
     """
     n_beams = sensor.n_beams
     n_firings = sensor.firings_per_rev
-    azimuth, origin_x, origins, dirs = _ray_grid(sensor, scene)
+    azimuth, origin_x = _firings(sensor, scene)
+    elev_rad = np.radians(np.asarray(sensor.beam_elevations))
+    cos_el, sin_el = np.cos(elev_rad)[:, None], np.sin(elev_rad)[:, None]
+    cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
+    # ray (b, f) starts at (origin_x[f], 0, mount_height)
+    origin = (origin_x, 0.0, sensor.mount_height)
 
-    n_rays = n_beams * n_firings
-    best_t = np.full(n_rays, np.inf)
-    best_class = np.zeros(n_rays, dtype=np.uint16)
-    best_refl = np.zeros(n_rays, dtype=np.float32)
-    every_ray = slice(None)
+    def direction(beams, firings=slice(None)):
+        return cos_el[beams] * cos_az[firings], cos_el[beams] * sin_az[firings], sin_el[beams]
 
-    def consider(rays, t, class_id, reflectance):
-        # ``t`` holds the hits of ``rays``, flat indices or every_ray; a tie
-        # keeps the surface considered first
-        closer = t < best_t[rays]
-        won = closer if rays is every_ray else rays[closer]
-        best_t[won] = t[closer]
-        best_class[won] = class_id
-        best_refl[won] = reflectance
+    step = max(1, _BLOCK_RAYS // n_firings)
+    blocks = [slice(b, min(b + step, n_beams)) for b in range(0, n_beams, step)]
 
+    # nearest distance per ray, and the index of its surface in ``surfaces``
+    best_t = np.full((n_beams, n_firings), np.inf)
+    # up to len(primitives) + 2 surfaces, the ground and the enclosure first
+    best_s = np.zeros((n_beams, n_firings), dtype=np.min_scalar_type(len(scene.primitives) + 1))
+    surfaces = []
+
+    def consider(t, surface, beams, firings=None):
+        # ``t`` holds the hits of the rays of ``beams`` at every firing, or
+        # at ``firings``; a tie keeps the surface considered first
+        block_t, block_s = best_t[beams], best_s[beams]
+        if firings is None:
+            closer = t < block_t
+            np.copyto(block_t, t, where=closer)
+            block_s[closer] = surface
+        else:
+            beam, j = np.nonzero(t < block_t[:, firings])
+            block_t[beam, firings[j]] = t[beam, j]
+            block_s[beam, firings[j]] = surface
+
+    # the ground and the enclosure span every firing: a block of beams at a time
+    walls = []
     if scene.ground_z is not None:
-        consider(every_ray, _ray_ground(origins, dirs, scene.ground_z), scene.ground_class, scene.ground_reflectance)
+        walls.append((_ray_ground, scene.ground_z))
+        surfaces.append((scene.ground_class, scene.ground_reflectance))
     if scene.enclosure_radius is not None:
-        consider(
-            every_ray,
-            _ray_enclosure(origins, dirs, scene.enclosure_radius),
-            scene.enclosure_class,
-            scene.enclosure_reflectance,
-        )
-    beam_start = np.arange(n_beams)[:, None] * n_firings
+        walls.append((_ray_enclosure, scene.enclosure_radius))
+        surfaces.append((scene.enclosure_class, scene.enclosure_reflectance))
+    for beams in blocks:
+        rays = direction(beams)
+        for surface, (cast, value) in enumerate(walls):
+            consider(cast(origin, rays, value), surface, beams)
+    every = slice(None)
     for prim in scene.primitives:
         firings = _candidate_firings(prim, azimuth, origin_x)
-        rays = every_ray if firings is None else (beam_start + firings).ravel()
-        consider(rays, _RAY_CASTERS[type(prim)](origins[rays], dirs[rays], prim), prim.class_id, prim.reflectance)
+        window = every if firings is None else firings
+        t = _RAY_CASTERS[type(prim)]((origin_x[window], *origin[1:]), direction(every, window), prim)
+        consider(t, len(surfaces), every, firings)
+        surfaces.append((prim.class_id, prim.reflectance))
 
     hit = np.isfinite(best_t) & (best_t >= MIN_RANGE)
     if scene.max_range is not None:
         hit &= best_t <= scene.max_range
 
-    idx = np.flatnonzero(hit)
-    points_raw = best_t[idx, None] * dirs[idx]
-
+    # the points of beam b follow those of beams 0..b-1, in firing order
+    per_beam = np.count_nonzero(hit, axis=1)
+    bounds = np.concatenate(([0], np.cumsum(per_beam)))  # beam b's points: bounds[b]:bounds[b + 1]
+    rows = np.repeat(np.arange(n_beams, dtype=np.int32), per_beam)
+    cols = np.broadcast_to(np.arange(n_firings, dtype=np.int32), hit.shape)[hit]
+    points_raw = np.empty((rows.size, 3), dtype=np.float32)
+    points_corr = np.empty_like(points_raw)
     # corrected = raw + origin(firing) - origin(end of revolution)
-    end_x = scene.ego_velocity * sensor.rev_period
-    points_corr = points_raw.copy()
-    points_corr[:, 0] += origins[idx, 0] - end_x
+    shift = origin_x - scene.ego_velocity * sensor.rev_period
+    for beams in blocks:
+        points = slice(bounds[beams.start], bounds[beams.stop])
+        mask = hit[beams]
+        t = best_t[beams][mask]
+        dx, dy, dz = direction(beams)
+        x = t * dx[mask]
+        points_raw[points, 0] = x
+        x += shift.take(cols[points])
+        points_corr[points, 0] = x
+        for k, d in ((1, dy[mask]), (2, np.repeat(dz[:, 0], per_beam[beams]))):
+            d *= t
+            points_raw[points, k] = points_corr[points, k] = d
 
-    rows = (idx // n_firings).astype(np.int32)
-    cols = (idx % n_firings).astype(np.int32)
-    semantic = best_class[idx]
-
+    surface = best_s[hit]
+    reflectance = np.array([r for _, r in surfaces], dtype=np.float32).take(surface)
+    semantic = np.array([c for c, _ in surfaces], dtype=np.uint16).take(surface)
     return SynthScan(
-        cloud=PointCloud(points=points_raw, reflectance=best_refl[idx]),
-        cloud_ego_corrected=PointCloud(points=points_corr, reflectance=best_refl[idx]),
+        cloud=PointCloud(points=points_raw, reflectance=reflectance),
+        cloud_ego_corrected=PointCloud(points=points_corr, reflectance=reflectance.copy()),
         true_rows=rows,
         true_cols=cols,
         labels=LabelArray(semantic=semantic, instance=np.zeros_like(semantic)),

@@ -4,8 +4,9 @@ Everything here is written for clarity over speed and stays independent of
 the library's compute paths: the reference convolution indexes shifted slices
 directly in float64, gradients come from central differences, IoU comes
 from explicit set counting, the simulator's nearest hits come from casting
-every ray at every surface with an all-axes slab test, and the projections'
-pixel winners come from a stable depth sort.
+every ray of a per-ray ``[N, 3]`` origin and direction grid at every surface
+(an all-axes slab test for boxes), and the projections' pixel winners come
+from a stable depth sort.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ import numpy as np
 
 from scanseg.cloud_io import LabelArray, PointCloud, RangeImage
 from scanseg.projection import IndexMap
-from scanseg.synth_lidar import (
-    Box,
-    SceneConfig,
-    Sphere,
-    _ray_cylinder,
-    _ray_enclosure,
-    _ray_ground,
-    _ray_sphere,
-)
+from scanseg.synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, _firings
 
 
 def central_diff_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -155,6 +148,78 @@ def direct_dice(probs, targets, n_classes, ignore_id=None):
     return 1.0 - sum(terms) / len(terms)
 
 
+def ray_grid(sensor: SensorModel, scene: SceneConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Beam-major ray origins and directions of one revolution, one ``[N, 3]``
+    row per ray, from the simulator's per-firing azimuth and origin x."""
+    azimuth, origin_x = _firings(sensor, scene)
+    n_beams, n_firings = sensor.n_beams, sensor.firings_per_rev
+    elev_rad = np.radians(np.asarray(sensor.beam_elevations))
+    cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
+    cos_el, sin_el = np.cos(elev_rad), np.sin(elev_rad)
+    dirs = np.empty((n_beams, n_firings, 3))
+    dirs[:, :, 0] = cos_el[:, None] * cos_az[None, :]
+    dirs[:, :, 1] = cos_el[:, None] * sin_az[None, :]
+    dirs[:, :, 2] = sin_el[:, None]
+    origins = np.zeros((n_beams, n_firings, 3))
+    origins[:, :, 0] = origin_x[None, :]
+    origins[:, :, 2] = sensor.mount_height
+    return origins.reshape(-1, 3), dirs.reshape(-1, 3)
+
+
+def ray_ground(origins: np.ndarray, dirs: np.ndarray, z0: float) -> np.ndarray:
+    dz = dirs[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (z0 - origins[:, 2]) / dz
+    return np.where((dz != 0) & (t > 0), t, np.inf)
+
+
+def ray_sphere(origins: np.ndarray, dirs: np.ndarray, sphere: Sphere) -> np.ndarray:
+    oc = origins - np.asarray(sphere.center)
+    b = np.einsum("ij,ij->i", oc, dirs)
+    c = np.einsum("ij,ij->i", oc, oc) - sphere.radius**2
+    disc = b * b - c
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(disc)
+    t_near = -b - root
+    t_far = -b + root
+    t = np.where(t_near > 0, t_near, t_far)
+    return np.where((disc >= 0) & (t > 0), t, np.inf)
+
+
+def _cylinder_side_roots(origins, dirs, cx, cy, radius):
+    ox = origins[:, 0] - cx
+    oy = origins[:, 1] - cy
+    dx, dy = dirs[:, 0], dirs[:, 1]
+    a = dx * dx + dy * dy
+    b = ox * dx + oy * dy
+    c = ox * ox + oy * oy - radius**2
+    disc = b * b - a * c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(disc)
+        t_near = (-b - root) / a
+        t_far = (-b + root) / a
+    valid = (disc >= 0) & (a > 0)
+    return t_near, t_far, valid
+
+
+def ray_cylinder(origins: np.ndarray, dirs: np.ndarray, cyl: Cylinder) -> np.ndarray:
+    cx, cy, cz = cyl.center
+    t_near, t_far, valid = _cylinder_side_roots(origins, dirs, cx, cy, cyl.radius)
+    z_lo, z_hi = cz - cyl.height / 2.0, cz + cyl.height / 2.0
+
+    def in_band(t):
+        z = origins[:, 2] + t * dirs[:, 2]
+        return valid & (t > 0) & (z >= z_lo) & (z <= z_hi)
+
+    return np.where(in_band(t_near), t_near, np.where(in_band(t_far), t_far, np.inf))
+
+
+def ray_enclosure(origins: np.ndarray, dirs: np.ndarray, radius: float) -> np.ndarray:
+    # wall around the origin, hit from inside: take the far (exit) root
+    _, t_far, valid = _cylinder_side_roots(origins, dirs, 0.0, 0.0, radius)
+    return np.where(valid & (t_far > 0), t_far, np.inf)
+
+
 def reference_ray_box(origins: np.ndarray, dirs: np.ndarray, box: Box) -> np.ndarray:
     """Slab test over all three axes at once: distance to the entry point of
     each ray into ``box``, inf where it misses or starts inside."""
@@ -235,10 +300,10 @@ def brute_force_hits(origins: np.ndarray, dirs: np.ndarray, scene: SceneConfig):
         best_refl[closer] = reflectance
 
     if scene.ground_z is not None:
-        consider(_ray_ground(origins, dirs, scene.ground_z), scene.ground_class, scene.ground_reflectance)
+        consider(ray_ground(origins, dirs, scene.ground_z), scene.ground_class, scene.ground_reflectance)
     if scene.enclosure_radius is not None:
         consider(
-            _ray_enclosure(origins, dirs, scene.enclosure_radius),
+            ray_enclosure(origins, dirs, scene.enclosure_radius),
             scene.enclosure_class,
             scene.enclosure_reflectance,
         )
@@ -246,8 +311,8 @@ def brute_force_hits(origins: np.ndarray, dirs: np.ndarray, scene: SceneConfig):
         if isinstance(prim, Box):
             t = reference_ray_box(origins, dirs, prim)
         elif isinstance(prim, Sphere):
-            t = _ray_sphere(origins, dirs, prim)
+            t = ray_sphere(origins, dirs, prim)
         else:
-            t = _ray_cylinder(origins, dirs, prim)
+            t = ray_cylinder(origins, dirs, prim)
         consider(t, prim.class_id, prim.reflectance)
     return best_t, best_class, best_refl

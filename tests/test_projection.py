@@ -12,7 +12,7 @@ from oracles import sorted_scatter_nearest
 from scanseg.cloud_io import LabelArray, PointCloud
 from scanseg.projection import (
     IndexMap,
-    _ranges,
+    _polar,
     _scatter_nearest,
     backproject_labels,
     get_columns,
@@ -418,7 +418,7 @@ def test_scatter_matches_sorted_scatter_bit_for_bit(inputs):
 
 def _assert_ranges_are_norm(cloud):
     want = np.linalg.norm(cloud.points.astype(np.float64), axis=1)
-    assert _ranges(cloud).tobytes() == want.tobytes()
+    assert _polar(cloud.points)[1].tobytes() == want.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -428,7 +428,7 @@ def test_ranges_bit_equal_to_norm(seed, n, scale):
     _assert_ranges_are_norm(_cloud(rng.normal(0.0, scale, size=(n, 3))))
 
 
-# Two paper-resolution scenes and the sha256 of every array the simulator and
+# Three paper-resolution scenes and the sha256 of every array the simulator and
 # both projections return for them (numpy 2.4, x86-64). Any change to the
 # cast points, their order or the pixel winners shows here.
 PINNED_SCENES = {
@@ -453,6 +453,17 @@ PINNED_SCENES = {
         ),
         max_range=7.0,
         ego_velocity=-8.0,
+    ),
+    # static and without ground: every firing casts from the origin, and only
+    # the enclosure and the two primitives return
+    "enclosed_static_groundless": SceneConfig(
+        seed=13,
+        ground_z=None,
+        primitives=(
+            Sphere(center=(6.5, -2.5, 0.8), radius=1.3, class_id=3),
+            Cylinder(center=(-3.5, 4.0, 1.2), radius=0.45, height=3.5, class_id=4),
+        ),
+        enclosure_radius=24.0,
     ),
 }
 PINNED_DIGESTS = {
@@ -503,6 +514,30 @@ PINNED_DIGESTS = {
         "corrected.pixel_to_point": "ff55d3df23c2de79eaf7b6f7c56c36307678e099d5c7a2c6f00763a5598c223a",
         "corrected.point_to_pixel": "c8138a51bcb2a35221a5e6ce6896fdfb3243dbf6f5bd4cb79d39769feeec50d2",
         "corrected.occluded": "d313bae9ec688e4a72d2da9f567d4dbb1888bcad3e5b5e473c801be49e0354eb",
+    },
+    "enclosed_static_groundless": {
+        "cloud.points": "ce92853350e130e44537e6c175b72edca13c48964a15c1267581bba141d1da46",
+        "cloud.reflectance": "c13920227d8786b1697112cae897eef9e4d8f2fef946cdafd31e2dddc06ce97c",
+        "ego.points": "ce92853350e130e44537e6c175b72edca13c48964a15c1267581bba141d1da46",
+        "ego.reflectance": "c13920227d8786b1697112cae897eef9e4d8f2fef946cdafd31e2dddc06ce97c",
+        "true_rows": "3154b4ac33491e417c242b27fa490ab320b3c078b386f346ae2aa959848f6b43",
+        "true_cols": "4104c62fa2c8fb9643ef86ec80ac4b1c72ca799bb74e35f737296e0e86da010e",
+        "semantic": "8a98e2c09cb7f9f443686a53e6e529cb4e67c7f57bcea6727cbeb7ae60703931",
+        "instance": "8a39d2abd3999ab73c34db2476849cddf303ce389b35826850f9a700589b4a90",
+        "unfold.depth": "c676ef311a7f805572a5c73f7dbd8eb080d4e483076f1d2a5ff3a8cf9ea9b83d",
+        "unfold.reflectance": "c13920227d8786b1697112cae897eef9e4d8f2fef946cdafd31e2dddc06ce97c",
+        "unfold.label": "c899f27d73d61cc1aa138c38bb4d1eff799e99e6d851c7787bdf88e42613fcda",
+        "unfold.mask": "4017b7a27f5d49ed213ab864b83f7d1f706ecc1039001dadcffed8df6bccddd1",
+        "unfold.pixel_to_point": "061e694cd62753aa1a6eb0432029ac8c62b8ad5fb97e0dcb9764a9dc6344af35",
+        "unfold.point_to_pixel": "dd02369ea7dfe002e157714eb65874c1a918a906bff975b6d325e3b4453eb062",
+        "unfold.occluded": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "corrected.depth": "c676ef311a7f805572a5c73f7dbd8eb080d4e483076f1d2a5ff3a8cf9ea9b83d",
+        "corrected.reflectance": "c13920227d8786b1697112cae897eef9e4d8f2fef946cdafd31e2dddc06ce97c",
+        "corrected.label": "c899f27d73d61cc1aa138c38bb4d1eff799e99e6d851c7787bdf88e42613fcda",
+        "corrected.mask": "4017b7a27f5d49ed213ab864b83f7d1f706ecc1039001dadcffed8df6bccddd1",
+        "corrected.pixel_to_point": "061e694cd62753aa1a6eb0432029ac8c62b8ad5fb97e0dcb9764a9dc6344af35",
+        "corrected.point_to_pixel": "dd02369ea7dfe002e157714eb65874c1a918a906bff975b6d325e3b4453eb062",
+        "corrected.occluded": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
 }
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import brute_force_hits, reference_ray_box
+from oracles import brute_force_hits, ray_grid, reference_ray_box
 
 from scanseg.cloud_io import PointCloud
-from scanseg.projection import _azimuth
+from scanseg.projection import _polar
 from scanseg.synth_lidar import (
     MIN_RANGE,
     Box,
@@ -17,8 +17,8 @@ from scanseg.synth_lidar import (
     SensorModel,
     Sphere,
     _candidate_firings,
+    _firings,
     _ray_box,
-    _ray_grid,
     default_beam_elevations,
     generate_scan,
     load_scan_setup,
@@ -86,7 +86,7 @@ def test_azimuth_deltas_bounded_within_beam():
     noise = 0.05
     scene = SceneConfig(seed=3, angular_noise=noise, enclosure_radius=20.0)
     scan = generate_scan(SMALL, scene)
-    phi = _azimuth(scan.cloud.points)
+    phi = _polar(scan.cloud.points)[0]
     step = math.radians(SMALL.azimuth_step)
     bound = step + 4.0 * math.radians(noise)
     for b in range(SMALL.n_beams):
@@ -133,6 +133,17 @@ def test_scene_validation():
     for step in (0.0, 400.0, math.nan):
         with pytest.raises(ValueError, match="azimuth_step"):
             SensorModel(azimuth_step=step)
+    # the ground's and the enclosure's classes lie in [1, n_classes) when
+    # the surface is present, and are not checked when it is absent
+    with pytest.raises(ValueError, match=r"ground_class 0 outside \[1, 3\)"):
+        SceneConfig(n_classes=3, ground_class=0)
+    with pytest.raises(ValueError, match=r"enclosure_class 9 outside \[1, 3\)"):
+        SceneConfig(n_classes=3, enclosure_radius=20.0, enclosure_class=9)
+    with pytest.raises(ValueError, match=r"enclosure_class 3 outside \[1, 3\)"):
+        SceneConfig(n_classes=3, enclosure_radius=20.0, enclosure_class=3)
+    SceneConfig(n_classes=3, ground_z=None, ground_class=0, enclosure_class=9)
+    scan = generate_scan(SMALL, SceneConfig(n_classes=3, ground_class=2, enclosure_radius=20.0, enclosure_class=1))
+    assert set(np.unique(scan.labels.semantic)) == {1, 2}
 
 
 NAN, INF = math.nan, math.inf
@@ -152,6 +163,11 @@ NAN, INF = math.nan, math.inf
         ({"ego_velocity": NAN}, "ego_velocity must be finite"),
         ({"max_range": NAN}, "max_range must be finite"),
         ({"angular_noise": INF}, "angular_noise must be finite"),
+        ({"ground_reflectance": NAN}, "ground_reflectance must be finite"),
+        ({"enclosure_reflectance": INF}, "enclosure_reflectance must be finite"),
+        ({"primitives": (Box(center=(5, 0, 1), size=(1, 1, 1), class_id=2, reflectance=NAN),)}, "non-finite reflectance in Box"),
+        ({"primitives": (Sphere(center=(5, 0, 1), radius=1, class_id=3, reflectance=-INF),)}, "non-finite reflectance in Sphere"),
+        ({"primitives": (Cylinder(center=(5, 0, 1), radius=0.5, height=2, class_id=4, reflectance=NAN),)}, "non-finite reflectance in Cylinder"),
     ],
 )
 def test_scene_rejects_non_finite_geometry(scene_kw, message):
@@ -163,7 +179,8 @@ def _assert_matches_brute_force(sensor, scene):
     """``generate_scan`` against every ray cast at every surface: the same
     arrays bit for bit, and no primitive reached from outside its window."""
     scan = generate_scan(sensor, scene)
-    azimuth, origin_x, origins, dirs = _ray_grid(sensor, scene)
+    azimuth, origin_x = _firings(sensor, scene)
+    origins, dirs = ray_grid(sensor, scene)
     t, semantic, reflectance = brute_force_hits(origins, dirs, scene)
     hit = np.isfinite(t) & (t >= MIN_RANGE)
     if scene.max_range is not None:
@@ -238,7 +255,7 @@ def test_culled_scan_matches_brute_force(scene):
 
 
 def test_candidate_window_narrow_and_across_rear_cut():
-    azimuth, origin_x, _, _ = _ray_grid(WINDOW_SENSOR, SceneConfig(ego_velocity=10.0))
+    azimuth, origin_x = _firings(WINDOW_SENSOR, SceneConfig(ego_velocity=10.0))
     far = _candidate_firings(Sphere(center=(0.5, 20.0, 1.0), radius=1.0, class_id=3), azimuth, origin_x)
     assert 0 < far.size < WINDOW_SENSOR.firings_per_rev // 10
     rear = _candidate_firings(REAR_BOX, azimuth, origin_x)
@@ -333,8 +350,9 @@ def _box_rays(draw):
 @settings(max_examples=150, deadline=None)
 @given(_box_rays())
 def test_ray_box_matches_all_axes_slab_test(case):
+    origins, dirs, box = case
     with np.errstate(over="ignore"):  # a tiny component puts a slab at +-inf in both
-        got, want = _ray_box(*case), reference_ray_box(*case)
+        got, want = _ray_box(origins.T, dirs.T, box), reference_ray_box(origins, dirs, box)
     assert got.tobytes() == want.tobytes()
 
 
@@ -347,7 +365,7 @@ def test_default_beam_elevations_descend_within_fov():
 def test_azimuth_trace_fixtures():
     pts = np.array([[-1, 0, 0], [0, 1, 0], [1, -1e-9, 0]], dtype=np.float64)
     cloud = PointCloud(points=pts, reflectance=np.zeros(3))
-    phi = _azimuth(cloud.points)
+    phi = _polar(cloud.points)[0]
     assert phi[0] == pytest.approx(math.pi)
     assert phi[1] == pytest.approx(math.pi / 2)
     assert -1e-6 < phi[2] < 0
@@ -356,7 +374,7 @@ def test_azimuth_trace_fixtures():
 def test_azimuth_trace_origin_rejected():
     cloud = PointCloud(points=np.array([[0.0, 0.0, 1.0]]), reflectance=np.zeros(1))
     with pytest.raises(ValueError, match="azimuth undefined"):
-        _azimuth(cloud.points)
+        _polar(cloud.points)
 
 
 def test_config_file_roundtrip(tmp_path):
