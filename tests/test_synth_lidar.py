@@ -16,6 +16,7 @@ from scanseg.synth_lidar import (
     SceneConfig,
     SensorModel,
     Sphere,
+    _BLOCK_RAYS,
     _candidate_firings,
     _firings,
     _ray_box,
@@ -252,6 +253,20 @@ REAR_BOX = Box(center=(-9.0, 0.2, 1.0), size=(2.0, 3.0, 2.0), class_id=2)
 )
 def test_culled_scan_matches_brute_force(scene):
     _assert_matches_brute_force(WINDOW_SENSOR, scene)
+
+
+def test_beam_blocks_match_brute_force():
+    # 4096 firings make blocks of 4 beams, so 7 beams end in a short block
+    sensor = SensorModel(n_beams=7, azimuth_step=360.0 / 4096.0)
+    assert _BLOCK_RAYS // sensor.firings_per_rev == 4
+    scene = SceneConfig(
+        seed=9,
+        angular_noise=0.05,
+        ego_velocity=7.0,
+        enclosure_radius=28.0,
+        primitives=(REAR_BOX, Sphere(center=(5.0, 3.0, 1.2), radius=1.0, class_id=3)),
+    )
+    _assert_matches_brute_force(sensor, scene)
 
 
 def test_candidate_window_narrow_and_across_rear_cut():
