@@ -104,7 +104,8 @@ def get_columns(cloud: PointCloud, w: int = DEFAULT_W) -> np.ndarray:
 
 def _columns(phi: np.ndarray, w: int) -> np.ndarray:
     """Columns of the azimuths ``phi``, which this overwrites. The floor lies
-    in [0, w], and only phi = -pi reaches w, which wraps to 0."""
+    in [0, w]; w, reached only at phi = -pi or within rounding of it, wraps
+    to 0."""
     cols = np.subtract(np.pi, phi, out=phi)
     cols *= w
     cols /= 2.0 * np.pi
