@@ -23,12 +23,19 @@ centred tensor the forward builds anyway, and both norm passes work on the
 [N, C] view of the input. Every norm adds ``NORM_EPS`` to its variance
 (Ioffe & Szegedy 2015, arXiv:1502.03167).
 
-The weight gradient of a convolution sums over every output row of a band.
-``slc_backward`` runs that sum in row blocks sized to the BLAS's fast
-small-matrix path (see ``_GW_MNK``), every kernel tap inside a block; the
-blocks issue the same multiply-adds as one GEMM per tap and sample would.
-It runs every weight-gradient GEMM before it allocates the input-gradient
-grid, so one backward holds two full-size temporaries at a time.
+A convolution runs one band of output rows of one sample at a time (see
+``_BAND_COLS``), and no band crosses a kernel-component boundary. A band
+copies its padded input rows, halo included, into a flat buffer, where a
+view shifted by (i * Wp + j) pixels aligns kernel tap (i, j) with every
+output pixel of the band; each tap is then one GEMM over the band's
+padded-width columns. The backward spreads the band's upstream onto that
+width and folds the band's padded input gradient into the result. Every
+buffer is sized for the tallest band and reused, so no temporary the size of
+a feature map is allocated, and a forward issues the same multiply-adds, in
+the same order per output element, as one GEMM per tap over the whole map.
+The weight gradient sums over every row of a band in row blocks sized to the
+BLAS's fast small-matrix path (see ``_GW_MNK``), every kernel tap inside a
+block.
 
 All BLAS calls go through ``scipy.linalg.blas``. numpy links its own
 OpenBLAS build with its own thread pool, so a matrix product through numpy
@@ -47,6 +54,7 @@ from scipy.linalg import blas as _blas
 
 NORM_EPS = 1e-5  # added to every norm variance before its square root
 PADDING_MODES = ("cyclic", "zeros")  # width padding; height is always zeros
+_NORM_BLOCK = 65536  # elements per block of norm_backward's input gradient
 
 
 @dataclass(frozen=True)
@@ -67,17 +75,6 @@ class PadSpec:
     def same(cls, i: int, j: int, width_mode: str = "zeros") -> "PadSpec":
         """Amounts that keep the spatial size of a stride-1 [i, j] kernel."""
         return cls(i // 2, j // 2, width_mode)
-
-
-def pad_backward(grad_padded: np.ndarray, spec: PadSpec, h: int, w: int) -> np.ndarray:
-    """Gradient of the padded grid ``_flat_padded`` builds: crop, and for
-    cyclic mode fold the wrapped columns back onto their source columns."""
-    ip, jp = spec.i_pad, spec.j_pad
-    core = grad_padded[:, ip : ip + h, jp : jp + w, :].copy()
-    if spec.width_mode == "cyclic" and jp > 0:
-        core[:, :, w - jp :, :] += grad_padded[:, ip : ip + h, :jp, :]
-        core[:, :, :jp, :] += grad_padded[:, ip : ip + h, jp + w :, :]
-    return core
 
 
 @dataclass
@@ -138,6 +135,23 @@ def glorot_uniform(rng: np.random.Generator, i: int, j: int, c_in: int, c_out: i
 _GW_MNK = 900_000
 _GW_MIN_ROWS = 256
 
+# Output columns (rows x padded width) one band of a convolution covers at
+# least: a band has ceil(_BAND_COLS / Wp) rows. Each GEMM's N is a band's
+# column count, and N in the hundreds slowed preset D's 3 x 3 512 -> 512
+# layers by a third; at 1536 and 2048 they ran alike (2 vCPU, OpenBLAS
+# 0.3.30). At 1536 a 512-wide map runs in bands of three rows, whose buffers
+# add an eighth of the output to a 32-channel forward; four rows add a sixth.
+_BAND_COLS = 1536
+
+# OpenBLAS (scipy's 0.3.30, on an AVX-512 Xeon) runs an sgemm of at most 1e6
+# multiply-adds (M * N * K) on a separate small-matrix kernel, whose rounding
+# of the rows past the last multiple of 16 differs from the blocked kernels'
+# (a 1 x 1 conv to 4 classes changed bits at N = 1536, not at N = 16384). A
+# conv run in place holds no band buffer, so its bands are made just long
+# enough to stay above this size, and its output keeps the bits of one GEMM
+# per component; a short band at the end of a component joins the one before.
+_SMALL_GEMM = 1_000_000
+
 
 def _component_bands(h: int, alpha: int):
     """Contiguous row ranges [h0, h1) sharing one kernel component."""
@@ -160,54 +174,106 @@ def _gemm_for(dtype):
     raise ValueError(f"unsupported tensor dtype {dtype}")
 
 
-def _flat_padded(x: np.ndarray, spec: PadSpec, j_k: int):
-    """Padded input as per-batch flat rows with (J - 1) * C slack appended.
+def _pad_rows(x: np.ndarray, spec: PadSpec, r0: int, out: np.ndarray) -> np.ndarray:
+    """Rows [r0, r0 + len(out)) of the padded grid of one sample ``x``
+    ([H, W, C]), written into ``out`` ([rows, Wp, C]) and returned.
 
-    Row-contiguous flat views shifted by (i * Wp + j) pixels align kernel tap
-    (i, j) with every output pixel at once, which keeps all convolution GEMMs
-    on contiguous memory. Shifts may wrap across a row border or into the
-    slack; both regions pair only with zero gradient rows or are cropped.
+    Rows outside the input are the zero height padding; the width padding
+    wraps around the cylinder in cyclic mode and is zero otherwise.
     """
-    b, h, w, c = x.shape
+    h, w, _ = x.shape
     ip, jp = spec.i_pad, spec.j_pad
-    if spec.width_mode == "cyclic" and jp > w:
-        raise ValueError(f"cyclic pad {jp} exceeds width {w}")
-    hp, wp = h + 2 * ip, w + 2 * jp
-    n_flat = hp * wp * c
-    flat = np.zeros((b, n_flat + (j_k - 1) * c), dtype=x.dtype)
-    grid = flat[:, :n_flat].reshape(b, hp, wp, c)
-    grid[:, ip : ip + h, jp : jp + w] = x
+    s0 = min(max(r0 - ip, 0), h)
+    s1 = max(min(r0 + len(out) - ip, h), s0)
+    d0, d1 = s0 + ip - r0, s1 + ip - r0
+    out[:d0] = 0
+    out[d1:] = 0
+    core = x[s0:s1]
+    out[d0:d1, jp : jp + w] = core
+    if spec.width_mode == "cyclic":
+        out[d0:d1, :jp] = core[:, w - jp :]
+        out[d0:d1, jp + w :] = core[:, :jp]
+    else:
+        out[d0:d1, :jp] = 0
+        out[d0:d1, jp + w :] = 0
+    return out
+
+
+def _pad_rows_backward(grad_rows: np.ndarray, spec: PadSpec, r0: int, grad_x: np.ndarray) -> None:
+    """Adjoint of ``_pad_rows``: adds the gradient of padded rows
+    [r0, r0 + len(grad_rows)) into ``grad_x`` ([H, W, C]), dropping the
+    height padding and, in cyclic mode, folding the wrapped columns back onto
+    their source columns."""
+    h, w, _ = grad_x.shape
+    ip, jp = spec.i_pad, spec.j_pad
+    s0 = min(max(r0 - ip, 0), h)
+    s1 = max(min(r0 + len(grad_rows) - ip, h), s0)
+    g = grad_rows[s0 + ip - r0 : s1 + ip - r0]
+    gx = grad_x[s0:s1]
+    gx += g[:, jp : jp + w]
     if spec.width_mode == "cyclic" and jp > 0:
-        grid[:, ip : ip + h, :jp] = x[:, :, w - jp :]
-        grid[:, ip : ip + h, jp + w :] = x[:, :, :jp]
-    return flat, grid
+        gx[:, w - jp :] += g[:, :jp]
+        gx[:, :jp] += g[:, jp + w :]
+
+
+def _row_bands(h_out: int, alpha: int, wp: int, min_rows: int = 1):
+    """Output row bands [h0, h1) with their kernel component, none crossing a
+    component boundary: ``max(ceil(_BAND_COLS / wp), min_rows)`` rows each,
+    except that a component's last band is shorter, or longer where a
+    remainder under ``min_rows`` rows joins it."""
+    step = max(-(-_BAND_COLS // wp), min_rows)
+    for a, c0, c1 in _component_bands(h_out, alpha):
+        ends = list(range(c0 + step, c1, step))
+        if ends and c1 - ends[-1] < min_rows:
+            ends.pop()
+        for h0, h1 in zip([c0, *ends], [*ends, c1]):
+            yield a, h0, h1
 
 
 def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
-    """Set-up shared by ``slc_forward`` and ``slc_backward``: validation,
-    the GEMM of the result dtype (that of ``x``, the kernel and
-    ``operands``), the kernel weights in that dtype, the padded input and the
-    output geometry.
+    """Validation and geometry shared by ``slc_forward`` and ``slc_backward``;
+    allocates nothing the size of a feature map.
 
-    Returns ``(gemm, weights, flat, grid, h_out, w_out)``.
+    The result dtype is that of ``x``, the kernel and ``operands``. Returns
+    ``(gemm, dtype, wp, h_out, w_out, bands, in_place)``. A 1 x 1 kernel
+    with no padding or stride, on operands of the result dtype, runs in
+    place: its padded grid is ``x`` itself and its output has no junk
+    columns, so it needs no band buffer (see ``_SMALL_GEMM`` for its bands).
     """
     _check_rank4(x)
-    i_k, j_k, c_in, _, alpha = kernel.shape
-    if x.shape[3] != c_in:
-        raise ValueError(f"input has {x.shape[3]} channels, kernel expects {c_in}")
+    _, h, w, c = x.shape
+    i_k, j_k, c_in, c_out, alpha = kernel.shape
+    if c != c_in:
+        raise ValueError(f"input has {c} channels, kernel expects {c_in}")
     if stride_w < 1:
         raise ValueError("stride_w must be >= 1")
+    if pad_spec.width_mode == "cyclic" and pad_spec.j_pad > w:
+        raise ValueError(f"cyclic pad {pad_spec.j_pad} exceeds width {w}")
     dtype = np.result_type(x, kernel.weights, *operands)
     gemm = _gemm_for(dtype)
-    flat, grid = _flat_padded(x.astype(dtype, copy=False), pad_spec, j_k)
-    hp, wp = grid.shape[1:3]
+    hp, wp = h + 2 * pad_spec.i_pad, w + 2 * pad_spec.j_pad
     h_out = hp - i_k + 1
     w_out = (wp - j_k) // stride_w + 1
     if h_out < 1 or w_out < 1:
-        raise ValueError(f"kernel {i_k}x{j_k} too large for padded input {grid.shape}")
+        raise ValueError(f"kernel {i_k}x{j_k} too large for padded input {(hp, wp)}")
     if alpha > h_out:
         raise ValueError(f"alpha {alpha} exceeds output height {h_out}")
-    return gemm, kernel.weights.astype(dtype, copy=False), flat, grid, h_out, w_out
+    in_place = i_k == j_k == 1 and pad_spec.i_pad == pad_spec.j_pad == 0 and stride_w == 1
+    in_place = in_place and all(a.dtype == dtype for a in (x, *operands))
+    min_rows = _SMALL_GEMM // (wp * c_in * c_out) + 1 if in_place else 1
+    bands = list(_row_bands(h_out, alpha, wp, min_rows))
+    return gemm, dtype, wp, h_out, w_out, bands, in_place
+
+
+def _band_rows(bands) -> int:
+    """Row count of the tallest band."""
+    return max(h1 - h0 for _, h0, h1 in bands)
+
+
+def _band_buffer(bands, i_k, j_k, wp, c, dtype) -> np.ndarray:
+    """A zeroed flat buffer for the padded rows of the tallest band, its
+    (I - 1)-row halo and the (J - 1) * C slack the shifted views run into."""
+    return np.zeros((_band_rows(bands) + i_k - 1) * wp * c + (j_k - 1) * c, dtype=dtype)
 
 
 def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: int = 1) -> np.ndarray:
@@ -218,29 +284,36 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
     strided. The reduction order per output element is fixed (kernel taps in
     row-major order, channels inside each tap), so results are reproducible.
     """
-    gemm, weights, flat, grid, h_out, w_out = _conv_setup(x, kernel, pad_spec, stride_w)
-    i_k, j_k, c_in, c_out, alpha = kernel.shape
-    b, _, wp, _ = grid.shape
-    dtype = weights.dtype
-
-    # full padded-width output; columns past the valid stride grid are junk
-    # fed by row-wrapped flat positions and are cropped at the end
-    y_full = np.empty((b, h_out, wp, c_out), dtype=dtype)
-    for a, h0, h1 in _component_bands(h_out, alpha):
-        y_full[:, h0:h1] = kernel.bias[:, a].astype(dtype, copy=False)
-        rows = (h1 - h0) * wp
-        lo, hi = h0 * wp * c_in, h1 * wp * c_in
-        for i in range(i_k):
-            for j in range(j_k):
-                off = (i * wp + j) * c_in
-                w_t = np.asfortranarray(weights[i, j, :, :, a].T)
-                for bi in range(b):
-                    m_t = flat[bi, off + lo : off + hi].reshape(rows, c_in).T
-                    y_t = y_full[bi, h0:h1].reshape(rows, c_out).T
-                    gemm(1.0, w_t, m_t, beta=1.0, c=y_t, overwrite_c=True)
-    # the padded input (m_t is the last view of it) is dead before the crop copies
-    flat = grid = m_t = None
-    return np.ascontiguousarray(y_full[:, :, 0 : stride_w * (w_out - 1) + 1 : stride_w, :])
+    gemm, dtype, wp, h_out, w_out, bands, in_place = _conv_setup(x, kernel, pad_spec, stride_w)
+    i_k, j_k, c_in, c_out, _ = kernel.shape
+    # [alpha, I, J, C_in, C_out]: each tap's c_out x c_in matrix as a
+    # Fortran-ordered transposed view
+    w_taps = np.ascontiguousarray(np.transpose(kernel.weights, (4, 0, 1, 2, 3)), dtype=dtype)
+    y = np.empty((x.shape[0], h_out, w_out, c_out), dtype=dtype)
+    flat = None if in_place else _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
+    # padded-width output of a band; columns off the stride grid are junk fed
+    # by row-wrapped flat positions and are dropped by the copy into y
+    y_flat = None if wp == w_out else np.empty(_band_rows(bands) * wp * c_out, dtype=dtype)
+    for bi in range(x.shape[0]):
+        for a, h0, h1 in bands:
+            n = h1 - h0
+            rows = n * wp
+            if in_place:
+                src = x[bi, h0:h1].reshape(-1)
+            else:
+                src = flat
+                _pad_rows(x[bi], pad_spec, h0, flat[: (n + i_k - 1) * wp * c_in].reshape(n + i_k - 1, wp, c_in))
+            y_band = y[bi, h0:h1] if y_flat is None else y_flat[: rows * c_out].reshape(n, wp, c_out)
+            y_band[...] = kernel.bias[:, a].astype(dtype, copy=False)
+            y_t = y_band.reshape(rows, c_out).T
+            for i in range(i_k):
+                for j in range(j_k):
+                    off = (i * wp + j) * c_in
+                    m_t = src[off : off + rows * c_in].reshape(rows, c_in).T
+                    gemm(1.0, w_taps[a, i, j].T, m_t, beta=1.0, c=y_t, overwrite_c=True)
+            if y_flat is not None:
+                y[bi, h0:h1] = y_band[:, 0 : stride_w * (w_out - 1) + 1 : stride_w]
+    return y
 
 
 def slc_backward(
@@ -256,70 +329,74 @@ def slc_backward(
     columns.
     """
     _check_rank4(upstream)
-    gemm, weights, flat, grid, h_out, w_out = _conv_setup(x, kernel, pad_spec, stride_w, upstream)
+    gemm, dtype, wp, h_out, w_out, bands, in_place = _conv_setup(x, kernel, pad_spec, stride_w, upstream)
     i_k, j_k, c_in, c_out, alpha = kernel.shape
-    b, hp, wp, _ = grid.shape
-    dtype = weights.dtype
+    b = x.shape[0]
     if upstream.shape != (b, h_out, w_out, c_out):
         raise ValueError(f"upstream shape {upstream.shape}, expected {(b, h_out, w_out, c_out)}")
-    upstream = upstream.astype(dtype, copy=False)
 
-    # upstream spread onto the padded width grid (zeros between strides);
-    # wrapped flat positions then only ever meet zero gradient entries
-    if stride_w == 1 and wp == w_out:
-        g_grid = upstream
-    else:
-        g_grid = np.zeros((b, h_out, wp, c_out), dtype=dtype)
-        g_grid[:, :, 0 : stride_w * w_out : stride_w, :] = upstream
-
-    gw_taps = np.zeros((i_k, j_k, alpha, c_in, c_out), dtype=dtype)
     bias_grads = np.zeros((c_out, alpha), dtype=dtype)
-    gw_rows = _GW_MNK // (c_in * c_out)
-    taps = [(i, j) for i in range(i_k) for j in range(j_k)]
-    bands = list(_component_bands(h_out, alpha))
-    for a, h0, h1 in bands:
+    for a, h0, h1 in _component_bands(h_out, alpha):
         # float32 partials down the columns of the [B, H_band, W * C_out]
         # view, then over W: row-wise adds, not a strided 3-axis reduction
         band = upstream[:, h0:h1].reshape(b, h1 - h0, w_out * c_out)
-        bias_grads[:, a] = band.sum(axis=(0, 1)).reshape(w_out, c_out).sum(axis=0)
+        bias_grads[:, a] = band.sum(axis=(0, 1), dtype=dtype).reshape(w_out, c_out).sum(axis=0)
 
-        # weight gradient over row blocks, every tap inside a block while
-        # its upstream rows are in cache; the row sum is split, not changed
-        rows = (h1 - h0) * wp
-        lo = h0 * wp * c_in
-        step = gw_rows if gw_rows >= _GW_MIN_ROWS else rows
-        gw_ts = [gw_taps[i, j, a].T for i, j in taps]
-        for bi in range(b):
-            g_rows = g_grid[bi, h0:h1].reshape(rows, c_out)
+    # [alpha, I, J, C_out, C_in]: each tap's c_in x c_out matrix as a
+    # Fortran-ordered transposed view
+    w_taps = np.ascontiguousarray(np.transpose(kernel.weights, (4, 0, 1, 3, 2)), dtype=dtype)
+    gw_taps = np.zeros((alpha, i_k, j_k, c_in, c_out), dtype=dtype)
+    grad_x = np.zeros(x.shape, dtype=dtype)
+    # the band's padded input rows, then, once the weight gradient has read
+    # them, the padded input gradient of the same rows
+    flat = None if in_place else _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
+    # upstream spread onto the padded width of a band (zeros between
+    # strides); wrapped flat positions then only ever meet zero gradients
+    direct = wp == w_out and upstream.dtype == dtype
+    g_flat = None if direct else np.zeros(_band_rows(bands) * wp * c_out, dtype=dtype)
+    gw_rows = _GW_MNK // (c_in * c_out)
+    taps = [(i, j) for i in range(i_k) for j in range(j_k)]
+    for bi in range(b):
+        for a, h0, h1 in bands:
+            n = h1 - h0
+            rows = n * wp
+            n_flat = (n + i_k - 1) * wp * c_in
+            if in_place:
+                src, dst = x[bi, h0:h1].reshape(-1), grad_x[bi, h0:h1].reshape(-1)
+            else:
+                src = dst = flat
+                _pad_rows(x[bi], pad_spec, h0, flat[:n_flat].reshape(n + i_k - 1, wp, c_in))
+            if direct:
+                g_rows = upstream[bi, h0:h1].reshape(rows, c_out)
+            else:
+                g_band = g_flat[: rows * c_out].reshape(n, wp, c_out)
+                g_band[:, 0 : stride_w * w_out : stride_w] = upstream[bi, h0:h1]
+                g_rows = g_band.reshape(rows, c_out)
+
+            # weight gradient over row blocks, every tap inside a block while
+            # its upstream rows are in cache; the row sum is split, not changed
+            step = gw_rows if gw_rows >= _GW_MIN_ROWS else rows
             for r0 in range(0, rows, step):
                 n_r = min(step, rows - r0)
                 g_t = g_rows[r0 : r0 + n_r].T
-                for (i, j), gw_t in zip(taps, gw_ts):
-                    start = lo + (i * wp + j + r0) * c_in
-                    m_t = flat[bi, start : start + n_r * c_in].reshape(n_r, c_in).T
-                    gemm(1.0, g_t, m_t, trans_b=True, beta=1.0, c=gw_t, overwrite_c=True)
-    grad_w = np.ascontiguousarray(np.moveaxis(gw_taps, 2, 4))
+                for i, j in taps:
+                    start = (i * wp + j + r0) * c_in
+                    m_t = src[start : start + n_r * c_in].reshape(n_r, c_in).T
+                    gemm(1.0, g_t, m_t, trans_b=True, beta=1.0, c=gw_taps[a, i, j].T, overwrite_c=True)
 
-    # the padded input (m_t is the last view of it) is dead before the
-    # input-gradient grid of the same size is allocated
-    flat_shape = flat.shape
-    flat = grid = m_t = None
-    g_flat = np.zeros(flat_shape, dtype=dtype)
-    for a, h0, h1 in bands:
-        rows = (h1 - h0) * wp
-        lo, hi = h0 * wp * c_in, h1 * wp * c_in
-        for i, j in taps:
-            off = (i * wp + j) * c_in
-            w_f = np.asfortranarray(weights[i, j, :, :, a])
-            for bi in range(b):
-                g_t = g_grid[bi, h0:h1].reshape(rows, c_out).T
-                gx_t = g_flat[bi, off + lo : off + hi].reshape(rows, c_in).T
-                gemm(1.0, w_f, g_t, beta=1.0, c=gx_t, overwrite_c=True)
-
-    # so is the spread upstream (g_t and g_rows are views of it) before the crop copies
-    g_grid = g_t = g_rows = None
-    grad_x = pad_backward(g_flat[:, : hp * wp * c_in].reshape(b, hp, wp, c_in), pad_spec, x.shape[1], x.shape[2])
-    return grad_x, grad_w, bias_grads
+            # input gradient of the band's padded rows, halo included, folded
+            # into grad_x; the halo rows overlap the neighbouring bands'. Tap
+            # (0, 0) writes the band's own rows, so only the halo is zeroed.
+            if not in_place:
+                flat[rows * c_in : n_flat] = 0
+            g_t = g_rows.T
+            for i, j in taps:
+                off = (i * wp + j) * c_in
+                gx_t = dst[off : off + rows * c_in].reshape(rows, c_in).T
+                gemm(1.0, w_taps[a, i, j].T, g_t, beta=float(off > 0), c=gx_t, overwrite_c=True)
+            if not in_place:
+                _pad_rows_backward(flat[:n_flat].reshape(n + i_k - 1, wp, c_in), pad_spec, h0, grad_x[bi])
+    return grad_x, np.ascontiguousarray(np.moveaxis(gw_taps, 0, 4)), bias_grads
 
 
 def upsample_width(x: np.ndarray, factor: int) -> np.ndarray:
@@ -398,10 +475,17 @@ def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):
     n = g2.shape[0]
     d_beta = g2.sum(axis=0)
     d_gamma = np.einsum("ij,ij->j", g2, xh2)
-    gx = g2 * n
-    gx -= d_beta
-    gx -= xh2 * d_gamma
-    gx *= gamma * inv_std / n
+    scale = gamma * inv_std / n
+    # ((g * n - d_beta) - x_hat * d_gamma) * scale, a block of rows at a time
+    # so no second full-size temporary is built
+    gx = np.empty_like(g2)
+    step = max(1, _NORM_BLOCK // c)
+    for r0 in range(0, n, step):
+        blk = gx[r0 : r0 + step]
+        np.multiply(g2[r0 : r0 + step], n, out=blk)
+        blk -= d_beta
+        blk -= xh2[r0 : r0 + step] * d_gamma
+        blk *= scale
     return gx.reshape(upstream.shape), d_gamma, d_beta
 
 

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,15 @@ from scanseg.neural_core import (
     PadSpec,
     SlcKernel,
     _component_bands,
-    _flat_padded,
+    _pad_rows,
+    _pad_rows_backward,
+    _row_bands,
     fold_norm,
     glorot_uniform,
     norm_backward,
     norm_forward,
     norm_inference,
     norm_output,
-    pad_backward,
     relu,
     relu_backward,
     slc_backward,
@@ -38,9 +40,20 @@ def _rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def padded(x, spec):
-    """The padded grid the convolutions run on (no flat slack)."""
-    return _flat_padded(x, spec, 1)[1]
+def padded(x, spec, r0=0, r1=None):
+    """Rows [r0, r1) of the padded grid the convolutions run on, all rows by
+    default, one sample at a time."""
+    b, h, w, c = x.shape
+    r1 = h + 2 * spec.i_pad if r1 is None else r1
+    return np.stack([_pad_rows(xb, spec, r0, np.full((r1 - r0, w + 2 * spec.j_pad, c), np.nan)) for xb in x])
+
+
+def padded_backward(grad_padded, spec, shape, r0=0):
+    """Gradient wrt ``x`` of ``padded(x, spec, r0, ...)`` for upstream ``grad_padded``."""
+    gx = np.zeros(shape)
+    for g, gxb in zip(grad_padded, gx):
+        _pad_rows_backward(g, spec, r0, gxb)
+    return gx
 
 
 class TestPad:
@@ -65,8 +78,12 @@ class TestPad:
         assert (out[:, 0] == 0).all() and (out[:, -1] == 0).all()
 
     def test_cyclic_amount_beyond_width(self):
+        k = SlcKernel(weights=np.ones((1, 1, 1, 1, 1)), bias=np.zeros((1, 1)))
+        x, spec = np.ones((1, 2, 3, 1)), PadSpec(0, 4, "cyclic")
         with pytest.raises(ValueError, match="exceeds width"):
-            padded(np.ones((1, 2, 3, 1)), PadSpec(0, 4, "cyclic"))
+            slc_forward(x, k, spec)
+        with pytest.raises(ValueError, match="exceeds width"):
+            slc_backward(x, k, spec, np.ones((1, 2, 11, 1)))
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -87,9 +104,28 @@ class TestPad:
         x = _rand((1, 2, 4, 1), seed=3)
         spec = PadSpec(1, 2, "cyclic")
         up = _rand(padded(x, spec).shape, seed=4)
-        analytic = pad_backward(up, spec, 2, 4)
+        analytic = padded_backward(up, spec, x.shape)
         num = central_diff_grad(lambda: float((padded(x, spec) * up).sum()), x, EPS)
         assert max_rel_err(analytic, num) < GRAD_TOL
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 8), st.sampled_from(["zeros", "cyclic"]), st.data())
+    def test_row_bands_tile_the_grid(self, seed, h, w, mode, data):
+        # any rows of the grid, halo or height padding only included, equal
+        # the whole grid's, and the adjoints of overlapping bands sum to the
+        # whole grid's adjoint
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, h, w, 2))
+        spec = PadSpec(data.draw(st.integers(0, 2)), data.draw(st.integers(0, w)), mode)
+        whole = padded(x, spec)
+        hp = whole.shape[1]
+        r0 = data.draw(st.integers(0, hp - 1))
+        r1 = data.draw(st.integers(r0 + 1, hp))
+        np.testing.assert_array_equal(padded(x, spec, r0, r1), whole[:, r0:r1])
+        up = rng.standard_normal(whole.shape)
+        split = data.draw(st.integers(0, hp))
+        by_bands = padded_backward(up[:, :split], spec, x.shape) + padded_backward(up[:, split:], spec, x.shape, split)
+        np.testing.assert_allclose(by_bands, padded_backward(up, spec, x.shape), rtol=1e-14, atol=1e-14)
 
 
 class TestSlcForward:
@@ -126,6 +162,24 @@ class TestSlcForward:
         k = SlcKernel(weights=np.arange(1.0, 9.0).reshape(1, 1, 1, 1, 8), bias=np.zeros((1, 8)))
         y = slc_forward(x, k, PadSpec(0, 0))
         np.testing.assert_array_equal(y[0, :, 0, 0], np.arange(1.0, 9.0))
+
+    def test_pointwise_bands_stay_above_small_gemm(self, monkeypatch):
+        # a 1 x 1 conv runs in place, in bands of over _SMALL_GEMM
+        # multiply-adds each; the 2-row remainder joins the last band, and the
+        # output has the bits of one GEMM per component
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((2, 64, 256, 32)).astype(np.float32)
+        k = glorot_uniform(rng, 1, 1, 32, 4)
+        k.bias[:] = rng.standard_normal(k.bias.shape)
+        calls = []
+        gemm_for = neural_core._gemm_for
+        monkeypatch.setattr(neural_core, "_gemm_for", lambda dtype: lambda *a, **kw: calls.append(a[2].shape) or gemm_for(dtype)(*a, **kw))
+        y = slc_forward(x, k, PadSpec(0, 0))
+        assert calls == 2 * [(32, 31 * 256), (32, 33 * 256)]
+        assert 4 * 31 * 256 * 32 > neural_core._SMALL_GEMM
+        monkeypatch.setattr(neural_core, "_BAND_COLS", 64 * 256)
+        assert slc_forward(x, k, PadSpec(0, 0)).tobytes() == y.tobytes()
+        assert calls[4:] == 2 * [(32, 64 * 256)]
 
     def test_channel_mismatch(self):
         k = glorot_uniform(np.random.default_rng(0), 3, 3, 4, 2)
@@ -267,7 +321,8 @@ class TestStridedGeometry:
         rng = np.random.default_rng(10 * w + 5 * stride + alpha)
         h, wp = 5, w + 2
         bands = list(_component_bands(h, alpha))
-        # every band spans several blocks and ends in a partial one
+        # every row band spans several blocks and ends in a partial one
+        assert list(_row_bands(h, alpha, wp)) == bands
         assert all((h1 - h0) * wp > block and (h1 - h0) * wp % block for _, h0, h1 in bands)
         spec = PadSpec.same(3, 3, mode)
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
@@ -286,6 +341,68 @@ class TestStridedGeometry:
                 assert gw.dtype == dtype and max_rel_err(gw[..., a], rw) < tol
                 assert max_rel_err(gb[:, a], rb) < tol
             assert max_rel_err(gx, ref_gx) < tol
+
+    @pytest.mark.parametrize("mode", ["zeros", "cyclic"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("band_rows", [1, 2])
+    @pytest.mark.parametrize("h", [5, 7])
+    def test_row_band_boundaries(self, monkeypatch, h, band_rows, stride, mode):
+        c_in, c_out, alpha, w = 3, 2, 2, 7
+        wp = w + 2
+        spec = PadSpec.same(3, 3, mode)
+        rng = np.random.default_rng(100 * h + 10 * band_rows + stride)
+        monkeypatch.setattr(neural_core, "_BAND_COLS", band_rows * wp)
+        bands = list(_row_bands(h, alpha, wp))
+        components = list(_component_bands(h, alpha))
+        # the bands tile the rows, none crosses a component edge, and a
+        # component's last band is short where band_rows does not divide it
+        assert np.array_equal(np.concatenate([np.arange(h0, h1) for _, h0, h1 in bands]), np.arange(h))
+        assert all(((np.arange(h0, h1) * alpha) // h == a).all() and h1 - h0 <= band_rows for a, h0, h1 in bands)
+        assert len(bands) > alpha and (band_rows == 1 or any(h1 - h0 < band_rows for _, h0, h1 in bands))
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            x = rng.standard_normal((2, h, w, c_in)).astype(dtype)
+            k = SlcKernel(weights=rng.standard_normal((3, 3, c_in, c_out, alpha)).astype(dtype), bias=rng.standard_normal((c_out, alpha)).astype(dtype))
+            y = slc_forward(x, k, spec, stride)
+            up = rng.standard_normal(y.shape).astype(dtype)
+            gx, gw, gb = slc_backward(x, k, spec, up, stride)
+            with monkeypatch.context() as one_band:
+                one_band.setattr(neural_core, "_BAND_COLS", h * wp)
+                assert list(_row_bands(h, alpha, wp)) == components
+                assert slc_forward(x, k, spec, stride).tobytes() == y.tobytes()
+            ref_gx = np.zeros(x.shape)
+            for a, h0, h1 in components:
+                up_a = np.zeros(up.shape)
+                up_a[:, h0:h1] = up[:, h0:h1]
+                rx, rw, rb = reference_conv_grads(x, k.weights[..., a], up_a, stride_w=stride, cyclic=(mode == "cyclic"))
+                ref_gx += rx
+                assert gw.dtype == dtype and max_rel_err(gw[..., a], rw) < tol
+                assert max_rel_err(gb[:, a], rb) < tol
+            assert gx.dtype == dtype and max_rel_err(gx, ref_gx) < tol
+
+
+def _peak_alloc(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_convolution_holds_no_full_size_temporary():
+    # 3 x 3 cyclic at 64 x 512 runs in many row bands: the forward allocates
+    # its output and band buffers, the backward its input gradient and band
+    # buffers (a full-size padded grid or padded-width output would add ~1x)
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal((1, 64, 512, 32)).astype(np.float32)
+    k = glorot_uniform(rng, 3, 3, 32, 32)
+    spec = PadSpec.same(3, 3, "cyclic")
+    peak, y = _peak_alloc(slc_forward, x, k, spec)
+    assert peak <= 1.15 * y.nbytes
+    up = rng.standard_normal(y.shape).astype(np.float32)
+    peak, _ = _peak_alloc(slc_backward, x, k, spec, up)
+    assert peak <= 1.25 * x.nbytes
 
 
 def plain_kernel(w, b=None):
@@ -408,6 +525,26 @@ class TestNorm:
         rebuilt = norm_output(x_hat, gamma, beta)
         assert rebuilt.dtype == y.dtype == dtype and rebuilt.shape == x.shape
         assert rebuilt.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_full_size_formula_without_its_temporary(self, dtype):
+        rng = np.random.default_rng(26)
+        x = rng.normal(1.0, 2.0, size=(2, 64, 256, 32)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 32).astype(dtype)
+        _, cache = norm_forward(x, gamma, np.zeros(32, dtype))
+        up = rng.standard_normal(x.shape).astype(dtype)
+        peak, (gx, d_gamma, d_beta) = _peak_alloc(norm_backward, up, cache, gamma)
+        assert peak <= 1.1 * x.nbytes
+        # the whole-tensor formula, one full-size temporary per line
+        x_hat, inv_std = cache[0].reshape(-1, 32), cache[1]
+        g2, n = up.reshape(-1, 32), up.size // 32
+        want = g2 * n
+        want -= g2.sum(axis=0)
+        want -= x_hat * np.einsum("ij,ij->j", g2, x_hat)
+        want *= gamma * inv_std / n
+        assert gx.dtype == dtype and gx.tobytes() == want.tobytes()
+        assert d_gamma.tobytes() == np.einsum("ij,ij->j", g2, x_hat).tobytes()
+        assert d_beta.tobytes() == g2.sum(axis=0).tobytes()
 
     def test_gradients(self):
         rng = np.random.default_rng(17)
