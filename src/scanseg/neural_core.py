@@ -146,10 +146,10 @@ _BAND_COLS = 1536
 # OpenBLAS (scipy's 0.3.30, on an AVX-512 Xeon) runs an sgemm of at most 1e6
 # multiply-adds (M * N * K) on a separate small-matrix kernel, whose rounding
 # of the rows past the last multiple of 16 differs from the blocked kernels'
-# (a 1 x 1 conv to 4 classes changed bits at N = 1536, not at N = 16384). A
-# conv run in place holds no band buffer, so its bands are made just long
-# enough to stay above this size, and its output keeps the bits of one GEMM
-# per component; a short band at the end of a component joins the one before.
+# (a 1 x 1 conv to 4 classes changed bits at N = 1536, not at N = 16384). So
+# every band is made long enough for its GEMMs to stay above this size, and a
+# forward keeps the bits of one GEMM per component (see ``_row_bands`` for a
+# component's short last band).
 _SMALL_GEMM = 1_000_000
 
 
@@ -218,14 +218,18 @@ def _pad_rows_backward(grad_rows: np.ndarray, spec: PadSpec, r0: int, grad_x: np
 
 def _row_bands(h_out: int, alpha: int, wp: int, min_rows: int = 1):
     """Output row bands [h0, h1) with their kernel component, none crossing a
-    component boundary: ``max(ceil(_BAND_COLS / wp), min_rows)`` rows each,
-    except that a component's last band is shorter, or longer where a
-    remainder under ``min_rows`` rows joins it."""
+    component boundary: ``step = max(ceil(_BAND_COLS / wp), min_rows)`` rows
+    each, except that a component's last bands are shorter. A last band
+    under ``min_rows`` rows takes rows from the band before, or joins it
+    where that would leave either under ``min_rows``; only a joined band is
+    taller than ``step``."""
     step = max(-(-_BAND_COLS // wp), min_rows)
     for a, c0, c1 in _component_bands(h_out, alpha):
         ends = list(range(c0 + step, c1, step))
         if ends and c1 - ends[-1] < min_rows:
-            ends.pop()
+            ends[-1] = c1 - min_rows
+            if ends[-1] < (ends[-2] if len(ends) > 1 else c0) + min_rows:
+                ends.pop()
         for h0, h1 in zip([c0, *ends], [*ends, c1]):
             yield a, h0, h1
 
@@ -235,10 +239,7 @@ def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
     allocates nothing the size of a feature map.
 
     The result dtype is that of ``x``, the kernel and ``operands``. Returns
-    ``(gemm, dtype, wp, h_out, w_out, bands, in_place)``. A 1 x 1 kernel
-    with no padding or stride, on operands of the result dtype, runs in
-    place: its padded grid is ``x`` itself and its output has no junk
-    columns, so it needs no band buffer (see ``_SMALL_GEMM`` for its bands).
+    ``(gemm, dtype, wp, h_out, w_out, bands)``.
     """
     _check_rank4(x)
     _, h, w, c = x.shape
@@ -258,11 +259,9 @@ def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
         raise ValueError(f"kernel {i_k}x{j_k} too large for padded input {(hp, wp)}")
     if alpha > h_out:
         raise ValueError(f"alpha {alpha} exceeds output height {h_out}")
-    in_place = i_k == j_k == 1 and pad_spec.i_pad == pad_spec.j_pad == 0 and stride_w == 1
-    in_place = in_place and all(a.dtype == dtype for a in (x, *operands))
-    min_rows = _SMALL_GEMM // (wp * c_in * c_out) + 1 if in_place else 1
-    bands = list(_row_bands(h_out, alpha, wp, min_rows))
-    return gemm, dtype, wp, h_out, w_out, bands, in_place
+    # each GEMM of a band issues rows * wp * c_in * c_out multiply-adds
+    bands = list(_row_bands(h_out, alpha, wp, _SMALL_GEMM // (wp * c_in * c_out) + 1))
+    return gemm, dtype, wp, h_out, w_out, bands
 
 
 def _band_rows(bands) -> int:
@@ -284,13 +283,13 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
     strided. The reduction order per output element is fixed (kernel taps in
     row-major order, channels inside each tap), so results are reproducible.
     """
-    gemm, dtype, wp, h_out, w_out, bands, in_place = _conv_setup(x, kernel, pad_spec, stride_w)
+    gemm, dtype, wp, h_out, w_out, bands = _conv_setup(x, kernel, pad_spec, stride_w)
     i_k, j_k, c_in, c_out, _ = kernel.shape
     # [alpha, I, J, C_in, C_out]: each tap's c_out x c_in matrix as a
     # Fortran-ordered transposed view
     w_taps = np.ascontiguousarray(np.transpose(kernel.weights, (4, 0, 1, 2, 3)), dtype=dtype)
     y = np.empty((x.shape[0], h_out, w_out, c_out), dtype=dtype)
-    flat = None if in_place else _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
+    flat = _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
     # padded-width output of a band; columns off the stride grid are junk fed
     # by row-wrapped flat positions and are dropped by the copy into y
     y_flat = None if wp == w_out else np.empty(_band_rows(bands) * wp * c_out, dtype=dtype)
@@ -298,18 +297,14 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
         for a, h0, h1 in bands:
             n = h1 - h0
             rows = n * wp
-            if in_place:
-                src = x[bi, h0:h1].reshape(-1)
-            else:
-                src = flat
-                _pad_rows(x[bi], pad_spec, h0, flat[: (n + i_k - 1) * wp * c_in].reshape(n + i_k - 1, wp, c_in))
+            _pad_rows(x[bi], pad_spec, h0, flat[: (n + i_k - 1) * wp * c_in].reshape(n + i_k - 1, wp, c_in))
             y_band = y[bi, h0:h1] if y_flat is None else y_flat[: rows * c_out].reshape(n, wp, c_out)
             y_band[...] = kernel.bias[:, a].astype(dtype, copy=False)
             y_t = y_band.reshape(rows, c_out).T
             for i in range(i_k):
                 for j in range(j_k):
                     off = (i * wp + j) * c_in
-                    m_t = src[off : off + rows * c_in].reshape(rows, c_in).T
+                    m_t = flat[off : off + rows * c_in].reshape(rows, c_in).T
                     gemm(1.0, w_taps[a, i, j].T, m_t, beta=1.0, c=y_t, overwrite_c=True)
             if y_flat is not None:
                 y[bi, h0:h1] = y_band[:, 0 : stride_w * (w_out - 1) + 1 : stride_w]
@@ -329,7 +324,7 @@ def slc_backward(
     columns.
     """
     _check_rank4(upstream)
-    gemm, dtype, wp, h_out, w_out, bands, in_place = _conv_setup(x, kernel, pad_spec, stride_w, upstream)
+    gemm, dtype, wp, h_out, w_out, bands = _conv_setup(x, kernel, pad_spec, stride_w, upstream)
     i_k, j_k, c_in, c_out, alpha = kernel.shape
     b = x.shape[0]
     if upstream.shape != (b, h_out, w_out, c_out):
@@ -349,7 +344,7 @@ def slc_backward(
     grad_x = np.zeros(x.shape, dtype=dtype)
     # the band's padded input rows, then, once the weight gradient has read
     # them, the padded input gradient of the same rows
-    flat = None if in_place else _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
+    flat = _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
     # upstream spread onto the padded width of a band (zeros between
     # strides); wrapped flat positions then only ever meet zero gradients
     direct = wp == w_out and upstream.dtype == dtype
@@ -361,11 +356,7 @@ def slc_backward(
             n = h1 - h0
             rows = n * wp
             n_flat = (n + i_k - 1) * wp * c_in
-            if in_place:
-                src, dst = x[bi, h0:h1].reshape(-1), grad_x[bi, h0:h1].reshape(-1)
-            else:
-                src = dst = flat
-                _pad_rows(x[bi], pad_spec, h0, flat[:n_flat].reshape(n + i_k - 1, wp, c_in))
+            _pad_rows(x[bi], pad_spec, h0, flat[:n_flat].reshape(n + i_k - 1, wp, c_in))
             if direct:
                 g_rows = upstream[bi, h0:h1].reshape(rows, c_out)
             else:
@@ -381,21 +372,19 @@ def slc_backward(
                 g_t = g_rows[r0 : r0 + n_r].T
                 for i, j in taps:
                     start = (i * wp + j + r0) * c_in
-                    m_t = src[start : start + n_r * c_in].reshape(n_r, c_in).T
+                    m_t = flat[start : start + n_r * c_in].reshape(n_r, c_in).T
                     gemm(1.0, g_t, m_t, trans_b=True, beta=1.0, c=gw_taps[a, i, j].T, overwrite_c=True)
 
             # input gradient of the band's padded rows, halo included, folded
             # into grad_x; the halo rows overlap the neighbouring bands'. Tap
             # (0, 0) writes the band's own rows, so only the halo is zeroed.
-            if not in_place:
-                flat[rows * c_in : n_flat] = 0
+            flat[rows * c_in : n_flat] = 0
             g_t = g_rows.T
             for i, j in taps:
                 off = (i * wp + j) * c_in
-                gx_t = dst[off : off + rows * c_in].reshape(rows, c_in).T
+                gx_t = flat[off : off + rows * c_in].reshape(rows, c_in).T
                 gemm(1.0, w_taps[a, i, j].T, g_t, beta=float(off > 0), c=gx_t, overwrite_c=True)
-            if not in_place:
-                _pad_rows_backward(flat[:n_flat].reshape(n + i_k - 1, wp, c_in), pad_spec, h0, grad_x[bi])
+            _pad_rows_backward(flat[:n_flat].reshape(n + i_k - 1, wp, c_in), pad_spec, h0, grad_x[bi])
     return grad_x, np.ascontiguousarray(np.moveaxis(gw_taps, 0, 4)), bias_grads
 
 

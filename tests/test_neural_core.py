@@ -127,6 +127,22 @@ class TestPad:
         by_bands = padded_backward(up[:, :split], spec, x.shape) + padded_backward(up[:, split:], spec, x.shape, split)
         np.testing.assert_allclose(by_bands, padded_backward(up, spec, x.shape), rtol=1e-14, atol=1e-14)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 80), st.integers(1, 4), st.integers(1, 2000), st.integers(1, 40))
+    def test_row_bands_keep_min_rows_and_step(self, h, alpha, wp, min_rows):
+        # the bands tile the rows in order inside their components; none is
+        # under min_rows unless its component is, and only a band joined to
+        # a short remainder is over the step, by less than min_rows
+        alpha = min(alpha, h)
+        step = max(-(-neural_core._BAND_COLS // wp), min_rows)
+        bands = list(_row_bands(h, alpha, wp, min_rows))
+        assert [h0 for _, h0, _ in bands] == [0] + [h1 for _, _, h1 in bands[:-1]] and bands[-1][2] == h
+        for a, c0, c1 in _component_bands(h, alpha):
+            sizes = [h1 - h0 for b, h0, h1 in bands if b == a]
+            assert sum(sizes) == c1 - c0
+            assert all(n >= min(min_rows, c1 - c0) and (n <= step or n < step + min_rows) for n in sizes)
+            assert all(n <= step for n in sizes[:-1])
+
 
 class TestSlcForward:
     def test_per_row_scaling(self):
@@ -164,9 +180,9 @@ class TestSlcForward:
         np.testing.assert_array_equal(y[0, :, 0, 0], np.arange(1.0, 9.0))
 
     def test_pointwise_bands_stay_above_small_gemm(self, monkeypatch):
-        # a 1 x 1 conv runs in place, in bands of over _SMALL_GEMM
-        # multiply-adds each; the 2-row remainder joins the last band, and the
-        # output has the bits of one GEMM per component
+        # a band's GEMMs issue over _SMALL_GEMM multiply-adds each, here 31
+        # rows of a 1 x 1 conv; the 2-row remainder joins the last band, and
+        # the output has the bits of one GEMM per component
         rng = np.random.default_rng(27)
         x = rng.standard_normal((2, 64, 256, 32)).astype(np.float32)
         k = glorot_uniform(rng, 1, 1, 32, 4)
@@ -180,6 +196,18 @@ class TestSlcForward:
         monkeypatch.setattr(neural_core, "_BAND_COLS", 64 * 256)
         assert slc_forward(x, k, PadSpec(0, 0)).tobytes() == y.tobytes()
         assert calls[4:] == 2 * [(32, 64 * 256)]
+
+    @pytest.mark.parametrize("c_in, stride", [(32, 1), (48, 2)])
+    def test_bands_keep_the_bits_of_one_gemm_per_component(self, monkeypatch, c_in, stride):
+        # 20 output channels are not a multiple of 16, so a band GEMM under
+        # _SMALL_GEMM multiply-adds would round its last four rows apart
+        rng = np.random.default_rng(c_in + stride)
+        x = rng.standard_normal((2, 64, 256, c_in)).astype(np.float32)
+        k = glorot_uniform(rng, 3, 3, c_in, 20)
+        spec = PadSpec.same(3, 3, "cyclic")
+        y = slc_forward(x, k, spec, stride)
+        monkeypatch.setattr(neural_core, "_BAND_COLS", 64 * 258)
+        assert slc_forward(x, k, spec, stride).tobytes() == y.tobytes()
 
     def test_channel_mismatch(self):
         k = glorot_uniform(np.random.default_rng(0), 3, 3, 4, 2)
@@ -352,6 +380,7 @@ class TestStridedGeometry:
         spec = PadSpec.same(3, 3, mode)
         rng = np.random.default_rng(100 * h + 10 * band_rows + stride)
         monkeypatch.setattr(neural_core, "_BAND_COLS", band_rows * wp)
+        monkeypatch.setattr(neural_core, "_SMALL_GEMM", 0)
         bands = list(_row_bands(h, alpha, wp))
         components = list(_component_bands(h, alpha))
         # the bands tile the rows, none crosses a component edge, and a
