@@ -144,14 +144,15 @@ def read_labels(data: bytes) -> LabelArray:
 
 def write_labels(labels: LabelArray) -> bytes:
     words = labels.instance.astype("<u4") << 16 | labels.semantic.astype("<u4")
-    return words.astype("<u4").tobytes()
+    return words.astype("<u4", copy=False).tobytes()
 
 
 def write_range_image_bytes(img: RangeImage) -> bytes:
     h, w = img.shape
-    floats = (np.ascontiguousarray(p, dtype="<f4").tobytes() for p in (img.depth, img.reflectance, img.label))
-    mask = np.ascontiguousarray(img.mask, dtype=np.uint8).tobytes()
-    return b"".join([RIMG_MAGIC, struct.pack("<III", RIMG_VERSION, h, w), RIMG_DIRECTORY, *floats, mask])
+    # bytes.join reads each contiguous plane through the buffer protocol
+    planes = [np.ascontiguousarray(p, dtype="<f4") for p in (img.depth, img.reflectance, img.label)]
+    mask = np.ascontiguousarray(img.mask, dtype=np.uint8)
+    return b"".join([RIMG_MAGIC, struct.pack("<III", RIMG_VERSION, h, w), RIMG_DIRECTORY, *planes, mask])
 
 
 def _reject_pixels(bad: np.ndarray, what: str) -> None:

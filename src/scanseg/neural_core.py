@@ -43,14 +43,22 @@ OpenBLAS build with its own thread pool, so a matrix product through numpy
 pool: column sums as ``np.ones(n) @ g`` inside ``norm_backward`` took a
 preset-A training step from 0.57 to 0.87 s on 2 cores. Reductions use
 ``sum`` and ``einsum`` instead, which run in numpy's own loops.
+
+``scipy.linalg.blas`` is imported by the first GEMM (``_gemm_for``), not
+with this module. Importing it loads all of ``scipy.linalg`` and scipy's own
+OpenBLAS, a second copy beside numpy's: on 2 vCPU that took 0.38 s and raised
+the max RSS after ``import scanseg`` from 30 to 58 MiB, a cost every process
+that never convolves (data preparation, the ``synth``/``project``/``stats``
+commands) would pay. The library reads ``OPENBLAS_NUM_THREADS`` when it loads,
+so a thread count set before numpy is imported still holds.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas as _blas
 
 NORM_EPS = 1e-5  # added to every norm variance before its square root
 PADDING_MODES = ("cyclic", "zeros")  # width padding; height is always zeros
@@ -166,11 +174,27 @@ def _check_rank4(x: np.ndarray):
         raise ValueError(f"expected a [B, H, W, C] tensor, got shape {x.shape}")
 
 
+@functools.cache
+def _scipy_blas():
+    """``scipy.linalg.blas``, imported on the first call (see the module
+    docstring)."""
+    from scipy.linalg import blas
+
+    return blas
+
+
+def __getattr__(name):
+    # PEP 562: ``neural_core._blas`` is the same lazily imported module
+    if name == "_blas":
+        return _scipy_blas()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _gemm_for(dtype):
     if dtype == np.float32:
-        return _blas.sgemm
+        return _scipy_blas().sgemm
     if dtype == np.float64:
-        return _blas.dgemm
+        return _scipy_blas().dgemm
     raise ValueError(f"unsupported tensor dtype {dtype}")
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanseg.cloud_io import (
+    RIMG_DIRECTORY,
     FormatError,
     LabelArray,
     PointCloud,
@@ -157,6 +159,56 @@ def test_range_image_bytes_pinned():
     data = write_range_image_bytes(img)
     assert len(data) == 53 + 13 * 24
     assert hashlib.sha256(data).hexdigest() == "506e62087a70e913d869a0acda466a7be1ac8725828de11095154af15c19de13"
+
+
+def _container_by_formula(img):
+    """The RIMG layout written plane by plane through ``tobytes``."""
+    h, w = img.shape
+    planes = [np.asarray(p, dtype="<f4").tobytes() for p in (img.depth, img.reflectance, img.label)]
+    head = b"RIMG" + struct.pack("<III", 1, h, w) + RIMG_DIRECTORY
+    return head + b"".join(planes) + np.asarray(img.mask, dtype=np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_writers_match_the_layout_formula(seed):
+    rng = np.random.default_rng(seed)
+    img = _random_image(rng, 12, 40)
+    img.mask[-1, -1] = True
+    img.depth[-1, -1] = 9.5
+    img.label[-1, -1] = 17  # a label at the last pixel ends the label plane
+    transposed = _random_image(rng, 40, 12)
+    views = RangeImage(  # int64 labels and non-contiguous planes
+        depth=transposed.depth.T,
+        reflectance=transposed.reflectance.T,
+        label=transposed.label.T.astype(np.int64),
+        mask=transposed.mask.T,
+    )
+    assert not views.depth.flags.c_contiguous
+    for image in (img, views):
+        assert write_range_image_bytes(image) == _container_by_formula(image)
+        back = read_range_image_bytes(write_range_image_bytes(image))
+        np.testing.assert_array_equal(back.label, image.label)
+
+    semantic = rng.integers(0, 2**16, 300).astype(np.uint16)
+    instance = rng.integers(0, 2**16, 300).astype(np.uint16)
+    semantic[-1] = 65535  # a label at the last point
+    for sem, inst in ((semantic, instance), (semantic[::-2], instance[::-2])):
+        labels = LabelArray(sem, inst)
+        want = struct.pack(f"<{len(sem)}I", *(int(i) << 16 | int(s) for s, i in zip(sem, inst)))
+        assert write_labels(labels) == want
+
+
+def test_range_image_write_holds_no_plane_copies():
+    # bytes.join reads the float32 planes in place; only the int32 label
+    # plane and the bool mask are converted before the container is built
+    img = _random_image(np.random.default_rng(11), 64, 2048)
+    tracemalloc.start()
+    try:
+        data = write_range_image_bytes(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(data)
 
 
 def test_range_image_rejects_reordered_directory_and_trailing_bytes():
