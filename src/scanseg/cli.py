@@ -102,6 +102,11 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _accounting(stats: projection.OcclusionStats) -> str:
+    """Where a scan's points went, as ``scanseg project`` and ``stats`` print it."""
+    return f"projected={stats.n_projected} occluded={stats.n_occluded} out_of_range={stats.n_out_of_range}"
+
+
 def _cmd_project(args) -> int:
     cloud = cloud_io.load_point_cloud(args.input)
     labels = cloud_io.load_labels(args.labels) if args.labels else None
@@ -116,10 +121,7 @@ def _cmd_project(args) -> int:
     if args.preview:
         write_pgm(args.preview, img.depth)
     stats = projection.occlusion_stats(index_map)
-    print(
-        f"mode={args.mode} points={stats.n_points} projected={stats.n_projected} "
-        f"occluded={stats.n_occluded} out_of_range={stats.n_out_of_range}"
-    )
+    print(f"mode={args.mode} points={stats.n_points} {_accounting(stats)}")
     print(f"wrote {out}")
     return 0
 
@@ -135,8 +137,8 @@ def _cmd_stats(args) -> int:
     s_u = projection.occlusion_stats(map_unfold)
     s_e = projection.occlusion_stats(map_ego)
     print(f"points = {s_u.n_points}")
-    print(f"unfold: projected={s_u.n_projected} occluded={s_u.n_occluded} out_of_range={s_u.n_out_of_range}")
-    print(f"ego:    projected={s_e.n_projected} occluded={s_e.n_occluded} out_of_range={s_e.n_out_of_range}")
+    print(f"unfold: {_accounting(s_u)}")
+    print(f"ego:    {_accounting(s_e)}")
     print(f"occluded(ego) > occluded(unfold): {s_e.n_occluded > s_u.n_occluded}")
     print(f"rows_recovered = {(map_unfold.point_to_pixel[:, 0] == scan.true_rows).mean():.6f}")
     return 0
@@ -190,13 +192,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     results = bench_forward(args.presets, h=args.height, w=args.width, repeats=args.repeats, seed=args.seed)
-    times = {}
     for key, (sec, n_params) in results.items():
-        times[key] = sec
         channels = ",".join(str(c) for c in BACKBONE_PRESETS[key])
         print(f"{key:3s} params={n_params:>10d} channels={channels:<24s} forward={sec * 1e3:9.2f} ms")
-    if "D" in times and "R*" in times:
-        print(f"time(D) / time(R*) = {times['D'] / times['R*']:.3f}")
+    if "D" in results and "R*" in results:
+        print(f"time(D) / time(R*) = {results['D'][0] / results['R*'][0]:.3f}")
     return 0
 
 

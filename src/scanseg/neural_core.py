@@ -33,9 +33,9 @@ width and folds the band's padded input gradient into the result. Every
 buffer is sized for the tallest band and reused, so no temporary the size of
 a feature map is allocated, and a forward issues the same multiply-adds, in
 the same order per output element, as one GEMM per tap over the whole map.
-The weight gradient sums over every row of a band in row blocks sized to the
-BLAS's fast small-matrix path (see ``_GW_MNK``), every kernel tap inside a
-block.
+The weight gradient sums over every row of a band in row blocks, every kernel
+tap inside a block. Bands stay above one GEMM size, ``_SMALL_GEMM``, and
+blocks at or below it; ``_split`` cuts components, bands and blocks alike.
 
 All BLAS calls go through ``scipy.linalg.blas``. numpy links its own
 OpenBLAS build with its own thread pool, so a matrix product through numpy
@@ -131,20 +131,8 @@ def glorot_uniform(rng: np.random.Generator, i: int, j: int, c_in: int, c_out: i
     return SlcKernel(weights=weights, bias=bias)
 
 
-# Row blocking of the weight-gradient GEMMs (Goto & van de Geijn, ACM TOMS
-# 2008). Each has a c_out x c_in result and a K of every row of a band.
-# Measured with OpenBLAS 0.3.30 (scipy's), float32, 2 vCPU, 3 x 3 taps over
-# 2 x 64 x 258 padded rows at 32 -> 32 channels: unblocked 12.4 ms, blocks of
-# 768-879 rows 5.8-5.9 ms, blocks of 1024 rows or more 15-16 ms. The cliff sits
-# near c_in * c_out * rows = 1e6, so a block holds _GW_MNK // (c_in * c_out)
-# rows. Blocks shorter than _GW_MIN_ROWS lose (64 -> 128: 109 rows 48 ms,
-# unblocked 42 ms; 128 -> 128: 67 rows 134 ms, unblocked 80 ms), so such
-# channel counts run each band as one block.
-_GW_MNK = 900_000
-_GW_MIN_ROWS = 256
-
 # Output columns (rows x padded width) one band of a convolution covers at
-# least: a band has ceil(_BAND_COLS / Wp) rows. Each GEMM's N is a band's
+# most: a band has up to ceil(_BAND_COLS / Wp) rows. Each GEMM's N is a band's
 # column count, and N in the hundreds slowed preset D's 3 x 3 512 -> 512
 # layers by a third; at 1536 and 2048 they ran alike (2 vCPU, OpenBLAS
 # 0.3.30). At 1536 a 512-wide map runs in bands of three rows, whose buffers
@@ -156,17 +144,30 @@ _BAND_COLS = 1536
 # of the rows past the last multiple of 16 differs from the blocked kernels'
 # (a 1 x 1 conv to 4 classes changed bits at N = 1536, not at N = 16384). So
 # every band is made long enough for its GEMMs to stay above this size, and a
-# forward keeps the bits of one GEMM per component (see ``_row_bands`` for a
-# component's short last band).
+# forward keeps the bits of one GEMM per component. The weight gradient's
+# GEMMs (c_out x c_in, K a band's rows) run fastest at or below it, so their
+# rows are summed in blocks of at most _SMALL_GEMM // (c_in * c_out) rows
+# (Goto & van de Geijn, ACM TOMS 2008): at 32 -> 32 channels, 3 x 3 taps over
+# 2 x 64 x 258 padded rows took 12.4 ms unblocked, 5.8-5.9 ms in blocks of
+# 768-879 rows and 15-16 ms in blocks of 1024 rows or more (float32, 2 vCPU).
+# Blocks shorter than _GW_MIN_ROWS lose (64 -> 128: 109 rows 48 ms, unblocked
+# 42 ms; 128 -> 128: 67 rows 134 ms, unblocked 80 ms), so such channel counts
+# run each band as one block.
 _SMALL_GEMM = 1_000_000
+_GW_MIN_ROWS = 256
+
+
+def _split(r0: int, r1: int, k: int) -> list[tuple[int, int]]:
+    """``[r0, r1)`` cut into ``k`` contiguous ranges ``(lo, hi)`` whose sizes
+    differ by at most one; range ``i`` starts at ``r0 + ceil(i * n / k)``."""
+    n = r1 - r0
+    edges = [r0 - (-i * n // k) for i in range(k + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _component_bands(h: int, alpha: int):
     """Contiguous row ranges [h0, h1) sharing one kernel component."""
-    for a in range(alpha):
-        h0 = -(-a * h // alpha)  # ceil
-        h1 = -(-(a + 1) * h // alpha)
-        yield a, h0, h1
+    return [(a, h0, h1) for a, (h0, h1) in enumerate(_split(0, h, alpha))]
 
 
 def _check_rank4(x: np.ndarray):
@@ -242,19 +243,15 @@ def _pad_rows_backward(grad_rows: np.ndarray, spec: PadSpec, r0: int, grad_x: np
 
 def _row_bands(h_out: int, alpha: int, wp: int, min_rows: int = 1):
     """Output row bands [h0, h1) with their kernel component, none crossing a
-    component boundary: ``step = max(ceil(_BAND_COLS / wp), min_rows)`` rows
-    each, except that a component's last bands are shorter. A last band
-    under ``min_rows`` rows takes rows from the band before, or joins it
-    where that would leave either under ``min_rows``; only a joined band is
-    taller than ``step``."""
-    step = max(-(-_BAND_COLS // wp), min_rows)
+    component boundary. A component of ``n`` rows is split into
+    ``max(1, min(ceil(n / step), n // min_rows))`` bands, with
+    ``step = ceil(_BAND_COLS / wp)``: every band has at least ``min_rows``
+    rows or is its whole component, and none is taller than ``step`` unless
+    ``min_rows`` needs it."""
+    step = -(-_BAND_COLS // wp)
     for a, c0, c1 in _component_bands(h_out, alpha):
-        ends = list(range(c0 + step, c1, step))
-        if ends and c1 - ends[-1] < min_rows:
-            ends[-1] = c1 - min_rows
-            if ends[-1] < (ends[-2] if len(ends) > 1 else c0) + min_rows:
-                ends.pop()
-        for h0, h1 in zip([c0, *ends], [*ends, c1]):
+        n = c1 - c0
+        for h0, h1 in _split(c0, c1, max(1, min(-(-n // step), n // min_rows))):
             yield a, h0, h1
 
 
@@ -373,7 +370,7 @@ def slc_backward(
     # strides); wrapped flat positions then only ever meet zero gradients
     direct = wp == w_out and upstream.dtype == dtype
     g_flat = None if direct else np.zeros(_band_rows(bands) * wp * c_out, dtype=dtype)
-    gw_rows = _GW_MNK // (c_in * c_out)
+    gw_rows = _SMALL_GEMM // (c_in * c_out)
     taps = [(i, j) for i in range(i_k) for j in range(j_k)]
     for bi in range(b):
         for a, h0, h1 in bands:
@@ -390,10 +387,10 @@ def slc_backward(
 
             # weight gradient over row blocks, every tap inside a block while
             # its upstream rows are in cache; the row sum is split, not changed
-            step = gw_rows if gw_rows >= _GW_MIN_ROWS else rows
-            for r0 in range(0, rows, step):
-                n_r = min(step, rows - r0)
-                g_t = g_rows[r0 : r0 + n_r].T
+            n_blocks = -(-rows // gw_rows) if gw_rows >= _GW_MIN_ROWS else 1
+            for r0, r1 in _split(0, rows, n_blocks):
+                n_r = r1 - r0
+                g_t = g_rows[r0:r1].T
                 for i, j in taps:
                     start = (i * wp + j + r0) * c_in
                     m_t = flat[start : start + n_r * c_in].reshape(n_r, c_in).T
@@ -492,12 +489,11 @@ def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):
     # ((g * n - d_beta) - x_hat * d_gamma) * scale, a block of rows at a time
     # so no second full-size temporary is built
     gx = np.empty_like(g2)
-    step = max(1, _NORM_BLOCK // c)
-    for r0 in range(0, n, step):
-        blk = gx[r0 : r0 + step]
-        np.multiply(g2[r0 : r0 + step], n, out=blk)
+    for r0, r1 in _split(0, n, max(1, -(-n * c // _NORM_BLOCK))):
+        blk = gx[r0:r1]
+        np.multiply(g2[r0:r1], n, out=blk)
         blk -= d_beta
-        blk -= xh2[r0 : r0 + step] * d_gamma
+        blk -= xh2[r0:r1] * d_gamma
         blk *= scale
     return gx.reshape(upstream.shape), d_gamma, d_beta
 

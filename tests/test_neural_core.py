@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import central_diff_grad, max_rel_err, reference_conv, reference_conv_grads
 import scanseg
-from scanseg import neural_core
+from scanseg import neural_core, seg_net
 from scanseg.neural_core import (
     NORM_EPS,
     PadSpec,
@@ -18,6 +18,7 @@ from scanseg.neural_core import (
     _pad_rows,
     _pad_rows_backward,
     _row_bands,
+    _split,
     fold_norm,
     glorot_uniform,
     norm_backward,
@@ -46,6 +47,38 @@ def padded(x, spec, r0=0, r1=None):
     b, h, w, c = x.shape
     r1 = h + 2 * spec.i_pad if r1 is None else r1
     return np.stack([_pad_rows(xb, spec, r0, np.full((r1 - r0, w + 2 * spec.j_pad, c), np.nan)) for xb in x])
+
+
+def record_gemms(monkeypatch):
+    """Patches ``neural_core`` so that every GEMM appends ``(a.shape,
+    b.shape, trans_b, conv)`` to the returned list before it runs, where
+    ``conv`` is the ``(h_out, alpha, wp, min_rows)`` its convolution passed
+    to ``_row_bands``."""
+    calls, conv = [], [None]
+    gemm_for, row_bands = neural_core._gemm_for, neural_core._row_bands
+
+    def recording_bands(*args):
+        conv[0] = args
+        return row_bands(*args)
+
+    def recording(dtype):
+        gemm = gemm_for(dtype)
+
+        def call(alpha, a, b, **kw):
+            calls.append((a.shape, b.shape, kw.get("trans_b", False), conv[0]))
+            return gemm(alpha, a, b, **kw)
+
+        return call
+
+    monkeypatch.setattr(neural_core, "_row_bands", recording_bands)
+    monkeypatch.setattr(neural_core, "_gemm_for", recording)
+    return calls
+
+
+def mnk(call):
+    """Multiply-adds of one recorded GEMM."""
+    (m, k), b, trans_b, _ = call
+    return m * k * (b[0] if trans_b else b[1])
 
 
 def padded_backward(grad_padded, spec, shape, r0=0):
@@ -128,20 +161,32 @@ class TestPad:
         np.testing.assert_allclose(by_bands, padded_backward(up, spec, x.shape), rtol=1e-14, atol=1e-14)
 
     @settings(max_examples=200, deadline=None)
+    @given(st.integers(-50, 50), st.integers(0, 300), st.integers(1, 40))
+    def test_split_is_even_and_contiguous(self, r0, n, k):
+        parts = _split(r0, r0 + n, k)
+        assert len(parts) == k
+        assert [lo for lo, _ in parts] == [r0] + [hi for _, hi in parts[:-1]] and parts[-1][1] == r0 + n
+        sizes = [hi - lo for lo, hi in parts]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) == -(-n // k)
+        # range i starts at r0 + ceil(i * n / k), the component rule
+        assert all(lo - r0 == -(-i * n // k) for i, (lo, _) in enumerate(parts))
+
+    @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 80), st.integers(1, 4), st.integers(1, 2000), st.integers(1, 40))
     def test_row_bands_keep_min_rows_and_step(self, h, alpha, wp, min_rows):
-        # the bands tile the rows in order inside their components; none is
-        # under min_rows unless its component is, and only a band joined to
-        # a short remainder is over the step, by less than min_rows
+        # the bands tile each component in order; none is under min_rows
+        # unless it is its whole component, their sizes differ by at most
+        # one, and none is over the step unless min_rows allows fewer bands
         alpha = min(alpha, h)
-        step = max(-(-neural_core._BAND_COLS // wp), min_rows)
+        step = -(-neural_core._BAND_COLS // wp)
         bands = list(_row_bands(h, alpha, wp, min_rows))
         assert [h0 for _, h0, _ in bands] == [0] + [h1 for _, _, h1 in bands[:-1]] and bands[-1][2] == h
         for a, c0, c1 in _component_bands(h, alpha):
+            n = c1 - c0
             sizes = [h1 - h0 for b, h0, h1 in bands if b == a]
-            assert sum(sizes) == c1 - c0
-            assert all(n >= min(min_rows, c1 - c0) and (n <= step or n < step + min_rows) for n in sizes)
-            assert all(n <= step for n in sizes[:-1])
+            assert sum(sizes) == n
+            assert min(sizes) >= min(min_rows, n) and max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= step or n // min_rows < -(-n // step)
 
 
 class TestSlcForward:
@@ -180,22 +225,20 @@ class TestSlcForward:
         np.testing.assert_array_equal(y[0, :, 0, 0], np.arange(1.0, 9.0))
 
     def test_pointwise_bands_stay_above_small_gemm(self, monkeypatch):
-        # a band's GEMMs issue over _SMALL_GEMM multiply-adds each, here 31
-        # rows of a 1 x 1 conv; the 2-row remainder joins the last band, and
-        # the output has the bits of one GEMM per component
+        # a band's GEMMs run over _SMALL_GEMM multiply-adds each, here at
+        # least 31 rows of a 1 x 1 conv, so a sample's 64 rows run as two
+        # even bands, and the output has the bits of one GEMM per component
         rng = np.random.default_rng(27)
         x = rng.standard_normal((2, 64, 256, 32)).astype(np.float32)
         k = glorot_uniform(rng, 1, 1, 32, 4)
         k.bias[:] = rng.standard_normal(k.bias.shape)
-        calls = []
-        gemm_for = neural_core._gemm_for
-        monkeypatch.setattr(neural_core, "_gemm_for", lambda dtype: lambda *a, **kw: calls.append(a[2].shape) or gemm_for(dtype)(*a, **kw))
+        calls = record_gemms(monkeypatch)
         y = slc_forward(x, k, PadSpec(0, 0))
-        assert calls == 2 * [(32, 31 * 256), (32, 33 * 256)]
-        assert 4 * 31 * 256 * 32 > neural_core._SMALL_GEMM
+        assert [b for _, b, _, _ in calls] == 2 * 2 * [(32, 32 * 256)]
+        assert 4 * 31 * 256 * 32 > neural_core._SMALL_GEMM >= 4 * 30 * 256 * 32
         monkeypatch.setattr(neural_core, "_BAND_COLS", 64 * 256)
         assert slc_forward(x, k, PadSpec(0, 0)).tobytes() == y.tobytes()
-        assert calls[4:] == 2 * [(32, 64 * 256)]
+        assert [b for _, b, _, _ in calls[4:]] == 2 * [(32, 64 * 256)]
 
     @pytest.mark.parametrize("c_in, stride", [(32, 1), (48, 2)])
     def test_bands_keep_the_bits_of_one_gemm_per_component(self, monkeypatch, c_in, stride):
@@ -344,20 +387,34 @@ class TestStridedGeometry:
     @pytest.mark.parametrize("w", [7, 8])
     def test_weight_gradient_across_row_blocks(self, monkeypatch, w, stride, alpha, mode):
         c_in, c_out, block = 3, 2, 7
-        monkeypatch.setattr(neural_core, "_GW_MNK", block * c_in * c_out)
+        monkeypatch.setattr(neural_core, "_SMALL_GEMM", block * c_in * c_out)
         monkeypatch.setattr(neural_core, "_GW_MIN_ROWS", 1)
         rng = np.random.default_rng(10 * w + 5 * stride + alpha)
         h, wp = 5, w + 2
         bands = list(_component_bands(h, alpha))
-        # every row band spans several blocks and ends in a partial one
+        # every row band spans several blocks
         assert list(_row_bands(h, alpha, wp)) == bands
-        assert all((h1 - h0) * wp > block and (h1 - h0) * wp % block for _, h0, h1 in bands)
+        assert all((h1 - h0) * wp > block for _, h0, h1 in bands)
         spec = PadSpec.same(3, 3, mode)
+        calls = record_gemms(monkeypatch)
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             x = rng.standard_normal((2, h, w, c_in)).astype(dtype)
             k = SlcKernel(weights=rng.standard_normal((3, 3, c_in, c_out, alpha)).astype(dtype), bias=np.zeros((c_out, alpha), dtype))
             up = rng.standard_normal((2, h, (w - 1) // stride + 1, c_out)).astype(dtype)
+            calls.clear()
             gx, gw, gb = slc_backward(x, k, spec, up, stride)
+            # each block runs its nine taps; a band's blocks cover its rows,
+            # each holds at most `block` rows, and their sizes differ by at
+            # most one
+            blocks = iter([a[1] for a, _, trans_b, _ in calls if trans_b][::9])
+            for _ in range(x.shape[0]):
+                for _, h0, h1 in bands:
+                    sizes = []
+                    while sum(sizes) < (h1 - h0) * wp:
+                        sizes.append(next(blocks))
+                    assert sum(sizes) == (h1 - h0) * wp and len(sizes) > 1
+                    assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+            assert next(blocks, None) is None
             # the semi-local conv is a sum over components of plain convs
             # whose upstream is masked to the component's rows
             ref_gx = np.zeros(x.shape)
@@ -383,8 +440,8 @@ class TestStridedGeometry:
         monkeypatch.setattr(neural_core, "_SMALL_GEMM", 0)
         bands = list(_row_bands(h, alpha, wp))
         components = list(_component_bands(h, alpha))
-        # the bands tile the rows, none crosses a component edge, and a
-        # component's last band is short where band_rows does not divide it
+        # the bands tile the rows, none crosses a component edge, and some
+        # band is short where band_rows does not divide a component
         assert np.array_equal(np.concatenate([np.arange(h0, h1) for _, h0, h1 in bands]), np.arange(h))
         assert all(((np.arange(h0, h1) * alpha) // h == a).all() and h1 - h0 <= band_rows for a, h0, h1 in bands)
         assert len(bands) > alpha and (band_rows == 1 or any(h1 - h0 < band_rows for _, h0, h1 in bands))
@@ -407,6 +464,37 @@ class TestStridedGeometry:
                 assert gw.dtype == dtype and max_rel_err(gw[..., a], rw) < tol
                 assert max_rel_err(gb[:, a], rb) < tol
             assert gx.dtype == dtype and max_rel_err(gx, ref_gx) < tol
+
+
+def test_network_gemms_keep_the_small_gemm_rule(monkeypatch):
+    # a preset-A training step at 2 x 64 x 256 and a preset-D eval forward at
+    # 1 x 64 x 512: every forward and input-gradient GEMM runs over
+    # _SMALL_GEMM multiply-adds unless its band is a whole component shorter
+    # than the floor, and every weight-gradient GEMM at most _SMALL_GEMM
+    # wherever its channels allow blocks of _GW_MIN_ROWS rows
+    calls = record_gemms(monkeypatch)
+    rng = np.random.default_rng(43)
+    net = seg_net.build(seg_net.config_from_preset("a", n_classes=4), seed=43)
+    logits = net.forward(rng.standard_normal((2, 64, 256, 3)).astype(np.float32), training=True)
+    net.backward(rng.standard_normal(logits.shape).astype(np.float32))
+    net = seg_net.build(seg_net.config_from_preset("d"), seed=44)
+    net.forward(rng.standard_normal((1, 64, 512, 3)).astype(np.float32))
+
+    small, short, blocked = neural_core._SMALL_GEMM, [], []
+    for call in calls:
+        a, b, trans_b, (h_out, alpha, wp, min_rows) = call
+        if trans_b:
+            if a[0] * b[0] * neural_core._GW_MIN_ROWS <= small:
+                assert mnk(call) <= small, call
+                blocked.append(call)
+        elif mnk(call) <= small:
+            rows = b[1] // wp
+            assert rows * wp == b[1] and rows < min_rows, call
+            assert rows in [h1 - h0 for _, h0, h1 in _component_bands(h_out, alpha)], call
+            short.append(call)
+    # both rules are exercised: preset A's 8-wide stage has 64-row components
+    # under the floor, and its 32-channel weight gradients are blocked
+    assert short and blocked and len(calls) > len(short) + len(blocked)
 
 
 def _peak_alloc(fn, *args):
