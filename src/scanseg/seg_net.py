@@ -8,8 +8,9 @@ mirrors the strides with nearest-neighbor width upsampling and additive skip
 connections behind channel-matching 1x1 convolutions, and a 1x1 head maps to
 the class logits. Every convolution is a semi-local convolution whose
 component count alpha can be scheduled per layer (default 1 everywhere, i.e.
-plain convolutions), and every width padding follows the configured mode, so
-a cyclic network is cyclic end to end.
+plain convolutions; an override key is a prefix of conv layer names, and a
+key that prefixes none is rejected), and every width padding follows the
+configured mode, so a cyclic network is cyclic end to end.
 
 Every conv and norm leaf registers itself at construction in
 ``Network.layers``, keyed by layer name (``"stem.conv"``, ``"head"``) in
@@ -32,19 +33,25 @@ activation is rebuilt in backward from what is cached (Chen et al. 2016,
 arXiv:1604.06174; the norm-plus-activation case of Rota Bulo et al. 2018,
 arXiv:1712.02616): a conv unit's output is its norm's ``norm_output`` of
 x_hat, relu applied where the unit is activated, with the forward's own
-float ops, so the rebuild has the forward's bits. The backward of each
-conv unit, block and stage, ``backward(upstream, x, y)``, takes its forward
-input ``x`` and its output ``y`` from its parent (a conv leaf's takes only
-``x``). The parent rebuilds ``x`` through its producer's ``output()`` just
-before the call, and once the call has read it hands it on as the
-producer's ``y``, into which a relu backward writes its gradient. Which
-stage feeds which is set once, when the network is built. The forward
-pops each skip as its decoder stage consumes it and adds shortcuts and
-skips in place on fresh outputs. Backward releases every cache once it is
-done with it, so a finished step holds no activations, and a backward
-with nothing to read names the layer that lacks its cache. A decoder
-stage runs its 1x1 matcher before the width upsample, at half the width,
-and this order gives the same result as upsampling first: nearest repetition along the width commutes with every
+float ops, so the rebuild has the forward's bits.
+
+The wiring is one list, ``encoder + decoder``: each encoder stage's entry
+conv unit followed by its residual blocks, then the decoder stages. Each
+module reads the output of the one before it (the first reads the
+normalized input), and a decoder stage also adds its ``skip_src``'s output,
+that of the last module of the encoder stage of its width, given when the
+stage is built. The backward of each conv unit, block and decoder stage,
+``backward(upstream, x, y)``, takes its forward input ``x`` and its output
+``y`` from its parent (a conv leaf's takes only ``x``). The parent rebuilds
+``x`` through its producer's ``output()`` just before the call, and once
+the call has read it hands it on as the producer's ``y``, into which a relu
+backward writes its gradient. The forward pops each skip as its decoder
+stage consumes it and adds shortcuts and skips in place on fresh outputs.
+Backward releases every cache once it is done with it, so a finished step
+holds no activations, and a backward with nothing to read names the layer
+that lacks its cache. A decoder stage runs its 1x1 matcher before the
+width upsample, at half the width, and this order gives the same result as
+upsampling first: nearest repetition along the width commutes with every
 per-pixel op (a 1x1 conv, a folded norm, relu), and a norm's biased batch
 mean and variance do not change when every value is repeated the same
 number of times. Eval logits are bit-identical to the upsample-first order;
@@ -256,7 +263,7 @@ class ConvUnit:
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
         self.name = name
-        alpha = config.alpha_for(name)
+        alpha = config.alpha_for(f"{name}.conv")
         self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, bias=alpha > 1, stride_w=stride_w)
         self.norm = self.conv.norm = NormLayer(layers, f"{name}.norm", c_out)
         self.activated = activated
@@ -319,55 +326,18 @@ class ResBlock:
         return g
 
 
-class EncoderStage:
-    """Entry conv unit followed by residual blocks.
-
-    The entry unit of a width-stride-2 stage is named ``<name>.down``; the
-    stride-1 stem stage's entry unit is named ``<name>`` itself. ``src``,
-    set by the network, is the stage whose output this one reads (``None``
-    for the stem, which reads the normalized input).
-    """
-
-    def __init__(self, layers, rng, config, name, c_in, c_out, n_blocks, stride_w=2):
-        entry = f"{name}.down" if stride_w > 1 else name
-        self.down = ConvUnit(layers, rng, config, entry, 3, 3, c_in, c_out, stride_w=stride_w)
-        self.blocks = [ResBlock(layers, rng, config, f"{name}.block{k}", c_out) for k in range(n_blocks)]
-        self.src = None
-
-    def forward(self, x, training=False):
-        y = self.down.forward(x, training)
-        for b in self.blocks:
-            y = b.forward(y, training)
-        return y
-
-    def output(self):
-        """The last training forward's result: the last block's cached
-        output, or the rebuilt entry unit's if there is no block."""
-        return (self.blocks[-1] if self.blocks else self.down).output()
-
-    def backward(self, g, x, y):
-        # each block reads the output of the module before it, rebuilt here
-        # and then handed to that module as its spent output
-        for src, block in reversed(list(zip([self.down, *self.blocks], self.blocks))):
-            x_block = src.output()
-            g = block.backward(g, x_block, y)
-            y = x_block
-        return self.down.backward(g, x, y)
-
-
 class DecoderStage:
     """1x1 channel matcher, width upsample, additive skip, 3x3 refine.
 
     The matcher runs before the upsample, at half the width; the two commute
     (see the module docstring). The skip is added in place on the fresh
-    upsample output. ``src`` and ``skip_src``, set by the network, are the
-    stages whose outputs this one reads as its input and its skip.
+    upsample output. ``skip_src`` is the module whose output is the skip.
     """
 
-    def __init__(self, layers, rng, config, name, c_in, c_out):
+    def __init__(self, layers, rng, config, name, c_in, c_out, skip_src):
         self.proj = ConvUnit(layers, rng, config, f"{name}.proj", 1, 1, c_in, c_out)
         self.refine = ConvUnit(layers, rng, config, f"{name}.refine", 3, 3, c_out, c_out)
-        self.src = self.skip_src = None
+        self.skip_src = skip_src
 
     def forward(self, x, skip, training=False):
         u = upsample_width(self.proj.forward(x, training), 2)
@@ -390,8 +360,9 @@ class DecoderStage:
 
 
 class Network:
-    """A built backbone: the name-keyed layer registry and the explicit
-    forward/backward wiring of the encoder-decoder topology."""
+    """A built backbone: the name-keyed layer registry and the module lists
+    ``encoder`` and ``decoder``, whose order is the forward/backward wiring
+    (see the module docstring)."""
 
     def __init__(self, config: NetworkConfig, seed: int = 0):
         self.config = config
@@ -400,25 +371,27 @@ class Network:
         #: every conv and norm leaf by layer name, in parameter order
         self.layers: dict = {}
 
+        # each encoder stage is its entry unit (the stem's is ``stem``, a
+        # width-halving stage's ``enc<k>.down``) followed by its blocks; the
+        # last module of each stage is the skip of the decoder stage of its width
         names = ["stem"] + [f"enc{i}" for i in range(1, N_ENCODER_STAGES + 1)]
         c_ins = (IN_CHANNELS,) + ch[:-1]
-        self.encoder = [
-            EncoderStage(self.layers, rng, config, name, c_in, c_out, n_blocks, stride_w=1 if k == 0 else 2)
-            for k, (name, c_in, c_out, n_blocks) in enumerate(zip(names, c_ins, ch, config.blocks_per_stage))
-        ]
+        self.encoder, stage_ends = [], []
+        for k, (name, c_in, c_out, n_blocks) in enumerate(zip(names, c_ins, ch, config.blocks_per_stage)):
+            entry, stride_w = (f"{name}.down", 2) if k else (name, 1)
+            self.encoder.append(ConvUnit(self.layers, rng, config, entry, 3, 3, c_in, c_out, stride_w=stride_w))
+            self.encoder += [ResBlock(self.layers, rng, config, f"{name}.block{b}", c_out) for b in range(n_blocks)]
+            stage_ends.append(self.encoder[-1])
         self.decoder = [
-            DecoderStage(self.layers, rng, config, f"dec{i}", ch[i], ch[i - 1]) for i in range(N_ENCODER_STAGES, 0, -1)
+            DecoderStage(self.layers, rng, config, f"dec{i}", ch[i], ch[i - 1], stage_ends[i - 1])
+            for i in range(N_ENCODER_STAGES, 0, -1)
         ]
-        # the wiring, read by forward and backward alike: each stage reads the
-        # output of the stage before it (the stem, the normalized input), and
-        # each decoder stage adds the output of the encoder stage of its width
-        stages = self.encoder + self.decoder
-        for src, stage in zip([None, *stages], stages):
-            stage.src = src
-        for stage, skip_src in zip(self.decoder, reversed(self.encoder[:-1])):
-            stage.skip_src = skip_src
         alpha = config.alpha_for("head")
         self.head = SlcLayer(self.layers, "head", rng, 1, 1, ch[0], config.n_classes, alpha, config.padding, bias=True)
+        convs = [name for name, layer in self.layers.items() if isinstance(layer, SlcLayer)]
+        unused = [key for key in config.alpha_overrides if not any(name.startswith(key) for name in convs)]
+        if unused:
+            raise ValueError(f"alpha_overrides name no conv layer: {', '.join(map(repr, unused))}")
 
         # per-channel input normalization, set from data by the trainer
         self.input_mean = np.zeros(IN_CHANNELS, dtype=np.float32)
@@ -449,13 +422,13 @@ class Network:
         x = (x - self.input_mean) / self.input_std
         self._x = x if training else None
 
-        # the deepest stage's output is the decoder input, not a skip; each
-        # decoder stage pops the skip it consumes, so none outlives its reader
-        skips = {}
-        for stage in self.encoder[:-1]:
-            x = stage.forward(x, training)
-            skips[stage] = x
-        x = self.encoder[-1].forward(x, training)
+        # of the encoder's outputs only the skips outlive their next reader;
+        # each decoder stage pops the skip it consumes, so none outlives it
+        skips = dict.fromkeys(stage.skip_src for stage in self.decoder)
+        for module in self.encoder:
+            x = module.forward(x, training)
+            if module in skips:
+                skips[module] = x
         for stage in self.decoder:
             x = stage.forward(x, skips.pop(stage.skip_src), training)
         return self.head.forward(x, training)
@@ -465,23 +438,28 @@ class Network:
         gradients go to each leaf's ``grads``; returns the gradient wrt ``x``.
         It releases the forward's caches, so a second call raises.
 
-        Each stage's input ``x`` is rebuilt through its source's ``output()``
-        just before its backward, and once read is handed on as the source's
-        spent output ``y``. The rebuilds read caches no backward has released
-        yet: every decoder stage runs before any encoder stage, and each
-        source runs after its reader here."""
-        x = self.decoder[-1].output()
-        g = self.head.backward(grad_logits, x)
+        The modules run in reverse list order over ``encoder + decoder``.
+        Each one's input ``x`` is the output of the module before it,
+        rebuilt through its ``output()`` just before the call (the normalized
+        input for the first), and once read is handed on as that module's
+        spent output ``y``. A decoder stage's skip gradient is added to the
+        upstream gradient of its ``skip_src`` just before that module's
+        backward. The rebuilds read caches no backward has released yet:
+        each module runs after every module that reads its output."""
+        chain = self.encoder + self.decoder
+        y = chain[-1].output()
+        g = self.head.backward(grad_logits, y)
         skip_grads = {}
-        for stage in reversed(self.decoder):
-            y, x = x, stage.src.output()
-            g, skip_grads[stage.skip_src] = stage.backward(g, x, y, stage.skip_src.output())
-        for stage in reversed(self.encoder):
-            if stage in skip_grads:
-                g += skip_grads.pop(stage)
+        for k in reversed(range(len(chain))):
+            module = chain[k]
+            if module in skip_grads:
+                g += skip_grads.pop(module)
+            x = chain[k - 1].output() if k else self._x
+            if isinstance(module, DecoderStage):
+                g, skip_grads[module.skip_src] = module.backward(g, x, y, module.skip_src.output())
+            else:
+                g = module.backward(g, x, y)
             y = x
-            x = stage.src.output() if stage.src else self._x
-            g = stage.backward(g, x, y)
         self._x = None
         # through the input normalization, so the gradient is wrt ``x``
         return g / self.input_std

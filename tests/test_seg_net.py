@@ -12,7 +12,6 @@ from scanseg.seg_net import (
     BACKBONE_PRESETS,
     ConvUnit,
     DecoderStage,
-    EncoderStage,
     Network,
     NetworkConfig,
     NormLayer,
@@ -144,6 +143,18 @@ def test_alpha_override_targets_named_layer():
     assert prefix_cfg.alpha_for("enc1.block0.conv1") == 2
 
 
+def test_alpha_override_that_names_no_conv_is_rejected():
+    # a key is a prefix of conv layer names, the conv leaf's own name included
+    net = build(small_config(alpha_overrides={"enc1.down.conv": 2, "enc2.block": 3}), seed=0)
+    assert net.layers["enc1.down.conv"].kernel.alpha == 2
+    assert net.layers["enc2.block0.conv2.conv"].kernel.alpha == 3
+    assert net.layers["enc2.down.conv"].kernel.alpha == 1
+    with pytest.raises(ValueError, match=r"^alpha_overrides name no conv layer: 'hed', 'enc1\.down\.norm'$"):
+        build(NetworkConfig(alpha_overrides={"hed": 2, "enc1.down.norm": 3}))
+    with pytest.raises(ValueError, match=r"^alpha_overrides name no conv layer: 'enc1\.block0'$"):
+        build(small_config(blocks_per_stage=(1, 0, 1, 1, 1, 1), alpha_overrides={"enc1.block0": 2}))
+
+
 def test_stride_aligned_cyclic_shift_equivariance():
     # width strides total 32; shifting by a multiple keeps every stage aligned
     cfg = small_config(padding="cyclic")
@@ -221,6 +232,7 @@ BAD_CONFIGS = {
     "unknown padding mode 'reflect'": lambda c: c | {"padding": "reflect"},
     "n_classes must be >= 1": lambda c: c | {"n_classes": 0},
     "cannot be interpreted as an integer": lambda c: c | {"alpha_overrides": {"head": 1.5}},
+    "bad config: alpha_overrides name no conv layer: 'hed'": lambda c: c | {"alpha_overrides": {"hed": 2}},
     "not a JSON object": lambda c: [c],
 }
 
@@ -256,6 +268,16 @@ def test_input_stats_buffers_serialized(tmp_path):
     np.testing.assert_array_equal(other.input_std, [4.0, 5.0, 6.0])
 
 
+def _leaves(module):
+    """The conv and norm leaves a chain module owns, in the order it runs them."""
+    if isinstance(module, SlcLayer):
+        return [module]
+    if isinstance(module, ConvUnit):
+        return [module.conv, module.norm]
+    units = (module.u1, module.u2) if isinstance(module, ResBlock) else (module.proj, module.refine)
+    return [leaf for unit in units for leaf in _leaves(unit)]
+
+
 def test_layer_registry_is_parameter_order():
     net = build(small_config(), seed=0)
     names = list(net.layers)
@@ -264,6 +286,22 @@ def test_layer_registry_is_parameter_order():
     assert names[-1] == "head"
     assert list(net.parameters()) == [k for layer in net.layers.values() for k in layer.params]
     assert list(net.buffers())[:2] == ["input_mean", "input_std"]
+
+    # the chain owns every leaf, in registry order, and each decoder stage's
+    # skip is the last module of the encoder stage of its width, the entry
+    # unit of a stage with no block
+    blocks = (1, 0, 1, 2, 0, 1)
+    net = build(small_config(blocks_per_stage=blocks), seed=0)
+    chain = net.encoder + net.decoder + [net.head]
+    assert [leaf for module in chain for leaf in _leaves(module)] == list(net.layers.values())
+    stages = ["stem"] + [f"enc{k}" for k in range(1, 6)]
+    entries = ["stem"] + [f"{stage}.down" for stage in stages[1:]]
+    assert [m.name for m in net.encoder if isinstance(m, ConvUnit)] == entries
+    ends = [f"{stage}.block{n - 1}" if n else entry for stage, entry, n in zip(stages, entries, blocks)]
+    assert [stage.skip_src.name for stage in net.decoder] == ends[4::-1]
+    for stage in net.decoder:
+        after = net.encoder[net.encoder.index(stage.skip_src) + 1]
+        assert isinstance(after, ConvUnit) and after.name.endswith(".down")
 
 
 def _as_float64(net):
@@ -291,10 +329,10 @@ GRAD_PROBES = {
 }
 
 
-def _tiny_float64_net(padding, alpha):
+def _tiny_float64_net(padding, alpha, blocks_per_stage=(1,) * 6):
     """A seeded 4-channel float64 network with a non-trivial input normalization."""
     cfg = NetworkConfig(
-        stage_channels=(4,) * 6, blocks_per_stage=(1,) * 6, n_classes=3, padding=padding, alpha_default=alpha
+        stage_channels=(4,) * 6, blocks_per_stage=blocks_per_stage, n_classes=3, padding=padding, alpha_default=alpha
     )
     net = _as_float64(build(cfg, seed=21))
     net.input_mean[:] = [0.2, -0.1, 0.3]
@@ -320,7 +358,23 @@ def test_every_parameter_has_a_live_gradient(padding, alpha):
 @pytest.mark.parametrize("padding", ["cyclic", "zeros"])
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_network_backward_matches_central_differences(padding, alpha):
-    net = _tiny_float64_net(padding, alpha)
+    _check_network_backward(_tiny_float64_net(padding, alpha), alpha, {})
+
+
+def test_network_backward_matches_central_differences_across_empty_and_chained_stages():
+    # enc1 and enc4 have no block, so their skips are rebuilt entry units
+    # rather than cached block outputs, and enc3 chains two blocks
+    alpha = 2
+    net = _tiny_float64_net("cyclic", alpha, blocks_per_stage=(1, 0, 1, 2, 0, 1))
+    edge_probes = {
+        "enc1.down.norm.gamma": np.s_[:],
+        "enc3.block1.conv1.conv.weights": np.s_[1, :, 2, 0],
+        "enc4.down.norm.beta": np.s_[:],
+    }
+    _check_network_backward(net, alpha, edge_probes)
+
+
+def _check_network_backward(net, alpha, extra_probes):
     rng = np.random.default_rng(22)
     x = rng.standard_normal((2, 4, 32, 3))
     up = rng.standard_normal((2, 4, 32, 3))
@@ -338,8 +392,8 @@ def test_network_backward_matches_central_differences(padding, alpha):
         num = central_diff_grad(loss, x[:, :, cols], 1e-6)
         assert max_rel_err(gx[:, :, cols], num) < 1e-5, cols
     params = net.parameters()
-    probes = {name: probe for name, probe in GRAD_PROBES.items() if name in params}
-    assert set(GRAD_PROBES) - set(probes) == ({"enc2.down.conv.bias"} if alpha == 1 else set())
+    probes = {name: probe for name, probe in (GRAD_PROBES | extra_probes).items() if name in params}
+    assert set(GRAD_PROBES | extra_probes) - set(probes) == ({"enc2.down.conv.bias"} if alpha == 1 else set())
     for name, probe in probes.items():
         num = central_diff_grad(loss, params[name][probe], 1e-6)
         assert max_rel_err(grads[name][probe], num) < 1e-5, name
@@ -444,13 +498,11 @@ def test_eval_fold_follows_loaded_and_stepped_weights(tmp_path):
 
 
 def _modules(net):
-    """The network and every stage, conv unit, residual block and conv and
-    norm leaf of it."""
+    """The network and every decoder stage, conv unit, residual block and
+    conv and norm leaf of it."""
     units = [unit for stage in net.decoder for unit in (stage, stage.proj, stage.refine)]
-    for stage in net.encoder:
-        units += [stage, stage.down]
-        for block in stage.blocks:
-            units += [block, block.u1, block.u2]
+    for module in net.encoder:
+        units += [module, module.u1, module.u2] if isinstance(module, ResBlock) else [module]
     return [net] + list(net.layers.values()) + units
 
 
@@ -557,13 +609,13 @@ def test_training_step_peak_memory():
 def test_output_rebuilds_each_training_forward_result(monkeypatch, dtype, padding, alpha):
     # backward feeds each module the rebuilt output of the one before it, so
     # the rebuild must be the forward's result bit for bit; the stages with
-    # no block cover an encoder output taken from its entry unit
+    # no block cover a skip taken from an entry unit
     cfg = small_config(padding=padding, alpha_default=alpha, blocks_per_stage=(1, 0, 1, 2, 0, 1))
     net = _randomize_norms(build(cfg, seed=43), seed=44)
     if dtype == np.float64:
         _as_float64(net)
     returned = {}
-    for cls in (ConvUnit, EncoderStage, DecoderStage):
+    for cls in (ConvUnit, ResBlock, DecoderStage):
 
         def recorded(module, *args, _forward=cls.forward):
             y = _forward(module, *args)
@@ -574,7 +626,7 @@ def test_output_rebuilds_each_training_forward_result(monkeypatch, dtype, paddin
     x = np.random.default_rng(45).standard_normal((2, 8, 64, 3)).astype(dtype)
     net.forward(x, training=True)
 
-    modules = [m for m in _modules(net) if isinstance(m, (ConvUnit, EncoderStage, DecoderStage))]
+    modules = [m for m in _modules(net) if isinstance(m, (ConvUnit, ResBlock, DecoderStage))]
     assert sorted(returned) == sorted(map(id, modules))
     assert {m.activated for m in modules if isinstance(m, ConvUnit)} == {False, True}
     for module in modules:
@@ -596,7 +648,7 @@ def test_backward_after_eval_forward_names_the_layer():
     # the head's input is rebuilt from the last decoder's norm, which is the first to be missed
     with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
         net.decoder[-1].output()
-    stem = net.encoder[0].down
+    stem = net.encoder[0]
     with pytest.raises(RuntimeError, match=r"^stem\.norm: backward needs a training forward first$"):
         stem.backward(np.ones((1, 8, 64, 8), np.float32), np.ones((1, 8, 64, 3), np.float32), np.ones((1, 8, 64, 8), np.float32))
 
@@ -639,7 +691,7 @@ def test_second_backward_names_the_layer():
         with pytest.raises(RuntimeError, match=rf"^{re.escape(name)}: backward needs a training forward first$"):
             net.layers[name].backward(up)
     # a parent takes a block's spent output from the block, which names itself
-    block = net.encoder[0].blocks[0]
+    block = net.encoder[1]
     with pytest.raises(RuntimeError, match=r"^stem\.block0: backward needs a training forward first$"):
         block.output()
     with pytest.raises(RuntimeError, match=r"^stem\.block0\.conv1\.norm: backward needs a training forward first$"):
@@ -664,7 +716,7 @@ def test_decoder_matcher_before_upsample_matches_upsample_first(alpha):
     # norm's batch statistics ignore repeating every value twice
     cfg = NetworkConfig(stage_channels=(4,) * 6, blocks_per_stage=(1,) * 6, n_classes=3, alpha_default=alpha)
     layers = {}
-    stage = DecoderStage(layers, np.random.default_rng(35), cfg, "dec1", 6, 4)
+    stage = DecoderStage(layers, np.random.default_rng(35), cfg, "dec1", 6, 4, skip_src=None)
     _randomize_norms(_as_float64(SimpleNamespace(layers=layers)), seed=36)
     rng = np.random.default_rng(37)
     x = rng.standard_normal((2, 4, 16, 6))
