@@ -10,6 +10,7 @@ tie on the mIoU column even when its cross-entropy is worse.
 import argparse
 
 from scanseg.seg_net import config_from_preset
+from scanseg.seg_objectives import LOSSES
 from scanseg.trainer import TrainConfig, make_synthetic_dataset, train
 
 
@@ -26,7 +27,7 @@ def main():
         n_scans=args.scans, h=64, w=args.width, n_object_classes=args.classes, seed=args.seed
     )
     print(f"{len(train_set)} training scans, {args.steps} steps each")
-    for loss in ("ce", "dice", "ce+dice"):
+    for loss in LOSSES:
         config = TrainConfig(
             net=config_from_preset("a", n_classes=args.classes + 1),
             loss=loss,

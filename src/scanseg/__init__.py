@@ -23,7 +23,7 @@ from .projection import (
     unfold_scan,
 )
 from .seg_net import BACKBONE_PRESETS, Network, NetworkConfig, build, config_from_preset, count_params
-from .seg_objectives import ConfusionMatrix, accumulate_confusion, cross_entropy, dice_loss, miou, softmax
+from .seg_objectives import ConfusionMatrix, accumulate_confusion, cross_entropy, dice_loss_on_logits, miou, softmax
 from .synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, SynthScan, generate_scan
 from .trainer import RunReport, Sample, TrainConfig, evaluate, make_synthetic_dataset, train
 

@@ -18,8 +18,8 @@ import numpy as np
 from . import cloud_io, projection, synth_lidar
 from .neural_core import PADDING_MODES
 from .seg_net import BACKBONE_PRESETS, config_from_preset, load_network, preset_key, save_weights
+from .seg_objectives import LOSSES
 from .trainer import (
-    LOSSES,
     TrainConfig,
     _metric,
     bench_forward,
@@ -64,7 +64,7 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scans", type=int, default=40, help="number of synthetic scans (split 50/50 train/val)")
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=512)
-    p.add_argument("--classes", type=int, default=3, help="object classes (plus unlabeled 0)")
+    p.add_argument("--classes", type=int, default=3, help="object classes, at least 3 (plus unlabeled 0)")
     p.add_argument("--projection", choices=projection.PROJECTIONS, default="unfold")
     p.add_argument("--ego-velocity", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)

@@ -313,13 +313,13 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
     flat = _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
     # padded-width output of a band; columns off the stride grid are junk fed
     # by row-wrapped flat positions and are dropped by the copy into y
-    y_flat = None if wp == w_out else np.empty(_band_rows(bands) * wp * c_out, dtype=dtype)
+    y_flat = np.empty(_band_rows(bands) * wp * c_out, dtype=dtype)
     for bi in range(x.shape[0]):
         for a, h0, h1 in bands:
             n = h1 - h0
             rows = n * wp
             _pad_rows(x[bi], pad_spec, h0, flat[: (n + i_k - 1) * wp * c_in].reshape(n + i_k - 1, wp, c_in))
-            y_band = y[bi, h0:h1] if y_flat is None else y_flat[: rows * c_out].reshape(n, wp, c_out)
+            y_band = y_flat[: rows * c_out].reshape(n, wp, c_out)
             y_band[...] = kernel.bias[:, a].astype(dtype, copy=False)
             y_t = y_band.reshape(rows, c_out).T
             for i in range(i_k):
@@ -327,8 +327,7 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
                     off = (i * wp + j) * c_in
                     m_t = flat[off : off + rows * c_in].reshape(rows, c_in).T
                     gemm(1.0, w_taps[a, i, j].T, m_t, beta=1.0, c=y_t, overwrite_c=True)
-            if y_flat is not None:
-                y[bi, h0:h1] = y_band[:, 0 : stride_w * (w_out - 1) + 1 : stride_w]
+            y[bi, h0:h1] = y_band[:, 0 : stride_w * (w_out - 1) + 1 : stride_w]
     return y
 
 
@@ -368,8 +367,7 @@ def slc_backward(
     flat = _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
     # upstream spread onto the padded width of a band (zeros between
     # strides); wrapped flat positions then only ever meet zero gradients
-    direct = wp == w_out and upstream.dtype == dtype
-    g_flat = None if direct else np.zeros(_band_rows(bands) * wp * c_out, dtype=dtype)
+    g_flat = np.zeros(_band_rows(bands) * wp * c_out, dtype=dtype)
     gw_rows = _SMALL_GEMM // (c_in * c_out)
     taps = [(i, j) for i in range(i_k) for j in range(j_k)]
     for bi in range(b):
@@ -378,12 +376,8 @@ def slc_backward(
             rows = n * wp
             n_flat = (n + i_k - 1) * wp * c_in
             _pad_rows(x[bi], pad_spec, h0, flat[:n_flat].reshape(n + i_k - 1, wp, c_in))
-            if direct:
-                g_rows = upstream[bi, h0:h1].reshape(rows, c_out)
-            else:
-                g_band = g_flat[: rows * c_out].reshape(n, wp, c_out)
-                g_band[:, 0 : stride_w * w_out : stride_w] = upstream[bi, h0:h1]
-                g_rows = g_band.reshape(rows, c_out)
+            g_rows = g_flat[: rows * c_out].reshape(rows, c_out)
+            g_rows.reshape(n, wp, c_out)[:, 0 : stride_w * w_out : stride_w] = upstream[bi, h0:h1]
 
             # weight gradient over row blocks, every tap inside a block while
             # its upstream rows are in cache; the row sum is split, not changed

@@ -1,11 +1,15 @@
 """Segmentation losses and the mean-IoU evaluation stack.
 
+Every loss takes softmax probabilities and returns its gradient with respect
+to the logits that produced them; ``objective`` sums the terms of each
+training objective in ``LOSSES``.
+
 Class id ``UNLABELED`` (0) is never scored: its pixels add nothing to either
 loss or its gradient, and its class is left out of the Dice and mIoU class
 means, as in the benchmark tables.
 
-Cross-entropy is the mean over scored pixels of -log y_c. The soft Dice
-loss is one minus the mean per-class overlap ratio
+Cross-entropy is the mean over scored pixels of -log y_c. The soft Dice loss
+of V-Net (arXiv:1606.04797) is one minus the mean per-class overlap ratio
 
     2 sum_i t y / (sum_i t^2 + sum_i y^2)
 
@@ -72,8 +76,7 @@ def _check_targets(probs: np.ndarray, targets: np.ndarray) -> None:
 
 
 def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> LossResult:
-    """Cross-entropy over scored pixels; gradient is wrt the logits that
-    produced ``probs`` through softmax."""
+    """Cross-entropy over scored pixels."""
     _check_targets(probs, targets)
     scored = targets != UNLABELED
     n = int(scored.sum())
@@ -81,28 +84,20 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> LossResult:
         return LossResult(0.0, np.zeros_like(probs))
 
     t = targets[scored]
-    p = probs[scored, t].astype(np.float64)
-    value = float(-np.log(np.maximum(p, LOG_CLAMP)).sum() / n)
+    q = probs[scored].astype(np.float64)  # (n, C)
+    value = float(-np.log(np.maximum(q[np.arange(n), t], LOG_CLAMP)).sum() / n)
 
-    one_hot = np.zeros(probs[scored].shape, dtype=np.float64)
-    one_hot[np.arange(n), t] = 1.0
+    q[np.arange(n), t] -= 1.0  # through the softmax: d/dz = y - onehot(t)
     grad = np.zeros(probs.shape, dtype=probs.dtype)
-    grad[scored] = (probs[scored] - one_hot) / n
+    grad[scored] = q / n
     return LossResult(value, grad)
 
 
-def dice_loss(probs: np.ndarray, targets: np.ndarray) -> LossResult:
-    """Soft Dice loss; gradient is wrt ``probs``.
-
-    Chain it to logits with ``softmax_backward``. Classes whose target and
-    prediction mass are both zero on the scored pixels are excluded from the
-    class mean.
-    """
+def dice_loss_on_logits(probs: np.ndarray, targets: np.ndarray) -> LossResult:
+    """Soft Dice loss. Classes whose target and prediction mass are both zero
+    on the scored pixels are excluded from the class mean."""
     _check_targets(probs, targets)
     scored = targets != UNLABELED
-    if not scored.any():
-        return LossResult(0.0, np.zeros_like(probs))
-
     y = probs[scored].astype(np.float64)  # (n, C)
     t = targets[scored]
     one_hot = np.zeros_like(y)
@@ -127,15 +122,26 @@ def dice_loss(probs: np.ndarray, targets: np.ndarray) -> LossResult:
     num = -(2.0 * t_c[:, included] * b - a * 2.0 * y_c[:, included])
     grad_scored = np.zeros_like(y)
     grad_scored[:, class_ids[included]] = np.divide(num, b_sq * n_included, out=np.zeros_like(num), where=b_sq > 0)
-    grad = np.zeros(probs.shape, dtype=probs.dtype)
-    grad[scored] = grad_scored
-    return LossResult(value, grad)
+    grad_probs = np.zeros(probs.shape, dtype=probs.dtype)
+    grad_probs[scored] = grad_scored
+    return LossResult(value, softmax_backward(probs, grad_probs))
 
 
-def dice_loss_on_logits(probs: np.ndarray, targets: np.ndarray) -> LossResult:
-    """Dice loss with the gradient already pulled back to the logits."""
-    res = dice_loss(probs, targets)
-    return LossResult(res.value, softmax_backward(probs, res.grad))
+# a loss name is its terms joined by "+", summed in that order; each term's
+# function is looked up in this module when it runs, so a wrapped one is called
+_TERMS = {"ce": "cross_entropy", "dice": "dice_loss_on_logits"}
+LOSSES = ("ce", "dice", "ce+dice")
+
+
+def objective(kind: str, probs: np.ndarray, targets: np.ndarray) -> LossResult:
+    """The training objective ``kind``, one of ``LOSSES``: the sum of its
+    terms' values and logit gradients."""
+    if kind not in LOSSES:
+        raise ValueError(f"unknown loss {kind!r}, choose from {LOSSES}")
+    total, *rest = (globals()[_TERMS[term]](probs, targets) for term in kind.split("+"))
+    for res in rest:
+        total = LossResult(total.value + res.value, total.grad + res.grad)
+    return total
 
 
 def accumulate_confusion(preds: np.ndarray, targets: np.ndarray, cm: ConfusionMatrix) -> ConfusionMatrix:

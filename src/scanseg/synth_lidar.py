@@ -62,6 +62,7 @@ casters, and the tests check every scan against them bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,6 +84,11 @@ _WINDOW_SLACK = 1e-6
 # rays cast and assembled together at the ground and the enclosure: at 2048
 # firings a block is 8 beams, and each of its float64 temporaries 128 KiB
 _BLOCK_RAYS = 16384
+
+
+def _three_reals(value) -> bool:
+    """True for a sequence of exactly three real numbers."""
+    return isinstance(value, (tuple, list, np.ndarray)) and len(value) == 3 and all(isinstance(v, numbers.Real) for v in value)
 
 
 def default_beam_elevations(n_beams: int, fov_up: float, fov_down: float) -> tuple[float, ...]:
@@ -111,6 +117,12 @@ class SensorModel:
     def __post_init__(self):
         if self.n_beams < 1:
             raise ValueError(f"n_beams must be >= 1, got {self.n_beams}")
+        for name in ("fov_up", "fov_down", "mount_height", "rev_period"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not self.rev_period > 0:
+            raise ValueError(f"rev_period must be above 0, got {self.rev_period}")
         if not self.fov_down < self.fov_up:
             raise ValueError("fov_down must be below fov_up")
         if not 0 < self.azimuth_step <= 360:
@@ -122,12 +134,10 @@ class SensorModel:
                 default_beam_elevations(self.n_beams, self.fov_up, self.fov_down),
             )
         elif len(self.beam_elevations) != self.n_beams:
-            raise ValueError(
-                f"{len(self.beam_elevations)} elevations for {self.n_beams} beams"
-            )
+            raise ValueError(f"{len(self.beam_elevations)} elevations for {self.n_beams} beams")
         # past the vertical a ray would head away from its firing's azimuth
-        if not all(-90.0 <= e <= 90.0 for e in self.beam_elevations):
-            raise ValueError(f"beam elevations must lie in [-90, 90] degrees: {self.beam_elevations}")
+        if not all(isinstance(e, numbers.Real) and -90.0 <= e <= 90.0 for e in self.beam_elevations):
+            raise ValueError(f"beam elevations must be numbers in [-90, 90] degrees: {self.beam_elevations}")
 
     @property
     def firings_per_rev(self) -> int:
@@ -205,6 +215,10 @@ class SceneConfig:
             if present is not None and not 1 <= class_id < self.n_classes:
                 raise ValueError(f"{name} {class_id} outside [1, {self.n_classes})")
         for p in self.primitives:
+            # the casters broadcast a center and a box's size against xyz
+            for name in ("center", "size"):
+                if hasattr(p, name) and not _three_reals(getattr(p, name)):
+                    raise ValueError(f"{name} must be three numbers in {p}")
             for name in ("center", "size", "radius", "height", "reflectance"):
                 if hasattr(p, name) and not np.isfinite(getattr(p, name)).all():
                     raise ValueError(f"non-finite {name} in {p}")
@@ -215,9 +229,7 @@ class SceneConfig:
             if isinstance(p, Cylinder) and (p.radius <= 0 or p.height <= 0):
                 raise ValueError(f"cylinder with non-positive extent: {p}")
             if not 1 <= p.class_id < self.n_classes:
-                raise ValueError(
-                    f"class id {p.class_id} outside [1, {self.n_classes})"
-                )
+                raise ValueError(f"class id {p.class_id} outside [1, {self.n_classes})")
         if self.angular_noise < 0:
             raise ValueError("angular_noise must be >= 0")
 

@@ -19,17 +19,9 @@ import numpy as np
 from .cloud_io import RangeImage
 from .projection import PROJECTIONS, IndexMap, backproject_labels, project_ego_corrected, unfold_scan
 from .seg_net import IN_CHANNELS, Network, NetworkConfig, build, config_from_preset, count_params
-from .seg_objectives import (
-    ConfusionMatrix,
-    accumulate_confusion,
-    cross_entropy,
-    dice_loss_on_logits,
-    miou,
-    softmax,
-)
+from .seg_objectives import LOSSES, ConfusionMatrix, accumulate_confusion, miou, objective, softmax
 from .synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan
 
-LOSSES = ("ce", "dice", "ce+dice")
 EVAL_BATCH = 4  # scans per eval forward
 
 
@@ -136,18 +128,6 @@ def fit_input_stats(net: Network, xs: np.ndarray) -> None:
     net.input_std[:] = np.maximum(std, 1e-3).astype(np.float32)
 
 
-def _loss_and_grad(kind: str, probs: np.ndarray, targets: np.ndarray):
-    if kind == "ce":
-        res = cross_entropy(probs, targets)
-        return res.value, res.grad
-    if kind == "dice":
-        res = dice_loss_on_logits(probs, targets)
-        return res.value, res.grad
-    ce = cross_entropy(probs, targets)
-    dice = dice_loss_on_logits(probs, targets)
-    return ce.value + dice.value, ce.grad + dice.grad
-
-
 def _config_echo(config: TrainConfig) -> dict:
     """Every config field by name, the network's under ``net.``; tuples are
     comma-joined."""
@@ -177,12 +157,12 @@ def train(config: TrainConfig, dataset: list[Sample]) -> tuple[Network, RunRepor
         idx = [queue.pop(0) for _ in range(config.batch_size)]
         logits = net.forward(xs[idx], training=True)
         probs = softmax(logits)
-        loss_val, grad = _loss_and_grad(config.loss, probs, ys[idx])
-        if not math.isfinite(loss_val):
+        loss = objective(config.loss, probs, ys[idx])
+        if not math.isfinite(loss.value):
             raise TrainingDiverged(step)
-        net.backward(grad.astype(np.float32))
+        net.backward(loss.grad.astype(np.float32))
         opt.step(net.grads())
-        trace.append(float(loss_val))
+        trace.append(float(loss.value))
 
     (sec_forward,) = _fastest_forwards([net], xs[: min(len(dataset), config.batch_size)], repeats=3)
     report = evaluate(net, dataset)
@@ -304,6 +284,9 @@ def make_synthetic_dataset(
     ego_velocity: float = 0.0,
 ) -> tuple[list[Sample], list[Sample]]:
     """Generate projected scans split into train/val by scene seed parity."""
+    # every scene places class 2 boxes and class 3 spheres
+    if n_object_classes < 3:
+        raise ValueError(f"n_object_classes must be >= 3, got {n_object_classes}")
     if projection not in PROJECTIONS:
         raise ValueError(f"unknown projection {projection!r}")
     sensor = SensorModel(n_beams=h, azimuth_step=360.0 / w)

@@ -38,7 +38,6 @@ from scanseg.seg_objectives import (
     ConfusionMatrix,
     accumulate_confusion,
     cross_entropy,
-    dice_loss,
     dice_loss_on_logits,
     miou,
     softmax,
@@ -302,15 +301,15 @@ def test_06_loss_identities():
     for i in range(2):
         for j in range(2):
             one_hot[i, j, targets[i, j]] = 1.0
-    checks.append(("dice exact", dice_loss(one_hot, targets).value, 0.0))
+    checks.append(("dice exact", dice_loss_on_logits(one_hot, targets).value, 0.0))
     checks.append(("ce exact", cross_entropy(one_hot, targets).value, 0.0))
 
     # disjoint single pixel
-    disjoint = dice_loss(np.array([[[0.0, 0.0, 1.0]]]), np.array([[1]], dtype=np.int32))
+    disjoint = dice_loss_on_logits(np.array([[[0.0, 0.0, 1.0]]]), np.array([[1]], dtype=np.int32))
     checks.append(("dice disjoint", disjoint.value, 1.0))
 
     # the half/half fixture, cross-checked against the direct formula
-    half = dice_loss(np.array([[[0.0, 0.5, 0.5]]]), np.array([[1]], dtype=np.int32))
+    half = dice_loss_on_logits(np.array([[[0.0, 0.5, 0.5]]]), np.array([[1]], dtype=np.int32))
     oracle = direct_dice(np.array([[[0.0, 0.5, 0.5]]]), np.array([[1]]), 3, ignore_id=0)
     checks.append(("dice half", half.value, oracle))
     checks.append(("dice half oracle", oracle, 0.6))

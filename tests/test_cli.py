@@ -13,7 +13,8 @@ from scanseg.cloud_io import load_range_image
 from scanseg.neural_core import PADDING_MODES
 from scanseg.projection import PROJECTIONS
 from scanseg.seg_net import BACKBONE_PRESETS, preset_key
-from scanseg.trainer import LOSSES, RunReport
+from scanseg.seg_objectives import LOSSES
+from scanseg.trainer import RunReport
 
 
 @pytest.fixture()
@@ -106,6 +107,14 @@ def test_project_rejects_zero_width(tmp_path, scene_config, capsys):
     assert main(["project", str(out_dir / "raw.bin"), "--width", "0"]) == 1
     assert "grid size w must be at least 1, got 0" in capsys.readouterr().err
     assert not (out_dir / "raw.rimg").exists()
+
+
+@pytest.mark.parametrize("classes", ["2", "0"])
+def test_train_rejects_too_few_classes(tmp_path, capsys, classes):
+    argv = ["train", "--scans", "2", "--height", "16", "--width", "64", "--classes", classes, "--steps", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 1
+    assert f"n_object_classes must be >= 3, got {classes}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_iou, central_diff_grad, direct_dice, max_rel_err
 from scanseg.seg_objectives import (
+    LOSSES,
     ConfusionMatrix,
     accumulate_confusion,
     cross_entropy,
-    dice_loss,
     dice_loss_on_logits,
     miou,
+    objective,
     softmax,
     softmax_backward,
 )
@@ -103,7 +104,7 @@ class TestCrossEntropy:
             cross_entropy(np.full((1, 1, 2), 0.5), np.array([[7]]))
 
 
-@pytest.mark.parametrize("loss", [cross_entropy, dice_loss, dice_loss_on_logits])
+@pytest.mark.parametrize("loss", [cross_entropy, dice_loss_on_logits])
 class TestTargetChecks:
     def test_shape_mismatch_names_both_shapes(self, loss):
         with pytest.raises(ValueError, match=r"targets shape \(1, 3\).*probs shape \(1, 2, 3\)"):
@@ -122,19 +123,19 @@ class TestDice:
         for i in range(3):
             for j in range(5):
                 probs[i, j, targets[i, j]] = 1.0
-        res = dice_loss(probs, targets)
+        res = dice_loss_on_logits(probs, targets)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_disjoint_one_pixel_is_one(self):
         probs = np.array([[[0.0, 0.0, 1.0]]])
         targets = np.array([[1]], dtype=np.int32)
-        res = dice_loss(probs, targets)
+        res = dice_loss_on_logits(probs, targets)
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_half_half_fixture(self):
         probs = np.array([[[0.0, 0.5, 0.5]]])
         targets = np.array([[1]], dtype=np.int32)
-        res = dice_loss(probs, targets)
+        res = dice_loss_on_logits(probs, targets)
         oracle = direct_dice(probs, targets, 3, ignore_id=0)
         assert oracle == pytest.approx(0.6, abs=1e-12)
         assert res.value == pytest.approx(oracle, abs=1e-12)
@@ -145,11 +146,11 @@ class TestDice:
             logits = rng.standard_normal((2, 6, 5))
             targets = rng.integers(0, 5, size=(2, 6)).astype(np.int32)
             probs = softmax(logits)
-            res = dice_loss(probs, targets)
+            res = dice_loss_on_logits(probs, targets)
             assert res.value == pytest.approx(direct_dice(probs, targets, 5, ignore_id=0), abs=1e-10)
 
     def test_all_ignored_flagged(self):
-        res = dice_loss(np.full((1, 1, 2), 0.5), np.zeros((1, 1), dtype=np.int32))
+        res = dice_loss_on_logits(np.full((1, 1, 2), 0.5), np.zeros((1, 1), dtype=np.int32))
         assert res.value == 0.0
         assert not res.grad.any()
 
@@ -159,20 +160,8 @@ class TestDice:
         rng = np.random.default_rng(seed)
         probs = softmax(rng.standard_normal((2, 5, 4)) * 3)
         targets = rng.integers(0, 4, size=(2, 5)).astype(np.int32)
-        res = dice_loss(probs, targets)
+        res = dice_loss_on_logits(probs, targets)
         assert -1e-12 <= res.value <= 1.0 + 1e-12
-
-    def test_gradient_wrt_probs(self):
-        rng = np.random.default_rng(5)
-        probs = rng.uniform(0.05, 1.0, size=(1, 6, 4))
-        probs /= probs.sum(axis=-1, keepdims=True)
-        targets = rng.integers(1, 4, size=(1, 6)).astype(np.int32)
-
-        def loss():
-            return dice_loss(probs, targets).value
-
-        analytic = dice_loss(probs, targets).grad
-        assert max_rel_err(analytic, central_diff_grad(loss, probs, EPS)) < GRAD_TOL
 
     def test_gradient_wrt_logits(self):
         rng = np.random.default_rng(6)
@@ -195,11 +184,28 @@ class TestDice:
         logits[:, 3] = -float(gap)
         probs = softmax(logits)
         assert (probs[:, 3] ** 2).sum() > 0 and (probs[:, 3] ** 2).sum() ** 2 == 0
-        res = dice_loss(probs, targets)
+        res = dice_loss_on_logits(probs, targets)
         assert np.isfinite(res.value) and np.isfinite(res.grad).all()
-        assert not res.grad[:, 3].any()
-        on_logits = dice_loss_on_logits(probs, targets)
-        assert np.isfinite(on_logits.grad).all()
+        # its probability gradient is 0; the softmax leaves a logit gradient
+        # of about exp(-gap), far below the other classes'
+        assert np.abs(res.grad[:, 3]).max() < 1e-80 < np.abs(res.grad[:, :3]).max()
+
+
+class TestObjective:
+    def test_sums_terms_in_order(self):
+        rng = np.random.default_rng(10)
+        probs = softmax(rng.standard_normal((2, 3, 4))).astype(np.float32)
+        targets = rng.integers(0, 4, size=(2, 3)).astype(np.int32)
+        ce, dice = cross_entropy(probs, targets), dice_loss_on_logits(probs, targets)
+        cases = [("ce", ce.value, ce.grad), ("dice", dice.value, dice.grad), ("ce+dice", ce.value + dice.value, ce.grad + dice.grad)]
+        assert tuple(kind for kind, _, _ in cases) == LOSSES
+        for kind, value, grad in cases:
+            res = objective(kind, probs, targets)
+            assert res.value == value and np.array_equal(res.grad, grad)
+
+    def test_unknown_kind_named(self):
+        with pytest.raises(ValueError, match=r"unknown loss 'dice\+ce'"):
+            objective("dice+ce", np.full((1, 1, 2), 0.5), np.ones((1, 1), dtype=np.int32))
 
 
 class TestConfusion:
@@ -258,7 +264,7 @@ def test_unlabeled_pixels_change_nothing(seed, n_classes, n, dtype):
     k = int(unlabeled.sum())
     other = probs.copy()
     other[unlabeled] = rng.uniform(0.0, 1.0, size=(k, n_classes)) * 10.0 ** rng.integers(-30, 30, size=(k, n_classes))
-    for loss in (cross_entropy, dice_loss, dice_loss_on_logits):
+    for loss in (cross_entropy, dice_loss_on_logits):
         base, moved = loss(probs, targets), loss(other, targets)
         assert moved.value == base.value
         assert np.array_equal(moved.grad, base.grad)

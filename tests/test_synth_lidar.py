@@ -176,6 +176,38 @@ def test_scene_rejects_non_finite_geometry(scene_kw, message):
         SceneConfig(**scene_kw)
 
 
+@pytest.mark.parametrize(
+    "primitive, message",
+    [
+        (Box(center=(12.0, 3.0), size=(1, 1, 1), class_id=2), r"center must be three numbers in Box\(center=\(12.0, 3.0\)"),
+        (Sphere(center=(5, 0, 1, 7), radius=1, class_id=3), r"center must be three numbers in Sphere"),
+        (Cylinder(center=(5, "0", 1), radius=0.5, height=2, class_id=4), r"center must be three numbers in Cylinder"),
+        (Box(center=(5, 0, 1), size=(1, 1), class_id=2), r"size must be three numbers in Box"),
+        (Box(center=(5, 0, 1), size="111", class_id=2), r"size must be three numbers in Box"),
+    ],
+)
+def test_scene_rejects_misshapen_primitive(primitive, message):
+    with pytest.raises(ValueError, match=message):
+        SceneConfig(primitives=(primitive,))
+
+
+@pytest.mark.parametrize(
+    "sensor_kw, message",
+    [
+        ({"fov_up": INF}, "fov_up must be a finite number, got inf"),
+        ({"fov_down": NAN}, "fov_down must be a finite number, got nan"),
+        ({"mount_height": NAN}, "mount_height must be a finite number, got nan"),
+        ({"rev_period": NAN}, "rev_period must be a finite number, got nan"),
+        ({"rev_period": INF}, "rev_period must be a finite number, got inf"),
+        ({"rev_period": 0.0}, "rev_period must be above 0, got 0.0"),
+        ({"n_beams": 2, "beam_elevations": ("up", -1.0)}, r"beam elevations must be numbers in \[-90, 90\]"),
+    ],
+)
+def test_sensor_rejects_bad_field(sensor_kw, message):
+    with pytest.raises(ValueError, match=message):
+        SensorModel(**sensor_kw)
+
+
 def _assert_matches_brute_force(sensor, scene):
     """``generate_scan`` against every ray cast at every surface: the same
     arrays bit for bit, and no primitive reached from outside its window."""
@@ -420,6 +452,23 @@ def test_config_file_rejects_misspelled_key(tmp_path, sensor, scene, section, ke
     path = tmp_path / "setup.yaml"
     path.write_text(f"sensor: {sensor}\nscene: {scene}\n")
     with pytest.raises(ValueError, match=f"section '{section}': unknown key '{key}'"):
+        load_scan_setup(path)
+
+
+@pytest.mark.parametrize(
+    "sensor, scene, message",
+    [
+        ("{mount_height_m: .nan}", "{}", "mount_height must be a finite number, got nan"),
+        ("{rev_period_s: .nan}", "{}", "rev_period must be a finite number, got nan"),
+        ("{fov_up_deg: .inf}", "{}", "fov_up must be a finite number, got inf"),
+        ("{}", "{primitives: [{kind: box, center: [12.0, 3.0], size: [1, 1, 1], class_id: 2}]}", "center must be three numbers in Box"),
+        ("{}", "{primitives: [{kind: sphere, center: [9, 0, 1, 2], radius: 1, class_id: 2}]}", "center must be three numbers in Sphere"),
+    ],
+)
+def test_config_file_rejects_bad_geometry_by_name(tmp_path, sensor, scene, message):
+    path = tmp_path / "setup.yaml"
+    path.write_text(f"sensor: {sensor}\nscene: {scene}\n")
+    with pytest.raises(ValueError, match=message):
         load_scan_setup(path)
 
 

@@ -123,6 +123,21 @@ class TestTraining:
         assert again.loss_trace == [] and math.isnan(again.sec_per_forward) and again.config == {}
         assert len(report.loss_trace) == 8 and report.config["loss"] == "ce+dice"
 
+    def test_traced_step_records_each_loss_term(self):
+        # the benchmark's tracer swaps module attributes, so the objective
+        # must call its terms through seg_objectives' globals to be seen
+        from scanbench.spans import Instrumentation, Tracer
+
+        train_set, _ = tiny_dataset(n_scans=2)
+        cfg = TrainConfig(net=TINY_NET, steps=1, batch_size=1, seed=0)
+        tracer = Tracer()
+        with Instrumentation(tracer):
+            _, traced = train(cfg, train_set)
+        names = [s[0] for s in tracer.spans]
+        assert names.count("seg_objectives.cross_entropy") == 1
+        assert names.count("seg_objectives.dice_loss_on_logits") == 1
+        assert traced.loss_trace == train(cfg, train_set)[1].loss_trace
+
 
 class TestEvaluation:
     def test_untrained_net_scores_at_chance(self):
@@ -228,6 +243,12 @@ class TestDatasets:
     def test_unknown_projection(self):
         with pytest.raises(ValueError, match="projection"):
             make_synthetic_dataset(n_scans=2, projection="bird")
+
+    @pytest.mark.parametrize("n_object_classes", [2, 0, -1])
+    def test_too_few_object_classes_named(self, n_object_classes):
+        # every scene places class 2 and class 3 objects
+        with pytest.raises(ValueError, match=f"n_object_classes must be >= 3, got {n_object_classes}"):
+            make_synthetic_dataset(n_scans=2, n_object_classes=n_object_classes)
 
 
 def test_report_file_roundtrip(tmp_path):
