@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=projection.PROJECTIONS, default="unfold")
     p.add_argument("--height", type=int, default=projection.DEFAULT_H)
     p.add_argument("--width", type=int, default=projection.DEFAULT_W)
-    p.add_argument("--fov-up", type=float, default=3.0)
-    p.add_argument("--fov-down", type=float, default=-25.0)
+    p.add_argument("--fov-up", type=float, default=projection.DEFAULT_FOV_UP)
+    p.add_argument("--fov-down", type=float, default=projection.DEFAULT_FOV_DOWN)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("stats", help="occlusion report comparing both projections")

@@ -44,6 +44,8 @@ from .cloud_io import LabelArray, PointCloud, RangeImage
 
 DEFAULT_H = 64
 DEFAULT_W = 2048
+DEFAULT_FOV_UP = 3.0  # degrees, the top of the vertical field of view
+DEFAULT_FOV_DOWN = -25.0  # degrees, its bottom
 PROJECTIONS = ("unfold", "ego")  # unfold_scan, project_ego_corrected
 
 
@@ -245,8 +247,8 @@ def project_ego_corrected(
     labels: LabelArray | None = None,
     h: int = DEFAULT_H,
     w: int = DEFAULT_W,
-    fov_up: float = 3.0,
-    fov_down: float = -25.0,
+    fov_up: float = DEFAULT_FOV_UP,
+    fov_down: float = DEFAULT_FOV_DOWN,
 ) -> tuple[RangeImage, IndexMap]:
     """Spherical projection binning rows by elevation (degrees, up > down).
 

@@ -20,10 +20,10 @@ consecutive firings (its increments are far below the azimuth step), which
 is what real rotation encoders exhibit; white per-point jitter would tear
 the row-recovery recurrence apart.
 
-The ground plane and the enclosure span every azimuth, so every ray is cast
-at them. A box, sphere or cylinder is cast at only the firings whose azimuth
-can reach it, a bounding-volume cull (Kay & Kajiya, "Ray Tracing Complex
-Scenes", SIGGRAPH 1986). The origins move along the x axis over a segment of
+The enclosure spans every azimuth, so every ray is cast at it. A box,
+sphere or cylinder is cast at only the firings whose azimuth can reach it,
+a bounding-volume cull (Kay & Kajiya, "Ray Tracing Complex Scenes",
+SIGGRAPH 1986). The origins move along the x axis over a segment of
 length L with midpoint m. The primitive's xy footprint lies in a disc D(c, r):
 the half diagonal of a box's xy size, the radius of a sphere or cylinder.
 Grow r to r' = (r + L/2) * 1.01 + 1e-6, the margin covering rounding. Seen
@@ -51,12 +51,19 @@ sphere's b is the same einsum over the same rows. Two steps differ and
 cannot change a bit: the enclosure takes (root - b) / a, which rounds as
 (-b + root) / a does, and the enclosure and cylinder keep no validity mask,
 because a ray without a real root (NaN) or an xy heading (+-inf or NaN)
-already fails their test of t > 0 and a finite hit height. The ground
-and the enclosure are cast, and the points assembled, a block of beams at a
-time, which bounds every full-width temporary; the clouds are filled
-column by column from the hit rays, in beam-major order, with each beam's
-hit count giving its rows. ``tests/oracles.py`` keeps the per-ray grid and
-casters, and the tests check every scan against them bit for bit.
+already fails their test of t > 0 and a finite hit height.
+
+The ground's distance depends on the beam alone, so it is computed once
+per beam and seeds every firing's nearest distance. The enclosure and then
+each primitive, in scene order so that a tie keeps the surface listed first,
+go through one loop: each is cast at its candidate firings, every firing
+for the enclosure or an unculled primitive, in calls of as many beams as
+keep a call within ``_BLOCK_RAYS`` rays (one beam when the window alone is
+wider). That bounds every temporary. The points are assembled a block of
+beams at a time too; the clouds are filled column by column from the hit
+rays, in beam-major order, with each beam's hit count giving its rows.
+``tests/oracles.py`` keeps the per-ray grid and casters, and the tests
+check every scan against them bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ import numpy as np
 import yaml
 
 from .cloud_io import LabelArray, PointCloud
+from .projection import DEFAULT_FOV_DOWN, DEFAULT_FOV_UP
 
 MIN_RANGE = 1.0  # meters; closer returns are discarded like a real sensor does
 
@@ -81,14 +89,22 @@ _MAX_HARMONIC = 8
 _WINDOW_GROWTH = 1.01
 _WINDOW_SLACK = 1e-6
 
-# rays cast and assembled together at the ground and the enclosure: at 2048
-# firings a block is 8 beams, and each of its float64 temporaries 128 KiB
+# most rays in one cast call or one assembled block: at 2048 firings a
+# block is 8 beams, and each of its float64 temporaries 128 KiB
 _BLOCK_RAYS = 16384
 
 
 def _three_reals(value) -> bool:
     """True for a sequence of exactly three real numbers."""
     return isinstance(value, (tuple, list, np.ndarray)) and len(value) == 3 and all(isinstance(v, numbers.Real) for v in value)
+
+
+def _check_integers(owner, names: tuple[str, ...]) -> None:
+    """Reject, by name, a field of ``owner`` that is not an integer."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def default_beam_elevations(n_beams: int, fov_up: float, fov_down: float) -> tuple[float, ...]:
@@ -107,17 +123,18 @@ class SensorModel:
     """Geometry and timing of the rotating scanner."""
 
     n_beams: int = 64
-    fov_up: float = 3.0  # degrees
-    fov_down: float = -25.0  # degrees
+    fov_up: float = DEFAULT_FOV_UP  # degrees
+    fov_down: float = DEFAULT_FOV_DOWN  # degrees
     azimuth_step: float = 360.0 / 2048.0  # degrees per firing
     beam_elevations: tuple[float, ...] | None = None  # degrees, beam 0 first
     rev_period: float = 0.1  # seconds per revolution
     mount_height: float = 1.73  # sensor origin above ground, meters
 
     def __post_init__(self):
+        _check_integers(self, ("n_beams",))
         if self.n_beams < 1:
             raise ValueError(f"n_beams must be >= 1, got {self.n_beams}")
-        for name in ("fov_up", "fov_down", "mount_height", "rev_period"):
+        for name in ("fov_up", "fov_down", "azimuth_step", "mount_height", "rev_period"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -197,6 +214,7 @@ class SceneConfig:
     max_range: float | None = None  # meters; None = unlimited
 
     def __post_init__(self):
+        _check_integers(self, ("ground_class", "enclosure_class", "seed", "n_classes"))
         for name in (
             "ground_z",
             "ground_reflectance",
@@ -207,27 +225,33 @@ class SceneConfig:
             "angular_noise",
         ):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         # a surface's class is checked only when the surface is present
         for present, name in ((self.ground_z, "ground_class"), (self.enclosure_radius, "enclosure_class")):
             class_id = getattr(self, name)
             if present is not None and not 1 <= class_id < self.n_classes:
                 raise ValueError(f"{name} {class_id} outside [1, {self.n_classes})")
         for p in self.primitives:
-            # the casters broadcast a center and a box's size against xyz
-            for name in ("center", "size"):
-                if hasattr(p, name) and not _three_reals(getattr(p, name)):
-                    raise ValueError(f"{name} must be three numbers in {p}")
+            if not isinstance(p.class_id, numbers.Integral):
+                raise ValueError(f"class_id must be an integer, got {p.class_id!r} in {p}")
             for name in ("center", "size", "radius", "height", "reflectance"):
-                if hasattr(p, name) and not np.isfinite(getattr(p, name)).all():
+                if not hasattr(p, name):
+                    continue
+                value = getattr(p, name)
+                # the casters broadcast a center and a box's size against xyz
+                if name in ("center", "size"):
+                    if not _three_reals(value):
+                        raise ValueError(f"{name} must be three numbers in {p}")
+                    values = value
+                elif isinstance(value, numbers.Real):
+                    values = (value,)
+                else:
+                    raise ValueError(f"{name} must be a number in {p}")
+                if not all(map(math.isfinite, values)):
                     raise ValueError(f"non-finite {name} in {p}")
-            if isinstance(p, Box) and min(p.size) <= 0:
-                raise ValueError(f"box with non-positive extent: {p}")
-            if isinstance(p, Sphere) and p.radius <= 0:
-                raise ValueError(f"sphere with non-positive radius: {p}")
-            if isinstance(p, Cylinder) and (p.radius <= 0 or p.height <= 0):
-                raise ValueError(f"cylinder with non-positive extent: {p}")
+                if name in ("size", "radius", "height") and min(values) <= 0:
+                    raise ValueError(f"non-positive extent {name} in {p}")
             if not 1 <= p.class_id < self.n_classes:
                 raise ValueError(f"class id {p.class_id} outside [1, {self.n_classes})")
         if self.angular_noise < 0:
@@ -274,10 +298,11 @@ def _smooth_azimuth_jitter(rng: np.random.Generator, n_firings: int, stddev_rad:
     return jitter
 
 
-def _ray_ground(origin, direction, z0):
-    dz = direction[2]
+def _ray_ground(height, dz, z0):
+    """Distance along each beam from ``height`` down (or up) to the plane
+    z = z0, for the z components ``dz`` of the beams' unit headings."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (z0 - origin[2]) / dz
+        t = (z0 - height) / dz
     return np.where((dz != 0) & (t > 0), t, np.inf)
 
 
@@ -416,52 +441,43 @@ def generate_scan(sensor: SensorModel, scene: SceneConfig) -> SynthScan:
     cos_el, sin_el = np.cos(elev_rad)[:, None], np.sin(elev_rad)[:, None]
     cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
     # ray (b, f) starts at (origin_x[f], 0, mount_height)
-    origin = (origin_x, 0.0, sensor.mount_height)
-
     def direction(beams, firings=slice(None)):
         return cos_el[beams] * cos_az[firings], cos_el[beams] * sin_az[firings], sin_el[beams]
 
-    step = max(1, _BLOCK_RAYS // n_firings)
-    blocks = [slice(b, min(b + step, n_beams)) for b in range(0, n_beams, step)]
+    def blocks(width):
+        # slices of as many beams as keep a call within _BLOCK_RAYS rays
+        step = max(1, _BLOCK_RAYS // max(1, width))
+        return [slice(b, min(b + step, n_beams)) for b in range(0, n_beams, step)]
 
     # nearest distance per ray, and the index of its surface in ``surfaces``
     best_t = np.full((n_beams, n_firings), np.inf)
     # up to len(primitives) + 2 surfaces, the ground and the enclosure first
     best_s = np.zeros((n_beams, n_firings), dtype=np.min_scalar_type(len(scene.primitives) + 1))
-    surfaces = []
-
-    def consider(t, surface, beams, firings=None):
-        # ``t`` holds the hits of the rays of ``beams`` at every firing, or
-        # at ``firings``; a tie keeps the surface considered first
-        block_t, block_s = best_t[beams], best_s[beams]
-        if firings is None:
-            closer = t < block_t
-            np.copyto(block_t, t, where=closer)
-            block_s[closer] = surface
-        else:
-            beam, j = np.nonzero(t < block_t[:, firings])
-            block_t[beam, firings[j]] = t[beam, j]
-            block_s[beam, firings[j]] = surface
-
-    # the ground and the enclosure span every firing: a block of beams at a time
-    walls = []
+    surfaces, casts = [], []
     if scene.ground_z is not None:
-        walls.append((_ray_ground, scene.ground_z))
+        # the ground's distance depends on the beam alone: it seeds every firing
+        best_t[:] = _ray_ground(sensor.mount_height, sin_el, scene.ground_z)
         surfaces.append((scene.ground_class, scene.ground_reflectance))
     if scene.enclosure_radius is not None:
-        walls.append((_ray_enclosure, scene.enclosure_radius))
+        casts.append((len(surfaces), _ray_enclosure, scene.enclosure_radius, None))
         surfaces.append((scene.enclosure_class, scene.enclosure_reflectance))
-    for beams in blocks:
-        rays = direction(beams)
-        for surface, (cast, value) in enumerate(walls):
-            consider(cast(origin, rays, value), surface, beams)
-    every = slice(None)
     for prim in scene.primitives:
-        firings = _candidate_firings(prim, azimuth, origin_x)
-        window = every if firings is None else firings
-        t = _RAY_CASTERS[type(prim)]((origin_x[window], *origin[1:]), direction(every, window), prim)
-        consider(t, len(surfaces), every, firings)
+        casts.append((len(surfaces), _RAY_CASTERS[type(prim)], prim, _candidate_firings(prim, azimuth, origin_x)))
         surfaces.append((prim.class_id, prim.reflectance))
+    # every other surface at its candidate firings, all of them for None; a
+    # tie keeps the surface cast first
+    for surface, cast, target, firings in casts:
+        window = slice(None) if firings is None else firings
+        x = origin_x[window]
+        for beams in blocks(x.size):
+            t = cast((x, 0.0, sensor.mount_height), direction(beams, window), target)
+            # views into best_t and best_s at every firing; at a window,
+            # copies that are written back
+            near_t, near_s = best_t[beams, window], best_s[beams, window]
+            closer = t < near_t
+            np.copyto(near_t, t, where=closer)
+            near_s[closer] = surface
+            best_t[beams, window], best_s[beams, window] = near_t, near_s
 
     hit = np.isfinite(best_t) & (best_t >= MIN_RANGE)
     if scene.max_range is not None:
@@ -476,7 +492,7 @@ def generate_scan(sensor: SensorModel, scene: SceneConfig) -> SynthScan:
     points_corr = np.empty_like(points_raw)
     # corrected = raw + origin(firing) - origin(end of revolution)
     shift = origin_x - scene.ego_velocity * sensor.rev_period
-    for beams in blocks:
+    for beams in blocks(n_firings):
         points = slice(bounds[beams.start], bounds[beams.stop])
         mask = hit[beams]
         t = best_t[beams][mask]

@@ -318,6 +318,8 @@ def bench_forward(
     """Fastest of ``repeats`` forward-pass seconds, and the parameter count,
     per config (default class count), timed on a random input by
     ``_fastest_forwards``."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, h, w, IN_CHANNELS)).astype(np.float32)
     nets = {name: build(config_from_preset(name), seed=seed) for name in preset_names}

@@ -279,6 +279,12 @@ def test_bench_reports_ratio(capsys):
     assert "channels=32,64,128,256,512,1024 " in out
 
 
+def test_bench_rejects_zero_repeats(capsys):
+    code = main(["bench", "--presets", "a", "--height", "16", "--width", "64", "--repeats", "0"])
+    assert code == 1
+    assert "repeats must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_preview_writers(tmp_path):
     depth = np.random.default_rng(0).uniform(0, 50, (4, 8)).astype(np.float32)
     labels = np.random.default_rng(1).integers(0, 5, (4, 8)).astype(np.int32)

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import brute_force_hits, ray_grid, reference_ray_box
 
 from scanseg.cloud_io import PointCloud
+from scanseg import synth_lidar
 from scanseg.projection import _polar
 from scanseg.synth_lidar import (
     MIN_RANGE,
@@ -169,6 +170,11 @@ NAN, INF = math.nan, math.inf
         ({"primitives": (Box(center=(5, 0, 1), size=(1, 1, 1), class_id=2, reflectance=NAN),)}, "non-finite reflectance in Box"),
         ({"primitives": (Sphere(center=(5, 0, 1), radius=1, class_id=3, reflectance=-INF),)}, "non-finite reflectance in Sphere"),
         ({"primitives": (Cylinder(center=(5, 0, 1), radius=0.5, height=2, class_id=4, reflectance=NAN),)}, "non-finite reflectance in Cylinder"),
+        # a scalar of the wrong type is named the same way
+        ({"ground_z": "0"}, "ground_z must be finite, got '0'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"n_classes": "8"}, "n_classes must be an integer, got '8'"),
+        ({"ground_z": None, "ground_class": 1.0}, "ground_class must be an integer, got 1.0"),
     ],
 )
 def test_scene_rejects_non_finite_geometry(scene_kw, message):
@@ -184,6 +190,13 @@ def test_scene_rejects_non_finite_geometry(scene_kw, message):
         (Cylinder(center=(5, "0", 1), radius=0.5, height=2, class_id=4), r"center must be three numbers in Cylinder"),
         (Box(center=(5, 0, 1), size=(1, 1), class_id=2), r"size must be three numbers in Box"),
         (Box(center=(5, 0, 1), size="111", class_id=2), r"size must be three numbers in Box"),
+        (Sphere(center=(5, 0, 1), radius="1", class_id=3), r"radius must be a number in Sphere"),
+        (Cylinder(center=(5, 0, 1), radius=0.5, height=None, class_id=4), r"height must be a number in Cylinder"),
+        (Box(center=(5, 0, 1), size=(1, 1, 1), class_id=2, reflectance="x"), r"reflectance must be a number in Box"),
+        (Sphere(center=(5, 0, 1), radius=1, class_id="3"), r"class_id must be an integer, got '3' in Sphere"),
+        (Sphere(center=(5, 0, 1), radius=1, class_id=3.5), r"class_id must be an integer, got 3.5 in Sphere"),
+        (Sphere(center=(5, 0, 1), radius=0.0, class_id=3), r"non-positive extent radius in Sphere"),
+        (Cylinder(center=(5, 0, 1), radius=0.5, height=-2.0, class_id=4), r"non-positive extent height in Cylinder"),
     ],
 )
 def test_scene_rejects_misshapen_primitive(primitive, message):
@@ -201,6 +214,9 @@ def test_scene_rejects_misshapen_primitive(primitive, message):
         ({"rev_period": INF}, "rev_period must be a finite number, got inf"),
         ({"rev_period": 0.0}, "rev_period must be above 0, got 0.0"),
         ({"n_beams": 2, "beam_elevations": ("up", -1.0)}, r"beam elevations must be numbers in \[-90, 90\]"),
+        ({"n_beams": 2.5}, "n_beams must be an integer, got 2.5"),
+        ({"n_beams": "4"}, "n_beams must be an integer, got '4'"),
+        ({"azimuth_step": "1"}, "azimuth_step must be a finite number, got '1'"),
     ],
 )
 def test_sensor_rejects_bad_field(sensor_kw, message):
@@ -287,8 +303,12 @@ def test_culled_scan_matches_brute_force(scene):
     _assert_matches_brute_force(WINDOW_SENSOR, scene)
 
 
+NEAR_BOX = Box(center=(1.0, 0.4, 1.0), size=(1.0, 1.2, 2.0), class_id=2)  # inside its grown circle
+
+
 def test_beam_blocks_match_brute_force():
-    # 4096 firings make blocks of 4 beams, so 7 beams end in a short block
+    # 4096 firings make blocks of 4 beams, so 7 beams end in a short block;
+    # the enclosure and the near box are cast at every firing, in both blocks
     sensor = SensorModel(n_beams=7, azimuth_step=360.0 / 4096.0)
     assert _BLOCK_RAYS // sensor.firings_per_rev == 4
     scene = SceneConfig(
@@ -296,9 +316,77 @@ def test_beam_blocks_match_brute_force():
         angular_noise=0.05,
         ego_velocity=7.0,
         enclosure_radius=28.0,
-        primitives=(REAR_BOX, Sphere(center=(5.0, 3.0, 1.2), radius=1.0, class_id=3)),
+        primitives=(REAR_BOX, Sphere(center=(5.0, 3.0, 1.2), radius=1.0, class_id=3), NEAR_BOX),
     )
+    assert _candidate_firings(NEAR_BOX, *_firings(sensor, scene)) is None
     _assert_matches_brute_force(sensor, scene)
+
+
+# 16 beams share one call only while a window is at most 1024 firings wide
+WIDE_SENSOR = SensorModel(n_beams=16, azimuth_step=360.0 / 4096.0)
+WIDE_SPHERE = Sphere(center=(-1.6, 0.3, 1.2), radius=1.2, class_id=3)
+# at 8 firings a revolution no firing heads within a degree of this sphere
+FAR_SPHERE = Sphere(center=(20.0, 0.0, 1.0), radius=0.2, class_id=3)
+EIGHT_FIRINGS = SensorModel(n_beams=4, azimuth_step=45.0)
+
+
+@pytest.mark.parametrize(
+    "sensor, scene",
+    [
+        (WIDE_SENSOR, SceneConfig(seed=5, angular_noise=0.05, ego_velocity=3.0, primitives=(REAR_BOX, WIDE_SPHERE))),
+        (EIGHT_FIRINGS, SceneConfig(seed=6, primitives=(FAR_SPHERE, Box(center=(-6.0, 0.0, 1.0), size=(2.0, 2.0, 2.0), class_id=2)))),
+        (WIDE_SENSOR, SceneConfig(seed=7, ground_z=None, enclosure_radius=25.0, ego_velocity=-5.0, primitives=(WIDE_SPHERE, NEAR_BOX))),
+        (WIDE_SENSOR, SceneConfig(seed=8, angular_noise=0.05, ego_velocity=9.0, max_range=12.0)),
+    ],
+    ids=["window-wider-than-a-call", "empty-window", "no-ground", "ground-only"],
+)
+def test_cast_loop_matches_brute_force(sensor, scene):
+    windows = [_candidate_firings(p, *_firings(sensor, scene)) for p in scene.primitives]
+    if scene.primitives == (REAR_BOX, WIDE_SPHERE):
+        assert windows[1].size > _BLOCK_RAYS // sensor.n_beams
+    if FAR_SPHERE in scene.primitives:
+        assert windows[0].size == 0
+    _assert_matches_brute_force(sensor, scene)
+
+
+def test_no_cast_call_exceeds_block_rays(monkeypatch):
+    # every call covers at most max(_BLOCK_RAYS, window width) rays, the
+    # calls of one surface cover every beam once, and the ground is cast once
+    calls, ground_calls = [], []
+
+    def recording(cast):
+        def wrapped(origin, direction, target):
+            width = np.size(origin[0])
+            calls.append((id(target), width, np.broadcast(*direction).size, np.shape(direction[2])[0]))
+            return cast(origin, direction, target)
+
+        return wrapped
+
+    def ground(height, dz, z0):
+        ground_calls.append(np.shape(dz))
+        return ground_cast(height, dz, z0)
+
+    ground_cast = synth_lidar._ray_ground
+    monkeypatch.setattr(synth_lidar, "_ray_ground", ground)
+    monkeypatch.setattr(synth_lidar, "_ray_enclosure", recording(synth_lidar._ray_enclosure))
+    for kind, cast in list(synth_lidar._RAY_CASTERS.items()):
+        monkeypatch.setitem(synth_lidar._RAY_CASTERS, kind, recording(cast))
+    scene = SceneConfig(
+        seed=3,
+        ego_velocity=4.0,
+        enclosure_radius=30.0,
+        primitives=(REAR_BOX, WIDE_SPHERE, NEAR_BOX, Cylinder(center=(4.0, -3.0, 1.5), radius=0.4, height=3.0, class_id=4)),
+    )
+    generate_scan(WIDE_SENSOR, scene)
+    assert ground_calls == [(WIDE_SENSOR.n_beams, 1)]
+    surfaces = {}
+    for surface, width, rays, beams in calls:
+        assert rays <= max(_BLOCK_RAYS, width)
+        surfaces.setdefault(surface, []).append(beams)
+    assert len(surfaces) == len(scene.primitives) + 1
+    assert all(sum(beams) == WIDE_SENSOR.n_beams for beams in surfaces.values())
+    # the enclosure, the near box and the wide sphere each take several calls
+    assert sum(len(beams) > 1 for beams in surfaces.values()) == 3
 
 
 def test_candidate_window_narrow_and_across_rear_cut():

@@ -15,6 +15,7 @@ from scanseg.trainer import (
     Sample,
     TrainConfig,
     TrainingDiverged,
+    bench_forward,
     evaluate,
     make_synthetic_dataset,
     train,
@@ -268,3 +269,9 @@ def test_report_file_roundtrip(tmp_path):
     assert "loss_trace = 1.000000,0.500000" in text
     assert "iou_class_0 = undefined" in text
     assert "miou = 1.000000" in text
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_bench_forward_rejects_no_repeats(repeats):
+    with pytest.raises(ValueError, match=f"repeats must be >= 1, got {repeats}"):
+        bench_forward(["a"], h=16, w=64, repeats=repeats)
