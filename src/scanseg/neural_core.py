@@ -24,18 +24,22 @@ centred tensor the forward builds anyway, and both norm passes work on the
 (Ioffe & Szegedy 2015, arXiv:1502.03167).
 
 A convolution runs one band of output rows of one sample at a time (see
-``_BAND_COLS``), and no band crosses a kernel-component boundary. A band
-copies its padded input rows, halo included, into a flat buffer, where a
-view shifted by (i * Wp + j) pixels aligns kernel tap (i, j) with every
-output pixel of the band; each tap is then one GEMM over the band's
-padded-width columns. The backward spreads the band's upstream onto that
-width and folds the band's padded input gradient into the result. Every
-buffer is sized for the tallest band and reused, so no temporary the size of
-a feature map is allocated, and a forward issues the same multiply-adds, in
-the same order per output element, as one GEMM per tap over the whole map.
-The weight gradient sums over every row of a band in row blocks, every kernel
-tap inside a block. Bands stay above one GEMM size, ``_SMALL_GEMM``, and
-blocks at or below it; ``_split`` cuts components, bands and blocks alike.
+``_BAND_COLS``). A band copies its padded input rows, halo included, into a
+flat buffer, where a view shifted by (i * Wp + j) pixels aligns kernel tap
+(i, j) with every output pixel of the band; each tap is then one GEMM over
+the band's padded-width columns, with the weights of its kernel component.
+The input gradient runs through the same loop: the upstream, spread onto the
+stride grid and padded like the input, convolved with the kernel flipped and
+its channel axes swapped (Dumoulin & Visin 2016, arXiv:1603.07285, sec. 4).
+Buffers are sized for the tallest band and reused, so no temporary the size
+of a feature map is allocated, and bands issue the same multiply-adds, in the
+same order per output element, as one GEMM per tap over each run of rows
+that share their components. The weight gradient sums its rows in blocks
+of whole rows, or even pieces of a row, on a grid counted from each
+component's start, every tap inside a block.
+So no band setting moves a bit of a convolution or of its gradients. Bands
+stay above one GEMM size, ``_SMALL_GEMM``, and blocks at or below it where a
+row fits; ``_split`` cuts components and bands alike.
 
 All BLAS calls go through ``scipy.linalg.blas``. numpy links its own
 OpenBLAS build with its own thread pool, so a matrix product through numpy
@@ -143,16 +147,16 @@ _BAND_COLS = 1536
 # multiply-adds (M * N * K) on a separate small-matrix kernel, whose rounding
 # of the rows past the last multiple of 16 differs from the blocked kernels'
 # (a 1 x 1 conv to 4 classes changed bits at N = 1536, not at N = 16384). So
-# every band is made long enough for its GEMMs to stay above this size, and a
-# forward keeps the bits of one GEMM per component. The weight gradient's
-# GEMMs (c_out x c_in, K a band's rows) run fastest at or below it, so their
-# rows are summed in blocks of at most _SMALL_GEMM // (c_in * c_out) rows
-# (Goto & van de Geijn, ACM TOMS 2008): at 32 -> 32 channels, 3 x 3 taps over
-# 2 x 64 x 258 padded rows took 12.4 ms unblocked, 5.8-5.9 ms in blocks of
-# 768-879 rows and 15-16 ms in blocks of 1024 rows or more (float32, 2 vCPU).
-# Blocks shorter than _GW_MIN_ROWS lose (64 -> 128: 109 rows 48 ms, unblocked
-# 42 ms; 128 -> 128: 67 rows 134 ms, unblocked 80 ms), so such channel counts
-# run each band as one block.
+# every band is made long enough for its GEMMs to stay above this size. The
+# weight gradient's GEMMs (c_out x c_in, K a block's pixels) run fastest at or
+# below it, so a block holds the most whole padded rows within
+# gw_rows = _SMALL_GEMM // (c_in * c_out) pixels, or an even piece of one row
+# where a row holds more (Goto & van de Geijn, ACM TOMS 2008): at 32 -> 32,
+# 3 x 3 taps over 2 x 64 x 258 padded rows took 12.4 ms unblocked, 5.8-5.9 ms
+# in blocks of 768-879 pixels and 15-16 ms in blocks of 1024 or more (float32,
+# 2 vCPU). Where gw_rows is under _GW_MIN_ROWS, a block is the fewest whole
+# rows that hold _GW_MIN_ROWS pixels: at 2 x 64 x 64 256 -> 256, one-row blocks
+# took 141 ms against 112 ms at 256 pixels or more.
 _SMALL_GEMM = 1_000_000
 _GW_MIN_ROWS = 256
 
@@ -199,22 +203,26 @@ def _gemm_for(dtype):
     raise ValueError(f"unsupported tensor dtype {dtype}")
 
 
-def _pad_rows(x: np.ndarray, spec: PadSpec, r0: int, out: np.ndarray) -> np.ndarray:
+def _pad_rows(x: np.ndarray, spec: PadSpec, r0: int, out: np.ndarray, spread: int = 1) -> np.ndarray:
     """Rows [r0, r0 + len(out)) of the padded grid of one sample ``x``
-    ([H, W, C]), written into ``out`` ([rows, Wp, C]) and returned.
+    ([H, W_src, C]), written into ``out`` ([rows, Wp, C]) and returned.
 
-    Rows outside the input are the zero height padding; the width padding
-    wraps around the cylinder in cyclic mode and is zero otherwise.
+    Source column k lands on column ``k * spread`` of the grid's core, zeros
+    between. Rows outside the input are the zero height padding; the width
+    padding wraps around the cylinder in cyclic mode and is zero otherwise.
     """
-    h, w, _ = x.shape
+    h = x.shape[0]
     ip, jp = spec.i_pad, spec.j_pad
+    w = out.shape[1] - 2 * jp
     s0 = min(max(r0 - ip, 0), h)
     s1 = max(min(r0 + len(out) - ip, h), s0)
     d0, d1 = s0 + ip - r0, s1 + ip - r0
     out[:d0] = 0
     out[d1:] = 0
-    core = x[s0:s1]
-    out[d0:d1, jp : jp + w] = core
+    core = out[d0:d1, jp : jp + w]
+    if spread > 1:
+        core[...] = 0
+    core[:, ::spread] = x[s0:s1]
     if spec.width_mode == "cyclic":
         out[d0:d1, :jp] = core[:, w - jp :]
         out[d0:d1, jp + w :] = core[:, :jp]
@@ -224,35 +232,22 @@ def _pad_rows(x: np.ndarray, spec: PadSpec, r0: int, out: np.ndarray) -> np.ndar
     return out
 
 
-def _pad_rows_backward(grad_rows: np.ndarray, spec: PadSpec, r0: int, grad_x: np.ndarray) -> None:
-    """Adjoint of ``_pad_rows``: adds the gradient of padded rows
-    [r0, r0 + len(grad_rows)) into ``grad_x`` ([H, W, C]), dropping the
-    height padding and, in cyclic mode, folding the wrapped columns back onto
-    their source columns."""
-    h, w, _ = grad_x.shape
-    ip, jp = spec.i_pad, spec.j_pad
-    s0 = min(max(r0 - ip, 0), h)
-    s1 = max(min(r0 + len(grad_rows) - ip, h), s0)
-    g = grad_rows[s0 + ip - r0 : s1 + ip - r0]
-    gx = grad_x[s0:s1]
-    gx += g[:, jp : jp + w]
-    if spec.width_mode == "cyclic" and jp > 0:
-        gx[:, w - jp :] += g[:, :jp]
-        gx[:, :jp] += g[:, jp + w :]
-
-
-def _row_bands(h_out: int, alpha: int, wp: int, min_rows: int = 1):
-    """Output row bands [h0, h1) with their kernel component, none crossing a
-    component boundary. A component of ``n`` rows is split into
-    ``max(1, min(ceil(n / step), n // min_rows))`` bands, with
+def _row_bands(h_out: int, alpha: int, wp: int, min_rows: int = 1, shifts=(0,)):
+    """Output row bands ``(comps, h0, h1)``. Tap row ``i`` of output row ``r``
+    takes the weights of component ``comps[i]``, that of row ``r + shifts[i]``
+    (clamped into the map), so bands are cut wherever one of those rows
+    crosses a component boundary. A run of ``n`` rows between cuts is split
+    into ``max(1, min(ceil(n / step), n // min_rows))`` bands, with
     ``step = ceil(_BAND_COLS / wp)``: every band has at least ``min_rows``
-    rows or is its whole component, and none is taller than ``step`` unless
+    rows or is its whole run, and none is taller than ``step`` unless
     ``min_rows`` needs it."""
+    edges = {0, h_out} | {c - s for _, c, _ in _component_bands(h_out, alpha)[1:] for s in shifts}
+    cuts = sorted(c for c in edges if 0 <= c <= h_out)
     step = -(-_BAND_COLS // wp)
-    for a, c0, c1 in _component_bands(h_out, alpha):
+    for c0, c1 in zip(cuts, cuts[1:]):
         n = c1 - c0
         for h0, h1 in _split(c0, c1, max(1, min(-(-n // step), n // min_rows))):
-            yield a, h0, h1
+            yield tuple(min(max(h0 + s, 0), h_out - 1) * alpha // h_out for s in shifts), h0, h1
 
 
 def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
@@ -260,7 +255,8 @@ def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
     allocates nothing the size of a feature map.
 
     The result dtype is that of ``x``, the kernel and ``operands``. Returns
-    ``(gemm, dtype, wp, h_out, w_out, bands)``.
+    ``(gemm, dtype, wp, h_out, w_out, min_rows)``, where a band of at least
+    ``min_rows`` rows issues GEMMs of over ``_SMALL_GEMM`` multiply-adds.
     """
     _check_rank4(x)
     _, h, w, c = x.shape
@@ -281,19 +277,44 @@ def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
     if alpha > h_out:
         raise ValueError(f"alpha {alpha} exceeds output height {h_out}")
     # each GEMM of a band issues rows * wp * c_in * c_out multiply-adds
-    bands = list(_row_bands(h_out, alpha, wp, _SMALL_GEMM // (wp * c_in * c_out) + 1))
-    return gemm, dtype, wp, h_out, w_out, bands
+    return gemm, dtype, wp, h_out, w_out, _SMALL_GEMM // (wp * c_in * c_out) + 1
 
 
-def _band_rows(bands) -> int:
-    """Row count of the tallest band."""
-    return max(h1 - h0 for _, h0, h1 in bands)
+def _band_buffer(rows, i_k, j_k, wp, c, dtype) -> np.ndarray:
+    """A zeroed flat buffer for ``rows`` padded rows, their (I - 1)-row halo
+    and the (J - 1) * C slack the shifted views run into."""
+    return np.zeros((rows + i_k - 1) * wp * c + (j_k - 1) * c, dtype=dtype)
 
 
-def _band_buffer(bands, i_k, j_k, wp, c, dtype) -> np.ndarray:
-    """A zeroed flat buffer for the padded rows of the tallest band, its
-    (I - 1)-row halo and the (J - 1) * C slack the shifted views run into."""
-    return np.zeros((_band_rows(bands) + i_k - 1) * wp * c + (j_k - 1) * c, dtype=dtype)
+def _conv_bands(x, w_taps, bias, spec, bands, wp, spread, stride_w, y):
+    """The band loop: ``y`` ([B, H_out, W_out, C_dst]) written band by band
+    and returned. ``x`` ([B, H, W_src, C_src]) is laid onto a padded grid of
+    width ``wp`` with ``spread``; ``w_taps`` [alpha, I, J, C_src, C_dst] holds
+    each tap's matrix, ``bias`` [C_dst, alpha] each component's; output
+    columns are taken ``stride_w`` apart."""
+    gemm = _gemm_for(y.dtype)
+    b, _, w_out, c_dst = y.shape
+    _, i_k, j_k, c_src, _ = w_taps.shape
+    band_rows = max(h1 - h0 for _, h0, h1 in bands)
+    flat = _band_buffer(band_rows, i_k, j_k, wp, c_src, y.dtype)
+    # padded-width output of a band; columns off the stride grid are junk fed
+    # by row-wrapped flat positions and are dropped by the copy into y
+    y_flat = np.empty(band_rows * wp * c_dst, dtype=y.dtype)
+    for bi in range(b):
+        for comps, h0, h1 in bands:
+            n = h1 - h0
+            rows = n * wp
+            _pad_rows(x[bi], spec, h0, flat[: (n + i_k - 1) * wp * c_src].reshape(n + i_k - 1, wp, c_src), spread)
+            y_band = y_flat[: rows * c_dst].reshape(n, wp, c_dst)
+            y_band[...] = bias[:, comps[0]]
+            y_t = y_band.reshape(rows, c_dst).T
+            for i in range(i_k):
+                for j in range(j_k):
+                    off = (i * wp + j) * c_src
+                    m_t = flat[off : off + rows * c_src].reshape(rows, c_src).T
+                    gemm(1.0, w_taps[comps[i], i, j].T, m_t, beta=1.0, c=y_t, overwrite_c=True)
+            y[bi, h0:h1] = y_band[:, 0 : stride_w * (w_out - 1) + 1 : stride_w]
+    return y
 
 
 def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: int = 1) -> np.ndarray:
@@ -304,31 +325,12 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
     strided. The reduction order per output element is fixed (kernel taps in
     row-major order, channels inside each tap), so results are reproducible.
     """
-    gemm, dtype, wp, h_out, w_out, bands = _conv_setup(x, kernel, pad_spec, stride_w)
-    i_k, j_k, c_in, c_out, _ = kernel.shape
-    # [alpha, I, J, C_in, C_out]: each tap's c_out x c_in matrix as a
-    # Fortran-ordered transposed view
+    _, dtype, wp, h_out, w_out, min_rows = _conv_setup(x, kernel, pad_spec, stride_w)
+    i_k, _, _, c_out, alpha = kernel.shape
+    bands = list(_row_bands(h_out, alpha, wp, min_rows, (0,) * i_k))
     w_taps = np.ascontiguousarray(np.transpose(kernel.weights, (4, 0, 1, 2, 3)), dtype=dtype)
     y = np.empty((x.shape[0], h_out, w_out, c_out), dtype=dtype)
-    flat = _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
-    # padded-width output of a band; columns off the stride grid are junk fed
-    # by row-wrapped flat positions and are dropped by the copy into y
-    y_flat = np.empty(_band_rows(bands) * wp * c_out, dtype=dtype)
-    for bi in range(x.shape[0]):
-        for a, h0, h1 in bands:
-            n = h1 - h0
-            rows = n * wp
-            _pad_rows(x[bi], pad_spec, h0, flat[: (n + i_k - 1) * wp * c_in].reshape(n + i_k - 1, wp, c_in))
-            y_band = y_flat[: rows * c_out].reshape(n, wp, c_out)
-            y_band[...] = kernel.bias[:, a].astype(dtype, copy=False)
-            y_t = y_band.reshape(rows, c_out).T
-            for i in range(i_k):
-                for j in range(j_k):
-                    off = (i * wp + j) * c_in
-                    m_t = flat[off : off + rows * c_in].reshape(rows, c_in).T
-                    gemm(1.0, w_taps[a, i, j].T, m_t, beta=1.0, c=y_t, overwrite_c=True)
-            y[bi, h0:h1] = y_band[:, 0 : stride_w * (w_out - 1) + 1 : stride_w]
-    return y
+    return _conv_bands(x, w_taps, kernel.bias, pad_spec, bands, wp, 1, stride_w, y)
 
 
 def slc_backward(
@@ -338,14 +340,19 @@ def slc_backward(
     upstream: np.ndarray,
     stride_w: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of ``slc_forward`` wrt input, weights and bias.
+    """Exact gradients of ``slc_forward`` wrt input, weights and bias, for
+    ``pad_spec = PadSpec.same`` of the kernel only.
 
-    Cyclic padding folds wrapped gradient columns back onto their source
-    columns.
+    The input gradient gathers through the forward's band loop (see the
+    module docstring); cyclic padding of the spread upstream is the adjoint
+    of cyclic padding. Near a component boundary each tap row takes the
+    component of the upstream rows it reads.
     """
     _check_rank4(upstream)
-    gemm, dtype, wp, h_out, w_out, bands = _conv_setup(x, kernel, pad_spec, stride_w, upstream)
+    gemm, dtype, wp, h_out, w_out, min_rows = _conv_setup(x, kernel, pad_spec, stride_w, upstream)
     i_k, j_k, c_in, c_out, alpha = kernel.shape
+    if (pad_spec.i_pad, pad_spec.j_pad) != (i_k // 2, j_k // 2):
+        raise ValueError(f"slc_backward needs pad_spec PadSpec.same({i_k}, {j_k}), got {pad_spec}")
     b = x.shape[0]
     if upstream.shape != (b, h_out, w_out, c_out):
         raise ValueError(f"upstream shape {upstream.shape}, expected {(b, h_out, w_out, c_out)}")
@@ -357,49 +364,37 @@ def slc_backward(
         band = upstream[:, h0:h1].reshape(b, h1 - h0, w_out * c_out)
         bias_grads[:, a] = band.sum(axis=(0, 1), dtype=dtype).reshape(w_out, c_out).sum(axis=0)
 
-    # [alpha, I, J, C_out, C_in]: each tap's c_in x c_out matrix as a
-    # Fortran-ordered transposed view
-    w_taps = np.ascontiguousarray(np.transpose(kernel.weights, (4, 0, 1, 3, 2)), dtype=dtype)
-    gw_taps = np.zeros((alpha, i_k, j_k, c_in, c_out), dtype=dtype)
-    grad_x = np.zeros(x.shape, dtype=dtype)
-    # the band's padded input rows, then, once the weight gradient has read
-    # them, the padded input gradient of the same rows
-    flat = _band_buffer(bands, i_k, j_k, wp, c_in, dtype)
-    # upstream spread onto the padded width of a band (zeros between
-    # strides); wrapped flat positions then only ever meet zero gradients
-    g_flat = np.zeros(_band_rows(bands) * wp * c_out, dtype=dtype)
+    # tap row i of input row r reads upstream row r - i_pad + i
+    bands = list(_row_bands(h_out, alpha, wp, min_rows, tuple(i - pad_spec.i_pad for i in range(i_k))))
+    w_flip = np.ascontiguousarray(np.transpose(kernel.weights[::-1, ::-1], (4, 0, 1, 3, 2)), dtype=dtype)
+    grad_x = _conv_bands(upstream, w_flip, np.zeros((c_in, alpha), dtype), pad_spec, bands, wp, stride_w, 1, np.empty(x.shape, dtype))
+
+    # weight gradient over blocks of q rows, or k even pieces of one row where
+    # a row holds more than gw_rows pixels, every tap inside a block while its
+    # rows are in cache; a buffer fill holds whole blocks or a whole component
     gw_rows = _SMALL_GEMM // (c_in * c_out)
-    taps = [(i, j) for i in range(i_k) for j in range(j_k)]
+    q = max(1, gw_rows // wp, -(-_GW_MIN_ROWS // wp))
+    k = -(-wp // gw_rows) if wp > gw_rows >= _GW_MIN_ROWS else 1
+    fill = min(q * max(1, -(-_BAND_COLS // wp) // q), -(-h_out // alpha))
+    gw_taps = np.zeros((alpha, i_k, j_k, c_in, c_out), dtype=dtype)
+    flat = _band_buffer(fill, i_k, j_k, wp, c_in, dtype)
+    # upstream spread onto the padded width (zeros between strides), so
+    # row-wrapped flat positions only ever meet zero gradients
+    g_flat = np.zeros(fill * wp * c_out, dtype=dtype)
     for bi in range(b):
-        for a, h0, h1 in bands:
-            n = h1 - h0
-            rows = n * wp
-            n_flat = (n + i_k - 1) * wp * c_in
-            _pad_rows(x[bi], pad_spec, h0, flat[:n_flat].reshape(n + i_k - 1, wp, c_in))
-            g_rows = g_flat[: rows * c_out].reshape(rows, c_out)
-            g_rows.reshape(n, wp, c_out)[:, 0 : stride_w * w_out : stride_w] = upstream[bi, h0:h1]
-
-            # weight gradient over row blocks, every tap inside a block while
-            # its upstream rows are in cache; the row sum is split, not changed
-            n_blocks = -(-rows // gw_rows) if gw_rows >= _GW_MIN_ROWS else 1
-            for r0, r1 in _split(0, rows, n_blocks):
-                n_r = r1 - r0
-                g_t = g_rows[r0:r1].T
-                for i, j in taps:
-                    start = (i * wp + j + r0) * c_in
-                    m_t = flat[start : start + n_r * c_in].reshape(n_r, c_in).T
-                    gemm(1.0, g_t, m_t, trans_b=True, beta=1.0, c=gw_taps[a, i, j].T, overwrite_c=True)
-
-            # input gradient of the band's padded rows, halo included, folded
-            # into grad_x; the halo rows overlap the neighbouring bands'. Tap
-            # (0, 0) writes the band's own rows, so only the halo is zeroed.
-            flat[rows * c_in : n_flat] = 0
-            g_t = g_rows.T
-            for i, j in taps:
-                off = (i * wp + j) * c_in
-                gx_t = flat[off : off + rows * c_in].reshape(rows, c_in).T
-                gemm(1.0, w_taps[a, i, j].T, g_t, beta=float(off > 0), c=gx_t, overwrite_c=True)
-            _pad_rows_backward(flat[:n_flat].reshape(n + i_k - 1, wp, c_in), pad_spec, h0, grad_x[bi])
+        for a, c0, c1 in _component_bands(h_out, alpha):
+            for h0 in range(c0, c1, fill):
+                n = min(fill, c1 - h0)
+                _pad_rows(x[bi], pad_spec, h0, flat[: (n + i_k - 1) * wp * c_in].reshape(n + i_k - 1, wp, c_in))
+                g_rows = g_flat[: n * wp * c_out].reshape(n * wp, c_out)
+                g_rows.reshape(n, wp, c_out)[:, 0 : stride_w * w_out : stride_w] = upstream[bi, h0 : h0 + n]
+                for r0, r1 in [p for r in range(0, n, q) for p in _split(r * wp, min(r + q, n) * wp, k)]:
+                    g_t = g_rows[r0:r1].T
+                    for i in range(i_k):
+                        for j in range(j_k):
+                            start = (i * wp + j + r0) * c_in
+                            m_t = flat[start : start + (r1 - r0) * c_in].reshape(r1 - r0, c_in).T
+                            gemm(1.0, g_t, m_t, trans_b=True, beta=1.0, c=gw_taps[a, i, j].T, overwrite_c=True)
     return grad_x, np.ascontiguousarray(np.moveaxis(gw_taps, 0, 4)), bias_grads
 
 

@@ -487,8 +487,10 @@ def load_network(path) -> Network:
 
     The ``config`` entry must give every ``NetworkConfig`` field and no
     other, with valid values. Every other entry must match a tensor of the
-    network so built in name, shape and dtype; the error lists all offending
-    names at once, and no network is returned unless every entry fits.
+    network so built in name, shape and dtype, hold only finite values, and
+    keep every ``*.running_var`` at or above 0 and ``input_std`` above 0; the
+    error lists all offending names at once, and no tensor is written unless
+    every entry fits.
     """
     try:
         with np.load(path) as archive:
@@ -518,6 +520,12 @@ def load_network(path) -> Network:
             problems.append(f"{name}: archive {stored[name].shape} vs network {arr.shape}")
         elif stored[name].dtype != arr.dtype:
             problems.append(f"{name}: archive dtype {stored[name].dtype} vs network {arr.dtype}")
+        elif not np.isfinite(stored[name]).all():
+            problems.append(f"{name}: non-finite values")
+        elif name.endswith(".running_var") and (stored[name] < 0).any():
+            problems.append(f"{name}: variance below 0")
+        elif name == "input_std" and not (stored[name] > 0).all():
+            problems.append(f"{name}: not above 0")
     for name in stored:
         if name not in target:
             problems.append(f"unexpected {name}")

@@ -150,6 +150,8 @@ class SensorModel:
                 "beam_elevations",
                 default_beam_elevations(self.n_beams, self.fov_up, self.fov_down),
             )
+        elif not isinstance(self.beam_elevations, (tuple, list, np.ndarray)):
+            raise ValueError(f"beam_elevations must be a sequence of numbers, got {self.beam_elevations!r}")
         elif len(self.beam_elevations) != self.n_beams:
             raise ValueError(f"{len(self.beam_elevations)} elevations for {self.n_beams} beams")
         # past the vertical a ray would head away from its firing's azimuth
@@ -232,7 +234,11 @@ class SceneConfig:
             class_id = getattr(self, name)
             if present is not None and not 1 <= class_id < self.n_classes:
                 raise ValueError(f"{name} {class_id} outside [1, {self.n_classes})")
+        if not isinstance(self.primitives, (tuple, list)):
+            raise ValueError(f"primitives must be a tuple of Box, Sphere or Cylinder, got {self.primitives!r}")
         for p in self.primitives:
+            if not isinstance(p, Primitive):
+                raise ValueError(f"primitives entries must be Box, Sphere or Cylinder, got {p!r}")
             if not isinstance(p.class_id, numbers.Integral):
                 raise ValueError(f"class_id must be an integer, got {p.class_id!r} in {p}")
             for name in ("center", "size", "radius", "height", "reflectance"):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from oracles import central_diff_grad, max_rel_err, reference_conv, reference_conv_grads
 import scanseg
 from scanseg import neural_core, seg_net
+from scanseg.seg_objectives import objective, softmax
+from scanseg.trainer import Adam
 from scanseg.neural_core import (
     NORM_EPS,
     PadSpec,
     SlcKernel,
     _component_bands,
     _pad_rows,
-    _pad_rows_backward,
     _row_bands,
     _split,
     fold_norm,
@@ -52,8 +54,8 @@ def padded(x, spec, r0=0, r1=None):
 def record_gemms(monkeypatch):
     """Patches ``neural_core`` so that every GEMM appends ``(a.shape,
     b.shape, trans_b, conv)`` to the returned list before it runs, where
-    ``conv`` is the ``(h_out, alpha, wp, min_rows)`` its convolution passed
-    to ``_row_bands``."""
+    ``conv`` is the ``(h_out, alpha, wp, min_rows, shifts)`` its convolution
+    last passed to ``_row_bands``."""
     calls, conv = [], [None]
     gemm_for, row_bands = neural_core._gemm_for, neural_core._row_bands
 
@@ -79,14 +81,6 @@ def mnk(call):
     """Multiply-adds of one recorded GEMM."""
     (m, k), b, trans_b, _ = call
     return m * k * (b[0] if trans_b else b[1])
-
-
-def padded_backward(grad_padded, spec, shape, r0=0):
-    """Gradient wrt ``x`` of ``padded(x, spec, r0, ...)`` for upstream ``grad_padded``."""
-    gx = np.zeros(shape)
-    for g, gxb in zip(grad_padded, gx):
-        _pad_rows_backward(g, spec, r0, gxb)
-    return gx
 
 
 class TestPad:
@@ -133,20 +127,31 @@ class TestPad:
         core = out[:, spec.i_pad : spec.i_pad + h, spec.j_pad : spec.j_pad + w, :]
         np.testing.assert_array_equal(core, x)
 
+    def test_spread_row(self):
+        # source columns land two apart on a 6-column core, and the cyclic
+        # padding wraps the spread core
+        x = np.arange(1.0, 4.0).reshape(1, 3, 1)  # [a b c]
+        out = _pad_rows(x, PadSpec(0, 1, "cyclic"), 0, np.full((1, 8, 1), np.nan), spread=2)
+        np.testing.assert_array_equal(out[0, :, 0], [0, 1, 0, 2, 0, 3, 0, 1])
+
     def test_pad_backward_folds_wrapped_columns(self):
+        # a 1 x 5 kernel wraps two of the four columns onto each side; the
+        # input gradient brings theirs back to the source columns
         x = _rand((1, 2, 4, 1), seed=3)
-        spec = PadSpec(1, 2, "cyclic")
-        up = _rand(padded(x, spec).shape, seed=4)
-        analytic = padded_backward(up, spec, x.shape)
-        num = central_diff_grad(lambda: float((padded(x, spec) * up).sum()), x, EPS)
-        assert max_rel_err(analytic, num) < GRAD_TOL
+        k = SlcKernel(weights=_rand((1, 5, 1, 2, 1), seed=4), bias=np.zeros((2, 1)))
+        spec = PadSpec.same(1, 5, "cyclic")
+        for stride in (1, 2):
+            up = _rand((1, 2, 4 // stride, 2), seed=5)
+            analytic = slc_backward(x, k, spec, up, stride)[0]
+            num = central_diff_grad(lambda: float((slc_forward(x, k, spec, stride) * up).sum()), x, EPS)
+            assert max_rel_err(analytic, num) < GRAD_TOL
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 8), st.sampled_from(["zeros", "cyclic"]), st.data())
     def test_row_bands_tile_the_grid(self, seed, h, w, mode, data):
         # any rows of the grid, halo or height padding only included, equal
-        # the whole grid's, and the adjoints of overlapping bands sum to the
-        # whole grid's adjoint
+        # the whole grid's, and the input gradient run in any bands is the
+        # adjoint of the forward: <conv(x), u> = <x, grad_x(u)>
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2, h, w, 2))
         spec = PadSpec(data.draw(st.integers(0, 2)), data.draw(st.integers(0, w)), mode)
@@ -155,10 +160,15 @@ class TestPad:
         r0 = data.draw(st.integers(0, hp - 1))
         r1 = data.draw(st.integers(r0 + 1, hp))
         np.testing.assert_array_equal(padded(x, spec, r0, r1), whole[:, r0:r1])
-        up = rng.standard_normal(whole.shape)
-        split = data.draw(st.integers(0, hp))
-        by_bands = padded_backward(up[:, :split], spec, x.shape) + padded_backward(up[:, split:], spec, x.shape, split)
-        np.testing.assert_allclose(by_bands, padded_backward(up, spec, x.shape), rtol=1e-14, atol=1e-14)
+        spec = PadSpec(spec.i_pad, min(spec.j_pad, 2), mode)
+        k = SlcKernel(weights=rng.standard_normal((2 * spec.i_pad + 1, 2 * spec.j_pad + 1, 2, 3, 1)), bias=np.zeros((3, 1)))
+        stride = data.draw(st.integers(1, 3))
+        up = rng.standard_normal((2, h, (w - 1) // stride + 1, 3))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neural_core, "_BAND_COLS", data.draw(st.integers(1, 3)) * (w + 2 * spec.j_pad))
+            patch.setattr(neural_core, "_SMALL_GEMM", 0)
+            gx = slc_backward(x, k, spec, up, stride)[0]
+        np.testing.assert_allclose((x * gx).sum(), (slc_forward(x, k, spec, stride) * up).sum(), rtol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-50, 50), st.integers(0, 300), st.integers(1, 40))
@@ -172,21 +182,37 @@ class TestPad:
         assert all(lo - r0 == -(-i * n // k) for i, (lo, _) in enumerate(parts))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 80), st.integers(1, 4), st.integers(1, 2000), st.integers(1, 40))
-    def test_row_bands_keep_min_rows_and_step(self, h, alpha, wp, min_rows):
-        # the bands tile each component in order; none is under min_rows
-        # unless it is its whole component, their sizes differ by at most
+    @given(
+        st.integers(1, 80), st.integers(1, 4), st.integers(1, 2000), st.integers(1, 40), st.sampled_from([(0,), (-1, 0, 1), (-2, -1, 0, 1, 2)])
+    )
+    def test_row_bands_keep_min_rows_and_step(self, h, alpha, wp, min_rows, shifts):
+        # the bands tile the rows in order; tap row i of every row r of a band
+        # reads row r + shifts[i] of comps[i]; they are cut only where such a
+        # row crosses a component boundary, and between cuts none is under
+        # min_rows unless it is its whole run, their sizes differ by at most
         # one, and none is over the step unless min_rows allows fewer bands
         alpha = min(alpha, h)
         step = -(-neural_core._BAND_COLS // wp)
-        bands = list(_row_bands(h, alpha, wp, min_rows))
+        bands = list(_row_bands(h, alpha, wp, min_rows, shifts))
         assert [h0 for _, h0, _ in bands] == [0] + [h1 for _, _, h1 in bands[:-1]] and bands[-1][2] == h
-        for a, c0, c1 in _component_bands(h, alpha):
+        comp = (np.arange(h) * alpha) // h
+        for comps, h0, h1 in bands:
+            rows = np.arange(h0, h1)
+            assert all((comp[np.clip(rows + s, 0, h - 1)] == a).all() for a, s in zip(comps, shifts))
+        cuts = sorted({0, h} | {c - s for _, c, _ in _component_bands(h, alpha)[1:] for s in shifts if 0 < c - s < h})
+        for c0, c1 in zip(cuts, cuts[1:]):
             n = c1 - c0
-            sizes = [h1 - h0 for b, h0, h1 in bands if b == a]
+            sizes = [h1 - h0 for _, h0, h1 in bands if c0 <= h0 < c1]
             assert sum(sizes) == n
             assert min(sizes) >= min(min_rows, n) and max(sizes) - min(sizes) <= 1
             assert max(sizes) <= step or n // min_rows < -(-n // step)
+
+    def test_seam_bands_around_each_component_boundary(self):
+        # the input gradient of a 3 x 3 kernel at alpha 2 over 8 rows: rows 3
+        # and 4 each gather from both components, one row band apiece
+        bands = list(_row_bands(8, 2, 10, 1, (-1, 0, 1)))
+        assert [(h0, h1) for _, h0, h1 in bands] == [(0, 3), (3, 4), (4, 5), (5, 8)]
+        assert [comps for comps, _, _ in bands] == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
 
 
 class TestSlcForward:
@@ -333,6 +359,71 @@ class TestSlcBackward:
         with pytest.raises(ValueError, match="upstream"):
             slc_backward(x, k, PadSpec.same(3, 3), np.zeros((1, 4, 5, 2)))
 
+    def test_rejects_padding_other_than_same(self):
+        # the input gradient gathers through the "same" padding only
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((1, 4, 6, 2))
+        k = glorot_uniform(rng, 3, 3, 2, 2, dtype=np.float64)
+        for spec in (PadSpec(0, 1), PadSpec(1, 0, "cyclic"), PadSpec(2, 1)):
+            y = slc_forward(x, k, spec)
+            with pytest.raises(ValueError, match=r"pad_spec PadSpec.same\(3, 3\)"):
+                slc_backward(x, k, spec, np.zeros(y.shape))
+
+
+BAND_SETTINGS = {"half": 0.5, "double": 2, "whole": None}
+
+
+def band_settings(monkeypatch):
+    """Yields the name of each ``_BAND_COLS`` setting, the default first,
+    then half and double of it and one band per run of rows, with
+    ``neural_core`` patched to it."""
+    default = neural_core._BAND_COLS
+    yield "default"
+    for name, scale in BAND_SETTINGS.items():
+        monkeypatch.setattr(neural_core, "_BAND_COLS", 10**9 if scale is None else int(default * scale))
+        yield name
+
+
+class TestBandInvariance:
+    """No band setting moves a bit of a backward pass or of training."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("mode", ["zeros", "cyclic"])
+    @pytest.mark.parametrize("alpha", [1, 2, 64])
+    def test_backward_bits(self, monkeypatch, alpha, mode, stride):
+        rng = np.random.default_rng(alpha + stride)
+        x = rng.standard_normal((2, 64, 256, 32)).astype(np.float32)
+        k = glorot_uniform(rng, 3, 3, 32, 32, alpha)
+        k.bias[:] = rng.standard_normal(k.bias.shape)
+        spec = PadSpec.same(3, 3, mode)
+        up = rng.standard_normal((2, 64, 256 // stride, 32)).astype(np.float32)
+        want = None
+        for setting in band_settings(monkeypatch):
+            got = [g.tobytes() for g in slc_backward(x, k, spec, up, stride)]
+            want = want or got
+            assert got == want, setting
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_training_bits(self, monkeypatch, alpha):
+        # a seeded preset-A run: the first step's gradients and the weights
+        # after five steps
+        rng = np.random.default_rng(alpha)
+        xs = rng.standard_normal((5, 2, 32, 128, 3)).astype(np.float32)
+        ys = rng.integers(0, 4, size=(5, 2, 32, 128))
+        want = None
+        for setting in band_settings(monkeypatch):
+            net = seg_net.build(seg_net.config_from_preset("a", n_classes=4, alpha_default=alpha), seed=alpha)
+            opt = Adam(net.parameters(), 2e-3)
+            steps = []
+            for x, y in zip(xs, ys):
+                loss = objective("ce+dice", softmax(net.forward(x, training=True)), y)
+                net.backward(loss.grad.astype(np.float32))
+                steps.append({n: g.tobytes() for n, g in net.grads().items()})
+                opt.step(net.grads())
+            got = (steps[0], {n: p.tobytes() for n, p in net.parameters().items()})
+            want = want or got
+            assert got == want, setting
+
 
 class TestStridedGeometry:
     """slc_forward/slc_backward against the float64 shifted-slice oracles over
@@ -386,39 +477,38 @@ class TestStridedGeometry:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("w", [7, 8])
     def test_weight_gradient_across_row_blocks(self, monkeypatch, w, stride, alpha, mode):
-        c_in, c_out, block = 3, 2, 7
-        monkeypatch.setattr(neural_core, "_SMALL_GEMM", block * c_in * c_out)
+        c_in, c_out, h, wp = 3, 2, 7, w + 2
         monkeypatch.setattr(neural_core, "_GW_MIN_ROWS", 1)
         rng = np.random.default_rng(10 * w + 5 * stride + alpha)
-        h, wp = 5, w + 2
-        bands = list(_component_bands(h, alpha))
-        # every row band spans several blocks
-        assert list(_row_bands(h, alpha, wp)) == bands
-        assert all((h1 - h0) * wp > block for _, h0, h1 in bands)
+        components = list(_component_bands(h, alpha))
         spec = PadSpec.same(3, 3, mode)
         calls = record_gemms(monkeypatch)
-        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        # blocks of two rows counted from each component's start, then, where
+        # a row holds more pixels than a block may, each row in two pieces
+        rows = [min(2, c1 - r) * wp for _, c0, c1 in components for r in range(c0, c1, 2)]
+        halves = [hi - lo for lo, hi in _split(0, wp, 2)] * h
+        for (gw_rows, grid), (dtype, tol) in itertools.product(
+            ((2 * wp, rows), (wp // 2 + 1, halves)), ((np.float64, 1e-12), (np.float32, 1e-5))
+        ):
+            monkeypatch.setattr(neural_core, "_SMALL_GEMM", gw_rows * c_in * c_out)
             x = rng.standard_normal((2, h, w, c_in)).astype(dtype)
             k = SlcKernel(weights=rng.standard_normal((3, 3, c_in, c_out, alpha)).astype(dtype), bias=np.zeros((c_out, alpha), dtype))
             up = rng.standard_normal((2, h, (w - 1) // stride + 1, c_out)).astype(dtype)
-            calls.clear()
-            gx, gw, gb = slc_backward(x, k, spec, up, stride)
-            # each block runs its nine taps; a band's blocks cover its rows,
-            # each holds at most `block` rows, and their sizes differ by at
-            # most one
-            blocks = iter([a[1] for a, _, trans_b, _ in calls if trans_b][::9])
-            for _ in range(x.shape[0]):
-                for _, h0, h1 in bands:
-                    sizes = []
-                    while sum(sizes) < (h1 - h0) * wp:
-                        sizes.append(next(blocks))
-                    assert sum(sizes) == (h1 - h0) * wp and len(sizes) > 1
-                    assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
-            assert next(blocks, None) is None
+            results = []
+            # bands of one, three and all rows: each block runs its nine taps
+            # over the same grid, so the gradients keep their bits
+            for band_rows in (1, 3, h):
+                monkeypatch.setattr(neural_core, "_BAND_COLS", band_rows * wp)
+                calls.clear()
+                results.append(slc_backward(x, k, spec, up, stride))
+                assert [a[1] for a, _, trans_b, _ in calls if trans_b][::9] == 2 * grid
+            for got in results[1:]:
+                assert all(g.tobytes() == r.tobytes() for g, r in zip(got, results[0]))
+            gx, gw, gb = results[0]
             # the semi-local conv is a sum over components of plain convs
             # whose upstream is masked to the component's rows
             ref_gx = np.zeros(x.shape)
-            for a, h0, h1 in bands:
+            for a, h0, h1 in components:
                 up_a = np.zeros(up.shape)
                 up_a[:, h0:h1] = up[:, h0:h1]
                 rx, rw, rb = reference_conv_grads(x, k.weights[..., a], up_a, stride_w=stride, cyclic=(mode == "cyclic"))
@@ -443,7 +533,7 @@ class TestStridedGeometry:
         # the bands tile the rows, none crosses a component edge, and some
         # band is short where band_rows does not divide a component
         assert np.array_equal(np.concatenate([np.arange(h0, h1) for _, h0, h1 in bands]), np.arange(h))
-        assert all(((np.arange(h0, h1) * alpha) // h == a).all() and h1 - h0 <= band_rows for a, h0, h1 in bands)
+        assert all(((np.arange(h0, h1) * alpha) // h == a).all() and h1 - h0 <= band_rows for (a,), h0, h1 in bands)
         assert len(bands) > alpha and (band_rows == 1 or any(h1 - h0 < band_rows for _, h0, h1 in bands))
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             x = rng.standard_normal((2, h, w, c_in)).astype(dtype)
@@ -453,7 +543,7 @@ class TestStridedGeometry:
             gx, gw, gb = slc_backward(x, k, spec, up, stride)
             with monkeypatch.context() as one_band:
                 one_band.setattr(neural_core, "_BAND_COLS", h * wp)
-                assert list(_row_bands(h, alpha, wp)) == components
+                assert list(_row_bands(h, alpha, wp)) == [((a,), h0, h1) for a, h0, h1 in components]
                 assert slc_forward(x, k, spec, stride).tobytes() == y.tobytes()
             ref_gx = np.zeros(x.shape)
             for a, h0, h1 in components:
@@ -467,22 +557,24 @@ class TestStridedGeometry:
 
 
 def test_network_gemms_keep_the_small_gemm_rule(monkeypatch):
-    # a preset-A training step at 2 x 64 x 256 and a preset-D eval forward at
-    # 1 x 64 x 512: every forward and input-gradient GEMM runs over
-    # _SMALL_GEMM multiply-adds unless its band is a whole component shorter
-    # than the floor, and every weight-gradient GEMM at most _SMALL_GEMM
-    # wherever its channels allow blocks of _GW_MIN_ROWS rows
+    # a preset-A training step at 2 x 64 x 256, the same at alpha 2 and
+    # 2 x 64 x 64, and a preset-D eval forward at 1 x 64 x 512: every forward
+    # and input-gradient GEMM runs over _SMALL_GEMM multiply-adds unless its
+    # band is a whole run of rows between cuts shorter than the floor, and
+    # every weight-gradient GEMM at most _SMALL_GEMM wherever its channels
+    # allow blocks of _GW_MIN_ROWS pixels
     calls = record_gemms(monkeypatch)
     rng = np.random.default_rng(43)
-    net = seg_net.build(seg_net.config_from_preset("a", n_classes=4), seed=43)
-    logits = net.forward(rng.standard_normal((2, 64, 256, 3)).astype(np.float32), training=True)
-    net.backward(rng.standard_normal(logits.shape).astype(np.float32))
+    for alpha, w in ((1, 256), (2, 64)):
+        net = seg_net.build(seg_net.config_from_preset("a", n_classes=4, alpha_default=alpha), seed=43)
+        logits = net.forward(rng.standard_normal((2, 64, w, 3)).astype(np.float32), training=True)
+        net.backward(rng.standard_normal(logits.shape).astype(np.float32))
     net = seg_net.build(seg_net.config_from_preset("d"), seed=44)
     net.forward(rng.standard_normal((1, 64, 512, 3)).astype(np.float32))
 
-    small, short, blocked = neural_core._SMALL_GEMM, [], []
+    small, short, seams, blocked = neural_core._SMALL_GEMM, [], [], []
     for call in calls:
-        a, b, trans_b, (h_out, alpha, wp, min_rows) = call
+        a, b, trans_b, (h_out, alpha, wp, min_rows, shifts) = call
         if trans_b:
             if a[0] * b[0] * neural_core._GW_MIN_ROWS <= small:
                 assert mnk(call) <= small, call
@@ -490,11 +582,15 @@ def test_network_gemms_keep_the_small_gemm_rule(monkeypatch):
         elif mnk(call) <= small:
             rows = b[1] // wp
             assert rows * wp == b[1] and rows < min_rows, call
-            assert rows in [h1 - h0 for _, h0, h1 in _component_bands(h_out, alpha)], call
+            # with min_rows above the height, each run between cuts is a band
+            assert rows in [h1 - h0 for _, h0, h1 in _row_bands(h_out, alpha, wp, h_out + 1, shifts)], call
             short.append(call)
-    # both rules are exercised: preset A's 8-wide stage has 64-row components
-    # under the floor, and its 32-channel weight gradients are blocked
-    assert short and blocked and len(calls) > len(short) + len(blocked)
+            if rows == 1 and alpha > 1 and len(set(shifts)) > 1:
+                seams.append(call)
+    # every rule is exercised: preset A's 8-wide stage has 64-row components
+    # under the floor, alpha 2 cuts one-row seam bands in the input
+    # gradient, and the 32-channel weight gradients are blocked
+    assert short and seams and blocked and len(calls) > len(short) + len(blocked)
 
 
 def _peak_alloc(fn, *args):

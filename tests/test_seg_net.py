@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import central_diff_grad, max_rel_err
+from scanseg import seg_net
 from scanseg.seg_net import (
     BACKBONE_PRESETS,
     ConvUnit,
@@ -412,6 +413,30 @@ def test_load_dtype_mismatch_rejected_before_any_write(tmp_path):
     np.savez(path, config=json.dumps(asdict(net.config)), **archive)
     with pytest.raises(ValueError, match=r"head\.bias: archive dtype float64 vs network float32"):
         load_network(path)
+
+
+BAD_TENSORS = {
+    "head.weights: non-finite values": ("head.weights", np.nan),
+    "enc1.down.norm.running_var: variance below 0": ("enc1.down.norm.running_var", -1e-3),
+    "input_std: not above 0": ("input_std", 0.0),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_TENSORS))
+def test_load_rejects_bad_values_before_any_write(tmp_path, monkeypatch, problem):
+    net = build(small_config(), seed=16)
+    name, value = BAD_TENSORS[problem]
+    (net.parameters() | net.buffers())[name].flat[0] = value
+    path = tmp_path / "weights.npz"
+    save_weights(net, path)
+    built = []
+    monkeypatch.setattr(seg_net, "build", lambda config: built.append(build(config)) or built[0])
+    with pytest.raises(ValueError, match=re.escape(f"does not fit its config: {problem}")):
+        load_network(path)
+    # the network load_network built still holds its initial tensors
+    fresh = build(small_config())
+    for key, arr in (fresh.parameters() | fresh.buffers()).items():
+        np.testing.assert_array_equal((built[0].parameters() | built[0].buffers())[key], arr)
 
 
 def _randomize_norms(net, seed):

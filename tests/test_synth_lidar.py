@@ -204,6 +204,16 @@ def test_scene_rejects_misshapen_primitive(primitive, message):
         SceneConfig(primitives=(primitive,))
 
 
+def test_scene_rejects_primitives_not_a_tuple():
+    with pytest.raises(ValueError, match=r"primitives must be a tuple of Box, Sphere or Cylinder, got Sphere\("):
+        SceneConfig(primitives=Sphere(center=(5, 0, 1), radius=1, class_id=3))
+
+
+def test_scene_rejects_a_primitive_of_another_type():
+    with pytest.raises(ValueError, match="primitives entries must be Box, Sphere or Cylinder, got <object"):
+        SceneConfig(primitives=(object(),))
+
+
 @pytest.mark.parametrize(
     "sensor_kw, message",
     [
@@ -217,6 +227,7 @@ def test_scene_rejects_misshapen_primitive(primitive, message):
         ({"n_beams": 2.5}, "n_beams must be an integer, got 2.5"),
         ({"n_beams": "4"}, "n_beams must be an integer, got '4'"),
         ({"azimuth_step": "1"}, "azimuth_step must be a finite number, got '1'"),
+        ({"beam_elevations": 5.0}, "beam_elevations must be a sequence of numbers, got 5.0"),
     ],
 )
 def test_sensor_rejects_bad_field(sensor_kw, message):
