@@ -15,12 +15,20 @@ Three on-disk formats are handled here:
 
 All parsers take raw ``bytes`` so they stay pure; ``load_*``/``save_*`` helpers
 wrap them for paths.
+
+``check_fields`` is the config dataclasses' one kind check, here because
+every module that defines one imports this one.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 import struct
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +42,59 @@ _RIMG_HEADER = 16 + len(RIMG_DIRECTORY)
 
 class FormatError(ValueError):
     """Raised when an input byte stream violates one of the file formats."""
+
+
+def is_int(value) -> bool:
+    """An integral value that is not a bool; an int skips the ABC check."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A real, not a bool, finite as a float (an int included); a float skips the ABC check."""
+    try:
+        return (isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _accepts(hint):
+    """A predicate for the values of the annotation ``hint`` (see ``check_fields``)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    members = [_accepts(a) for a in args if a is not Ellipsis]
+    if hint in (int, float):
+        return is_int if hint is int else is_finite_real
+    if origin in (typing.Union, types.UnionType):
+        return lambda v: any(m(v) for m in members)
+    if origin is tuple and args[-1] is Ellipsis:
+        return lambda v: isinstance(v, tuple) and all(map(members[0], v))
+    if origin is tuple:
+        return lambda v: isinstance(v, tuple) and len(v) == len(members) and all(m(x) for m, x in zip(members, v))
+    if origin is dict:
+        return lambda v: isinstance(v, dict) and all(members[0](k) and members[1](x) for k, x in v.items())
+    return lambda v: isinstance(v, hint)
+
+
+@functools.cache
+def _field_checks(cls) -> list:
+    """(name, annotation as written, predicate) per field of ``cls``, once per class."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, f.type, _accepts(hints[f.name])) for f in fields(cls)]
+
+
+def check_fields(obj) -> None:
+    """Check each field of the dataclass ``obj`` against its annotation; a
+    wrong kind raises a ValueError naming class and field. ``int`` takes an
+    integral non-bool, ``float`` a finite real non-bool (an int included),
+    ``tuple[X, ...]`` and ``tuple[X, Y, Z]`` tuples item by item, ``dict[K,
+    V]`` dicts key and value alike, a union what any member takes, and any
+    other class its instances. A list whose tuple passes is stored as that
+    tuple, the one conversion made."""
+    for name, kind, accepts in _field_checks(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, list) and accepts(tuple(value)):
+            object.__setattr__(obj, name, tuple(value))
+        elif not accepts(value):
+            raise ValueError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")
 
 
 @dataclass

@@ -31,7 +31,7 @@ the grid as out of range. The IndexMap keeps the full point/pixel
 correspondence either way so per-point labels can be recovered from
 per-pixel predictions.
 
-Both reject a grid height ``h`` or width ``w`` below 1.
+Both reject a grid height ``h`` or width ``w`` but an int of at least 1.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_io import LabelArray, PointCloud, RangeImage
+from .cloud_io import LabelArray, PointCloud, RangeImage, is_finite_real, is_int
 
 DEFAULT_H = 64
 DEFAULT_W = 2048
@@ -129,6 +129,8 @@ def _rows(phi: np.ndarray) -> np.ndarray:
 
 def _check_grid(h: int, w: int) -> None:
     for name, size in (("h", h), ("w", w)):
+        if not is_int(size):
+            raise ValueError(f"grid size {name} must be an int, got {size!r}")
         if size < 1:
             raise ValueError(f"grid size {name} must be at least 1, got {size}")
 
@@ -258,6 +260,8 @@ def project_ego_corrected(
     azimuth and is rejected.
     """
     _check_grid(h, w)
+    if not (is_finite_real(fov_up) and is_finite_real(fov_down)):
+        raise ValueError(f"fov_up and fov_down must be finite reals, got {fov_up!r} and {fov_down!r}")
     if not fov_down < fov_up:
         raise ValueError("fov_down must be below fov_up")
     phi, ranges = _polar(cloud.points)

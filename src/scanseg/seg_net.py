@@ -65,6 +65,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .cloud_io import check_fields
 from .neural_core import (
     PADDING_MODES,
     PadSpec,
@@ -95,7 +96,7 @@ BACKBONE_PRESETS: dict[str, tuple[int, ...]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConfig:
     """Everything needed to rebuild a network deterministically."""
 
@@ -107,16 +108,14 @@ class NetworkConfig:
     n_classes: int = 20
 
     def __post_init__(self):
-        if len(self.stage_channels) != 6:
-            raise ValueError(f"expected 6 stage channel counts, got {len(self.stage_channels)}")
-        if len(self.blocks_per_stage) != 6:
-            raise ValueError(f"expected 6 block counts, got {len(self.blocks_per_stage)}")
+        check_fields(self)
+        counts = len(self.stage_channels), len(self.blocks_per_stage)
+        if counts != (6, 6):
+            raise ValueError(f"expected 6 stage channel counts and 6 block counts, got {counts} in stage_channels, blocks_per_stage")
         if any(c <= 0 for c in self.stage_channels) or any(b < 0 for b in self.blocks_per_stage):
-            raise ValueError("channel counts must be positive and block counts non-negative")
-        if not isinstance(self.alpha_overrides, dict):
-            raise ValueError("alpha_overrides must map layer names to alphas")
+            raise ValueError("stage_channels must be positive and blocks_per_stage non-negative")
         if self.alpha_default < 1 or any(a < 1 for a in self.alpha_overrides.values()):
-            raise ValueError("alpha must be >= 1")
+            raise ValueError(f"alpha must be >= 1: alpha_default {self.alpha_default}, alpha_overrides {self.alpha_overrides}")
         if self.padding not in PADDING_MODES:
             raise ValueError(f"unknown padding mode {self.padding!r}")
         if self.n_classes < 1:
@@ -508,8 +507,8 @@ def load_network(path) -> Network:
         wrong += [f"missing key {k!r}" for k in sorted(names - set(values))]
         if wrong:
             raise ValueError("; ".join(wrong))
-        net = build(NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}))
-    except (TypeError, ValueError) as exc:
+        net = build(NetworkConfig(**values))
+    except ValueError as exc:
         raise ValueError(f"weight archive {path} has a bad config: {exc}") from exc
     target = net.parameters() | net.buffers()
     problems = []

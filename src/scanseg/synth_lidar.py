@@ -69,14 +69,13 @@ check every scan against them bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .cloud_io import LabelArray, PointCloud
+from .cloud_io import LabelArray, PointCloud, check_fields
 from .projection import DEFAULT_FOV_DOWN, DEFAULT_FOV_UP
 
 MIN_RANGE = 1.0  # meters; closer returns are discarded like a real sensor does
@@ -92,19 +91,6 @@ _WINDOW_SLACK = 1e-6
 # most rays in one cast call or one assembled block: at 2048 firings a
 # block is 8 beams, and each of its float64 temporaries 128 KiB
 _BLOCK_RAYS = 16384
-
-
-def _three_reals(value) -> bool:
-    """True for a sequence of exactly three real numbers."""
-    return isinstance(value, (tuple, list, np.ndarray)) and len(value) == 3 and all(isinstance(v, numbers.Real) for v in value)
-
-
-def _check_integers(owner, names: tuple[str, ...]) -> None:
-    """Reject, by name, a field of ``owner`` that is not an integer."""
-    for name in names:
-        value = getattr(owner, name)
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def default_beam_elevations(n_beams: int, fov_up: float, fov_down: float) -> tuple[float, ...]:
@@ -131,13 +117,9 @@ class SensorModel:
     mount_height: float = 1.73  # sensor origin above ground, meters
 
     def __post_init__(self):
-        _check_integers(self, ("n_beams",))
+        check_fields(self)
         if self.n_beams < 1:
             raise ValueError(f"n_beams must be >= 1, got {self.n_beams}")
-        for name in ("fov_up", "fov_down", "azimuth_step", "mount_height", "rev_period"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.rev_period > 0:
             raise ValueError(f"rev_period must be above 0, got {self.rev_period}")
         if not self.fov_down < self.fov_up:
@@ -145,26 +127,31 @@ class SensorModel:
         if not 0 < self.azimuth_step <= 360:
             raise ValueError(f"azimuth_step must lie in (0, 360] degrees, got {self.azimuth_step}")
         if self.beam_elevations is None:
-            object.__setattr__(
-                self,
-                "beam_elevations",
-                default_beam_elevations(self.n_beams, self.fov_up, self.fov_down),
-            )
-        elif not isinstance(self.beam_elevations, (tuple, list, np.ndarray)):
-            raise ValueError(f"beam_elevations must be a sequence of numbers, got {self.beam_elevations!r}")
+            object.__setattr__(self, "beam_elevations", default_beam_elevations(self.n_beams, self.fov_up, self.fov_down))
         elif len(self.beam_elevations) != self.n_beams:
-            raise ValueError(f"{len(self.beam_elevations)} elevations for {self.n_beams} beams")
+            raise ValueError(f"beam_elevations: {len(self.beam_elevations)} elevations for {self.n_beams} beams")
         # past the vertical a ray would head away from its firing's azimuth
-        if not all(isinstance(e, numbers.Real) and -90.0 <= e <= 90.0 for e in self.beam_elevations):
-            raise ValueError(f"beam elevations must be numbers in [-90, 90] degrees: {self.beam_elevations}")
+        if not all(-90.0 <= e <= 90.0 for e in self.beam_elevations):
+            raise ValueError(f"beam_elevations must lie in [-90, 90] degrees: {self.beam_elevations}")
 
     @property
     def firings_per_rev(self) -> int:
         return int(round(360.0 / self.azimuth_step))
 
 
+class _Surface:
+    """The primitives' check: field kinds, then positive extents."""
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in ("size", "radius", "height"):
+            extent = getattr(self, name, ())
+            if any(e <= 0 for e in (extent if isinstance(extent, tuple) else (extent,))):
+                raise ValueError(f"non-positive extent {name} in {self}")
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(_Surface):
     center: tuple[float, float, float]
     size: tuple[float, float, float]  # full extents
     class_id: int
@@ -172,7 +159,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Surface):
     center: tuple[float, float, float]
     radius: float
     class_id: int
@@ -180,7 +167,7 @@ class Sphere:
 
 
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Surface):
     """Vertical cylinder; only the side surface returns hits."""
 
     center: tuple[float, float, float]
@@ -193,7 +180,7 @@ class Cylinder:
 Primitive = Box | Sphere | Cylinder
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
     """World content plus generation knobs.
 
@@ -216,50 +203,15 @@ class SceneConfig:
     max_range: float | None = None  # meters; None = unlimited
 
     def __post_init__(self):
-        _check_integers(self, ("ground_class", "enclosure_class", "seed", "n_classes"))
-        for name in (
-            "ground_z",
-            "ground_reflectance",
-            "enclosure_radius",
-            "enclosure_reflectance",
-            "ego_velocity",
-            "max_range",
-            "angular_noise",
-        ):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_fields(self)
         # a surface's class is checked only when the surface is present
         for present, name in ((self.ground_z, "ground_class"), (self.enclosure_radius, "enclosure_class")):
             class_id = getattr(self, name)
             if present is not None and not 1 <= class_id < self.n_classes:
-                raise ValueError(f"{name} {class_id} outside [1, {self.n_classes})")
-        if not isinstance(self.primitives, (tuple, list)):
-            raise ValueError(f"primitives must be a tuple of Box, Sphere or Cylinder, got {self.primitives!r}")
+                raise ValueError(f"{name} {class_id} outside [1, {self.n_classes}) of n_classes {self.n_classes}")
         for p in self.primitives:
-            if not isinstance(p, Primitive):
-                raise ValueError(f"primitives entries must be Box, Sphere or Cylinder, got {p!r}")
-            if not isinstance(p.class_id, numbers.Integral):
-                raise ValueError(f"class_id must be an integer, got {p.class_id!r} in {p}")
-            for name in ("center", "size", "radius", "height", "reflectance"):
-                if not hasattr(p, name):
-                    continue
-                value = getattr(p, name)
-                # the casters broadcast a center and a box's size against xyz
-                if name in ("center", "size"):
-                    if not _three_reals(value):
-                        raise ValueError(f"{name} must be three numbers in {p}")
-                    values = value
-                elif isinstance(value, numbers.Real):
-                    values = (value,)
-                else:
-                    raise ValueError(f"{name} must be a number in {p}")
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"non-finite {name} in {p}")
-                if name in ("size", "radius", "height") and min(values) <= 0:
-                    raise ValueError(f"non-positive extent {name} in {p}")
             if not 1 <= p.class_id < self.n_classes:
-                raise ValueError(f"class id {p.class_id} outside [1, {self.n_classes})")
+                raise ValueError(f"primitives: class id {p.class_id} outside [1, {self.n_classes}) of n_classes {self.n_classes} in {p}")
         if self.angular_noise < 0:
             raise ValueError("angular_noise must be >= 0")
 
@@ -557,42 +509,18 @@ def write_example_config(path) -> None:
     Path(path).write_text(_EXAMPLE_CONFIG)
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
-
-
-# YAML key -> (dataclass field, cast) per section; absent keys keep the
-# dataclass defaults
+# YAML key -> dataclass field per section, a primitive's keys being its field
+# names; values pass through as YAML typed them, absent keys keep defaults
 _SENSOR_KEYS = {
-    "n_beams": ("n_beams", int),
-    "fov_up_deg": ("fov_up", float),
-    "fov_down_deg": ("fov_down", float),
-    "azimuth_step_deg": ("azimuth_step", float),
-    "beam_elevations_deg": ("beam_elevations", tuple),
-    "rev_period_s": ("rev_period", float),
-    "mount_height_m": ("mount_height", float),
+    "n_beams": "n_beams", "fov_up_deg": "fov_up", "fov_down_deg": "fov_down", "azimuth_step_deg": "azimuth_step",
+    "beam_elevations_deg": "beam_elevations", "rev_period_s": "rev_period", "mount_height_m": "mount_height",
 }
 _SCENE_KEYS = {
-    "seed": ("seed", int),
-    "ground_z": ("ground_z", _optional_float),  # null: no ground plane
-    "ground_class": ("ground_class", int),
-    "ground_reflectance": ("ground_reflectance", float),
-    "angular_noise_deg": ("angular_noise", float),
-    "ego_velocity_mps": ("ego_velocity", float),
-    "n_classes": ("n_classes", int),
-    "max_range_m": ("max_range", _optional_float),
-}
-_ENCLOSURE_KEYS = {
-    "radius": ("enclosure_radius", float),
-    "class_id": ("enclosure_class", int),
-    "reflectance": ("enclosure_reflectance", float),
-}
-_SURFACE_KEYS = {"center": ("center", tuple), "class_id": ("class_id", int), "reflectance": ("reflectance", float)}
-_PRIMITIVE_KEYS = {
-    "box": (Box, _SURFACE_KEYS | {"size": ("size", tuple)}),
-    "sphere": (Sphere, _SURFACE_KEYS | {"radius": ("radius", float)}),
-    "cylinder": (Cylinder, _SURFACE_KEYS | {"radius": ("radius", float), "height": ("height", float)}),
-}
+    "seed": "seed", "ground_z": "ground_z", "ground_class": "ground_class", "ground_reflectance": "ground_reflectance",
+    "angular_noise_deg": "angular_noise", "ego_velocity_mps": "ego_velocity", "n_classes": "n_classes", "max_range_m": "max_range",
+}  # ground_z null: no ground plane
+_ENCLOSURE_KEYS = {"radius": "enclosure_radius", "class_id": "enclosure_class", "reflectance": "enclosure_reflectance"}
+_PRIMITIVE_KINDS = {"box": Box, "sphere": Sphere, "cylinder": Cylinder}
 
 
 def _mapping(section: str, entry) -> dict:
@@ -611,16 +539,20 @@ def _section_fields(section: str, entry, table: dict) -> dict:
     for key in entry:
         if key not in table:
             raise ValueError(f"section {section!r}: unknown key {key!r}")
-    return {table[key][0]: table[key][1](value) for key, value in entry.items()}
+    return {table[key]: value for key, value in entry.items()}
 
 
 def _primitive_from_mapping(entry) -> Primitive:
     entry = dict(_mapping("primitives", entry))
     kind = entry.pop("kind", None)
-    if kind not in _PRIMITIVE_KEYS:
+    if not isinstance(kind, str) or kind not in _PRIMITIVE_KINDS:
         raise ValueError(f"unknown primitive kind {kind!r}")
-    cls, table = _PRIMITIVE_KEYS[kind]
-    return cls(**_section_fields(kind, entry, table))
+    cls = _PRIMITIVE_KINDS[kind]
+    values = _section_fields(kind, entry, {f.name: f.name for f in fields(cls)})
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ValueError(f"section {kind!r}: missing key {f.name!r}")
+    return cls(**values)
 
 
 def load_scan_setup(path) -> tuple[SensorModel, SceneConfig]:
@@ -633,5 +565,7 @@ def load_scan_setup(path) -> tuple[SensorModel, SceneConfig]:
     enclosure = _section_fields("enclosure", scene.pop("enclosure", None), _ENCLOSURE_KEYS)
     if enclosure and "enclosure_radius" not in enclosure:
         raise ValueError("section 'enclosure': missing key 'radius'")
-    primitives = tuple(_primitive_from_mapping(p) for p in scene.pop("primitives", None) or ())
-    return sensor, SceneConfig(primitives=primitives, **enclosure, **_section_fields("scene", scene, _SCENE_KEYS))
+    primitives = scene.pop("primitives", None)
+    if isinstance(primitives, list):  # any other value SceneConfig names
+        primitives = [_primitive_from_mapping(p) for p in primitives]
+    return sensor, SceneConfig(primitives=() if primitives is None else primitives, **enclosure, **_section_fields("scene", scene, _SCENE_KEYS))

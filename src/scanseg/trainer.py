@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud_io import RangeImage
+from .cloud_io import RangeImage, check_fields
 from .projection import PROJECTIONS, IndexMap, backproject_labels, project_ego_corrected, unfold_scan
 from .seg_net import IN_CHANNELS, Network, NetworkConfig, build, config_from_preset, count_params
 from .seg_objectives import LOSSES, ConfusionMatrix, accumulate_confusion, miou, objective, softmax
@@ -56,7 +56,7 @@ class Adam:
             self.params[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     net: NetworkConfig = field(default_factory=NetworkConfig)
     loss: str = "ce+dice"
@@ -70,6 +70,7 @@ class TrainConfig:
     beta1, beta2, adam_eps = Adam.__init__.__defaults__
 
     def __post_init__(self):
+        check_fields(self)
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, choose from {LOSSES}")
         # lr = 0 is allowed on purpose: a frozen run is the no-op baseline

@@ -75,7 +75,7 @@ def test_labels_bad_length():
         read_labels(b"\x00" * 5)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1))
 def test_label_roundtrip_word(word):
     labels = read_labels(struct.pack("<I", word))
@@ -84,7 +84,7 @@ def test_label_roundtrip_word(word):
     assert write_labels(labels) == struct.pack("<I", word)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**31), st.integers(0, 200))
 def test_point_cloud_roundtrip(seed, n):
     rng = np.random.default_rng(seed)

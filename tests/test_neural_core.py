@@ -118,7 +118,7 @@ class TestPad:
         with pytest.raises(ValueError):
             PadSpec(0, 0, "mirror")
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 8), st.sampled_from(["zeros", "cyclic"]))
     def test_crop_recovers_original(self, seed, h, w, mode):
         x = np.random.default_rng(seed).standard_normal((1, h, w, 2))
@@ -146,7 +146,7 @@ class TestPad:
             num = central_diff_grad(lambda: float((slc_forward(x, k, spec, stride) * up).sum()), x, EPS)
             assert max_rel_err(analytic, num) < GRAD_TOL
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 8), st.sampled_from(["zeros", "cyclic"]), st.data())
     def test_row_bands_tile_the_grid(self, seed, h, w, mode, data):
         # any rows of the grid, halo or height padding only included, equal
@@ -170,7 +170,7 @@ class TestPad:
             gx = slc_backward(x, k, spec, up, stride)[0]
         np.testing.assert_allclose((x * gx).sum(), (slc_forward(x, k, spec, stride) * up).sum(), rtol=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(-50, 50), st.integers(0, 300), st.integers(1, 40))
     def test_split_is_even_and_contiguous(self, r0, n, k):
         parts = _split(r0, r0 + n, k)
@@ -181,7 +181,7 @@ class TestPad:
         # range i starts at r0 + ceil(i * n / k), the component rule
         assert all(lo - r0 == -(-i * n // k) for i, (lo, _) in enumerate(parts))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         st.integers(1, 80), st.integers(1, 4), st.integers(1, 2000), st.integers(1, 40), st.sampled_from([(0,), (-1, 0, 1), (-2, -1, 0, 1, 2)])
     )

@@ -47,7 +47,7 @@ class TestColumns:
         with pytest.raises(ValueError, match="azimuth undefined"):
             get_columns(_cloud([[0, 0, 1]]), 64)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.integers(0, 2**31), st.integers(1, 4096))
     def test_totality(self, seed, w):
         rng = np.random.default_rng(seed)
@@ -274,6 +274,17 @@ class TestOcclusionAccounting:
         with pytest.raises(ValueError, match=f"grid size {name} must be at least 1, got {min(h, w)}"):
             project(_cloud([[1, 0, 0], [0, 1, 0]]), None, h, w)
 
+    @pytest.mark.parametrize("project", [unfold_scan, project_ego_corrected])
+    @pytest.mark.parametrize(("h", "w", "name", "value"), [(2.5, 8, "h", "2.5"), (4, 64.0, "w", "64.0"), (True, 8, "h", "True")])
+    def test_grid_size_not_an_int_rejected(self, project, h, w, name, value):
+        with pytest.raises(ValueError, match=f"grid size {name} must be an int, got {value}"):
+            project(_cloud([[1, 0, 0], [0, 1, 0]]), None, h, w)
+
+    @pytest.mark.parametrize("fov", [{"fov_up": np.inf}, {"fov_down": -np.inf}, {"fov_up": np.nan}, {"fov_down": True}])
+    def test_fov_not_finite_rejected(self, fov):
+        with pytest.raises(ValueError, match=f"fov_up and fov_down must be finite reals, got {fov.get('fov_up', 3.0)} and {fov.get('fov_down', -25.0)}"):
+            project_ego_corrected(_cloud([[1, 0, 0], [0, 1, 0]]), None, 4, 8, **fov)
+
     def test_inconsistent_index_map_rejected(self):
         # three points, one pixel won, nothing occluded or out of range
         index_map = IndexMap(
@@ -354,7 +365,7 @@ def _project(cloud, projection, h, w):
 
 
 class TestProjectionProperties:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(_crowded_clouds(), st.sampled_from(["unfold", "ego"]), st.integers(1, 6), st.integers(1, 12))
     def test_accounting_nearest_wins_and_backprojection(self, cloud, projection, h, w):
         img, index_map = _project(cloud, projection, h, w)
@@ -406,7 +417,7 @@ def _arrays(image, index_map):
     return planes | {field: getattr(index_map, field) for field in ("pixel_to_point", "point_to_pixel", "occluded")}
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_scatter_inputs())
 def test_scatter_matches_sorted_scatter_bit_for_bit(inputs):
     with np.errstate(over="ignore"):  # 1e39 overflows the float32 depth to inf
@@ -421,7 +432,7 @@ def _assert_ranges_are_norm(cloud):
     assert _polar(cloud.points)[1].tobytes() == want.tobytes()
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(0, 2**31), st.integers(0, 300), st.sampled_from([1e-3, 1.0, 80.0, 1e30]))
 def test_ranges_bit_equal_to_norm(seed, n, scale):
     rng = np.random.default_rng(seed)

@@ -104,6 +104,19 @@ def test_config_validation():
         config_from_preset("z")
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"alpha_default": True}, "NetworkConfig.alpha_default must be int, got True"),
+        # fails here by name, not inside build
+        ({"n_classes": 2.5}, "NetworkConfig.n_classes must be int, got 2.5"),
+    ],
+)
+def test_config_rejects_a_value_of_the_wrong_kind(kw, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkConfig(**kw)
+
+
 def test_single_layer_param_count_closed_form():
     k = glorot_uniform(np.random.default_rng(0), 3, 3, 2, 4, alpha=2)
     assert k.param_count == 3 * 3 * 2 * 4 * 2 + 4 * 2 == 152
@@ -232,7 +245,9 @@ BAD_CONFIGS = {
     "alpha must be >= 1": lambda c: c | {"alpha_default": 0},
     "unknown padding mode 'reflect'": lambda c: c | {"padding": "reflect"},
     "n_classes must be >= 1": lambda c: c | {"n_classes": 0},
-    "cannot be interpreted as an integer": lambda c: c | {"alpha_overrides": {"head": 1.5}},
+    "NetworkConfig.alpha_overrides must be dict": lambda c: c | {"alpha_overrides": {"head": 1.5}},
+    # JSON true must not load as alpha 1
+    "NetworkConfig.alpha_default must be int, got True": lambda c: c | {"alpha_default": True},
     "bad config: alpha_overrides name no conv layer: 'hed'": lambda c: c | {"alpha_overrides": {"hed": 2}},
     "not a JSON object": lambda c: [c],
 }

@@ -33,7 +33,7 @@ class TestSoftmax:
         assert p[0] == pytest.approx(1.0)
         assert p[1] == pytest.approx(0.0, abs=1e-12)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(0, 2**31))
     def test_sums_to_one(self, seed):
         rng = np.random.default_rng(seed)
@@ -154,7 +154,7 @@ class TestDice:
         assert res.value == 0.0
         assert not res.grad.any()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**31))
     def test_bounded_zero_one(self, seed):
         rng = np.random.default_rng(seed)
@@ -239,7 +239,7 @@ class TestConfusion:
             accumulate_confusion(np.array([7, 1]), np.array([0, 1]), cm)
         assert cm.counts.sum() == 0
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(0, 2**31), st.integers(1, 60))
     def test_chunked_equals_oneshot(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -253,7 +253,7 @@ class TestConfusion:
         np.testing.assert_array_equal(whole.counts, split.counts)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**31), st.integers(2, 6), st.integers(1, 40), st.sampled_from([np.float32, np.float64]))
 def test_unlabeled_pixels_change_nothing(seed, n_classes, n, dtype):
     # whatever is predicted at a class-0 pixel, no loss, gradient or count moves

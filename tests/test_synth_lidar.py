@@ -149,90 +149,105 @@ def test_scene_validation():
 
 
 NAN, INF = math.nan, math.inf
+FLOAT3 = r"tuple\[float, float, float\]"
 
 
+# each case builds its config in the test: a bad primitive raises where it
+# is built, so it cannot sit in a parametrize list. In this and the next
+# three lists the ids keep the names the cases had before their messages
+# took the ``Class.field`` form, so runs stay comparable case by case
 @pytest.mark.parametrize(
-    "scene_kw, message",
+    "build, message",
     [
-        ({"primitives": (Box(center=(NAN, 0, 1), size=(1, 1, 1), class_id=2),)}, "non-finite center in Box"),
-        ({"primitives": (Box(center=(5, 0, 1), size=(1, NAN, 1), class_id=2),)}, "non-finite size in Box"),
-        ({"primitives": (Sphere(center=(5, 0, INF), radius=1, class_id=3),)}, "non-finite center in Sphere"),
-        ({"primitives": (Sphere(center=(5, 0, 1), radius=NAN, class_id=3),)}, "non-finite radius in Sphere"),
-        ({"primitives": (Cylinder(center=(5, 0, 1), radius=INF, height=2, class_id=4),)}, "non-finite radius in Cylinder"),
-        ({"primitives": (Cylinder(center=(5, 0, 1), radius=0.5, height=NAN, class_id=4),)}, "non-finite height in Cylinder"),
-        ({"ground_z": NAN}, "ground_z must be finite"),
-        ({"enclosure_radius": INF}, "enclosure_radius must be finite"),
-        ({"ego_velocity": NAN}, "ego_velocity must be finite"),
-        ({"max_range": NAN}, "max_range must be finite"),
-        ({"angular_noise": INF}, "angular_noise must be finite"),
-        ({"ground_reflectance": NAN}, "ground_reflectance must be finite"),
-        ({"enclosure_reflectance": INF}, "enclosure_reflectance must be finite"),
-        ({"primitives": (Box(center=(5, 0, 1), size=(1, 1, 1), class_id=2, reflectance=NAN),)}, "non-finite reflectance in Box"),
-        ({"primitives": (Sphere(center=(5, 0, 1), radius=1, class_id=3, reflectance=-INF),)}, "non-finite reflectance in Sphere"),
-        ({"primitives": (Cylinder(center=(5, 0, 1), radius=0.5, height=2, class_id=4, reflectance=NAN),)}, "non-finite reflectance in Cylinder"),
+        pytest.param(lambda: Box(center=(NAN, 0, 1), size=(1, 1, 1), class_id=2), rf"Box.center must be {FLOAT3}, got \(nan, 0, 1\)", id='scene_kw0-non-finite center in Box'),
+        pytest.param(lambda: Box(center=(5, 0, 1), size=(1, NAN, 1), class_id=2), rf"Box.size must be {FLOAT3}, got \(1, nan, 1\)", id='scene_kw1-non-finite size in Box'),
+        pytest.param(lambda: Sphere(center=(5, 0, INF), radius=1, class_id=3), rf"Sphere.center must be {FLOAT3}, got \(5, 0, inf\)", id='scene_kw2-non-finite center in Sphere'),
+        pytest.param(lambda: Sphere(center=(5, 0, 1), radius=NAN, class_id=3), "Sphere.radius must be float, got nan", id='scene_kw3-non-finite radius in Sphere'),
+        pytest.param(lambda: Cylinder(center=(5, 0, 1), radius=INF, height=2, class_id=4), "Cylinder.radius must be float, got inf", id='scene_kw4-non-finite radius in Cylinder'),
+        pytest.param(lambda: Cylinder(center=(5, 0, 1), radius=0.5, height=NAN, class_id=4), "Cylinder.height must be float, got nan", id='scene_kw5-non-finite height in Cylinder'),
+        pytest.param(lambda: SceneConfig(ground_z=NAN), r"SceneConfig.ground_z must be float \| None, got nan", id='scene_kw6-ground_z must be finite'),
+        pytest.param(lambda: SceneConfig(enclosure_radius=INF), r"SceneConfig.enclosure_radius must be float \| None, got inf", id='scene_kw7-enclosure_radius must be finite'),
+        pytest.param(lambda: SceneConfig(ego_velocity=NAN), "SceneConfig.ego_velocity must be float, got nan", id='scene_kw8-ego_velocity must be finite'),
+        pytest.param(lambda: SceneConfig(max_range=NAN), r"SceneConfig.max_range must be float \| None, got nan", id='scene_kw9-max_range must be finite'),
+        pytest.param(lambda: SceneConfig(angular_noise=INF), "SceneConfig.angular_noise must be float, got inf", id='scene_kw10-angular_noise must be finite'),
+        pytest.param(lambda: SceneConfig(ground_reflectance=NAN), "SceneConfig.ground_reflectance must be float, got nan", id='scene_kw11-ground_reflectance must be finite'),
+        pytest.param(lambda: SceneConfig(enclosure_reflectance=INF), "SceneConfig.enclosure_reflectance must be float, got inf", id='scene_kw12-enclosure_reflectance must be finite'),
+        pytest.param(lambda: Box(center=(5, 0, 1), size=(1, 1, 1), class_id=2, reflectance=NAN), "Box.reflectance must be float, got nan", id='scene_kw13-non-finite reflectance in Box'),
+        pytest.param(lambda: Sphere(center=(5, 0, 1), radius=1, class_id=3, reflectance=-INF), "Sphere.reflectance must be float, got -inf", id='scene_kw14-non-finite reflectance in Sphere'),
+        pytest.param(lambda: Cylinder(center=(5, 0, 1), radius=0.5, height=2, class_id=4, reflectance=NAN), "Cylinder.reflectance must be float, got nan", id='scene_kw15-non-finite reflectance in Cylinder'),
         # a scalar of the wrong type is named the same way
-        ({"ground_z": "0"}, "ground_z must be finite, got '0'"),
-        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"n_classes": "8"}, "n_classes must be an integer, got '8'"),
-        ({"ground_z": None, "ground_class": 1.0}, "ground_class must be an integer, got 1.0"),
+        pytest.param(lambda: SceneConfig(ground_z="0"), r"SceneConfig.ground_z must be float \| None, got '0'", id="scene_kw16-ground_z must be finite, got '0'"),
+        pytest.param(lambda: SceneConfig(seed=1.5), "SceneConfig.seed must be int, got 1.5", id='scene_kw17-seed must be an integer, got 1.5'),
+        pytest.param(lambda: SceneConfig(n_classes="8"), "SceneConfig.n_classes must be int, got '8'", id="scene_kw18-n_classes must be an integer, got '8'"),
+        pytest.param(lambda: SceneConfig(ground_z=None, ground_class=1.0), "SceneConfig.ground_class must be int, got 1.0", id='scene_kw19-ground_class must be an integer, got 1.0'),
     ],
 )
-def test_scene_rejects_non_finite_geometry(scene_kw, message):
+def test_scene_rejects_non_finite_geometry(build, message):
     with pytest.raises(ValueError, match=message):
-        SceneConfig(**scene_kw)
+        build()
 
 
 @pytest.mark.parametrize(
-    "primitive, message",
+    "build, message",
     [
-        (Box(center=(12.0, 3.0), size=(1, 1, 1), class_id=2), r"center must be three numbers in Box\(center=\(12.0, 3.0\)"),
-        (Sphere(center=(5, 0, 1, 7), radius=1, class_id=3), r"center must be three numbers in Sphere"),
-        (Cylinder(center=(5, "0", 1), radius=0.5, height=2, class_id=4), r"center must be three numbers in Cylinder"),
-        (Box(center=(5, 0, 1), size=(1, 1), class_id=2), r"size must be three numbers in Box"),
-        (Box(center=(5, 0, 1), size="111", class_id=2), r"size must be three numbers in Box"),
-        (Sphere(center=(5, 0, 1), radius="1", class_id=3), r"radius must be a number in Sphere"),
-        (Cylinder(center=(5, 0, 1), radius=0.5, height=None, class_id=4), r"height must be a number in Cylinder"),
-        (Box(center=(5, 0, 1), size=(1, 1, 1), class_id=2, reflectance="x"), r"reflectance must be a number in Box"),
-        (Sphere(center=(5, 0, 1), radius=1, class_id="3"), r"class_id must be an integer, got '3' in Sphere"),
-        (Sphere(center=(5, 0, 1), radius=1, class_id=3.5), r"class_id must be an integer, got 3.5 in Sphere"),
-        (Sphere(center=(5, 0, 1), radius=0.0, class_id=3), r"non-positive extent radius in Sphere"),
-        (Cylinder(center=(5, 0, 1), radius=0.5, height=-2.0, class_id=4), r"non-positive extent height in Cylinder"),
+        pytest.param(lambda: Box(center=(12.0, 3.0), size=(1, 1, 1), class_id=2), rf"Box.center must be {FLOAT3}, got \(12.0, 3.0\)", id='primitive0-center must be three numbers in Box\\(center=\\(12.0, 3.0\\)'),
+        pytest.param(lambda: Sphere(center=(5, 0, 1, 7), radius=1, class_id=3), rf"Sphere.center must be {FLOAT3}, got \(5, 0, 1, 7\)", id='primitive1-center must be three numbers in Sphere'),
+        pytest.param(lambda: Cylinder(center=(5, "0", 1), radius=0.5, height=2, class_id=4), rf"Cylinder.center must be {FLOAT3}, got \(5, '0', 1\)", id='primitive2-center must be three numbers in Cylinder'),
+        pytest.param(lambda: Box(center=(5, 0, 1), size=(1, 1), class_id=2), rf"Box.size must be {FLOAT3}, got \(1, 1\)", id='primitive3-size must be three numbers in Box'),
+        pytest.param(lambda: Box(center=(5, 0, 1), size="111", class_id=2), rf"Box.size must be {FLOAT3}, got '111'", id='primitive4-size must be three numbers in Box'),
+        pytest.param(lambda: Sphere(center=(5, 0, 1), radius="1", class_id=3), "Sphere.radius must be float, got '1'", id='primitive5-radius must be a number in Sphere'),
+        pytest.param(lambda: Cylinder(center=(5, 0, 1), radius=0.5, height=None, class_id=4), "Cylinder.height must be float, got None", id='primitive6-height must be a number in Cylinder'),
+        pytest.param(lambda: Box(center=(5, 0, 1), size=(1, 1, 1), class_id=2, reflectance="x"), "Box.reflectance must be float, got 'x'", id='primitive7-reflectance must be a number in Box'),
+        pytest.param(lambda: Sphere(center=(5, 0, 1), radius=1, class_id="3"), "Sphere.class_id must be int, got '3'", id="primitive8-class_id must be an integer, got '3' in Sphere"),
+        pytest.param(lambda: Sphere(center=(5, 0, 1), radius=1, class_id=3.5), "Sphere.class_id must be int, got 3.5", id='primitive9-class_id must be an integer, got 3.5 in Sphere'),
+        pytest.param(lambda: Sphere(center=(5, 0, 1), radius=0.0, class_id=3), r"non-positive extent radius in Sphere", id='primitive10-non-positive extent radius in Sphere'),
+        pytest.param(lambda: Cylinder(center=(5, 0, 1), radius=0.5, height=-2.0, class_id=4), r"non-positive extent height in Cylinder", id='primitive11-non-positive extent height in Cylinder'),
     ],
 )
-def test_scene_rejects_misshapen_primitive(primitive, message):
+def test_scene_rejects_misshapen_primitive(build, message):
     with pytest.raises(ValueError, match=message):
-        SceneConfig(primitives=(primitive,))
+        SceneConfig(primitives=(build(),))
 
 
 def test_scene_rejects_primitives_not_a_tuple():
-    with pytest.raises(ValueError, match=r"primitives must be a tuple of Box, Sphere or Cylinder, got Sphere\("):
+    with pytest.raises(ValueError, match=r"SceneConfig.primitives must be tuple\[Primitive, ...\], got Sphere\("):
         SceneConfig(primitives=Sphere(center=(5, 0, 1), radius=1, class_id=3))
 
 
 def test_scene_rejects_a_primitive_of_another_type():
-    with pytest.raises(ValueError, match="primitives entries must be Box, Sphere or Cylinder, got <object"):
+    with pytest.raises(ValueError, match=r"SceneConfig.primitives must be tuple\[Primitive, ...\], got \(<object"):
         SceneConfig(primitives=(object(),))
 
 
 @pytest.mark.parametrize(
     "sensor_kw, message",
     [
-        ({"fov_up": INF}, "fov_up must be a finite number, got inf"),
-        ({"fov_down": NAN}, "fov_down must be a finite number, got nan"),
-        ({"mount_height": NAN}, "mount_height must be a finite number, got nan"),
-        ({"rev_period": NAN}, "rev_period must be a finite number, got nan"),
-        ({"rev_period": INF}, "rev_period must be a finite number, got inf"),
-        ({"rev_period": 0.0}, "rev_period must be above 0, got 0.0"),
-        ({"n_beams": 2, "beam_elevations": ("up", -1.0)}, r"beam elevations must be numbers in \[-90, 90\]"),
-        ({"n_beams": 2.5}, "n_beams must be an integer, got 2.5"),
-        ({"n_beams": "4"}, "n_beams must be an integer, got '4'"),
-        ({"azimuth_step": "1"}, "azimuth_step must be a finite number, got '1'"),
-        ({"beam_elevations": 5.0}, "beam_elevations must be a sequence of numbers, got 5.0"),
+        pytest.param({"fov_up": INF}, "SensorModel.fov_up must be float, got inf", id='sensor_kw0-fov_up must be a finite number, got inf'),
+        pytest.param({"fov_down": NAN}, "SensorModel.fov_down must be float, got nan", id='sensor_kw1-fov_down must be a finite number, got nan'),
+        pytest.param({"mount_height": NAN}, "SensorModel.mount_height must be float, got nan", id='sensor_kw2-mount_height must be a finite number, got nan'),
+        pytest.param({"rev_period": NAN}, "SensorModel.rev_period must be float, got nan", id='sensor_kw3-rev_period must be a finite number, got nan'),
+        pytest.param({"rev_period": INF}, "SensorModel.rev_period must be float, got inf", id='sensor_kw4-rev_period must be a finite number, got inf'),
+        pytest.param({"rev_period": 0.0}, "rev_period must be above 0, got 0.0", id='sensor_kw5-rev_period must be above 0, got 0.0'),
+        pytest.param({"n_beams": 2, "beam_elevations": ("up", -1.0)}, r"SensorModel.beam_elevations must be tuple\[float, ...\] \| None, got \('up', -1.0\)", id='sensor_kw6-beam elevations must be numbers in \\[-90, 90\\]'),
+        pytest.param({"n_beams": 2.5}, "SensorModel.n_beams must be int, got 2.5", id='sensor_kw7-n_beams must be an integer, got 2.5'),
+        pytest.param({"n_beams": "4"}, "SensorModel.n_beams must be int, got '4'", id="sensor_kw8-n_beams must be an integer, got '4'"),
+        pytest.param({"azimuth_step": "1"}, "SensorModel.azimuth_step must be float, got '1'", id="sensor_kw9-azimuth_step must be a finite number, got '1'"),
+        pytest.param({"beam_elevations": 5.0}, r"SensorModel.beam_elevations must be tuple\[float, ...\] \| None, got 5.0", id='sensor_kw10-beam_elevations must be a sequence of numbers, got 5.0'),
     ],
 )
 def test_sensor_rejects_bad_field(sensor_kw, message):
     with pytest.raises(ValueError, match=message):
         SensorModel(**sensor_kw)
+
+
+def test_sensor_rejects_a_bool_beam_count():
+    with pytest.raises(ValueError, match="SensorModel.n_beams must be int, got True"):
+        SensorModel(n_beams=True)
+
+
+def test_box_rejects_a_scalar_center():
+    with pytest.raises(ValueError, match=rf"Box.center must be {FLOAT3}, got 5"):
+        Box(center=5, size=(1, 1, 1), class_id=2)
 
 
 def _assert_matches_brute_force(sensor, scene):
@@ -456,7 +471,7 @@ def _window_cases(draw):
     return sensor, scene
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_window_cases())
 def test_culled_scan_matches_brute_force_property(case):
     _assert_matches_brute_force(*case)
@@ -493,7 +508,7 @@ def _box_rays(draw):
     return origins, dirs, Box(center=tuple(center), size=tuple(size), class_id=2)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_box_rays())
 def test_ray_box_matches_all_axes_slab_test(case):
     origins, dirs, box = case
@@ -557,14 +572,35 @@ def test_config_file_rejects_misspelled_key(tmp_path, sensor, scene, section, ke
 @pytest.mark.parametrize(
     "sensor, scene, message",
     [
-        ("{mount_height_m: .nan}", "{}", "mount_height must be a finite number, got nan"),
-        ("{rev_period_s: .nan}", "{}", "rev_period must be a finite number, got nan"),
-        ("{fov_up_deg: .inf}", "{}", "fov_up must be a finite number, got inf"),
-        ("{}", "{primitives: [{kind: box, center: [12.0, 3.0], size: [1, 1, 1], class_id: 2}]}", "center must be three numbers in Box"),
-        ("{}", "{primitives: [{kind: sphere, center: [9, 0, 1, 2], radius: 1, class_id: 2}]}", "center must be three numbers in Sphere"),
+        pytest.param("{mount_height_m: .nan}", "{}", "SensorModel.mount_height must be float, got nan", id='{mount_height_m: .nan}-{}-mount_height must be a finite number, got nan'),
+        pytest.param("{rev_period_s: .nan}", "{}", "SensorModel.rev_period must be float, got nan", id='{rev_period_s: .nan}-{}-rev_period must be a finite number, got nan'),
+        pytest.param("{fov_up_deg: .inf}", "{}", "SensorModel.fov_up must be float, got inf", id='{fov_up_deg: .inf}-{}-fov_up must be a finite number, got inf'),
+        pytest.param("{}", "{primitives: [{kind: box, center: [12.0, 3.0], size: [1, 1, 1], class_id: 2}]}", rf"Box.center must be {FLOAT3}, got \[12.0, 3.0\]", id='{}-{primitives: [{kind: box, center: [12.0, 3.0], size: [1, 1, 1], class_id: 2}]}-center must be three numbers in Box'),
+        pytest.param("{}", "{primitives: [{kind: sphere, center: [9, 0, 1, 2], radius: 1, class_id: 2}]}", rf"Sphere.center must be {FLOAT3}, got \[9, 0, 1, 2\]", id='{}-{primitives: [{kind: sphere, center: [9, 0, 1, 2], radius: 1, class_id: 2}]}-center must be three numbers in Sphere'),
     ],
 )
 def test_config_file_rejects_bad_geometry_by_name(tmp_path, sensor, scene, message):
+    path = tmp_path / "setup.yaml"
+    path.write_text(f"sensor: {sensor}\nscene: {scene}\n")
+    with pytest.raises(ValueError, match=message):
+        load_scan_setup(path)
+
+
+# a cast would load each as another experiment (2 beams, seed 7, class 3,
+# radius 1.0); the values must fail by class and field instead
+@pytest.mark.parametrize(
+    "sensor, scene, message",
+    [
+        ("{n_beams: 2.5}", "{}", "SensorModel.n_beams must be int, got 2.5"),
+        ("{}", "{seed: '7'}", "SceneConfig.seed must be int, got '7'"),
+        ("{}", "{primitives: [{kind: sphere, center: [9, 0, 1], radius: 1, class_id: 3.7}]}", "Sphere.class_id must be int, got 3.7"),
+        ("{}", "{enclosure: {radius: 30, class_id: 3.7}}", "SceneConfig.enclosure_class must be int, got 3.7"),
+        ("{}", "{primitives: [{kind: sphere, center: [9, 0, 1], radius: true, class_id: 3}]}", "Sphere.radius must be float, got True"),
+        ("{}", "{enclosure: {radius: true}}", r"SceneConfig.enclosure_radius must be float \| None, got True"),
+        ("{}", "{primitives: [{kind: box, center: 5, size: [1, 1, 1], class_id: 2}]}", rf"Box.center must be {FLOAT3}, got 5"),
+    ],
+)
+def test_config_file_rejects_a_value_of_the_wrong_kind(tmp_path, sensor, scene, message):
     path = tmp_path / "setup.yaml"
     path.write_text(f"sensor: {sensor}\nscene: {scene}\n")
     with pytest.raises(ValueError, match=message):

@@ -60,6 +60,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="steps"):
             TrainConfig(steps=0)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"lr": math.nan}, "TrainConfig.lr must be float, got nan"),
+            ({"lr": math.inf}, "TrainConfig.lr must be float, got inf"),
+            ({"steps": 2.5}, "TrainConfig.steps must be int, got 2.5"),
+            ({"batch_size": True}, "TrainConfig.batch_size must be int, got True"),
+            ({"net": None}, "TrainConfig.net must be NetworkConfig, got None"),
+        ],
+    )
+    def test_wrong_kind_named(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kw)
+
     @pytest.mark.parametrize("name", ["optimizer", "beta1", "beta2", "adam_eps"])
     def test_optimizer_is_fixed(self, name):
         with pytest.raises(TypeError, match=name):
