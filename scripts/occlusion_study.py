@@ -12,8 +12,8 @@ import argparse
 
 import numpy as np
 
-from scanseg.projection import occlusion_stats, project_ego_corrected, unfold_scan
-from scanseg.synth_lidar import Box, SceneConfig, SensorModel, generate_scan
+from scanseg.projection import occlusion_stats
+from scanseg.synth_lidar import Box, SceneConfig, SensorModel, generate_scan, project_scan
 
 
 def main():
@@ -38,12 +38,7 @@ def main():
         )
         scene = SceneConfig(seed=args.seed, primitives=boxes, enclosure_radius=25.0, ego_velocity=velocity)
         scan = generate_scan(sensor, scene)
-        _, m_unfold = unfold_scan(scan.cloud, scan.labels, sensor.n_beams, sensor.firings_per_rev)
-        _, m_ego = project_ego_corrected(
-            scan.cloud_ego_corrected, scan.labels, sensor.n_beams, sensor.firings_per_rev,
-            sensor.fov_up, sensor.fov_down,
-        )
-        s_u, s_e = occlusion_stats(m_unfold), occlusion_stats(m_ego)
+        s_u, s_e = (occlusion_stats(project_scan(sensor, scan, p)[1]) for p in ("unfold", "ego"))
         lost = 100.0 * s_e.n_occluded / max(s_e.n_points, 1)
         print(f"{velocity:8.1f} {s_e.n_points:8d} {s_u.n_occluded:12d} {s_e.n_occluded:10d} {lost:9.2f}")
 

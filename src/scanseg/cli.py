@@ -129,11 +129,8 @@ def _cmd_project(args) -> int:
 def _cmd_stats(args) -> int:
     sensor, scene = synth_lidar.load_scan_setup(args.config)
     scan = synth_lidar.generate_scan(sensor, scene)
-    h, w = sensor.n_beams, sensor.firings_per_rev
-    _, map_unfold = projection.unfold_scan(scan.cloud, scan.labels, h, w)
-    _, map_ego = projection.project_ego_corrected(
-        scan.cloud_ego_corrected, scan.labels, h, w, sensor.fov_up, sensor.fov_down
-    )
+    _, map_unfold = synth_lidar.project_scan(sensor, scan, "unfold")
+    _, map_ego = synth_lidar.project_scan(sensor, scan, "ego")
     s_u = projection.occlusion_stats(map_unfold)
     s_e = projection.occlusion_stats(map_ego)
     print(f"points = {s_u.n_points}")

@@ -31,7 +31,9 @@ the grid as out of range. The IndexMap keeps the full point/pixel
 correspondence either way so per-point labels can be recovered from
 per-pixel predictions.
 
-Both reject a grid height ``h`` or width ``w`` but an int of at least 1.
+Both reject a grid height ``h`` or width ``w`` but an int of at least 1,
+and a cloud with a point on the z axis, a NaN or inf, or a range that
+rounds past float32.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ DEFAULT_W = 2048
 DEFAULT_FOV_UP = 3.0  # degrees, the top of the vertical field of view
 DEFAULT_FOV_DOWN = -25.0  # degrees, its bottom
 PROJECTIONS = ("unfold", "ego")  # unfold_scan, project_ego_corrected
+# a float64 below this rounds to a finite float32: float32's largest value
+# is 2**128 - 2**104, and from half an ulp above it a value rounds to inf
+_RANGE_LIMIT = 2.0**128 - 2.0**103
 
 
 @dataclass
@@ -82,7 +87,9 @@ def _polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The range is ``sqrt(x*x + y*y + z*z)`` over float64 columns, which sums
     in the order ``np.linalg.norm(axis=1)`` does, so the bits are the same.
-    The squares reuse the buffers of the columns they square.
+    The squares reuse the buffers of the columns they square. A point on the
+    z axis, or one whose range is NaN or past the float32 range (a cloud
+    edited in place after ``PointCloud`` checked it), is rejected.
     """
     x = points[:, 0].astype(np.float64)
     y = points[:, 1].astype(np.float64)
@@ -96,7 +103,11 @@ def _polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = y
     np.copyto(z, points[:, 2])
     ranges += np.multiply(z, z, out=z)
-    return phi, np.sqrt(ranges, out=ranges)
+    np.sqrt(ranges, out=ranges)
+    # NaN fails the test too
+    if ranges.size and not ranges.max() < _RANGE_LIMIT:
+        raise ValueError(f"range of point {int(np.flatnonzero(~(ranges < _RANGE_LIMIT))[0])} is not a finite float32")
+    return phi, ranges
 
 
 def get_columns(cloud: PointCloud, w: int = DEFAULT_W) -> np.ndarray:
@@ -174,6 +185,8 @@ def _scatter_nearest(
     n = len(cloud)
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
+    if not np.isfinite(cloud.reflectance).all():
+        raise ValueError(f"non-finite reflectance of point {int(np.flatnonzero(~np.isfinite(cloud.reflectance))[0])}")
     depth = ranges.astype(np.float32, copy=False)
     out_of_range = ~in_range
 

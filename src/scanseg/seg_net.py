@@ -348,13 +348,12 @@ class DecoderStage:
         return self.refine.output()
 
     def backward(self, upstream, x, y, skip):
-        u = upsample_width(self.proj.output(), 2)
+        matched = self.proj.output()
+        u = upsample_width(matched, 2)
         u += skip
         gs = self.refine.backward(upstream, u, y)
         del u  # freed before the matcher's backward
-        # the matcher's output is rebuilt again for its relu mask, not held
-        # through the refine's backward
-        gx = self.proj.backward(upsample_width_backward(gs, 2), x, self.proj.output())
+        gx = self.proj.backward(upsample_width_backward(gs, 2), x, matched)
         return gx, gs
 
 

@@ -20,6 +20,10 @@ consecutive firings (its increments are far below the azimuth step), which
 is what real rotation encoders exhibit; white per-point jitter would tear
 the row-recovery recurrence apart.
 
+``project_scan`` pairs each of ``projection.PROJECTIONS`` with the cloud it
+reads, unfolding the raw one or binning the ego-corrected one, on the
+sensor's grid and field of view.
+
 The enclosure spans every azimuth, so every ray is cast at it. A box,
 sphere or cylinder is cast at only the firings whose azimuth can reach it,
 a bounding-volume cull (Kay & Kajiya, "Ray Tracing Complex Scenes",
@@ -75,8 +79,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .cloud_io import LabelArray, PointCloud, check_fields
-from .projection import DEFAULT_FOV_DOWN, DEFAULT_FOV_UP
+from .cloud_io import LabelArray, PointCloud, RangeImage, check_fields
+from .projection import DEFAULT_FOV_DOWN, DEFAULT_FOV_UP, PROJECTIONS, IndexMap, project_ego_corrected, unfold_scan
 
 MIN_RANGE = 1.0  # meters; closer returns are discarded like a real sensor does
 
@@ -120,12 +124,16 @@ class SensorModel:
         check_fields(self)
         if self.n_beams < 1:
             raise ValueError(f"n_beams must be >= 1, got {self.n_beams}")
+        if self.n_beams >= 2**31:  # rows are int32
+            raise ValueError(f"n_beams must be below 2**31, got {self.n_beams}")
         if not self.rev_period > 0:
             raise ValueError(f"rev_period must be above 0, got {self.rev_period}")
         if not self.fov_down < self.fov_up:
             raise ValueError("fov_down must be below fov_up")
         if not 0 < self.azimuth_step <= 360:
             raise ValueError(f"azimuth_step must lie in (0, 360] degrees, got {self.azimuth_step}")
+        if not 360.0 / self.azimuth_step < 2**31 - 0.5:  # columns are int32: firings_per_rev < 2**31
+            raise ValueError(f"azimuth_step {self.azimuth_step} gives 2**31 or more firings per revolution")
         if self.beam_elevations is None:
             object.__setattr__(self, "beam_elevations", default_beam_elevations(self.n_beams, self.fov_up, self.fov_down))
         elif len(self.beam_elevations) != self.n_beams:
@@ -204,6 +212,12 @@ class SceneConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.n_classes > 2**16:  # class ids are stored as uint16
+            raise ValueError(f"n_classes must be at most 2**16, got {self.n_classes}")
+        if self.enclosure_radius is not None and not self.enclosure_radius > 0:
+            raise ValueError(f"enclosure_radius must be above 0, got {self.enclosure_radius}")
+        if self.max_range is not None and not self.max_range > 0:
+            raise ValueError(f"max_range must be above 0, got {self.max_range}")
         # a surface's class is checked only when the surface is present
         for present, name in ((self.ground_z, "ground_class"), (self.enclosure_radius, "enclosure_class")):
             class_id = getattr(self, name)
@@ -233,6 +247,18 @@ class SynthScan:
 
     def __len__(self) -> int:
         return len(self.cloud)
+
+
+def project_scan(sensor: SensorModel, scan: SynthScan, projection: str) -> tuple[RangeImage, IndexMap]:
+    """``scan`` and its labels by one of ``PROJECTIONS`` on the sensor's
+    grid: ``"unfold"`` unfolds the raw cloud, ``"ego"`` bins the
+    ego-corrected one by elevation over the sensor's field of view."""
+    h, w = sensor.n_beams, sensor.firings_per_rev
+    if projection == "unfold":
+        return unfold_scan(scan.cloud, scan.labels, h, w)
+    if projection == "ego":
+        return project_ego_corrected(scan.cloud_ego_corrected, scan.labels, h, w, sensor.fov_up, sensor.fov_down)
+    raise ValueError(f"unknown projection {projection!r}, expected one of {PROJECTIONS}")
 
 
 def _smooth_azimuth_jitter(rng: np.random.Generator, n_firings: int, stddev_rad: float) -> np.ndarray:

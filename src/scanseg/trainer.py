@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .cloud_io import RangeImage, check_fields
-from .projection import PROJECTIONS, IndexMap, backproject_labels, project_ego_corrected, unfold_scan
+from .projection import IndexMap, backproject_labels
 from .seg_net import IN_CHANNELS, Network, NetworkConfig, build, config_from_preset, count_params
 from .seg_objectives import LOSSES, ConfusionMatrix, accumulate_confusion, miou, objective, softmax
-from .synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan
+from .synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan, project_scan
 
 EVAL_BATCH = 4  # scans per eval forward
 
@@ -288,8 +288,6 @@ def make_synthetic_dataset(
     # every scene places class 2 boxes and class 3 spheres
     if n_object_classes < 3:
         raise ValueError(f"n_object_classes must be >= 3, got {n_object_classes}")
-    if projection not in PROJECTIONS:
-        raise ValueError(f"unknown projection {projection!r}")
     sensor = SensorModel(n_beams=h, azimuth_step=360.0 / w)
     train_set: list[Sample] = []
     val_set: list[Sample] = []
@@ -298,12 +296,7 @@ def make_synthetic_dataset(
         rng = np.random.default_rng(scene_seed)
         scene = _random_scene(rng, scene_seed, n_object_classes, ego_velocity)
         scan = generate_scan(sensor, scene)
-        if projection == "unfold":
-            img, index_map = unfold_scan(scan.cloud, scan.labels, h, w)
-        else:
-            img, index_map = project_ego_corrected(
-                scan.cloud_ego_corrected, scan.labels, h, w, sensor.fov_up, sensor.fov_down
-            )
+        img, index_map = project_scan(sensor, scan, projection)
         sample = Sample(image=img, index_map=index_map, point_labels=scan.labels.semantic.astype(np.int32))
         (train_set if scene_seed % 2 == 0 else val_set).append(sample)
     return train_set, val_set

@@ -1,12 +1,16 @@
-"""Every way a config enters: each config dataclass built from random field
-values, and scan setups loaded from mutated copies of the example YAML file.
+"""Every way a config or a byte stream enters: each config dataclass built
+from random field values, scan setups loaded from mutated copies of the
+example YAML file, the three readers fed random and mutated bytes, and the
+projections fed clouds that hold a NaN, an inf or a point on the z axis.
 
-Each case either constructs objects whose fields have their annotated kinds
-or raises a ValueError that names a field; no other exception may escape.
-The kinds are checked here by ``has_kind``, written apart from the library's
-own check. Integers are drawn small: a config's sizes (beams, channels) set
-how much its construction allocates, and no size has an upper bound yet, so
-an n_beams of 10**9 would build a billion default elevations.
+Each config case either constructs objects whose fields have their annotated
+kinds or raises a ValueError that names a field; no other exception may
+escape. The kinds are checked here by ``has_kind``, written apart from the
+library's own check. Integers are drawn small, or as 2**31 and 10**400:
+the bounded sizes (beams, firings, classes) reject those two, and no other
+int field allocates at construction. An int in between could pass a bound
+and allocate that much (an n_beams of 10**9 builds a billion default
+elevations), so none is drawn.
 """
 
 import dataclasses
@@ -21,12 +25,25 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scanseg import synth_lidar
+from scanseg.cloud_io import (
+    FormatError,
+    LabelArray,
+    PointCloud,
+    read_labels,
+    read_point_cloud,
+    read_range_image_bytes,
+    write_labels,
+    write_point_cloud,
+    write_range_image_bytes,
+)
 from scanseg.neural_core import PADDING_MODES
+from scanseg.projection import project_ego_corrected, unfold_scan
 from scanseg.seg_net import NetworkConfig
 from scanseg.seg_objectives import LOSSES
-from scanseg.synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, load_scan_setup
+from scanseg.synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan, load_scan_setup, project_scan
 from scanseg.trainer import TrainConfig
 
 CONFIGS = [SensorModel, SceneConfig, Box, Sphere, Cylinder, NetworkConfig, TrainConfig]
@@ -61,10 +78,13 @@ def has_kind(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+# far past every size bound; a draw between 300 and a bound would allocate
+huge_ints = st.just(2**31) | st.just(10**400)
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-4, 300),
+    huge_ints,
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(-100, 100),
     st.sampled_from(WORDS),
@@ -89,7 +109,7 @@ def of_kind(hint):
     """Values of the annotated kind, mostly, with lists for tuples."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is int:
-        return st.integers(-4, 300) | st.integers(0, 300).map(np.int64)
+        return st.integers(-4, 300) | st.integers(0, 300).map(np.int64) | huge_ints
     if hint is float:
         # an int qualifies, unless it is past the float range
         return st.floats(-100, 100) | st.integers(-5, 50) | st.just(10**400)
@@ -166,6 +186,7 @@ yaml_values = st.recursive(
         st.none(),
         st.booleans(),
         st.integers(-4, 300),
+        huge_ints,
         st.floats(allow_nan=True, allow_infinity=True),
         st.floats(-100, 100),
         st.sampled_from(("7", "box", "sphere", "cylinder", "x", "")),
@@ -250,3 +271,110 @@ def test_a_list_for_a_tuple_field_is_stored_as_a_tuple():
     box = Box(center=[6, 0, 1], size=[1.0, 2.0, 2.0], class_id=2)
     assert box.center == (6, 0, 1) and isinstance(box.center, tuple) and isinstance(box.size, tuple)
     assert NetworkConfig(stage_channels=[8] * 6).stage_channels == (8,) * 6
+
+
+# -- byte streams and clouds --------------------------------------------------
+
+SENSOR = SensorModel(n_beams=4, azimuth_step=360.0 / 16.0)
+SCAN = generate_scan(SENSOR, SceneConfig(primitives=PRIMITIVES, enclosure_radius=12.0, ego_velocity=6.0, angular_noise=0.3, seed=3))
+READERS = {
+    "bin": (read_point_cloud, write_point_cloud(SCAN.cloud)),
+    "label": (read_labels, write_labels(SCAN.labels)),
+    "rimg": (read_range_image_bytes, write_range_image_bytes(project_scan(SENSOR, SCAN, "ego")[0])),
+}
+
+
+def holds_its_invariants(decoded) -> bool:
+    """A decoded cloud is finite; a decoded range image has a positive depth
+    on its mask, zeros off it, finite planes and no negative label."""
+    if isinstance(decoded, PointCloud):
+        return bool(np.isfinite(decoded.points).all() and np.isfinite(decoded.reflectance).all())
+    if isinstance(decoded, LabelArray):
+        return decoded.semantic.shape == decoded.instance.shape
+    on = decoded.mask
+    planes = (decoded.depth, decoded.reflectance, decoded.label)
+    return bool(
+        all(np.isfinite(p).all() for p in planes)
+        and (decoded.depth[on] > 0).all()
+        and all((p[~on] == 0).all() for p in planes)
+        and (decoded.label >= 0).all()
+    )
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+@settings(max_examples=200)
+@given(data=st.data())
+def test_reader_decodes_or_raises_format_error(fmt, data):
+    read, valid = READERS[fmt]
+    how = data.draw(st.sampled_from(("random", "truncate", "mutate")), label="how")
+    if how == "random":
+        stream = data.draw(st.binary(max_size=4 * len(valid)), label="stream")
+    elif how == "truncate":
+        stream = valid[: data.draw(st.integers(0, len(valid) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(valid) - 1), label="at")
+        stream = valid[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + valid[at + 1 :]
+    try:
+        decoded = read(stream)
+    except FormatError:
+        return
+    assert holds_its_invariants(decoded), (how, stream)
+
+
+points_f32 = hnp.arrays(np.float32, st.tuples(st.integers(0, 12), st.just(3)), elements=st.floats(width=32, allow_nan=False, allow_infinity=False))
+POISONS = ("nan", "inf", "-inf", "z axis", "reflectance nan", "reflectance inf")
+
+
+def poison(cloud: PointCloud, kind: str, point: int, coord: int) -> None:
+    """Edit ``cloud`` in place, past the checks ``PointCloud`` makes when built."""
+    if kind == "z axis":
+        cloud.points[point, :2] = 0.0
+    elif kind.startswith("reflectance"):
+        cloud.reflectance[point] = float(kind.split()[1])
+    else:
+        cloud.points[point, coord] = float(kind)
+
+
+def projects_cleanly(img, index_map, n: int) -> bool:
+    planes = (img.depth, img.reflectance, img.label)
+    return bool(all(np.isfinite(p).all() for p in planes) and (img.depth[img.mask] > 0).all() and index_map.n_points == n)
+
+
+@settings(max_examples=300)
+@given(points=points_f32, kind=st.sampled_from((None,) + POISONS), data=st.data())
+def test_projection_rejects_a_poisoned_cloud(points, kind, data):
+    """A NaN or an inf is a ValueError in ``PointCloud``, and in either
+    projection of a cloud edited after it was built, as is a point on the z
+    axis. A finite cloud projects to finite planes unless a point lies on the
+    z axis or its range rounds past float32, which is a ValueError too."""
+    cloud = PointCloud(points=points, reflectance=np.full(len(points), 0.5, np.float32))
+    if kind is not None and len(points):
+        poison(cloud, kind, data.draw(st.integers(0, len(points) - 1), label="point"), data.draw(st.integers(0, 2), label="coord"))
+        if kind != "z axis":
+            with pytest.raises(ValueError, match="non-finite value in point"):
+                PointCloud(points=cloud.points, reflectance=cloud.reflectance)
+    xyz = cloud.points.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranges = np.sqrt(xyz[:, 0] * xyz[:, 0] + xyz[:, 1] * xyz[:, 1] + xyz[:, 2] * xyz[:, 2]).astype(np.float32)
+    bad = not (np.isfinite(ranges).all() and np.isfinite(cloud.reflectance).all() and ((xyz[:, 0] != 0) | (xyz[:, 1] != 0)).all())
+    for project in (unfold_scan, project_ego_corrected):
+        try:
+            img, index_map = project(cloud, None, 4, 16)
+        except ValueError:
+            assert bad, (project.__name__, cloud.points, cloud.reflectance)
+            continue
+        assert not bad, (project.__name__, cloud.points, cloud.reflectance)
+        assert projects_cleanly(img, index_map, len(cloud))
+
+
+@pytest.mark.parametrize("projection", ["unfold", "ego"])
+@pytest.mark.parametrize("kind", POISONS)
+def test_project_scan_rejects_a_poisoned_scan(projection, kind):
+    clouds = [PointCloud(points=c.points.copy(), reflectance=c.reflectance.copy()) for c in (SCAN.cloud, SCAN.cloud_ego_corrected)]
+    for cloud in clouds:
+        poison(cloud, kind, len(cloud) // 2, 2)
+    scan = dataclasses.replace(SCAN, cloud=clouds[0], cloud_ego_corrected=clouds[1])
+    with pytest.raises(ValueError, match="point"):
+        project_scan(SENSOR, scan, projection)
+    img, index_map = project_scan(SENSOR, SCAN, projection)
+    assert projects_cleanly(img, index_map, len(SCAN))

@@ -9,7 +9,7 @@ from oracles import brute_force_hits, ray_grid, reference_ray_box
 
 from scanseg.cloud_io import PointCloud
 from scanseg import synth_lidar
-from scanseg.projection import _polar
+from scanseg.projection import _polar, project_ego_corrected, unfold_scan
 from scanseg.synth_lidar import (
     MIN_RANGE,
     Box,
@@ -24,6 +24,7 @@ from scanseg.synth_lidar import (
     default_beam_elevations,
     generate_scan,
     load_scan_setup,
+    project_scan,
     write_example_config,
 )
 
@@ -233,6 +234,12 @@ def test_scene_rejects_a_primitive_of_another_type():
         pytest.param({"n_beams": "4"}, "SensorModel.n_beams must be int, got '4'", id="sensor_kw8-n_beams must be an integer, got '4'"),
         pytest.param({"azimuth_step": "1"}, "SensorModel.azimuth_step must be float, got '1'", id="sensor_kw9-azimuth_step must be a finite number, got '1'"),
         pytest.param({"beam_elevations": 5.0}, r"SensorModel.beam_elevations must be tuple\[float, ...\] \| None, got 5.0", id='sensor_kw10-beam_elevations must be a sequence of numbers, got 5.0'),
+        # rows and columns are int32: 10**400 beams raised OverflowError, and a
+        # 1e-300 step built and then failed in generate_scan
+        pytest.param({"n_beams": 10**400}, r"n_beams must be below 2\*\*31, got 1000", id="n_beams 10**400"),
+        pytest.param({"n_beams": 2**31}, r"n_beams must be below 2\*\*31, got 2147483648", id="n_beams 2**31"),
+        pytest.param({"azimuth_step": 1e-300}, r"azimuth_step 1e-300 gives 2\*\*31 or more firings", id="azimuth_step 1e-300"),
+        pytest.param({"azimuth_step": 360.0 / 2**31}, r"azimuth_step .* gives 2\*\*31 or more firings", id="azimuth_step 360 / 2**31"),
     ],
 )
 def test_sensor_rejects_bad_field(sensor_kw, message):
@@ -243,6 +250,35 @@ def test_sensor_rejects_bad_field(sensor_kw, message):
 def test_sensor_rejects_a_bool_beam_count():
     with pytest.raises(ValueError, match="SensorModel.n_beams must be int, got True"):
         SensorModel(n_beams=True)
+
+
+def test_sensor_accepts_the_largest_int32_firing_count():
+    assert SensorModel(n_beams=1, azimuth_step=360.0 / (2**31 - 1)).firings_per_rev == 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "scene_kw, message",
+    [
+        ({"enclosure_radius": -30.0}, "enclosure_radius must be above 0, got -30.0"),
+        ({"enclosure_radius": 0.0}, "enclosure_radius must be above 0, got 0.0"),
+        ({"max_range": -1.0}, "max_range must be above 0, got -1.0"),
+        ({"max_range": 0.0}, "max_range must be above 0, got 0.0"),
+    ],
+)
+def test_scene_rejects_a_non_positive_range(scene_kw, message):
+    # before, a radius of -30 cast the same points as 30, and a max_range of
+    # 0 or -1 gave an empty scan
+    with pytest.raises(ValueError, match=message):
+        SceneConfig(**scene_kw)
+
+
+def test_scene_class_count_fits_uint16():
+    # labels are stored as uint16: before, a class of 66000 built and then
+    # overflowed in generate_scan
+    with pytest.raises(ValueError, match="n_classes must be at most 2\\*\\*16, got 70000"):
+        SceneConfig(n_classes=70000, primitives=(Sphere(center=(5, 0, 1), radius=1, class_id=66000),))
+    scene = SceneConfig(ground_z=None, n_classes=2**16, enclosure_radius=20.0, enclosure_class=2**16 - 1)
+    assert set(np.unique(generate_scan(SMALL, scene).labels.semantic)) == {2**16 - 1}
 
 
 def test_box_rejects_a_scalar_center():
@@ -577,6 +613,8 @@ def test_config_file_rejects_misspelled_key(tmp_path, sensor, scene, section, ke
         pytest.param("{fov_up_deg: .inf}", "{}", "SensorModel.fov_up must be float, got inf", id='{fov_up_deg: .inf}-{}-fov_up must be a finite number, got inf'),
         pytest.param("{}", "{primitives: [{kind: box, center: [12.0, 3.0], size: [1, 1, 1], class_id: 2}]}", rf"Box.center must be {FLOAT3}, got \[12.0, 3.0\]", id='{}-{primitives: [{kind: box, center: [12.0, 3.0], size: [1, 1, 1], class_id: 2}]}-center must be three numbers in Box'),
         pytest.param("{}", "{primitives: [{kind: sphere, center: [9, 0, 1, 2], radius: 1, class_id: 2}]}", rf"Sphere.center must be {FLOAT3}, got \[9, 0, 1, 2\]", id='{}-{primitives: [{kind: sphere, center: [9, 0, 1, 2], radius: 1, class_id: 2}]}-center must be three numbers in Sphere'),
+        pytest.param("{}", "{enclosure: {radius: -30.0, class_id: 2}}", "enclosure_radius must be above 0, got -30.0", id="enclosure radius -30.0"),
+        pytest.param("{}", "{max_range_m: 0}", "max_range must be above 0, got 0", id="max_range_m 0"),
     ],
 )
 def test_config_file_rejects_bad_geometry_by_name(tmp_path, sensor, scene, message):
@@ -615,3 +653,37 @@ def test_config_file_defaults_and_required_keys(tmp_path):
     path.write_text("sensor: {}\nscene: {enclosure: {class_id: 4}}\n")
     with pytest.raises(ValueError, match="'enclosure': missing key 'radius'"):
         load_scan_setup(path)
+
+
+def _bytes_of(img, index_map):
+    arrays = (img.depth, img.reflectance, img.label, img.mask, index_map.pixel_to_point, index_map.point_to_pixel, index_map.occluded)
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize(
+    "sensor",
+    [
+        SensorModel(n_beams=16, azimuth_step=360.0 / 256.0),
+        SensorModel(n_beams=12, azimuth_step=360.0 / 128.0, fov_up=10.0, fov_down=-15.0),
+    ],
+    ids=["default_fov", "wide_fov"],
+)
+def test_project_scan_is_the_direct_projection(sensor):
+    scene = SceneConfig(
+        primitives=(Box(center=(6.0, 0.0, 1.0), size=(1.0, 2.0, 2.0), class_id=2), Sphere(center=(-5, 3, 1), radius=1, class_id=3)),
+        enclosure_radius=15.0,
+        ego_velocity=9.0,
+        angular_noise=0.05,
+        seed=4,
+    )
+    scan = generate_scan(sensor, scene)
+    h, w = sensor.n_beams, sensor.firings_per_rev
+    direct = {
+        "unfold": unfold_scan(scan.cloud, scan.labels, h, w),
+        "ego": project_ego_corrected(scan.cloud_ego_corrected, scan.labels, h, w, sensor.fov_up, sensor.fov_down),
+    }
+    for name, want in direct.items():
+        assert _bytes_of(*project_scan(sensor, scan, name)) == _bytes_of(*want), name
+    assert len(direct["ego"][1].occluded) > 0  # the two projections differ here
+    with pytest.raises(ValueError, match=r"unknown projection 'bird', expected one of \('unfold', 'ego'\)"):
+        project_scan(sensor, scan, "bird")
