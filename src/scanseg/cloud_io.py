@@ -33,6 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
+# a float64 below this rounds to a finite float32: float32's largest value
+# is 2**128 - 2**104, and from half an ulp above it a value rounds to inf
+RANGE_LIMIT = 2.0**128 - 2.0**103
 RIMG_MAGIC = b"RIMG"
 RIMG_VERSION = 1
 # channel count, then per channel: name length, kind (0 float32, 1 uint8), name
@@ -101,9 +104,11 @@ def check_fields(obj) -> None:
 class PointCloud:
     """An ordered list of LiDAR returns in the sensor frame.
 
-    ``points`` has shape (N, 3) and ``reflectance`` shape (N,), all finite;
-    the order is the acquisition order of the sensor and must never be
-    shuffled, since the scan unfolding projection relies on it.
+    ``points`` has shape (N, 3) and ``reflectance`` shape (N,), all finite,
+    and each point's float64 range ``sqrt(x*x + y*y + z*z)`` rounds to a
+    finite float32, as the projections need; a point that breaks either is
+    named by index. The order is the acquisition order of the sensor and
+    must never be shuffled, since the scan unfolding projection relies on it.
     """
 
     points: np.ndarray
@@ -117,9 +122,21 @@ class PointCloud:
                 f"point/reflectance length mismatch: {self.points.shape[0]} vs "
                 f"{self.reflectance.shape[0]}"
             )
-        if not (np.isfinite(self.points).all() and np.isfinite(self.reflectance).all()):
-            finite = np.isfinite(self.points).all(axis=1) & np.isfinite(self.reflectance)
-            raise ValueError(f"non-finite value in point {int(np.flatnonzero(~finite)[0])}")
+        # a min and a max per array screen an ordinary cloud without a
+        # temporary: no coordinate at half the limit or above in magnitude
+        # puts every range below it (sqrt(3) < 2), and NaN fails the test too
+        points, reflectance, half = self.points, self.reflectance, RANGE_LIMIT / 2
+        if points.size and not (
+            -half < points.min() and points.max() < half and np.isfinite(reflectance.min()) and np.isfinite(reflectance.max())
+        ):
+            finite = np.isfinite(points).all(axis=1) & np.isfinite(reflectance)
+            if not finite.all():
+                raise ValueError(f"non-finite value in point {int(np.flatnonzero(~finite)[0])}")
+            x, y, z = points.T.astype(np.float64)
+            # the projections' float64 range, summed in their order
+            far = ~(np.sqrt(x * x + y * y + z * z) < RANGE_LIMIT)
+            if far.any():
+                raise ValueError(f"range of point {int(np.flatnonzero(far)[0])} rounds past float32")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -173,15 +190,16 @@ class RangeImage:
 def read_point_cloud(data: bytes) -> PointCloud:
     """Decode a ``.bin`` byte stream into a PointCloud.
 
-    The stream length must be divisible by 16 (four float32 per point) and all
-    values must be finite.
+    The stream length must be divisible by 16 (four float32 per point), all
+    values must be finite and every point's range must round to a finite
+    float32.
     """
     if len(data) % 16 != 0:
         raise FormatError(f"point stream length {len(data)} not divisible by 16")
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
     try:
         return PointCloud(points=raw[:, :3].copy(), reflectance=raw[:, 3].copy())
-    except ValueError as exc:  # non-finite values, named by PointCloud
+    except ValueError as exc:  # a non-finite value or range, named by PointCloud
         raise FormatError(str(exc)) from exc
 
 

@@ -21,7 +21,15 @@ one convolution per conv + norm pair; ``norm_inference`` is the unfolded
 reference. In training, the batch variance takes one float64 pass over the
 centred tensor the forward builds anyway, and both norm passes work on the
 [N, C] view of the input. Every norm adds ``NORM_EPS`` to its variance
-(Ioffe & Szegedy 2015, arXiv:1502.03167).
+(Ioffe & Szegedy 2015, arXiv:1502.03167). The training norm owns the arrays
+it is handed, as ``relu_backward`` does (the in-place normalization of Rota
+Bulo et al. 2018, arXiv:1712.02616): ``norm_forward`` builds x_hat in its
+input and ``norm_backward`` writes the input gradient into its upstream, a
+block of rows at a time, so a caller that reads either again passes a copy.
+Its column sums (the mean and ``d_beta``) run through ``einsum("ij->j")``,
+which for two or more channels gives the bits of ``sum(axis=0)`` at about
+half the cost; at one channel numpy's ``sum`` adds pairwise and ``einsum``
+in order, so the two may differ in the last bits.
 
 A convolution runs one band of output rows of one sample at a time (see
 ``_BAND_COLS``). A band copies its padded input rows, halo included, into a
@@ -443,13 +451,17 @@ def norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     mean, less the square of that mean's rounding offset. Taken about zero,
     the same pass would cancel catastrophically when the mean dwarfs the
     spread.
+
+    ``x`` is spent: it is centred and scaled in place, so the cached x_hat is
+    ``x`` itself (for a C-contiguous ``x``) and a caller that reads ``x``
+    again passes a copy.
     """
     _check_rank4(x)
     x2 = x.reshape(-1, x.shape[3])
     n = x2.shape[0]
-    mean64 = x2.sum(axis=0, dtype=np.float64) / n
+    mean64 = np.einsum("ij->j", x2, dtype=np.float64) / n
     mean = mean64.astype(x.dtype)
-    x_hat = x2 - mean
+    x_hat = np.subtract(x2, mean, out=x2)
     sq64 = np.einsum("ij,ij->j", x_hat, x_hat, dtype=np.float64)
     var64 = np.maximum(sq64 / n - (mean64 - mean) ** 2, 0.0)
     inv_std = (1.0 / np.sqrt(var64 + NORM_EPS)).astype(x.dtype)
@@ -467,24 +479,28 @@ def norm_output(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.nd
 
 
 def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):
-    """Gradients of ``norm_forward`` wrt input, gamma and beta."""
+    """Gradients of ``norm_forward`` wrt input, gamma and beta.
+
+    The input gradient is written into ``upstream`` and returned (for a
+    C-contiguous ``upstream``): it is spent once the parameter gradients have
+    read it, and a caller that reads it again passes a copy.
+    """
     x_hat, inv_std, _, _ = cache
     c = upstream.shape[3]
     g2, xh2 = upstream.reshape(-1, c), x_hat.reshape(-1, c)
     n = g2.shape[0]
-    d_beta = g2.sum(axis=0)
+    d_beta = np.einsum("ij->j", g2)
     d_gamma = np.einsum("ij,ij->j", g2, xh2)
     scale = gamma * inv_std / n
-    # ((g * n - d_beta) - x_hat * d_gamma) * scale, a block of rows at a time
-    # so no second full-size temporary is built
-    gx = np.empty_like(g2)
+    # ((g * n - d_beta) - x_hat * d_gamma) * scale, in place a block of rows
+    # at a time, so the only temporary is one block's x_hat * d_gamma
     for r0, r1 in _split(0, n, max(1, -(-n * c // _NORM_BLOCK))):
-        blk = gx[r0:r1]
-        np.multiply(g2[r0:r1], n, out=blk)
+        blk = g2[r0:r1]
+        blk *= n
         blk -= d_beta
         blk -= xh2[r0:r1] * d_gamma
         blk *= scale
-    return gx.reshape(upstream.shape), d_gamma, d_beta
+    return g2.reshape(upstream.shape), d_gamma, d_beta
 
 
 def norm_inference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray) -> np.ndarray:

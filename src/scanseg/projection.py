@@ -42,16 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_io import LabelArray, PointCloud, RangeImage, is_finite_real, is_int
+from .cloud_io import RANGE_LIMIT, LabelArray, PointCloud, RangeImage, is_finite_real, is_int
 
 DEFAULT_H = 64
 DEFAULT_W = 2048
 DEFAULT_FOV_UP = 3.0  # degrees, the top of the vertical field of view
 DEFAULT_FOV_DOWN = -25.0  # degrees, its bottom
 PROJECTIONS = ("unfold", "ego")  # unfold_scan, project_ego_corrected
-# a float64 below this rounds to a finite float32: float32's largest value
-# is 2**128 - 2**104, and from half an ulp above it a value rounds to inf
-_RANGE_LIMIT = 2.0**128 - 2.0**103
 
 
 @dataclass
@@ -105,8 +102,8 @@ def _polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranges += np.multiply(z, z, out=z)
     np.sqrt(ranges, out=ranges)
     # NaN fails the test too
-    if ranges.size and not ranges.max() < _RANGE_LIMIT:
-        raise ValueError(f"range of point {int(np.flatnonzero(~(ranges < _RANGE_LIMIT))[0])} is not a finite float32")
+    if ranges.size and not ranges.max() < RANGE_LIMIT:
+        raise ValueError(f"range of point {int(np.flatnonzero(~(ranges < RANGE_LIMIT))[0])} is not a finite float32")
     return phi, ranges
 
 

@@ -33,7 +33,13 @@ activation is rebuilt in backward from what is cached (Chen et al. 2016,
 arXiv:1604.06174; the norm-plus-activation case of Rota Bulo et al. 2018,
 arXiv:1712.02616): a conv unit's output is its norm's ``norm_output`` of
 x_hat, relu applied where the unit is activated, with the forward's own
-float ops, so the rebuild has the forward's bits.
+float ops, so the rebuild has the forward's bits. The norm works in arrays
+that are already spent, as in the same paper: its forward builds x_hat in
+place in the conv output it is handed, and its backward writes the input
+gradient into its upstream, the relu gradient, so neither allocates a
+full-size result. The one caller that reads that upstream again, a residual
+block whose plain second unit's gradient also feeds the shortcut, passes a
+copy.
 
 The wiring is one list, ``encoder + decoder``: each encoder stage's entry
 conv unit followed by its residual blocks, then the decoder stages. Each
@@ -201,8 +207,9 @@ class NormLayer:
     has already applied it through ``fold``, so the input passes through.
 
     ``params`` holds (gamma, beta) and ``buffers`` (running mean, running
-    variance), in that order. The training cache holds x_hat, from which
-    ``output`` rebuilds the forward's result.
+    variance), in that order. The training cache holds x_hat, the forward's
+    input normalized in place, from which ``output`` rebuilds the forward's
+    result; backward writes the input gradient into its upstream.
     """
 
     def __init__(self, layers, name, channels):
@@ -283,9 +290,10 @@ class ConvUnit:
     def backward(self, upstream, x, y):
         """``x`` is the unit's forward input and ``y`` its ``output()``, both
         spent by the caller: an activated unit writes its relu gradient into
-        ``y``. A plain unit reads no ``y``."""
+        ``y``, and the norm its input gradient over that. A plain unit reads
+        no ``y`` and its norm writes into ``upstream``, which is so spent."""
         g = relu_backward(y, upstream) if self.activated else upstream
-        g = self.norm.backward(g)  # rebound, so the relu gradient is freed here
+        g = self.norm.backward(g)
         return self.conv.backward(g, x)
 
 
@@ -320,7 +328,8 @@ class ResBlock:
         self._out = None
         gs = relu_backward(y, upstream)
         y1 = self.u1.output()
-        g = self.u1.backward(self.u2.backward(gs, y1, None), x, y1)
+        # the plain unit's norm writes into its upstream, and the shortcut reads gs
+        g = self.u1.backward(self.u2.backward(gs.copy(), y1, None), x, y1)
         g += gs
         return g
 

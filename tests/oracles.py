@@ -2,7 +2,8 @@
 
 Everything here is written for clarity over speed and stays independent of
 the library's compute paths: the reference convolution indexes shifted slices
-directly in float64, gradients come from central differences, IoU comes
+directly in float64, gradients come from central differences, the batch
+norm runs out of place in whole-tensor steps, IoU comes
 from explicit set counting, the simulator's nearest hits come from casting
 every ray of a per-ray ``[N, 3]`` origin and direction grid at every surface
 (an all-axes slab test for boxes), and the projections' pixel winners come
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from scanseg.cloud_io import LabelArray, PointCloud, RangeImage
+from scanseg.neural_core import NORM_EPS
 from scanseg.projection import IndexMap
 from scanseg.synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, _firings
 
@@ -107,6 +109,40 @@ def reference_conv_grads(x, weights, upstream, stride_w=1, cyclic=False):
     elif not cyclic and j_pad > 0:
         pass  # zero padding sends no gradient back
     return grad_x, grad_w, grad_b
+
+
+def reference_norm_forward(x, gamma, beta):
+    """Batch normalization out of place, with the float ops of the library's
+    ``norm_forward`` but ``sum(axis=0)`` for the mean: returns
+    ``(y, (x_hat, inv_std, mean, var64))`` and leaves ``x`` as it was."""
+    x2 = x.reshape(-1, x.shape[3])
+    n = x2.shape[0]
+    mean64 = x2.sum(axis=0, dtype=np.float64) / n
+    mean = mean64.astype(x.dtype)
+    x_hat = x2 - mean
+    sq64 = np.einsum("ij,ij->j", x_hat, x_hat, dtype=np.float64)
+    var64 = np.maximum(sq64 / n - (mean64 - mean) ** 2, 0.0)
+    inv_std = (1.0 / np.sqrt(var64 + NORM_EPS)).astype(x.dtype)
+    x_hat = x_hat.reshape(x.shape) * inv_std
+    y = x_hat * gamma
+    y += beta
+    return y, (x_hat, inv_std, mean.astype(np.float64), var64)
+
+
+def reference_norm_backward(upstream, cache, gamma):
+    """Gradients of ``reference_norm_forward`` wrt input, gamma and beta, out
+    of place in whole-tensor steps: ``upstream`` is left as it was."""
+    x_hat, inv_std = cache[0], cache[1]
+    c = upstream.shape[3]
+    g2, xh2 = upstream.reshape(-1, c), x_hat.reshape(-1, c)
+    n = g2.shape[0]
+    d_beta = g2.sum(axis=0)
+    d_gamma = np.einsum("ij,ij->j", g2, xh2)
+    gx = g2 * n
+    gx -= d_beta
+    gx -= xh2 * d_gamma
+    gx *= gamma * inv_std / n
+    return gx.reshape(upstream.shape), d_gamma, d_beta
 
 
 def brute_force_iou(preds, targets, n_classes, ignore_id=0):

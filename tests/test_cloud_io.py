@@ -55,6 +55,37 @@ def test_direct_construction_rejects_non_finite(bad):
         PointCloud(points=np.ones((3, 3)), reflectance=[0.0, bad, 0.0])
 
 
+def test_range_past_float32_rejected_with_index():
+    # float32's largest value alone is a finite float32 range, and two
+    # coordinates of 2**127, past the screen, are exactly checked and kept;
+    # three of 2e38 give a range of 3.46e38, which rounds to inf
+    big = float(np.finfo(np.float32).max)
+    kept = np.array([[1, 2, 3], [big, 0, 0], [0, -big, 0], [2.0**127, 2.0**127, 0]], np.float32)
+    assert len(PointCloud(points=kept, reflectance=np.zeros(4))) == 4
+    points = np.vstack([kept, [[2e38, -2e38, 2e38], [1, 1, 1]]]).astype(np.float32)
+    with pytest.raises(ValueError, match=r"^range of point 4 rounds past float32$"):
+        PointCloud(points=points, reflectance=np.zeros(6))
+    data = write_point_cloud(PointCloud(points=kept, reflectance=np.zeros(4)))
+    data += struct.pack("<4f", 2e38, 2e38, 2e38, 0.5)
+    with pytest.raises(FormatError, match=r"^range of point 4 rounds past float32$"):
+        read_point_cloud(data)
+
+
+def test_point_checks_allocate_no_full_size_temporary():
+    # a min and a max per array screen an ordinary cloud; a finite-mask per
+    # value would be a quarter of the points' bytes
+    rng = np.random.default_rng(12)
+    points = rng.normal(0.0, 30.0, (65536, 3)).astype(np.float32)
+    reflectance = rng.uniform(0.0, 1.0, 65536).astype(np.float32)
+    tracemalloc.start()
+    try:
+        PointCloud(points=points, reflectance=reflectance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * points.nbytes
+
+
 def test_label_bit_split():
     labels = read_labels(struct.pack("<I", 0x00010009))
     assert labels.semantic[0] == 9

@@ -1,7 +1,9 @@
 """Every way a config or a byte stream enters: each config dataclass built
 from random field values, scan setups loaded from mutated copies of the
-example YAML file, the three readers fed random and mutated bytes, and the
-projections fed clouds that hold a NaN, an inf or a point on the z axis.
+example YAML file, the three readers fed random and mutated bytes, the
+projections fed clouds that hold a NaN, an inf, a point on the z axis or a
+range past float32, and ``load_network`` fed damaged copies of a saved
+network, which load to finite eval logits or raise a ValueError.
 
 Each config case either constructs objects whose fields have their annotated
 kinds or raises a ValueError that names a field; no other exception may
@@ -14,6 +16,7 @@ elevations), so none is drawn.
 """
 
 import dataclasses
+import io
 import math
 import numbers
 import re
@@ -41,7 +44,7 @@ from scanseg.cloud_io import (
 )
 from scanseg.neural_core import PADDING_MODES
 from scanseg.projection import project_ego_corrected, unfold_scan
-from scanseg.seg_net import NetworkConfig
+from scanseg.seg_net import NetworkConfig, build, load_network, save_weights
 from scanseg.seg_objectives import LOSSES
 from scanseg.synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan, load_scan_setup, project_scan
 from scanseg.trainer import TrainConfig
@@ -285,10 +288,11 @@ READERS = {
 
 
 def holds_its_invariants(decoded) -> bool:
-    """A decoded cloud is finite; a decoded range image has a positive depth
-    on its mask, zeros off it, finite planes and no negative label."""
+    """A decoded cloud is finite and its ranges are finite float32; a
+    decoded range image has a positive depth on its mask, zeros off it,
+    finite planes and no negative label."""
     if isinstance(decoded, PointCloud):
-        return bool(np.isfinite(decoded.points).all() and np.isfinite(decoded.reflectance).all())
+        return bool(np.isfinite(float32_ranges(decoded.points)).all() and np.isfinite(decoded.reflectance).all())
     if isinstance(decoded, LabelArray):
         return decoded.semantic.shape == decoded.instance.shape
     on = decoded.mask
@@ -340,23 +344,34 @@ def projects_cleanly(img, index_map, n: int) -> bool:
     return bool(all(np.isfinite(p).all() for p in planes) and (img.depth[img.mask] > 0).all() and index_map.n_points == n)
 
 
+def float32_ranges(points: np.ndarray) -> np.ndarray:
+    """Each point's float64 range rounded to float32, inf past its range."""
+    xyz = points.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(xyz[:, 0] * xyz[:, 0] + xyz[:, 1] * xyz[:, 1] + xyz[:, 2] * xyz[:, 2]).astype(np.float32)
+
+
 @settings(max_examples=300)
 @given(points=points_f32, kind=st.sampled_from((None,) + POISONS), data=st.data())
 def test_projection_rejects_a_poisoned_cloud(points, kind, data):
-    """A NaN or an inf is a ValueError in ``PointCloud``, and in either
-    projection of a cloud edited after it was built, as is a point on the z
-    axis. A finite cloud projects to finite planes unless a point lies on the
-    z axis or its range rounds past float32, which is a ValueError too."""
-    cloud = PointCloud(points=points, reflectance=np.full(len(points), 0.5, np.float32))
+    """A NaN, an inf or a range that rounds past float32 is a ValueError in
+    ``PointCloud`` that names the point, and in either projection of a cloud
+    edited after it was built, as is a point on the z axis. Any other cloud
+    projects to finite planes."""
+    reflectance = np.full(len(points), 0.5, np.float32)
+    far = ~np.isfinite(float32_ranges(points))
+    if far.any():
+        with pytest.raises(ValueError, match=rf"^range of point {np.flatnonzero(far)[0]} rounds past float32$"):
+            PointCloud(points=points, reflectance=reflectance)
+    cloud = PointCloud(points=np.ones_like(points), reflectance=reflectance)
+    cloud.points[...] = points  # past the check, for a range too large
     if kind is not None and len(points):
         poison(cloud, kind, data.draw(st.integers(0, len(points) - 1), label="point"), data.draw(st.integers(0, 2), label="coord"))
         if kind != "z axis":
             with pytest.raises(ValueError, match="non-finite value in point"):
                 PointCloud(points=cloud.points, reflectance=cloud.reflectance)
-    xyz = cloud.points.astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ranges = np.sqrt(xyz[:, 0] * xyz[:, 0] + xyz[:, 1] * xyz[:, 1] + xyz[:, 2] * xyz[:, 2]).astype(np.float32)
-    bad = not (np.isfinite(ranges).all() and np.isfinite(cloud.reflectance).all() and ((xyz[:, 0] != 0) | (xyz[:, 1] != 0)).all())
+    xyz = cloud.points
+    bad = not (np.isfinite(float32_ranges(xyz)).all() and np.isfinite(cloud.reflectance).all() and ((xyz[:, 0] != 0) | (xyz[:, 1] != 0)).all())
     for project in (unfold_scan, project_ego_corrected):
         try:
             img, index_map = project(cloud, None, 4, 16)
@@ -378,3 +393,37 @@ def test_project_scan_rejects_a_poisoned_scan(projection, kind):
         project_scan(SENSOR, scan, projection)
     img, index_map = project_scan(SENSOR, SCAN, projection)
     assert projects_cleanly(img, index_map, len(SCAN))
+
+
+@pytest.fixture(scope="module")
+def tiny_archive(tmp_path_factory) -> bytes:
+    """The bytes of a saved two-channel network with trained-looking norms."""
+    net = build(NetworkConfig(stage_channels=(2,) * 6, blocks_per_stage=(1, 0, 1, 0, 0, 0), n_classes=3), seed=50)
+    rng = np.random.default_rng(51)
+    for layer in net.layers.values():
+        for name, buffer in layer.buffers.items():
+            buffer[...] = rng.uniform(0.5, 1.5, buffer.shape) if name.endswith("running_var") else rng.standard_normal(buffer.shape)
+    path = tmp_path_factory.mktemp("archive") / "tiny.npz"
+    save_weights(net, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_weight_archive_loads_finite_or_raises_value_error(tiny_archive, data):
+    """A truncated, byte-mutated or bit-flipped archive either loads a
+    network whose eval logits are finite or raises a ValueError."""
+    how = data.draw(st.sampled_from(("truncate", "mutate", "flip")), label="how")
+    if how == "truncate":
+        stream = tiny_archive[: data.draw(st.integers(0, len(tiny_archive) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(tiny_archive) - 1), label="at")
+        old = tiny_archive[at]
+        new = data.draw(st.integers(0, 255), label="byte") if how == "mutate" else old ^ 1 << data.draw(st.integers(0, 7), label="bit")
+        stream = tiny_archive[:at] + bytes([new]) + tiny_archive[at + 1 :]
+    try:
+        net = load_network(io.BytesIO(stream))
+    except ValueError:
+        return
+    x = np.random.default_rng(52).standard_normal((1, 4, 32, 3)).astype(np.float32)
+    assert np.isfinite(net.forward(x)).all(), (how, stream)

@@ -624,7 +624,8 @@ def test_training_step_peak_memory():
     # a training forward caches only norm x_hats, residual block outputs and
     # the normalized input, and backward rebuilds the rest; caching every
     # conv input and relu output as well peaked at 25.9x the stem output,
-    # against 19.1x without them
+    # against 19.1x without them; the norm building x_hat in the conv output
+    # and its input gradient in its upstream took it from 18.7x to 17.8x
     net = build(config_from_preset("a"), seed=41)
     x = np.random.default_rng(42).standard_normal((2, 64, 256, 3)).astype(np.float32)
     logits = net.forward(x, training=True)
@@ -640,7 +641,7 @@ def test_training_step_peak_memory():
     finally:
         tracemalloc.stop()
     stem_bytes = 2 * 64 * 256 * net.config.stage_channels[0] * 4
-    assert peak <= 22 * stem_bytes
+    assert peak <= 19 * stem_bytes
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
