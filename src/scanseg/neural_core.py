@@ -49,25 +49,31 @@ So no band setting moves a bit of a convolution or of its gradients. Bands
 stay above one GEMM size, ``_SMALL_GEMM``, and blocks at or below it where a
 row fits; ``_split`` cuts components and bands alike.
 
-All BLAS calls go through ``scipy.linalg.blas``. numpy links its own
-OpenBLAS build with its own thread pool, so a matrix product through numpy
-(``@``, ``np.matmul``, ``np.dot``, ``np.tensordot``) contends with scipy's
-pool: column sums as ``np.ones(n) @ g`` inside ``norm_backward`` took a
-preset-A training step from 0.57 to 0.87 s on 2 cores. Reductions use
+All BLAS calls go through scipy's BLAS extension, ``scipy.linalg._fblas``,
+whose ``sgemm`` and ``dgemm`` are those ``scipy.linalg.blas`` exports. numpy
+links its own OpenBLAS build with its own thread pool, so a matrix product
+through numpy (``@``, ``np.matmul``, ``np.dot``, ``np.tensordot``) contends
+with scipy's pool: column sums as ``np.ones(n) @ g`` inside ``norm_backward``
+took a preset-A training step from 0.57 to 0.87 s on 2 cores. Reductions use
 ``sum`` and ``einsum`` instead, which run in numpy's own loops.
 
-``scipy.linalg.blas`` is imported by the first GEMM (``_gemm_for``), not
-with this module. Importing it loads all of ``scipy.linalg`` and scipy's own
-OpenBLAS, a second copy beside numpy's: on 2 vCPU that took 0.38 s and raised
-the max RSS after ``import scanseg`` from 30 to 58 MiB, a cost every process
-that never convolves (data preparation, the ``synth``/``project``/``stats``
-commands) would pay. The library reads ``OPENBLAS_NUM_THREADS`` when it loads,
-so a thread count set before numpy is imported still holds.
+The extension is loaded by the first GEMM (``_gemm_for``), not with this
+module, and loaded alone: ``_scipy_blas`` takes it from scipy's ``linalg``
+directory without running the package init of ``scipy.linalg``, which
+imports hundreds of modules this code never calls. It maps scipy's own
+OpenBLAS, a second copy beside numpy's, a cost every process that never
+convolves (data preparation, the ``synth``/``project``/``stats`` commands)
+would pay. The library reads ``OPENBLAS_NUM_THREADS`` when it loads, so a
+thread count set before numpy is imported still holds.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,15 +195,31 @@ def _check_rank4(x: np.ndarray):
 
 @functools.cache
 def _scipy_blas():
-    """``scipy.linalg.blas``, imported on the first call (see the module
-    docstring)."""
-    from scipy.linalg import blas
+    """scipy's BLAS extension ``scipy.linalg._fblas``, loaded on the first
+    call from scipy's ``linalg`` directory without running the package
+    init of ``scipy.linalg`` (see the module docstring).
 
-    return blas
+    The module is registered in ``sys.modules`` under its own name, as the
+    import system would, so a later ``import scipy.linalg.blas`` reuses it
+    and hands out the same ``sgemm`` and ``dgemm``.
+    """
+    name = "scipy.linalg._fblas"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    linalg = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [linalg])
+    if spec is None:
+        raise ImportError(f"{name} not found in {linalg}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def __getattr__(name):
-    # PEP 562: ``neural_core._blas`` is the same lazily imported module
+    # PEP 562: ``neural_core._blas`` is the same lazily loaded module
     if name == "_blas":
         return _scipy_blas()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -288,6 +310,19 @@ def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
     return gemm, dtype, wp, h_out, w_out, _SMALL_GEMM // (wp * c_in * c_out) + 1
 
 
+def _out_array(out, shape, dtype, *inputs) -> np.ndarray:
+    """A fresh array for a convolution's result, or ``out`` checked to take
+    it: the result's shape and dtype, and no memory shared with ``inputs``.
+    The band loop writes every element, so old values never show."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(f"out is {out.dtype} {out.shape}, the result {np.dtype(dtype)} {shape}")
+    if any(np.may_share_memory(out, a) for a in inputs):
+        raise ValueError("out overlaps an input")
+    return out
+
+
 def _band_buffer(rows, i_k, j_k, wp, c, dtype) -> np.ndarray:
     """A zeroed flat buffer for ``rows`` padded rows, their (I - 1)-row halo
     and the (J - 1) * C slack the shifted views run into."""
@@ -325,19 +360,23 @@ def _conv_bands(x, w_taps, bias, spec, bands, wp, spread, stride_w, y):
     return y
 
 
-def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: int = 1) -> np.ndarray:
+def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """Semi-local convolution; with alpha = 1 this is a plain convolution.
 
     Each output row uses the kernel component selected by its own (output)
     row index. Width stride >= 1 downsamples horizontally; height is never
     strided. The reduction order per output element is fixed (kernel taps in
     row-major order, channels inside each tap), so results are reproducible.
+
+    As with a numpy ufunc, a given ``out`` receives the result and is
+    returned; it must have the result's shape and dtype and share no memory
+    with ``x``.
     """
     _, dtype, wp, h_out, w_out, min_rows = _conv_setup(x, kernel, pad_spec, stride_w)
     i_k, _, _, c_out, alpha = kernel.shape
+    y = _out_array(out, (x.shape[0], h_out, w_out, c_out), dtype, x)
     bands = list(_row_bands(h_out, alpha, wp, min_rows, (0,) * i_k))
     w_taps = np.ascontiguousarray(np.transpose(kernel.weights, (4, 0, 1, 2, 3)), dtype=dtype)
-    y = np.empty((x.shape[0], h_out, w_out, c_out), dtype=dtype)
     return _conv_bands(x, w_taps, kernel.bias, pad_spec, bands, wp, 1, stride_w, y)
 
 
@@ -347,9 +386,12 @@ def slc_backward(
     pad_spec: PadSpec,
     upstream: np.ndarray,
     stride_w: int = 1,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of ``slc_forward`` wrt input, weights and bias, for
-    ``pad_spec = PadSpec.same`` of the kernel only.
+    ``pad_spec = PadSpec.same`` of the kernel only. A given ``out`` receives
+    the input gradient, as ``slc_forward``'s receives its result, and shares
+    no memory with ``x`` or ``upstream``.
 
     The input gradient gathers through the forward's band loop (see the
     module docstring); cyclic padding of the spread upstream is the adjoint
@@ -375,7 +417,7 @@ def slc_backward(
     # tap row i of input row r reads upstream row r - i_pad + i
     bands = list(_row_bands(h_out, alpha, wp, min_rows, tuple(i - pad_spec.i_pad for i in range(i_k))))
     w_flip = np.ascontiguousarray(np.transpose(kernel.weights[::-1, ::-1], (4, 0, 1, 3, 2)), dtype=dtype)
-    grad_x = _conv_bands(upstream, w_flip, np.zeros((c_in, alpha), dtype), pad_spec, bands, wp, stride_w, 1, np.empty(x.shape, dtype))
+    grad_x = _conv_bands(upstream, w_flip, np.zeros((c_in, alpha), dtype), pad_spec, bands, wp, stride_w, 1, _out_array(out, x.shape, dtype, x, upstream))
 
     # weight gradient over blocks of q rows, or k even pieces of one row where
     # a row holds more than gw_rows pixels, every tap inside a block while its

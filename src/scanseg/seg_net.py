@@ -25,7 +25,8 @@ place its op runs. At eval a conv leaf convolves with its norm's fold
 (Jacob et al. 2018, arXiv:1712.05877), made on every call, and the norm
 passes that result through, so each conv + norm pair costs one convolution.
 Every forward assigns each cache its module owns: the tensor in training,
-``None`` at eval, so an eval forward leaves no activation behind.
+``None`` at eval, so an eval forward leaves no activation behind and
+inference holds nothing extra.
 
 A training forward caches three kinds of tensor: each norm's x_hat, each
 residual block's output, and the network's normalized input. Every other
@@ -39,7 +40,12 @@ place in the conv output it is handed, and its backward writes the input
 gradient into its upstream, the relu gradient, so neither allocates a
 full-size result. The one caller that reads that upstream again, a residual
 block whose plain second unit's gradient also feeds the shortcut, passes a
-copy.
+copy. Each norm keeps the array it built x_hat in from one training step to
+the next (``NormLayer.kept``): once its backward has read x_hat, the conv
+before it writes its input gradient there where the shapes match, and the
+next training forward's conv writes its output there. So a step reuses the
+last step's largest arrays, and the heap they live in, instead of
+allocating and faulting them in again.
 
 The wiring is one list, ``encoder + decoder``: each encoder stage's entry
 conv unit followed by its residual blocks, then the decoder stages. Each
@@ -54,13 +60,13 @@ the call has read it hands it on as the producer's ``y``, into which a relu
 backward writes its gradient. The forward pops each skip as its decoder
 stage consumes it and adds shortcuts and skips in place on fresh outputs.
 Backward releases every cache once it is done with it, so a finished step
-holds no activations, and a backward with nothing to read names the layer
-that lacks its cache. A decoder stage runs its 1x1 matcher before the
-width upsample, at half the width, and this order gives the same result as
-upsampling first: nearest repetition along the width commutes with every
-per-pixel op (a 1x1 conv, a folded norm, relu), and a norm's biased batch
-mean and variance do not change when every value is repeated the same
-number of times. Eval logits are bit-identical to the upsample-first order;
+holds no activations, only the norms' kept arrays, and a backward with
+nothing to read names the layer that lacks its cache. A decoder stage runs
+its 1x1 matcher before the width upsample, at half the width, and this
+order gives the same result as upsampling first: nearest repetition along
+the width commutes with every per-pixel op (a 1x1 conv, a folded norm,
+relu), and a norm's biased batch mean and variance do not change when every
+value is repeated the same number of times. Eval logits are bit-identical to the upsample-first order;
 training gradients differ from it only by rounding.
 """
 
@@ -167,11 +173,18 @@ def _take(module, attr: str):
     return value
 
 
+def _if_fits(out, shape, dtype):
+    """``out`` if it has this shape and dtype, else None."""
+    return out if out is not None and out.shape == shape and out.dtype == dtype else None
+
+
 class SlcLayer:
     """One semi-local convolution; its kernel lives in ``params`` (a bias not
     there is a constant zero). An eval forward convolves with the fold of
     ``norm``, the norm that follows it if any; a training forward convolves
-    with the kernel itself. It caches nothing: backward takes its input."""
+    with the kernel itself. It caches nothing: backward takes its input.
+    Forward writes its result, and backward its input gradient, into
+    ``out`` where it has their shape and dtype, else into a fresh array."""
 
     def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, bias, stride_w=1):
         self.name = name
@@ -191,12 +204,18 @@ class SlcLayer:
         weights, *bias = self.params.values()
         return SlcKernel(weights, bias[0] if bias else np.zeros(weights.shape[3:], weights.dtype))
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, out=None):
         kernel = self.kernel if training or self.norm is None else self.norm.fold(self.kernel)
-        return slc_forward(x, kernel, self.pad_spec, self.stride_w)
+        if out is not None:
+            # a "same" padded kernel keeps the height and divides the width
+            b, h, w, _ = x.shape
+            out = _if_fits(out, (b, h, -(-w // self.stride_w), kernel.shape[3]), np.result_type(x, kernel.weights))
+        return slc_forward(x, kernel, self.pad_spec, self.stride_w, out=out)
 
-    def backward(self, upstream, x):
-        gx, gw, gb = slc_backward(x, self.kernel, self.pad_spec, upstream, self.stride_w)
+    def backward(self, upstream, x, out=None):
+        kernel = self.kernel
+        out = _if_fits(out, x.shape, np.result_type(x, kernel.weights, upstream))
+        gx, gw, gb = slc_backward(x, kernel, self.pad_spec, upstream, self.stride_w, out=out)
         self.grads = dict(zip(self.params, (gw, gb)))
         return gx
 
@@ -210,6 +229,13 @@ class NormLayer:
     variance), in that order. The training cache holds x_hat, the forward's
     input normalized in place, from which ``output`` rebuilds the forward's
     result; backward writes the input gradient into its upstream.
+
+    ``kept`` is the array x_hat was built in, the output of the conv before
+    the norm in the last training forward. Backward releases the cache but
+    not ``kept``: once the norm's backward has read x_hat, the conv writes
+    its input gradient there where the shapes match, and its next output in
+    any case, so a training step reuses the last step's arrays instead of
+    allocating them again. An eval forward drops it.
     """
 
     def __init__(self, layers, name, channels):
@@ -224,6 +250,7 @@ class NormLayer:
         }
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
+        self.kept = None
         layers[name] = self
 
     def fold(self, kernel: SlcKernel) -> SlcKernel:
@@ -233,6 +260,7 @@ class NormLayer:
 
     def forward(self, x, training=False):
         self._cache = None
+        self.kept = x if training else None
         if not training:
             return x
         gamma, beta = self.params.values()
@@ -262,9 +290,10 @@ class ConvUnit:
     same in every row, so the conv has one only at alpha > 1.
 
     Both modes run the same two leaves; at eval the conv folds the norm in
-    and the norm passes its input through. The relu runs in place, and the
-    unit caches nothing of its own: ``output`` rebuilds its result from the
-    norm's cache.
+    and the norm passes its input through. The conv writes its output, and
+    its input gradient, into the norm's kept array where it fits. The relu
+    runs in place, and the unit caches nothing of its own: ``output``
+    rebuilds its result from the norm's cache.
     """
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
@@ -275,7 +304,7 @@ class ConvUnit:
         self.activated = activated
 
     def forward(self, x, training=False):
-        y = self.norm.forward(self.conv.forward(x, training), training)
+        y = self.norm.forward(self.conv.forward(x, training, self.norm.kept), training)
         if self.activated:
             np.maximum(y, 0, out=y)
         return y
@@ -291,10 +320,12 @@ class ConvUnit:
         """``x`` is the unit's forward input and ``y`` its ``output()``, both
         spent by the caller: an activated unit writes its relu gradient into
         ``y``, and the norm its input gradient over that. A plain unit reads
-        no ``y`` and its norm writes into ``upstream``, which is so spent."""
+        no ``y`` and its norm writes into ``upstream``, which is so spent.
+        The input gradient may be the norm's kept array, which the caller
+        must be done with before the next forward."""
         g = relu_backward(y, upstream) if self.activated else upstream
         g = self.norm.backward(g)
-        return self.conv.backward(g, x)
+        return self.conv.backward(g, x, self.norm.kept)
 
 
 class ResBlock:

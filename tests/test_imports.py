@@ -1,14 +1,21 @@
-"""The data path runs without loading scipy's BLAS; the first GEMM loads it.
+"""The data path runs without loading scipy's BLAS; the first GEMM loads
+its extension ``scipy.linalg._fblas`` and nothing else of ``scipy.linalg``.
 
-Each check runs in a fresh interpreter, since the test process itself has
-long since loaded ``scipy.linalg``.
+The import checks run in a fresh interpreter, since the test process itself
+has long since loaded ``scipy.linalg``.
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+import scipy
+
+from scanseg import neural_core
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +45,7 @@ SCRIPT = textwrap.dedent(
     cloud_io.save_point_cloud(cloud, raw)
     assert cli.main(["project", str(raw), "--height", "8", "--width", "64", "--out", str(raw.with_suffix(".rimg"))]) == 0
     assert "scipy.linalg" not in sys.modules, "the data path loaded scipy.linalg"
+    assert "scipy.linalg._fblas" not in sys.modules, "the data path loaded scipy's BLAS"
 
     from oracles import reference_conv
 
@@ -50,10 +58,13 @@ SCRIPT = textwrap.dedent(
         y = neural_core.slc_forward(x, kernel, neural_core.PadSpec.same(3, 3, "cyclic"))
         ref = reference_conv(x, w4, bias, cyclic=True)
         assert y.dtype == dtype and np.abs(y - ref).max() <= tol * np.abs(ref).max(), dtype
-    assert "scipy.linalg" in sys.modules
+    assert "scipy.linalg._fblas" in sys.modules
+    assert "scipy.linalg" not in sys.modules, "the first GEMM ran the package init of scipy.linalg"
 
+    # the package init reuses the loaded extension, so its GEMMs are ours
     import scipy.linalg.blas
 
+    assert scipy.linalg.blas._fblas is sys.modules["scipy.linalg._fblas"]
     assert neural_core._blas.dgemm is scipy.linalg.blas.dgemm
     assert neural_core._blas.sgemm is scipy.linalg.blas.sgemm
     print("ok")
@@ -72,3 +83,12 @@ def test_data_path_leaves_scipy_blas_unloaded_until_the_first_gemm(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
+
+
+def test_a_missing_blas_extension_names_itself_and_where_it_was_sought(monkeypatch, tmp_path):
+    # the uncached loader, as on a first call in a process whose scipy lacks it
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
+    where = re.escape(str(tmp_path / "linalg"))
+    with pytest.raises(ImportError, match=rf"^scipy\.linalg\._fblas not found in {where}$"):
+        neural_core._scipy_blas.__wrapped__()

@@ -668,6 +668,45 @@ class TestConv:
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
+class TestOut:
+    """A conv writes its result, or its input gradient, into a given array."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_out_takes_the_bits_of_a_fresh_result(self, stride):
+        rng = np.random.default_rng(12 + stride)
+        x = rng.standard_normal((2, 5, 8, 3)).astype(np.float32)
+        k = glorot_uniform(rng, 3, 3, 3, 4, alpha=2)
+        k.bias[:] = rng.standard_normal(k.bias.shape)
+        spec = PadSpec.same(3, 3, "cyclic")
+        y = slc_forward(x, k, spec, stride)
+        out = np.full(y.shape, np.nan, np.float32)  # old values never show
+        assert slc_forward(x, k, spec, stride, out=out) is out
+        assert out.tobytes() == y.tobytes()
+        up = rng.standard_normal(y.shape).astype(np.float32)
+        want = slc_backward(x, k, spec, up, stride)
+        out = np.full(x.shape, np.nan, np.float32)
+        got = slc_backward(x, k, spec, up, stride, out=out)
+        assert got[0] is out
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+    def test_out_is_checked(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((1, 4, 6, 2))
+        k = glorot_uniform(rng, 3, 3, 2, 2, dtype=np.float64)
+        spec = PadSpec.same(3, 3)
+        up = rng.standard_normal(x.shape)
+        for out in (np.empty((1, 4, 3, 2)), np.empty(x.shape, np.float32)):
+            with pytest.raises(ValueError, match=r"^out is float(32|64) \(1, 4, [36], 2\), the result float64 \(1, 4, 6, 2\)$"):
+                slc_forward(x, k, spec, out=out)
+            with pytest.raises(ValueError, match="^out is "):
+                slc_backward(x, k, spec, up, out=out)
+        with pytest.raises(ValueError, match="^out overlaps an input$"):
+            slc_forward(x, k, spec, out=x)
+        for out in (x, up):
+            with pytest.raises(ValueError, match="^out overlaps an input$"):
+                slc_backward(x, k, spec, up, out=out)
+
+
 class TestSimpleOps:
     def test_upsample_repeats(self):
         x = np.array([1.0, 2.0]).reshape(1, 1, 2, 1)

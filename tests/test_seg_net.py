@@ -32,6 +32,7 @@ from scanseg.neural_core import (
     upsample_width,
     upsample_width_backward,
 )
+from scanseg.seg_objectives import objective, softmax
 from scanseg.trainer import Adam, evaluate, make_synthetic_dataset
 
 
@@ -549,6 +550,8 @@ def _modules(net):
 # the one cache each kind of module keeps in training; every other module
 # keeps no activation, since backward takes its input from its parent
 ACTIVATION_CACHES = {NormLayer: "_cache", ResBlock: "_out", Network: "_x"}
+# a norm also keeps the array x_hat was built in from step to step
+KEPT = "kept"
 
 
 def _held_activations(module):
@@ -560,29 +563,32 @@ def test_eval_forward_keeps_no_activations():
     x = np.random.default_rng(26).standard_normal((1, 8, 64, 3)).astype(np.float32)
     net.forward(x, training=False)
     modules = _modules(net)
-    for module in modules:
-        for attr in ACTIVATION_CACHES.values():
-            assert getattr(module, attr, None) is None, (type(module).__name__, attr)
+    norms = [m for m in modules if isinstance(m, NormLayer)]
 
+    def assert_released():
+        for module in modules:
+            for attr in [*ACTIVATION_CACHES.values(), KEPT]:
+                assert getattr(module, attr, None) is None, (type(module).__name__, attr)
+
+    assert_released()
     net.forward(x, training=True)
     for module in modules:
         cache = ACTIVATION_CACHES.get(type(module))
         if cache is not None:
             assert getattr(module, cache) is not None, (type(module).__name__, cache)
             held = [cache, "input_mean", "input_std"] if module is net else [cache]
+            held += [KEPT] if module in norms else []
             assert sorted(_held_activations(module)) == sorted(held), type(module).__name__
         else:
             assert _held_activations(module) == [], type(module).__name__
 
-    # an eval forward drops every cache an earlier training forward left
+    # an eval forward drops every cache and kept array a training forward left
     net.forward(x, training=False)
-    for module in modules:
-        for attr in ACTIVATION_CACHES.values():
-            assert getattr(module, attr, None) is None, (type(module).__name__, attr)
+    assert_released()
 
     # a finished training step holds no activations: backward released
     # every cache once it had read it, so beyond the parameter gradients
-    # the step leaves almost nothing traced behind
+    # and each norm's kept array the step leaves almost nothing traced behind
     x2 = np.random.default_rng(27).standard_normal((2, 16, 128, 3)).astype(np.float32)
     tracemalloc.start()
     try:
@@ -596,9 +602,16 @@ def test_eval_forward_keeps_no_activations():
     for module in modules:
         for attr in ACTIVATION_CACHES.values():
             assert getattr(module, attr, None) is None, (type(module).__name__, attr)
+        expected = [KEPT] if module in norms else ["input_mean", "input_std"] if module is net else []
+        assert sorted(_held_activations(module)) == expected, type(module).__name__
     held -= sum(g.nbytes for g in net.grads().values())
+    held -= sum(norm.kept.nbytes for norm in norms)
     stem_bytes = 2 * 16 * 128 * net.config.stage_channels[0] * 4
     assert held < stem_bytes
+
+    # and an eval forward releases the kept arrays
+    net.forward(x2, training=False)
+    assert_released()
 
 
 def test_eval_forward_peak_memory():
@@ -625,12 +638,16 @@ def test_training_step_peak_memory():
     # the normalized input, and backward rebuilds the rest; caching every
     # conv input and relu output as well peaked at 25.9x the stem output,
     # against 19.1x without them; the norm building x_hat in the conv output
-    # and its input gradient in its upstream took it from 18.7x to 17.8x
+    # and its input gradient in its upstream took it from 18.7x to 17.8x.
+    # The norms' kept arrays (9.75x) are held from the step before, and the
+    # step allocates 8.06x beyond them; without the conv input gradients
+    # written into the spent kept arrays it was 8.93x
     net = build(config_from_preset("a"), seed=41)
     x = np.random.default_rng(42).standard_normal((2, 64, 256, 3)).astype(np.float32)
     logits = net.forward(x, training=True)
     net.backward(np.ones_like(logits))
     del logits
+    kept = sum(layer.kept.nbytes for layer in net.layers.values() if isinstance(layer, NormLayer))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -641,7 +658,8 @@ def test_training_step_peak_memory():
     finally:
         tracemalloc.stop()
     stem_bytes = 2 * 64 * 256 * net.config.stage_channels[0] * 4
-    assert peak <= 19 * stem_bytes
+    assert peak <= 8.5 * stem_bytes
+    assert peak + kept <= 18.5 * stem_bytes
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -676,6 +694,42 @@ def test_output_rebuilds_each_training_forward_result(monkeypatch, dtype, paddin
         assert got.tobytes() == want.tobytes(), getattr(module, "name", type(module).__name__)
 
 
+def test_kept_arrays_keep_the_training_bits(monkeypatch):
+    # a seeded run whose norms keep their arrays from step to step, against
+    # one whose eval forward between steps releases them and one whose
+    # norms keep nothing, so that every conv writes into a fresh array
+    cfg = config_from_preset("a", n_classes=4, alpha_overrides={"enc2": 2})
+    rng = np.random.default_rng(46)
+    xs = rng.standard_normal((4, 2, 16, 64, 3)).astype(np.float32)
+    ys = rng.integers(0, 4, size=(4, 2, 16, 64))
+
+    def run(eval_between):
+        net = build(cfg, seed=47)
+        opt = Adam(net.parameters(), 2e-3)
+        norms = [layer for layer in net.layers.values() if isinstance(layer, NormLayer)]
+        losses, kept = [], []
+        for x, y in zip(xs, ys):
+            if eval_between:
+                net.forward(x[:1])
+            loss = objective("ce+dice", softmax(net.forward(x, training=True)), y)
+            net.backward(loss.grad.astype(np.float32))
+            opt.step(net.grads())
+            losses.append(loss.value)
+            kept.append([norm.kept for norm in norms])
+        state = {n: a.tobytes() for n, a in (net.parameters() | net.buffers()).items()}
+        return (losses, state), kept
+
+    want, kept = run(eval_between=False)
+    assert all(a is b for a, b in zip(kept[0], kept[-1]))
+    got, kept = run(eval_between=True)
+    assert not any(a is b for a, b in zip(kept[0], kept[-1]))
+    assert got == want
+    monkeypatch.setattr(NormLayer, KEPT, property(lambda norm: None, lambda norm, value: None), raising=False)
+    got, kept = run(eval_between=False)
+    assert kept[-1] == [None] * len(kept[-1])
+    assert got == want
+
+
 def test_backward_after_eval_forward_names_the_layer():
     net = build(small_config(), seed=33)
     logits = net.forward(np.ones((1, 8, 64, 3), np.float32))
@@ -699,9 +753,9 @@ def test_train_and_eval_run_the_same_conv_leaves(monkeypatch):
     calls = []
     leaf_forward = SlcLayer.forward
 
-    def recorded(layer, x, training=False):
+    def recorded(layer, x, training=False, out=None):
         calls.append(layer.name)
-        return leaf_forward(layer, x, training)
+        return leaf_forward(layer, x, training, out)
 
     monkeypatch.setattr(SlcLayer, "forward", recorded)
     x = np.random.default_rng(39).standard_normal((1, 8, 64, 3)).astype(np.float32)
