@@ -25,7 +25,7 @@ from .trainer import (
     bench_forward,
     evaluate,
     make_synthetic_dataset,
-    sample_tensors,
+    predict,
     train,
     write_run_report,
 )
@@ -165,12 +165,9 @@ def _cmd_train(args) -> int:
 
 def _write_previews(net, sample, out: Path) -> None:
     """Depth PGM plus predicted/true class-color PPMs of one sample."""
-    x, y = sample_tensors(sample)
-    logits = net.forward(x[None], training=False)
-    preds = np.argmax(logits[0], axis=-1).astype(np.int32)
     write_pgm(out / "depth_preview.pgm", sample.image.depth)
-    write_ppm(out / "pred_preview.ppm", preds)
-    write_ppm(out / "label_preview.ppm", y)
+    write_ppm(out / "pred_preview.ppm", predict(net, sample.image))
+    write_ppm(out / "label_preview.ppm", sample.image.label)
 
 
 def _cmd_eval(args) -> int:

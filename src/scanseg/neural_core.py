@@ -311,13 +311,11 @@ def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
 
 
 def _out_array(out, shape, dtype, *inputs) -> np.ndarray:
-    """A fresh array for a convolution's result, or ``out`` checked to take
-    it: the result's shape and dtype, and no memory shared with ``inputs``.
-    The band loop writes every element, so old values never show."""
-    if out is None:
+    """``out`` where it has the result's shape and dtype, else a fresh
+    array; an ``out`` that fits and shares memory with ``inputs`` is an
+    error. The band loop writes every element, so old values never show."""
+    if out is None or out.shape != shape or out.dtype != dtype:
         return np.empty(shape, dtype=dtype)
-    if out.shape != shape or out.dtype != dtype:
-        raise ValueError(f"out is {out.dtype} {out.shape}, the result {np.dtype(dtype)} {shape}")
     if any(np.may_share_memory(out, a) for a in inputs):
         raise ValueError("out overlaps an input")
     return out
@@ -368,9 +366,10 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
     strided. The reduction order per output element is fixed (kernel taps in
     row-major order, channels inside each tap), so results are reproducible.
 
-    As with a numpy ufunc, a given ``out`` receives the result and is
-    returned; it must have the result's shape and dtype and share no memory
-    with ``x``.
+    A given ``out`` that has the result's shape and dtype receives the
+    result and is returned; any other ``out`` is left untouched and the
+    result is a fresh array. An ``out`` that fits must share no memory with
+    ``x``.
     """
     _, dtype, wp, h_out, w_out, min_rows = _conv_setup(x, kernel, pad_spec, stride_w)
     i_k, _, _, c_out, alpha = kernel.shape
@@ -390,8 +389,9 @@ def slc_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of ``slc_forward`` wrt input, weights and bias, for
     ``pad_spec = PadSpec.same`` of the kernel only. A given ``out`` receives
-    the input gradient, as ``slc_forward``'s receives its result, and shares
-    no memory with ``x`` or ``upstream``.
+    the input gradient where it has its shape and dtype, as
+    ``slc_forward``'s receives its result, and then must share no memory
+    with ``x`` or ``upstream``.
 
     The input gradient gathers through the forward's band loop (see the
     module docstring); cyclic padding of the spread upstream is the adjoint

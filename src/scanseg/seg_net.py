@@ -40,11 +40,12 @@ place in the conv output it is handed, and its backward writes the input
 gradient into its upstream, the relu gradient, so neither allocates a
 full-size result. The one caller that reads that upstream again, a residual
 block whose plain second unit's gradient also feeds the shortcut, passes a
-copy. Each norm keeps the array it built x_hat in from one training step to
-the next (``NormLayer.kept``): once its backward has read x_hat, the conv
-before it writes its input gradient there where the shapes match, and the
-next training forward's conv writes its output there. So a step reuses the
-last step's largest arrays, and the heap they live in, instead of
+copy. Each conv that a norm follows keeps the array it wrote, in which the
+norm built x_hat, from one training step to the next (``SlcLayer.kept``):
+once the norm's backward has read x_hat, the conv hands the array to the
+conv engine for its input gradient, and the next training forward for its
+output, and the engine writes there where the result fits. So a step reuses
+the last step's largest arrays, and the heap they live in, instead of
 allocating and faulting them in again.
 
 The wiring is one list, ``encoder + decoder``: each encoder stage's entry
@@ -60,7 +61,7 @@ the call has read it hands it on as the producer's ``y``, into which a relu
 backward writes its gradient. The forward pops each skip as its decoder
 stage consumes it and adds shortcuts and skips in place on fresh outputs.
 Backward releases every cache once it is done with it, so a finished step
-holds no activations, only the norms' kept arrays, and a backward with
+holds no activations, only the convs' kept arrays, and a backward with
 nothing to read names the layer that lacks its cache. A decoder stage runs
 its 1x1 matcher before the width upsample, at half the width, and this
 order gives the same result as upsampling first: nearest repetition along
@@ -173,18 +174,19 @@ def _take(module, attr: str):
     return value
 
 
-def _if_fits(out, shape, dtype):
-    """``out`` if it has this shape and dtype, else None."""
-    return out if out is not None and out.shape == shape and out.dtype == dtype else None
-
-
 class SlcLayer:
     """One semi-local convolution; its kernel lives in ``params`` (a bias not
     there is a constant zero). An eval forward convolves with the fold of
     ``norm``, the norm that follows it if any; a training forward convolves
     with the kernel itself. It caches nothing: backward takes its input.
-    Forward writes its result, and backward its input gradient, into
-    ``out`` where it has their shape and dtype, else into a fresh array."""
+
+    ``kept`` is the array the last training forward wrote where a norm
+    follows, which builds x_hat in it; the head keeps nothing, so the logits
+    a training forward returns are never written over. Forward and backward
+    hand ``kept`` to the engine, which writes their result there where it
+    fits, so a training step reuses the last step's arrays. An eval forward
+    drops it.
+    """
 
     def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, bias, stride_w=1):
         self.name = name
@@ -197,6 +199,7 @@ class SlcLayer:
         self.pad_spec = PadSpec.same(i, j, pad_mode)
         self.stride_w = stride_w
         self.norm = None
+        self.kept = None
         layers[name] = self
 
     @property
@@ -204,18 +207,14 @@ class SlcLayer:
         weights, *bias = self.params.values()
         return SlcKernel(weights, bias[0] if bias else np.zeros(weights.shape[3:], weights.dtype))
 
-    def forward(self, x, training=False, out=None):
+    def forward(self, x, training=False):
         kernel = self.kernel if training or self.norm is None else self.norm.fold(self.kernel)
-        if out is not None:
-            # a "same" padded kernel keeps the height and divides the width
-            b, h, w, _ = x.shape
-            out = _if_fits(out, (b, h, -(-w // self.stride_w), kernel.shape[3]), np.result_type(x, kernel.weights))
-        return slc_forward(x, kernel, self.pad_spec, self.stride_w, out=out)
+        y = slc_forward(x, kernel, self.pad_spec, self.stride_w, out=self.kept)
+        self.kept = y if training and self.norm is not None else None
+        return y
 
-    def backward(self, upstream, x, out=None):
-        kernel = self.kernel
-        out = _if_fits(out, x.shape, np.result_type(x, kernel.weights, upstream))
-        gx, gw, gb = slc_backward(x, kernel, self.pad_spec, upstream, self.stride_w, out=out)
+    def backward(self, upstream, x):
+        gx, gw, gb = slc_backward(x, self.kernel, self.pad_spec, upstream, self.stride_w, out=self.kept)
         self.grads = dict(zip(self.params, (gw, gb)))
         return gx
 
@@ -228,14 +227,8 @@ class NormLayer:
     ``params`` holds (gamma, beta) and ``buffers`` (running mean, running
     variance), in that order. The training cache holds x_hat, the forward's
     input normalized in place, from which ``output`` rebuilds the forward's
-    result; backward writes the input gradient into its upstream.
-
-    ``kept`` is the array x_hat was built in, the output of the conv before
-    the norm in the last training forward. Backward releases the cache but
-    not ``kept``: once the norm's backward has read x_hat, the conv writes
-    its input gradient there where the shapes match, and its next output in
-    any case, so a training step reuses the last step's arrays instead of
-    allocating them again. An eval forward drops it.
+    result; backward writes the input gradient into its upstream. The array
+    x_hat is built in belongs to the conv before the norm (``SlcLayer.kept``).
     """
 
     def __init__(self, layers, name, channels):
@@ -250,7 +243,6 @@ class NormLayer:
         }
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
-        self.kept = None
         layers[name] = self
 
     def fold(self, kernel: SlcKernel) -> SlcKernel:
@@ -260,7 +252,6 @@ class NormLayer:
 
     def forward(self, x, training=False):
         self._cache = None
-        self.kept = x if training else None
         if not training:
             return x
         gamma, beta = self.params.values()
@@ -290,8 +281,8 @@ class ConvUnit:
     same in every row, so the conv has one only at alpha > 1.
 
     Both modes run the same two leaves; at eval the conv folds the norm in
-    and the norm passes its input through. The conv writes its output, and
-    its input gradient, into the norm's kept array where it fits. The relu
+    and the norm passes its input through. The conv keeps the array it
+    writes, and its norm builds x_hat in it (``SlcLayer.kept``). The relu
     runs in place, and the unit caches nothing of its own: ``output``
     rebuilds its result from the norm's cache.
     """
@@ -304,7 +295,7 @@ class ConvUnit:
         self.activated = activated
 
     def forward(self, x, training=False):
-        y = self.norm.forward(self.conv.forward(x, training, self.norm.kept), training)
+        y = self.norm.forward(self.conv.forward(x, training), training)
         if self.activated:
             np.maximum(y, 0, out=y)
         return y
@@ -321,11 +312,11 @@ class ConvUnit:
         spent by the caller: an activated unit writes its relu gradient into
         ``y``, and the norm its input gradient over that. A plain unit reads
         no ``y`` and its norm writes into ``upstream``, which is so spent.
-        The input gradient may be the norm's kept array, which the caller
+        The input gradient may be the conv's kept array, which the caller
         must be done with before the next forward."""
         g = relu_backward(y, upstream) if self.activated else upstream
         g = self.norm.backward(g)
-        return self.conv.backward(g, x, self.norm.kept)
+        return self.conv.backward(g, x)
 
 
 class ResBlock:

@@ -22,9 +22,6 @@ from .seg_net import IN_CHANNELS, Network, NetworkConfig, build, config_from_pre
 from .seg_objectives import LOSSES, ConfusionMatrix, accumulate_confusion, miou, objective, softmax
 from .synth_lidar import Box, Cylinder, SceneConfig, SensorModel, Sphere, generate_scan, project_scan
 
-EVAL_BATCH = 4  # scans per eval forward
-
-
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries the offending step index."""
 
@@ -161,13 +158,19 @@ def train(config: TrainConfig, dataset: list[Sample]) -> tuple[Network, RunRepor
         loss = objective(config.loss, probs, ys[idx])
         if not math.isfinite(loss.value):
             raise TrainingDiverged(step)
-        net.backward(loss.grad.astype(np.float32))
+        net.backward(loss.grad)
         opt.step(net.grads())
         trace.append(float(loss.value))
 
     (sec_forward,) = _fastest_forwards([net], xs[: min(len(dataset), config.batch_size)], repeats=3)
     report = evaluate(net, dataset)
     return net, replace(report, loss_trace=trace, sec_per_forward=sec_forward, config=_config_echo(config))
+
+
+def predict(net: Network, image: RangeImage) -> np.ndarray:
+    """The int32 class id of every pixel of ``image``, by one eval forward."""
+    x, _ = sample_tensors(Sample(image=image))
+    return np.argmax(net.forward(x[None], training=False)[0], axis=-1).astype(np.int32)
 
 
 def evaluate(net: Network, dataset: list[Sample]) -> RunReport:
@@ -179,18 +182,14 @@ def evaluate(net: Network, dataset: list[Sample]) -> RunReport:
     cm_point = ConfusionMatrix.empty(n_classes)
     scored_points = False
 
-    for start in range(0, len(dataset), EVAL_BATCH):
-        chunk = dataset[start : start + EVAL_BATCH]
-        xs, ys = _stack_dataset(chunk)
-        logits = net.forward(xs, training=False)
-        preds = np.argmax(logits, axis=-1).astype(np.int32)
-        accumulate_confusion(preds, ys, cm_pixel)
-        for k, sample in enumerate(chunk):
-            if sample.index_map is None or sample.point_labels is None:
-                continue
-            point_preds = backproject_labels(sample.index_map, preds[k], len(sample.point_labels))
-            accumulate_confusion(point_preds, sample.point_labels, cm_point)
-            scored_points = True
+    for sample in dataset:
+        preds = predict(net, sample.image)
+        accumulate_confusion(preds, sample.image.label, cm_pixel)
+        if sample.index_map is None or sample.point_labels is None:
+            continue
+        point_preds = backproject_labels(sample.index_map, preds, len(sample.point_labels))
+        accumulate_confusion(point_preds, sample.point_labels, cm_point)
+        scored_points = True
 
     iou, mean = miou(cm_pixel)
     report = RunReport(per_class_iou=iou, miou=mean, param_count=count_params(net), n_samples=len(dataset))

@@ -695,11 +695,15 @@ class TestOut:
         k = glorot_uniform(rng, 3, 3, 2, 2, dtype=np.float64)
         spec = PadSpec.same(3, 3)
         up = rng.standard_normal(x.shape)
-        for out in (np.empty((1, 4, 3, 2)), np.empty(x.shape, np.float32)):
-            with pytest.raises(ValueError, match=r"^out is float(32|64) \(1, 4, [36], 2\), the result float64 \(1, 4, 6, 2\)$"):
-                slc_forward(x, k, spec, out=out)
-            with pytest.raises(ValueError, match="^out is "):
-                slc_backward(x, k, spec, up, out=out)
+        y, grads = slc_forward(x, k, spec), slc_backward(x, k, spec, up)
+        # an out of another shape or dtype is left untouched, and the result
+        # is a fresh array with the bits of a call without out
+        for out in (np.full((1, 4, 3, 2), np.nan), np.full(x.shape, np.nan, np.float32)):
+            got = slc_forward(x, k, spec, out=out)
+            assert got is not out and got.tobytes() == y.tobytes()
+            got = slc_backward(x, k, spec, up, out=out)
+            assert got[0] is not out and [g.tobytes() for g in got] == [g.tobytes() for g in grads]
+            assert np.isnan(out).all()
         with pytest.raises(ValueError, match="^out overlaps an input$"):
             slc_forward(x, k, spec, out=x)
         for out in (x, up):

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = {
     "occlusion_study.py": (["--beams", "8", "--width", "64"], " v [m/s]"),
     "loss_comparison.py": (["--steps", "2", "--scans", "2", "--width", "64"], "1 training scans, 2 steps each"),
+    "digest.py": (["--ops", "1"], '{"workload": "train", "seed": 1, "ops": 1, "sha256": "'),
 }
 
 

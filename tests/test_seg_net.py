@@ -550,7 +550,8 @@ def _modules(net):
 # the one cache each kind of module keeps in training; every other module
 # keeps no activation, since backward takes its input from its parent
 ACTIVATION_CACHES = {NormLayer: "_cache", ResBlock: "_out", Network: "_x"}
-# a norm also keeps the array x_hat was built in from step to step
+# a conv that a norm follows also keeps the array it wrote, in which the
+# norm built x_hat, from step to step
 KEPT = "kept"
 
 
@@ -563,7 +564,7 @@ def test_eval_forward_keeps_no_activations():
     x = np.random.default_rng(26).standard_normal((1, 8, 64, 3)).astype(np.float32)
     net.forward(x, training=False)
     modules = _modules(net)
-    norms = [m for m in modules if isinstance(m, NormLayer)]
+    keepers = [m for m in modules if isinstance(m, SlcLayer) and m.norm is not None]
 
     def assert_released():
         for module in modules:
@@ -577,10 +578,9 @@ def test_eval_forward_keeps_no_activations():
         if cache is not None:
             assert getattr(module, cache) is not None, (type(module).__name__, cache)
             held = [cache, "input_mean", "input_std"] if module is net else [cache]
-            held += [KEPT] if module in norms else []
-            assert sorted(_held_activations(module)) == sorted(held), type(module).__name__
         else:
-            assert _held_activations(module) == [], type(module).__name__
+            held = [KEPT] if module in keepers else []
+        assert sorted(_held_activations(module)) == sorted(held), type(module).__name__
 
     # an eval forward drops every cache and kept array a training forward left
     net.forward(x, training=False)
@@ -588,7 +588,7 @@ def test_eval_forward_keeps_no_activations():
 
     # a finished training step holds no activations: backward released
     # every cache once it had read it, so beyond the parameter gradients
-    # and each norm's kept array the step leaves almost nothing traced behind
+    # and each kept conv output the step leaves almost nothing traced behind
     x2 = np.random.default_rng(27).standard_normal((2, 16, 128, 3)).astype(np.float32)
     tracemalloc.start()
     try:
@@ -602,10 +602,10 @@ def test_eval_forward_keeps_no_activations():
     for module in modules:
         for attr in ACTIVATION_CACHES.values():
             assert getattr(module, attr, None) is None, (type(module).__name__, attr)
-        expected = [KEPT] if module in norms else ["input_mean", "input_std"] if module is net else []
+        expected = [KEPT] if module in keepers else ["input_mean", "input_std"] if module is net else []
         assert sorted(_held_activations(module)) == expected, type(module).__name__
     held -= sum(g.nbytes for g in net.grads().values())
-    held -= sum(norm.kept.nbytes for norm in norms)
+    held -= sum(conv.kept.nbytes for conv in keepers)
     stem_bytes = 2 * 16 * 128 * net.config.stage_channels[0] * 4
     assert held < stem_bytes
 
@@ -639,7 +639,7 @@ def test_training_step_peak_memory():
     # conv input and relu output as well peaked at 25.9x the stem output,
     # against 19.1x without them; the norm building x_hat in the conv output
     # and its input gradient in its upstream took it from 18.7x to 17.8x.
-    # The norms' kept arrays (9.75x) are held from the step before, and the
+    # The convs' kept arrays (9.75x) are held from the step before, and the
     # step allocates 8.06x beyond them; without the conv input gradients
     # written into the spent kept arrays it was 8.93x
     net = build(config_from_preset("a"), seed=41)
@@ -647,7 +647,7 @@ def test_training_step_peak_memory():
     logits = net.forward(x, training=True)
     net.backward(np.ones_like(logits))
     del logits
-    kept = sum(layer.kept.nbytes for layer in net.layers.values() if isinstance(layer, NormLayer))
+    kept = sum(layer.kept.nbytes for layer in net.layers.values() if isinstance(layer, SlcLayer) and layer.norm is not None)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -695,9 +695,9 @@ def test_output_rebuilds_each_training_forward_result(monkeypatch, dtype, paddin
 
 
 def test_kept_arrays_keep_the_training_bits(monkeypatch):
-    # a seeded run whose norms keep their arrays from step to step, against
+    # a seeded run whose convs keep their arrays from step to step, against
     # one whose eval forward between steps releases them and one whose
-    # norms keep nothing, so that every conv writes into a fresh array
+    # convs keep nothing, so that every conv writes into a fresh array
     cfg = config_from_preset("a", n_classes=4, alpha_overrides={"enc2": 2})
     rng = np.random.default_rng(46)
     xs = rng.standard_normal((4, 2, 16, 64, 3)).astype(np.float32)
@@ -706,7 +706,7 @@ def test_kept_arrays_keep_the_training_bits(monkeypatch):
     def run(eval_between):
         net = build(cfg, seed=47)
         opt = Adam(net.parameters(), 2e-3)
-        norms = [layer for layer in net.layers.values() if isinstance(layer, NormLayer)]
+        keepers = [layer for layer in net.layers.values() if isinstance(layer, SlcLayer) and layer.norm is not None]
         losses, kept = [], []
         for x, y in zip(xs, ys):
             if eval_between:
@@ -715,7 +715,7 @@ def test_kept_arrays_keep_the_training_bits(monkeypatch):
             net.backward(loss.grad.astype(np.float32))
             opt.step(net.grads())
             losses.append(loss.value)
-            kept.append([norm.kept for norm in norms])
+            kept.append([conv.kept for conv in keepers])
         state = {n: a.tobytes() for n, a in (net.parameters() | net.buffers()).items()}
         return (losses, state), kept
 
@@ -724,10 +724,23 @@ def test_kept_arrays_keep_the_training_bits(monkeypatch):
     got, kept = run(eval_between=True)
     assert not any(a is b for a, b in zip(kept[0], kept[-1]))
     assert got == want
-    monkeypatch.setattr(NormLayer, KEPT, property(lambda norm: None, lambda norm, value: None), raising=False)
+    monkeypatch.setattr(SlcLayer, KEPT, property(lambda conv: None, lambda conv, value: None), raising=False)
     got, kept = run(eval_between=False)
     assert kept[-1] == [None] * len(kept[-1])
     assert got == want
+
+
+def test_training_logits_outlive_later_steps():
+    # the head keeps no array, so no later training forward or backward
+    # writes over the logits a training forward returned
+    net = build(small_config(), seed=48)
+    xs = np.random.default_rng(49).standard_normal((3, 2, 8, 64, 3)).astype(np.float32)
+    returned = []
+    for x in xs:
+        logits = net.forward(x, training=True)
+        returned.append((logits, logits.tobytes()))
+        net.backward(np.ones_like(logits))
+    assert [logits.tobytes() for logits, _ in returned] == [bits for _, bits in returned]
 
 
 def test_backward_after_eval_forward_names_the_layer():
@@ -753,9 +766,9 @@ def test_train_and_eval_run_the_same_conv_leaves(monkeypatch):
     calls = []
     leaf_forward = SlcLayer.forward
 
-    def recorded(layer, x, training=False, out=None):
+    def recorded(layer, x, training=False):
         calls.append(layer.name)
-        return leaf_forward(layer, x, training, out)
+        return leaf_forward(layer, x, training)
 
     monkeypatch.setattr(SlcLayer, "forward", recorded)
     x = np.random.default_rng(39).standard_normal((1, 8, 64, 3)).astype(np.float32)
