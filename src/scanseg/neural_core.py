@@ -21,15 +21,15 @@ one convolution per conv + norm pair; ``norm_inference`` is the unfolded
 reference. In training, the batch variance takes one float64 pass over the
 centred tensor the forward builds anyway, and both norm passes work on the
 [N, C] view of the input. Every norm adds ``NORM_EPS`` to its variance
-(Ioffe & Szegedy 2015, arXiv:1502.03167). The training norm owns the arrays
-it is handed, as ``relu_backward`` does (the in-place normalization of Rota
-Bulo et al. 2018, arXiv:1712.02616): ``norm_forward`` builds x_hat in its
-input and ``norm_backward`` writes the input gradient into its upstream, a
-block of rows at a time, so a caller that reads either again passes a copy.
-Its column sums (the mean and ``d_beta``) run through ``einsum("ij->j")``,
-which for two or more channels gives the bits of ``sum(axis=0)`` at about
-half the cost; at one channel numpy's ``sum`` adds pairwise and ``einsum``
-in order, so the two may differ in the last bits.
+(Ioffe & Szegedy 2015, arXiv:1502.03167). The training ops own the arrays
+they are handed (the in-place normalization of Rota Bulo et al. 2018,
+arXiv:1712.02616): ``relu`` writes into its input, ``norm_forward`` builds
+x_hat in its input, and ``norm_backward`` spends x_hat and writes the input
+gradient into its upstream, so a caller that reads any of them again passes
+a copy. The norm's column sums (the mean and ``d_beta``) run through
+``einsum("ij->j")``, which for two or more channels gives the bits of
+``sum(axis=0)`` at about half the cost; at one channel numpy's ``sum`` adds
+pairwise and ``einsum`` in order, so the two may differ in the last bits.
 
 A convolution runs one band of output rows of one sample at a time (see
 ``_BAND_COLS``). A band copies its padded input rows, halo included, into a
@@ -80,7 +80,6 @@ import numpy as np
 
 NORM_EPS = 1e-5  # added to every norm variance before its square root
 PADDING_MODES = ("cyclic", "zeros")  # width padding; height is always zeros
-_NORM_BLOCK = 65536  # elements per block of norm_backward's input gradient
 
 
 @dataclass(frozen=True)
@@ -470,7 +469,8 @@ def upsample_width_backward(upstream: np.ndarray, factor: int) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    """``max(x, 0)``, written into the spent ``x`` and returned."""
+    return np.maximum(x, 0, out=x)
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -523,9 +523,10 @@ def norm_output(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.nd
 def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):
     """Gradients of ``norm_forward`` wrt input, gamma and beta.
 
-    The input gradient is written into ``upstream`` and returned (for a
-    C-contiguous ``upstream``): it is spent once the parameter gradients have
-    read it, and a caller that reads it again passes a copy.
+    It spends both full-size arrays it reads and allocates none: the cached
+    x_hat is scaled by ``d_gamma`` in place, and the input gradient is
+    written into ``upstream`` and returned (each for a C-contiguous array).
+    A caller that reads either again passes a copy.
     """
     x_hat, inv_std, _, _ = cache
     c = upstream.shape[3]
@@ -534,14 +535,12 @@ def norm_backward(upstream: np.ndarray, cache, gamma: np.ndarray):
     d_beta = np.einsum("ij->j", g2)
     d_gamma = np.einsum("ij,ij->j", g2, xh2)
     scale = gamma * inv_std / n
-    # ((g * n - d_beta) - x_hat * d_gamma) * scale, in place a block of rows
-    # at a time, so the only temporary is one block's x_hat * d_gamma
-    for r0, r1 in _split(0, n, max(1, -(-n * c // _NORM_BLOCK))):
-        blk = g2[r0:r1]
-        blk *= n
-        blk -= d_beta
-        blk -= xh2[r0:r1] * d_gamma
-        blk *= scale
+    # ((g * n - d_beta) - x_hat * d_gamma) * scale, in place over the whole tensor
+    xh2 *= d_gamma
+    g2 *= n
+    g2 -= d_beta
+    g2 -= xh2
+    g2 *= scale
     return g2.reshape(upstream.shape), d_gamma, d_beta
 
 

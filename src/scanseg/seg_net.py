@@ -34,19 +34,19 @@ activation is rebuilt in backward from what is cached (Chen et al. 2016,
 arXiv:1604.06174; the norm-plus-activation case of Rota Bulo et al. 2018,
 arXiv:1712.02616): a conv unit's output is its norm's ``norm_output`` of
 x_hat, relu applied where the unit is activated, with the forward's own
-float ops, so the rebuild has the forward's bits. The norm works in arrays
-that are already spent, as in the same paper: its forward builds x_hat in
-place in the conv output it is handed, and its backward writes the input
-gradient into its upstream, the relu gradient, so neither allocates a
-full-size result. The one caller that reads that upstream again, a residual
-block whose plain second unit's gradient also feeds the shortcut, passes a
-copy. Each conv that a norm follows keeps the array it wrote, in which the
-norm built x_hat, from one training step to the next (``SlcLayer.kept``):
-once the norm's backward has read x_hat, the conv hands the array to the
-conv engine for its input gradient, and the next training forward for its
-output, and the engine writes there where the result fits. So a step reuses
-the last step's largest arrays, and the heap they live in, instead of
-allocating and faulting them in again.
+float ops, so the rebuild has the forward's bits. Every element-wise pass
+works in arrays that are already spent, as in the same paper: relu writes
+into its input, the norm's forward builds x_hat in place in the conv output
+it is handed, and its backward spends x_hat and writes the input gradient
+into its upstream, the relu gradient, so none allocates a full-size result.
+A residual block copies the gradient its shortcut also reads into its own
+spent upstream for its plain unit. Each conv that a norm follows keeps the
+array it wrote, in which the norm built x_hat, from one training step to
+the next (``SlcLayer.kept``): once the norm's backward has spent x_hat, the
+conv hands the array to the conv engine for its input gradient, and the
+next training forward for its output, and the engine writes there where the
+result fits. So a step reuses the last step's largest arrays, and the heap
+they live in, instead of allocating and faulting them in again.
 
 The wiring is one list, ``encoder + decoder``: each encoder stage's entry
 conv unit followed by its residual blocks, then the decoder stages. Each
@@ -88,6 +88,7 @@ from .neural_core import (
     norm_backward,
     norm_forward,
     norm_output,
+    relu,
     relu_backward,
     slc_backward,
     slc_forward,
@@ -282,9 +283,9 @@ class ConvUnit:
 
     Both modes run the same two leaves; at eval the conv folds the norm in
     and the norm passes its input through. The conv keeps the array it
-    writes, and its norm builds x_hat in it (``SlcLayer.kept``). The relu
-    runs in place, and the unit caches nothing of its own: ``output``
-    rebuilds its result from the norm's cache.
+    writes, and its norm builds x_hat in it (``SlcLayer.kept``). ``relu``
+    writes into the norm's output, and the unit caches nothing of its own:
+    ``output`` rebuilds its result from the norm's cache.
     """
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
@@ -296,16 +297,12 @@ class ConvUnit:
 
     def forward(self, x, training=False):
         y = self.norm.forward(self.conv.forward(x, training), training)
-        if self.activated:
-            np.maximum(y, 0, out=y)
-        return y
+        return relu(y) if self.activated else y
 
     def output(self):
         """The last training forward's result, rebuilt bit for bit."""
         y = self.norm.output()
-        if self.activated:
-            np.maximum(y, 0, out=y)
-        return y
+        return relu(y) if self.activated else y
 
     def backward(self, upstream, x, y):
         """``x`` is the unit's forward input and ``y`` its ``output()``, both
@@ -337,7 +334,7 @@ class ResBlock:
     def forward(self, x, training=False):
         y = self.u2.forward(self.u1.forward(x, training), training)
         y += x
-        np.maximum(y, 0, out=y)
+        relu(y)
         self._out = y if training else None
         return y
 
@@ -346,12 +343,14 @@ class ResBlock:
 
     def backward(self, upstream, x, y):
         """``y`` is this block's cached ``output()``; backward releases it
-        and writes the relu gradient into it."""
+        and writes the relu gradient into it. ``upstream`` is spent too: it
+        is the next module's returned gradient, never ``y``."""
         self._out = None
         gs = relu_backward(y, upstream)
         y1 = self.u1.output()
         # the plain unit's norm writes into its upstream, and the shortcut reads gs
-        g = self.u1.backward(self.u2.backward(gs.copy(), y1, None), x, y1)
+        np.copyto(upstream, gs)
+        g = self.u1.backward(self.u2.backward(upstream, y1, None), x, y1)
         g += gs
         return g
 

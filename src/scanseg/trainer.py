@@ -107,10 +107,11 @@ class RunReport:
 
 
 def sample_tensors(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """Input tensor [H, W, 3] (depth, reflectance, mask) and target ids."""
+    """Input tensor [H, W, 3] float32 (depth, reflectance, mask), built in
+    one pass, and the int32 target ids, which are ``image.label`` itself:
+    every caller stacks them or only reads them."""
     img = sample.image
-    x = np.stack([img.depth, img.reflectance, img.mask.astype(np.float32)], axis=-1)
-    return x.astype(np.float32), img.label.astype(np.int32)
+    return np.stack([img.depth, img.reflectance, img.mask], axis=-1, dtype=np.float32), img.label
 
 
 def _stack_dataset(dataset: list[Sample]) -> tuple[np.ndarray, np.ndarray]:

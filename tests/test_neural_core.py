@@ -745,8 +745,15 @@ class TestSimpleOps:
         x[np.abs(x) < 0.05] = 0.1
         up = rng.standard_normal(x.shape)
         analytic = relu_backward(x.copy(), up)
-        num = central_diff_grad(lambda: float((relu(x) * up).sum()), x, EPS)
+        # relu writes into its input, which the probe reads again
+        num = central_diff_grad(lambda: float((relu(x.copy()) * up).sum()), x, EPS)
         assert max_rel_err(analytic, num) < GRAD_TOL
+
+    def test_relu_writes_into_x(self):
+        x = np.array([-1.5, 0.0, 2.0, -0.0], np.float32).reshape(1, 1, 4, 1)
+        want = np.maximum(x, 0)
+        got = relu(x)
+        assert got is x and got.tobytes() == want.tobytes()
 
     def test_relu_backward_writes_into_x(self):
         rng = np.random.default_rng(24)
@@ -789,13 +796,13 @@ class TestNorm:
         gamma = rng.uniform(0.5, 1.5, 32).astype(dtype)
         _, cache = norm_forward(x, gamma, np.zeros(32, dtype))
         up = rng.standard_normal(x.shape).astype(dtype)
-        # the gradient is written into the upstream, so only one block's
-        # x_hat * d_gamma (65536 elements, 1/16 of this tensor) and the
-        # per-channel vectors are allocated
+        x_hat, inv_std = cache[0].reshape(-1, 32).copy(), cache[1]
+        # the gradient is written into the upstream and x_hat * d_gamma into
+        # x_hat, so only the per-channel vectors and einsum's buffer are
+        # allocated: 0.85% of this tensor in float32, 0.82% in float64
         peak, (gx, d_gamma, d_beta) = _peak_alloc(norm_backward, up.copy(), cache, gamma)
-        assert peak <= 0.1 * x.nbytes
+        assert peak <= 0.02 * x.nbytes
         # the whole-tensor formula, one full-size temporary per line
-        x_hat, inv_std = cache[0].reshape(-1, 32), cache[1]
         g2, n = up.reshape(-1, 32), up.size // 32
         want = g2 * n
         want -= g2.sum(axis=0)
@@ -808,17 +815,21 @@ class TestNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [1, 2, 3, 32])
     def test_in_place_passes_match_the_out_of_place_reference(self, dtype, c):
-        # 4096 rows: at 32 channels the backward runs in two blocks
         rng = np.random.default_rng(27)
         x = rng.normal(1.0, 2.0, size=(2, 16, 128, c)).astype(dtype)
         gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
         beta = rng.standard_normal(c).astype(dtype)
         up = rng.standard_normal(x.shape).astype(dtype)
         want_y, want_cache = reference_norm_forward(x, gamma, beta)
-        want = (want_y, *want_cache, *reference_norm_backward(up, want_cache, gamma))
         y, cache = norm_forward(x.copy(), gamma, beta)
-        got = (y, *cache, *norm_backward(up.copy(), cache, gamma))
-        for g, w in zip(got, want):
+        # the backward spends x_hat, so the forward's outputs are compared first
+        self._assert_matches((y, *cache), (want_y, *want_cache), dtype, c)
+        got = norm_backward(up.copy(), cache, gamma)
+        self._assert_matches(got, reference_norm_backward(up, want_cache, gamma), dtype, c)
+
+    @staticmethod
+    def _assert_matches(got, want, dtype, c):
+        for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and g.shape == w.shape
             if c == 1:
                 # numpy sums a lone column pairwise and einsum in order, so

@@ -778,6 +778,57 @@ def test_train_and_eval_run_the_same_conv_leaves(monkeypatch):
     assert train_calls == calls == [name for name, layer in net.layers.items() if isinstance(layer, SlcLayer)]
 
 
+def test_every_activation_runs_through_relu(monkeypatch):
+    # one relu per activated conv unit and per residual block in each
+    # forward, and one per rebuild of an activated unit's output in backward
+    net = build(small_config(blocks_per_stage=(1, 0, 1, 2, 0, 1)), seed=50)
+    calls = {"relu": 0, "rebuilds": 0}
+    seg_relu, unit_output = seg_net.relu, ConvUnit.output
+
+    def counted_relu(x):
+        calls["relu"] += 1
+        return seg_relu(x)
+
+    def counted_output(unit):
+        calls["rebuilds"] += unit.activated
+        return unit_output(unit)
+
+    monkeypatch.setattr(seg_net, "relu", counted_relu)
+    monkeypatch.setattr(ConvUnit, "output", counted_output)
+    modules = _modules(net)
+    activated = sum(isinstance(m, ConvUnit) and m.activated for m in modules)
+    blocks = sum(isinstance(m, ResBlock) for m in modules)
+    x = np.random.default_rng(51).standard_normal((2, 8, 64, 3)).astype(np.float32)
+
+    logits = net.forward(x, training=True)
+    assert calls == {"relu": activated + blocks, "rebuilds": 0}
+    calls["relu"] = 0
+    net.backward(np.ones_like(logits))
+    assert calls["rebuilds"] > activated and calls["relu"] == calls["rebuilds"]
+    calls["relu"] = 0
+    net.forward(x)
+    assert calls["relu"] == activated + blocks
+
+
+def test_res_block_backward_hands_the_plain_unit_its_spent_upstream(monkeypatch):
+    net = build(small_config(), seed=52)
+    handed = {}
+    for cls in (ConvUnit, ResBlock):
+
+        def recorded(module, upstream, *args, _backward=cls.backward):
+            handed[id(module)] = upstream
+            return _backward(module, upstream, *args)
+
+        monkeypatch.setattr(cls, "backward", recorded)
+    x = np.random.default_rng(53).standard_normal((2, 8, 64, 3)).astype(np.float32)
+    logits = net.forward(x, training=True)
+    net.backward(np.ones_like(logits))
+    blocks = [m for m in net.encoder if isinstance(m, ResBlock)]
+    assert blocks
+    for block in blocks:
+        assert np.shares_memory(handed[id(block.u2)], handed[id(block)]), block.name
+
+
 @pytest.mark.parametrize("training", [False, True])
 def test_alpha_above_input_height_names_the_layer_before_any_conv_runs(monkeypatch, training):
     net = build(small_config(alpha_overrides={"enc3": 4}), seed=40)

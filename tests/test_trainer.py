@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scanseg.trainer import (
     bench_forward,
     evaluate,
     make_synthetic_dataset,
+    sample_tensors,
     train,
     write_run_report,
 )
@@ -258,6 +260,28 @@ class TestDatasets:
     def test_unknown_projection(self):
         with pytest.raises(ValueError, match="projection"):
             make_synthetic_dataset(n_scans=2, projection="bird")
+
+    def test_sample_tensors_builds_the_input_once_and_keeps_the_labels(self):
+        rng = np.random.default_rng(5)
+        mask = rng.random((64, 2048)) < 0.8
+        image = RangeImage(
+            depth=np.where(mask, rng.uniform(1.0, 80.0, mask.shape), 0.0),
+            reflectance=np.where(mask, rng.random(mask.shape), 0.0),
+            label=np.where(mask, rng.integers(1, 6, mask.shape), 0),
+            mask=mask,
+        )
+        tracemalloc.start()
+        try:
+            x, y = sample_tensors(Sample(image=image))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float32 tensor, not a float32 stack and its cast copy
+        assert x.dtype == np.float32 and x.shape == (64, 2048, 3)
+        assert peak <= 1.1 * x.nbytes
+        want = np.stack([image.depth, image.reflectance, image.mask.astype(np.float32)], axis=-1)
+        assert x.tobytes() == want.tobytes()
+        assert y.dtype == np.int32 and np.shares_memory(y, image.label)
 
     @pytest.mark.parametrize("n_object_classes", [2, 0, -1])
     def test_too_few_object_classes_named(self, n_object_classes):
