@@ -12,18 +12,19 @@ plain convolutions; an override key is a prefix of conv layer names, and a
 key that prefixes none is rejected), and every width padding follows the
 configured mode, so a cyclic network is cyclic end to end.
 
-Every conv and norm leaf registers itself at construction in
-``Network.layers``, keyed by layer name (``"stem.conv"``, ``"head"``) in
-parameter order, and owns ``params``, ``buffers`` and ``grads`` dicts keyed
-by archive name (``"head.weights"``). Networks are deterministic: the same
+Every leaf, each conv + norm unit and the 1x1 head, registers itself at
+construction in ``Network.layers``, keyed by its name (``"stem"``,
+``"enc1.down"``, ``"head"``) in parameter order, and owns ``params``,
+``buffers`` and ``grads`` dicts keyed by archive name (``"stem.conv.weights"``,
+``"stem.norm.gamma"``, ``"head.weights"``). Networks are deterministic: the same
 config and seed yield bit-identical parameters. Weights serialize to
 ``.npz`` archives of exactly those names plus the config, which rebuilds the
 network on load.
 
 Training and eval run the same leaf calls, and a leaf's forward is the only
-place its op runs. At eval a conv leaf convolves with its norm's fold
-(Jacob et al. 2018, arXiv:1712.05877), made on every call, and the norm
-passes that result through, so each conv + norm pair costs one convolution.
+place its ops run. At eval a unit convolves with its norm folded into the
+kernel (Jacob et al. 2018, arXiv:1712.05877), made on every call, so each
+conv + norm pair costs one convolution.
 Every forward assigns each cache its module owns: the tensor in training,
 ``None`` at eval, so an eval forward leaves no activation behind and
 inference holds nothing extra.
@@ -40,11 +41,11 @@ into its input, the norm's forward builds x_hat in place in the conv output
 it is handed, and its backward spends x_hat and writes the input gradient
 into its upstream, the relu gradient, so none allocates a full-size result.
 A residual block copies the gradient its shortcut also reads into its own
-spent upstream for its plain unit. Each conv that a norm follows keeps the
-array it wrote, in which the norm built x_hat, from one training step to
-the next (``SlcLayer.kept``): once the norm's backward has spent x_hat, the
-conv hands the array to the conv engine for its input gradient, and the
-next training forward for its output, and the engine writes there where the
+spent upstream for its plain unit. Each unit keeps the array its conv
+wrote, in which its norm built x_hat, from one training step to the next
+(``ConvUnit.kept``): once the norm's backward has spent x_hat, the unit
+hands the array to the conv engine for its input gradient, and the next
+training forward for its output, and the engine writes there where the
 result fits. So a step reuses the last step's largest arrays, and the heap
 they live in, instead of allocating and faulting them in again.
 
@@ -55,20 +56,20 @@ normalized input), and a decoder stage also adds its ``skip_src``'s output,
 that of the last module of the encoder stage of its width, given when the
 stage is built. The backward of each conv unit, block and decoder stage,
 ``backward(upstream, x, y)``, takes its forward input ``x`` and its output
-``y`` from its parent (a conv leaf's takes only ``x``). The parent rebuilds
+``y`` from its parent (the head's takes only ``x``). The parent rebuilds
 ``x`` through its producer's ``output()`` just before the call, and once
 the call has read it hands it on as the producer's ``y``, into which a relu
 backward writes its gradient. The forward pops each skip as its decoder
 stage consumes it and adds shortcuts and skips in place on fresh outputs.
 Backward releases every cache once it is done with it, so a finished step
-holds no activations, only the convs' kept arrays, and a backward with
+holds no activations, only the units' kept arrays, and a backward with
 nothing to read names the layer that lacks its cache. A decoder stage runs
 its 1x1 matcher before the width upsample, at half the width, and this
 order gives the same result as upsampling first: nearest repetition along
 the width commutes with every per-pixel op (a 1x1 conv, a folded norm,
 relu), and a norm's biased batch mean and variance do not change when every
-value is repeated the same number of times. Eval logits are bit-identical to the upsample-first order;
-training gradients differ from it only by rounding.
+value is repeated the same number of times. Eval logits are bit-identical to
+the upsample-first order; training gradients differ from it only by rounding.
 """
 
 from __future__ import annotations
@@ -176,132 +177,98 @@ def _take(module, attr: str):
 
 
 class SlcLayer:
-    """One semi-local convolution; its kernel lives in ``params`` (a bias not
-    there is a constant zero). An eval forward convolves with the fold of
-    ``norm``, the norm that follows it if any; a training forward convolves
-    with the kernel itself. It caches nothing: backward takes its input.
+    """The 1x1 head: a semi-local convolution with a bias and no norm after
+    it. It caches nothing, since backward takes its input, and keeps no
+    array, so the logits a training forward returns are never written over."""
 
-    ``kept`` is the array the last training forward wrote where a norm
-    follows, which builds x_hat in it; the head keeps nothing, so the logits
-    a training forward returns are never written over. Forward and backward
-    hand ``kept`` to the engine, which writes their result there where it
-    fits, so a training step reuses the last step's arrays. An eval forward
-    drops it.
-    """
-
-    def __init__(self, layers, name, rng, i, j, c_in, c_out, alpha, pad_mode, bias, stride_w=1):
+    def __init__(self, layers, name, rng, c_in, c_out, alpha):
         self.name = name
-        kernel = glorot_uniform(rng, i, j, c_in, c_out, alpha)
-        self.params = {f"{name}.weights": kernel.weights}
-        if bias:
-            self.params[f"{name}.bias"] = kernel.bias
+        self.alpha = alpha
+        kernel = glorot_uniform(rng, 1, 1, c_in, c_out, alpha)
+        self.params = {f"{name}.weights": kernel.weights, f"{name}.bias": kernel.bias}
         self.buffers: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.pad_spec = PadSpec.same(i, j, pad_mode)
-        self.stride_w = stride_w
-        self.norm = None
-        self.kept = None
+        self.pad_spec = PadSpec(0, 0)
         layers[name] = self
 
-    @property
-    def kernel(self) -> SlcKernel:
-        weights, *bias = self.params.values()
-        return SlcKernel(weights, bias[0] if bias else np.zeros(weights.shape[3:], weights.dtype))
-
     def forward(self, x, training=False):
-        kernel = self.kernel if training or self.norm is None else self.norm.fold(self.kernel)
-        y = slc_forward(x, kernel, self.pad_spec, self.stride_w, out=self.kept)
-        self.kept = y if training and self.norm is not None else None
-        return y
+        return slc_forward(x, SlcKernel(*self.params.values()), self.pad_spec)
 
     def backward(self, upstream, x):
-        gx, gw, gb = slc_backward(x, self.kernel, self.pad_spec, upstream, self.stride_w, out=self.kept)
+        gx, gw, gb = slc_backward(x, SlcKernel(*self.params.values()), self.pad_spec, upstream)
         self.grads = dict(zip(self.params, (gw, gb)))
         return gx
 
 
-class NormLayer:
-    """Batch-statistics normalization. A training forward normalizes by the
-    batch and updates the running statistics; at eval the conv before it
-    has already applied it through ``fold``, so the input passes through.
-
-    ``params`` holds (gamma, beta) and ``buffers`` (running mean, running
-    variance), in that order. The training cache holds x_hat, the forward's
-    input normalized in place, from which ``output`` rebuilds the forward's
-    result; backward writes the input gradient into its upstream. The array
-    x_hat is built in belongs to the conv before the norm (``SlcLayer.kept``).
-    """
-
-    def __init__(self, layers, name, channels):
-        self.name = name
-        self.params = {
-            f"{name}.gamma": np.ones(channels, dtype=np.float32),
-            f"{name}.beta": np.zeros(channels, dtype=np.float32),
-        }
-        self.buffers = {
-            f"{name}.running_mean": np.zeros(channels, dtype=np.float32),
-            f"{name}.running_var": np.ones(channels, dtype=np.float32),
-        }
-        self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
-        layers[name] = self
-
-    def fold(self, kernel: SlcKernel) -> SlcKernel:
-        """``kernel`` with this norm's running statistics folded in, made on
-        every call so it follows the current weights and statistics."""
-        return fold_norm(kernel, *self.params.values(), *self.buffers.values())
-
-    def forward(self, x, training=False):
-        self._cache = None
-        if not training:
-            return x
-        gamma, beta = self.params.values()
-        running_mean, running_var = self.buffers.values()
-        y, self._cache = norm_forward(x, gamma, beta)
-        _, _, mean, var = self._cache
-        m = NORM_MOMENTUM
-        running_mean[:] = (1 - m) * running_mean + m * mean
-        running_var[:] = (1 - m) * running_var + m * var
-        return y
-
-    def output(self):
-        """The last training forward's result, rebuilt bit for bit."""
-        x_hat = _peek(self, "_cache")[0]
-        return norm_output(x_hat, *self.params.values())
-
-    def backward(self, upstream):
-        gamma, _ = self.params.values()
-        gx, d_gamma, d_beta = norm_backward(upstream, _take(self, "_cache"), gamma)
-        self.grads = dict(zip(self.params, (d_gamma, d_beta)))
-        return gx
-
-
 class ConvUnit:
-    """conv + norm [+ relu], the repeated building element; alpha and
-    padding come from the config. The norm cancels a conv bias that is the
-    same in every row, so the conv has one only at alpha > 1.
+    """conv + norm [+ relu], the repeated building element and a registry
+    leaf; alpha and padding come from the config. The norm cancels a conv
+    bias that is the same in every row, so the conv has one only at alpha > 1.
 
-    Both modes run the same two leaves; at eval the conv folds the norm in
-    and the norm passes its input through. The conv keeps the array it
-    writes, and its norm builds x_hat in it (``SlcLayer.kept``). ``relu``
-    writes into the norm's output, and the unit caches nothing of its own:
-    ``output`` rebuilds its result from the norm's cache.
+    ``params`` holds the conv's weights [and bias] (``<unit>.conv.*``), then
+    the norm's gamma and beta (``<unit>.norm.*``); ``buffers`` the norm's
+    running mean and variance. An eval forward convolves with the norm folded
+    in (``fold_norm``), made on every call so it follows the current weights
+    and statistics. A training forward convolves with the kernel itself,
+    normalizes by the batch, updates the running statistics and caches x_hat,
+    from which ``output`` rebuilds the unit's result; ``relu`` writes into the
+    norm's output.
+
+    ``kept`` is the array the last training forward's conv wrote and the norm
+    built x_hat in. Forward and backward hand it to the conv engine, which
+    writes their result there where it fits, so a training step reuses the
+    last step's arrays. An eval forward drops it.
     """
 
     def __init__(self, layers, rng, config, name, i, j, c_in, c_out, stride_w=1, activated=True):
         self.name = name
-        alpha = config.alpha_for(f"{name}.conv")
-        self.conv = SlcLayer(layers, f"{name}.conv", rng, i, j, c_in, c_out, alpha, config.padding, bias=alpha > 1, stride_w=stride_w)
-        self.norm = self.conv.norm = NormLayer(layers, f"{name}.norm", c_out)
+        self.alpha = config.alpha_for(f"{name}.conv")
+        kernel = glorot_uniform(rng, i, j, c_in, c_out, self.alpha)
+        self.params = {f"{name}.conv.weights": kernel.weights}
+        if self.alpha > 1:
+            self.params[f"{name}.conv.bias"] = kernel.bias
+        self.params |= {
+            f"{name}.norm.gamma": np.ones(c_out, dtype=np.float32),
+            f"{name}.norm.beta": np.zeros(c_out, dtype=np.float32),
+        }
+        self.buffers = {
+            f"{name}.norm.running_mean": np.zeros(c_out, dtype=np.float32),
+            f"{name}.norm.running_var": np.ones(c_out, dtype=np.float32),
+        }
+        self.grads: dict[str, np.ndarray] = {}
+        self.pad_spec = PadSpec.same(i, j, config.padding)
+        self.stride_w = stride_w
         self.activated = activated
+        self.kept = None
+        self._cache = None
+        layers[name] = self
+
+    def _parts(self):
+        """The conv's kernel, with a zero bias where the conv has none (the
+        engine always adds one), and the norm's gamma and beta."""
+        weights, *bias, gamma, beta = self.params.values()
+        return SlcKernel(weights, bias[0] if bias else np.zeros(weights.shape[3:], weights.dtype)), gamma, beta
 
     def forward(self, x, training=False):
-        y = self.norm.forward(self.conv.forward(x, training), training)
+        kernel, gamma, beta = self._parts()
+        if not training:
+            kernel = fold_norm(kernel, gamma, beta, *self.buffers.values())
+        y = slc_forward(x, kernel, self.pad_spec, self.stride_w, out=self.kept)
+        self.kept = self._cache = None
+        if training:
+            self.kept = y
+            y, self._cache = norm_forward(y, gamma, beta)
+            _, _, mean, var = self._cache
+            running_mean, running_var = self.buffers.values()
+            m = NORM_MOMENTUM
+            running_mean[:] = (1 - m) * running_mean + m * mean
+            running_var[:] = (1 - m) * running_var + m * var
         return relu(y) if self.activated else y
 
     def output(self):
         """The last training forward's result, rebuilt bit for bit."""
-        y = self.norm.output()
+        *_, gamma, beta = self.params.values()
+        y = norm_output(_peek(self, "_cache")[0], gamma, beta)
         return relu(y) if self.activated else y
 
     def backward(self, upstream, x, y):
@@ -309,11 +276,16 @@ class ConvUnit:
         spent by the caller: an activated unit writes its relu gradient into
         ``y``, and the norm its input gradient over that. A plain unit reads
         no ``y`` and its norm writes into ``upstream``, which is so spent.
-        The input gradient may be the conv's kept array, which the caller
-        must be done with before the next forward."""
+        The input gradient may be the kept array, which the caller must be
+        done with before the next forward."""
+        cache = _take(self, "_cache")
+        kernel, gamma, _ = self._parts()
         g = relu_backward(y, upstream) if self.activated else upstream
-        g = self.norm.backward(g)
-        return self.conv.backward(g, x)
+        g, d_gamma, d_beta = norm_backward(g, cache, gamma)
+        gx, gw, gb = slc_backward(x, kernel, self.pad_spec, g, self.stride_w, out=self.kept)
+        grads = (gw, gb, d_gamma, d_beta) if self.alpha > 1 else (gw, d_gamma, d_beta)
+        self.grads = dict(zip(self.params, grads, strict=True))
+        return gx
 
 
 class ResBlock:
@@ -396,7 +368,7 @@ class Network:
         self.config = config
         rng = np.random.default_rng(seed)
         ch = config.stage_channels
-        #: every conv and norm leaf by layer name, in parameter order
+        #: every leaf, each conv unit and the head, by name, in parameter order
         self.layers: dict = {}
 
         # each encoder stage is its entry unit (the stem's is ``stem``, a
@@ -414,9 +386,8 @@ class Network:
             DecoderStage(self.layers, rng, config, f"dec{i}", ch[i], ch[i - 1], stage_ends[i - 1])
             for i in range(N_ENCODER_STAGES, 0, -1)
         ]
-        alpha = config.alpha_for("head")
-        self.head = SlcLayer(self.layers, "head", rng, 1, 1, ch[0], config.n_classes, alpha, config.padding, bias=True)
-        convs = [name for name, layer in self.layers.items() if isinstance(layer, SlcLayer)]
+        self.head = SlcLayer(self.layers, "head", rng, ch[0], config.n_classes, config.alpha_for("head"))
+        convs = [name.removesuffix(".weights") for name in self.parameters() if name.endswith(".weights")]
         unused = [key for key in config.alpha_overrides if not any(name.startswith(key) for name in convs)]
         if unused:
             raise ValueError(f"alpha_overrides name no conv layer: {', '.join(map(repr, unused))}")
@@ -437,16 +408,21 @@ class Network:
         return {k: v for layer in self.layers.values() for k, v in layer.grads.items()}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        if x.ndim != 4:
+            raise ValueError(f"input must be a [B, H, W, C] tensor, got shape {x.shape}")
         b, h, w, c = x.shape
         if c != IN_CHANNELS:
             raise ValueError(f"input has {c} channels, expected {IN_CHANNELS}")
         stride_total = 2**N_ENCODER_STAGES
         if w < 1 or w % stride_total != 0:
             raise ValueError(f"input width {w} must be a positive multiple of {stride_total}")
+        # batch statistics of no sample are 0/0, which would poison the running ones
+        if training and b == 0:
+            raise ValueError("a training forward needs at least one sample, got an empty batch")
         # height is never strided, so every conv's output is h rows high
         for name, layer in self.layers.items():
-            if isinstance(layer, SlcLayer) and layer.kernel.alpha > h:
-                raise ValueError(f"{name}: alpha {layer.kernel.alpha} exceeds input height {h}")
+            if layer.alpha > h:
+                raise ValueError(f"{name}: alpha {layer.alpha} exceeds input height {h}")
         x = (x - self.input_mean) / self.input_std
         self._x = x if training else None
 

@@ -15,7 +15,6 @@ from scanseg.seg_net import (
     DecoderStage,
     Network,
     NetworkConfig,
-    NormLayer,
     ResBlock,
     SlcLayer,
     build,
@@ -25,6 +24,7 @@ from scanseg.seg_net import (
     save_weights,
 )
 from scanseg.neural_core import (
+    SlcKernel,
     glorot_uniform,
     norm_inference,
     relu,
@@ -78,6 +78,28 @@ def test_width_must_fit_strides():
         net.forward(np.zeros((1, 8, 48, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="positive multiple of 32"):
         net.forward(np.zeros((1, 8, 0, 3), dtype=np.float32))
+
+
+def test_input_of_another_rank_is_rejected():
+    net = build(small_config(), seed=0)
+    with pytest.raises(ValueError, match=r"^input must be a \[B, H, W, C\] tensor, got shape \(8, 64, 3\)$"):
+        net.forward(np.zeros((8, 64, 3), dtype=np.float32))
+
+
+def test_empty_training_batch_is_rejected_before_the_running_statistics_move():
+    # batch statistics of no sample are 0/0: they wrote NaN into every
+    # running statistic, and every later eval forward returned NaN logits
+    net = build(small_config(), seed=54)
+    x = np.random.default_rng(55).standard_normal((2, 8, 64, 3)).astype(np.float32)
+    net.forward(x, training=True)
+    before = {name: buffer.copy() for name, buffer in net.buffers().items()}
+    with pytest.raises(ValueError, match=r"^a training forward needs at least one sample, got an empty batch$"):
+        net.forward(x[:0], training=True)
+    for name, buffer in net.buffers().items():
+        np.testing.assert_array_equal(buffer, before[name], err_msg=name)
+    # an empty eval batch has nothing to normalize by batch, so it still runs
+    assert net.forward(x[:0]).shape == (0, 8, 64, 5)
+    assert np.isfinite(net.forward(x)).all()
 
 
 def test_channel_mismatch():
@@ -149,8 +171,8 @@ def test_alpha_two_roughly_doubles_conv_params():
 def test_alpha_override_targets_named_layer():
     cfg = small_config(alpha_overrides={"head": 4})
     net = build(cfg, seed=0)
-    assert net.layers["head"].kernel.alpha == 4
-    assert net.layers["stem.conv"].kernel.alpha == 1
+    assert net.layers["head"].alpha == 4
+    assert net.layers["stem"].alpha == 1
     assert cfg.alpha_for("head") == 4
     assert cfg.alpha_for("enc1.down") == 1
     prefix_cfg = small_config(alpha_overrides={"enc1": 2, "enc1.down": 3})
@@ -159,11 +181,11 @@ def test_alpha_override_targets_named_layer():
 
 
 def test_alpha_override_that_names_no_conv_is_rejected():
-    # a key is a prefix of conv layer names, the conv leaf's own name included
+    # a key is a prefix of conv names, a unit's conv name (enc1.down.conv) included
     net = build(small_config(alpha_overrides={"enc1.down.conv": 2, "enc2.block": 3}), seed=0)
-    assert net.layers["enc1.down.conv"].kernel.alpha == 2
-    assert net.layers["enc2.block0.conv2.conv"].kernel.alpha == 3
-    assert net.layers["enc2.down.conv"].kernel.alpha == 1
+    assert net.layers["enc1.down"].alpha == 2
+    assert net.layers["enc2.block0.conv2"].alpha == 3
+    assert net.layers["enc2.down"].alpha == 1
     with pytest.raises(ValueError, match=r"^alpha_overrides name no conv layer: 'hed', 'enc1\.down\.norm'$"):
         build(NetworkConfig(alpha_overrides={"hed": 2, "enc1.down.norm": 3}))
     with pytest.raises(ValueError, match=r"^alpha_overrides name no conv layer: 'enc1\.block0'$"):
@@ -286,11 +308,9 @@ def test_input_stats_buffers_serialized(tmp_path):
 
 
 def _leaves(module):
-    """The conv and norm leaves a chain module owns, in the order it runs them."""
-    if isinstance(module, SlcLayer):
+    """The leaves a chain module owns, in the order it runs them."""
+    if isinstance(module, (SlcLayer, ConvUnit)):
         return [module]
-    if isinstance(module, ConvUnit):
-        return [module.conv, module.norm]
     units = (module.u1, module.u2) if isinstance(module, ResBlock) else (module.proj, module.refine)
     return [leaf for unit in units for leaf in _leaves(unit)]
 
@@ -298,8 +318,8 @@ def _leaves(module):
 def test_layer_registry_is_parameter_order():
     net = build(small_config(), seed=0)
     names = list(net.layers)
-    assert names[:3] == ["stem.conv", "stem.norm", "stem.block0.conv1.conv"]
-    assert names[names.index("enc1.down.conv") + 1] == "enc1.down.norm"
+    assert names[:3] == ["stem", "stem.block0.conv1", "stem.block0.conv2"]
+    assert names[names.index("enc1.down") + 1] == "enc1.block0.conv1"
     assert names[-1] == "head"
     assert list(net.parameters()) == [k for layer in net.layers.values() for k in layer.params]
     assert list(net.buffers())[:2] == ["input_mean", "input_std"]
@@ -319,6 +339,33 @@ def test_layer_registry_is_parameter_order():
     for stage in net.decoder:
         after = net.encoder[net.encoder.index(stage.skip_src) + 1]
         assert isinstance(after, ConvUnit) and after.name.endswith(".down")
+
+
+def test_archive_names_and_their_order():
+    # each conv unit gives its conv's weights (and bias, at alpha > 1), then
+    # its norm's gamma and beta, in registry order, then the head; archives
+    # keep the names and order they had when conv and norm were two leaves
+    net = build(small_config(alpha_overrides={"enc2.block0.conv2.conv": 3}), seed=0)
+    units = []
+    for stage in ["stem"] + [f"enc{k}" for k in range(1, 6)]:
+        units += [stage if stage == "stem" else f"{stage}.down", f"{stage}.block0.conv1", f"{stage}.block0.conv2"]
+    units += [f"dec{k}.{part}" for k in range(5, 0, -1) for part in ("proj", "refine")]
+    assert list(net.layers) == [*units, "head"]
+    params = []
+    for unit in units:
+        params.append(f"{unit}.conv.weights")
+        if unit == "enc2.block0.conv2":
+            params.append(f"{unit}.conv.bias")
+        params += [f"{unit}.norm.gamma", f"{unit}.norm.beta"]
+    params += ["head.weights", "head.bias"]
+    buffers = ["input_mean", "input_std"] + [f"{unit}.norm.{stat}" for unit in units for stat in ("running_mean", "running_var")]
+    assert list(net.parameters()) == params
+    assert list(net.buffers()) == buffers
+    assert net.layers["enc2.block0.conv2"].alpha == 3
+    assert {layer.alpha for name, layer in net.layers.items() if name != "enc2.block0.conv2"} == {1}
+    # an override key prefixes conv names, so a norm's name is none
+    with pytest.raises(ValueError, match=r"^alpha_overrides name no conv layer: 'stem\.norm'$"):
+        build(small_config(alpha_overrides={"stem.norm": 2}))
 
 
 def _as_float64(net):
@@ -456,11 +503,11 @@ def test_load_rejects_bad_values_before_any_write(tmp_path, monkeypatch, problem
 
 
 def _randomize_norms(net, seed):
-    """Non-trivial scale, shift and running statistics in every norm layer."""
+    """Non-trivial scale, shift and running statistics in every conv unit's norm."""
     rng = np.random.default_rng(seed)
-    for name, layer in net.layers.items():
-        if name.endswith(".norm"):
-            gamma, beta = layer.params.values()
+    for layer in net.layers.values():
+        if isinstance(layer, ConvUnit):
+            *_, gamma, beta = layer.params.values()
             mean, var = layer.buffers.values()
             c = gamma.size
             gamma[:] = rng.uniform(0.5, 1.5, c)
@@ -471,12 +518,14 @@ def _randomize_norms(net, seed):
 
 
 def _unfolded_unit_forward(unit, x, training=False):
-    """Eval forward of a conv unit without the fold: its conv, then
-    ``norm_inference`` over its own norm's params and buffers, then relu."""
+    """Eval forward of a conv unit without the fold: its conv (a zero bias
+    where it has none), then ``norm_inference`` over its own norm's params and
+    buffers, then relu."""
     assert not training
-    conv, norm = unit.conv, unit.norm
-    y = slc_forward(x, conv.kernel, conv.pad_spec, conv.stride_w)
-    y = norm_inference(y, *norm.params.values(), *norm.buffers.values())
+    weights, *bias, gamma, beta = unit.params.values()
+    kernel = SlcKernel(weights, bias[0] if bias else np.zeros(weights.shape[3:], weights.dtype))
+    y = slc_forward(x, kernel, unit.pad_spec, unit.stride_w)
+    y = norm_inference(y, gamma, beta, *unit.buffers.values())
     return relu(y) if unit.activated else y
 
 
@@ -539,19 +588,19 @@ def test_eval_fold_follows_loaded_and_stepped_weights(tmp_path):
 
 
 def _modules(net):
-    """The network and every decoder stage, conv unit, residual block and
-    conv and norm leaf of it."""
+    """The network, its head and every decoder stage, conv unit and
+    residual block of it, each once."""
     units = [unit for stage in net.decoder for unit in (stage, stage.proj, stage.refine)]
     for module in net.encoder:
         units += [module, module.u1, module.u2] if isinstance(module, ResBlock) else [module]
-    return [net] + list(net.layers.values()) + units
+    return [net, net.head] + units
 
 
 # the one cache each kind of module keeps in training; every other module
 # keeps no activation, since backward takes its input from its parent
-ACTIVATION_CACHES = {NormLayer: "_cache", ResBlock: "_out", Network: "_x"}
-# a conv that a norm follows also keeps the array it wrote, in which the
-# norm built x_hat, from step to step
+ACTIVATION_CACHES = {ConvUnit: "_cache", ResBlock: "_out", Network: "_x"}
+# a conv unit also keeps the array its conv wrote, in which its norm built
+# x_hat, from step to step
 KEPT = "kept"
 
 
@@ -564,7 +613,7 @@ def test_eval_forward_keeps_no_activations():
     x = np.random.default_rng(26).standard_normal((1, 8, 64, 3)).astype(np.float32)
     net.forward(x, training=False)
     modules = _modules(net)
-    keepers = [m for m in modules if isinstance(m, SlcLayer) and m.norm is not None]
+    keepers = [m for m in modules if isinstance(m, ConvUnit)]
 
     def assert_released():
         for module in modules:
@@ -577,9 +626,8 @@ def test_eval_forward_keeps_no_activations():
         cache = ACTIVATION_CACHES.get(type(module))
         if cache is not None:
             assert getattr(module, cache) is not None, (type(module).__name__, cache)
-            held = [cache, "input_mean", "input_std"] if module is net else [cache]
-        else:
-            held = [KEPT] if module in keepers else []
+        held = [cache] if cache is not None else []
+        held += [KEPT] if module in keepers else ["input_mean", "input_std"] if module is net else []
         assert sorted(_held_activations(module)) == sorted(held), type(module).__name__
 
     # an eval forward drops every cache and kept array a training forward left
@@ -588,7 +636,7 @@ def test_eval_forward_keeps_no_activations():
 
     # a finished training step holds no activations: backward released
     # every cache once it had read it, so beyond the parameter gradients
-    # and each kept conv output the step leaves almost nothing traced behind
+    # and each unit's kept array the step leaves almost nothing traced behind
     x2 = np.random.default_rng(27).standard_normal((2, 16, 128, 3)).astype(np.float32)
     tracemalloc.start()
     try:
@@ -605,7 +653,7 @@ def test_eval_forward_keeps_no_activations():
         expected = [KEPT] if module in keepers else ["input_mean", "input_std"] if module is net else []
         assert sorted(_held_activations(module)) == expected, type(module).__name__
     held -= sum(g.nbytes for g in net.grads().values())
-    held -= sum(conv.kept.nbytes for conv in keepers)
+    held -= sum(unit.kept.nbytes for unit in keepers)
     stem_bytes = 2 * 16 * 128 * net.config.stage_channels[0] * 4
     assert held < stem_bytes
 
@@ -639,7 +687,7 @@ def test_training_step_peak_memory():
     # conv input and relu output as well peaked at 25.9x the stem output,
     # against 19.1x without them; the norm building x_hat in the conv output
     # and its input gradient in its upstream took it from 18.7x to 17.8x.
-    # The convs' kept arrays (9.75x) are held from the step before, and the
+    # The units' kept arrays (9.75x) are held from the step before, and the
     # step allocates 8.06x beyond them; without the conv input gradients
     # written into the spent kept arrays it was 8.93x
     net = build(config_from_preset("a"), seed=41)
@@ -647,7 +695,7 @@ def test_training_step_peak_memory():
     logits = net.forward(x, training=True)
     net.backward(np.ones_like(logits))
     del logits
-    kept = sum(layer.kept.nbytes for layer in net.layers.values() if isinstance(layer, SlcLayer) and layer.norm is not None)
+    kept = sum(layer.kept.nbytes for layer in net.layers.values() if isinstance(layer, ConvUnit))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -695,9 +743,9 @@ def test_output_rebuilds_each_training_forward_result(monkeypatch, dtype, paddin
 
 
 def test_kept_arrays_keep_the_training_bits(monkeypatch):
-    # a seeded run whose convs keep their arrays from step to step, against
-    # one whose eval forward between steps releases them and one whose
-    # convs keep nothing, so that every conv writes into a fresh array
+    # a seeded run whose conv units keep their arrays from step to step,
+    # against one whose eval forward between steps releases them and one
+    # whose units keep nothing, so that every conv writes into a fresh array
     cfg = config_from_preset("a", n_classes=4, alpha_overrides={"enc2": 2})
     rng = np.random.default_rng(46)
     xs = rng.standard_normal((4, 2, 16, 64, 3)).astype(np.float32)
@@ -706,7 +754,7 @@ def test_kept_arrays_keep_the_training_bits(monkeypatch):
     def run(eval_between):
         net = build(cfg, seed=47)
         opt = Adam(net.parameters(), 2e-3)
-        keepers = [layer for layer in net.layers.values() if isinstance(layer, SlcLayer) and layer.norm is not None]
+        keepers = [layer for layer in net.layers.values() if isinstance(layer, ConvUnit)]
         losses, kept = [], []
         for x, y in zip(xs, ys):
             if eval_between:
@@ -715,7 +763,7 @@ def test_kept_arrays_keep_the_training_bits(monkeypatch):
             net.backward(loss.grad.astype(np.float32))
             opt.step(net.grads())
             losses.append(loss.value)
-            kept.append([conv.kept for conv in keepers])
+            kept.append([unit.kept for unit in keepers])
         state = {n: a.tobytes() for n, a in (net.parameters() | net.buffers()).items()}
         return (losses, state), kept
 
@@ -724,7 +772,7 @@ def test_kept_arrays_keep_the_training_bits(monkeypatch):
     got, kept = run(eval_between=True)
     assert not any(a is b for a, b in zip(kept[0], kept[-1]))
     assert got == want
-    monkeypatch.setattr(SlcLayer, KEPT, property(lambda conv: None, lambda conv, value: None), raising=False)
+    monkeypatch.setattr(ConvUnit, KEPT, property(lambda unit: None, lambda unit, value: None), raising=False)
     got, kept = run(eval_between=False)
     assert kept[-1] == [None] * len(kept[-1])
     assert got == want
@@ -746,36 +794,43 @@ def test_training_logits_outlive_later_steps():
 def test_backward_after_eval_forward_names_the_layer():
     net = build(small_config(), seed=33)
     logits = net.forward(np.ones((1, 8, 64, 3), np.float32))
-    with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
+    with pytest.raises(RuntimeError, match=r"^dec1\.refine: backward needs a training forward first$"):
         net.backward(np.ones_like(logits))
     # after a training forward, the eval forward that follows it wins
     net.forward(np.ones((1, 8, 64, 3), np.float32), training=True)
     logits = net.forward(np.ones((1, 8, 64, 3), np.float32))
-    with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
+    with pytest.raises(RuntimeError, match=r"^dec1\.refine: backward needs a training forward first$"):
         net.backward(np.ones_like(logits))
-    # the head's input is rebuilt from the last decoder's norm, which is the first to be missed
-    with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
+    # the head's input is rebuilt from the last decoder unit, which is the first to be missed
+    with pytest.raises(RuntimeError, match=r"^dec1\.refine: backward needs a training forward first$"):
         net.decoder[-1].output()
     stem = net.encoder[0]
-    with pytest.raises(RuntimeError, match=r"^stem\.norm: backward needs a training forward first$"):
+    with pytest.raises(RuntimeError, match=r"^stem: backward needs a training forward first$"):
         stem.backward(np.ones((1, 8, 64, 8), np.float32), np.ones((1, 8, 64, 3), np.float32), np.ones((1, 8, 64, 8), np.float32))
 
 
 def test_train_and_eval_run_the_same_conv_leaves(monkeypatch):
+    # every leaf, each conv unit and the head, runs once and one convolution
+    # in each mode: at eval a unit's norm is folded into its conv
     net = build(small_config(alpha_overrides={"enc2": 2}), seed=38)
     calls = []
-    leaf_forward = SlcLayer.forward
+    for cls in (ConvUnit, SlcLayer):
 
-    def recorded(layer, x, training=False):
-        calls.append(layer.name)
-        return leaf_forward(layer, x, training)
+        def recorded(layer, x, training=False, _forward=cls.forward):
+            calls.append(layer.name)
+            return _forward(layer, x, training)
 
-    monkeypatch.setattr(SlcLayer, "forward", recorded)
+        monkeypatch.setattr(cls, "forward", recorded)
+    convs = []
+    conv = seg_net.slc_forward
+    monkeypatch.setattr(seg_net, "slc_forward", lambda *args, **kw: convs.append(args[1].alpha) or conv(*args, **kw))
     x = np.random.default_rng(39).standard_normal((1, 8, 64, 3)).astype(np.float32)
     net.forward(x, training=True)
     train_calls, calls[:] = calls[:], []
+    train_convs, convs[:] = convs[:], []
     net.forward(x)
-    assert train_calls == calls == [name for name, layer in net.layers.items() if isinstance(layer, SlcLayer)]
+    assert train_calls == calls == list(net.layers)
+    assert train_convs == convs == [layer.alpha for layer in net.layers.values()]
 
 
 def test_every_activation_runs_through_relu(monkeypatch):
@@ -832,10 +887,10 @@ def test_res_block_backward_hands_the_plain_unit_its_spent_upstream(monkeypatch)
 @pytest.mark.parametrize("training", [False, True])
 def test_alpha_above_input_height_names_the_layer_before_any_conv_runs(monkeypatch, training):
     net = build(small_config(alpha_overrides={"enc3": 4}), seed=40)
-    monkeypatch.setattr(SlcLayer, "forward", lambda *args: pytest.fail("a conv ran"))
-    with pytest.raises(ValueError, match=r"^enc3\.down\.conv: alpha 4 exceeds input height 2$"):
+    monkeypatch.setattr(seg_net, "slc_forward", lambda *args, **kw: pytest.fail("a conv ran"))
+    with pytest.raises(ValueError, match=r"^enc3\.down: alpha 4 exceeds input height 2$"):
         net.forward(np.ones((1, 2, 64, 3), np.float32), training)
-    with pytest.raises(ValueError, match=r"^stem\.conv: alpha 1 exceeds input height 0$"):
+    with pytest.raises(ValueError, match=r"^stem: alpha 1 exceeds input height 0$"):
         net.forward(np.ones((1, 0, 64, 3), np.float32), training)
 
 
@@ -843,17 +898,20 @@ def test_second_backward_names_the_layer():
     net = build(small_config(), seed=34)
     logits = net.forward(np.ones((1, 8, 64, 3), np.float32), training=True)
     net.backward(np.ones_like(logits))
-    with pytest.raises(RuntimeError, match=r"^dec1\.refine\.norm: backward needs a training forward first$"):
+    with pytest.raises(RuntimeError, match=r"^dec1\.refine: backward needs a training forward first$"):
         net.backward(np.ones_like(logits))
     up = np.ones((1, 8, 64, 8), np.float32)
-    for name in ("dec1.refine.norm", "stem.norm"):
+    for name in ("dec1.refine", "stem"):
+        # the unit fails before it writes into any array it is handed
+        y = up.copy()
         with pytest.raises(RuntimeError, match=rf"^{re.escape(name)}: backward needs a training forward first$"):
-            net.layers[name].backward(up)
+            net.layers[name].backward(up, up, y)
+        np.testing.assert_array_equal(y, up)
     # a parent takes a block's spent output from the block, which names itself
     block = net.encoder[1]
     with pytest.raises(RuntimeError, match=r"^stem\.block0: backward needs a training forward first$"):
         block.output()
-    with pytest.raises(RuntimeError, match=r"^stem\.block0\.conv1\.norm: backward needs a training forward first$"):
+    with pytest.raises(RuntimeError, match=r"^stem\.block0\.conv1: backward needs a training forward first$"):
         block.backward(up, up, up.copy())
 
 
