@@ -16,8 +16,6 @@ from .projection import (
     IndexMap,
     OcclusionStats,
     backproject_labels,
-    get_columns,
-    get_rows,
     occlusion_stats,
     project_ego_corrected,
     unfold_scan,

@@ -95,9 +95,9 @@ def _cmd_synth(args) -> int:
     scan = synth_lidar.generate_scan(sensor, scene)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cloud_io.save_point_cloud(scan.cloud, out / "raw.bin")
-    cloud_io.save_point_cloud(scan.cloud_ego_corrected, out / "ego.bin")
-    cloud_io.save_labels(scan.labels, out / "scan.label")
+    (out / "raw.bin").write_bytes(cloud_io.write_point_cloud(scan.cloud))
+    (out / "ego.bin").write_bytes(cloud_io.write_point_cloud(scan.cloud_ego_corrected))
+    (out / "scan.label").write_bytes(cloud_io.write_labels(scan.labels))
     print(f"wrote {len(scan)} points to {out}/raw.bin, {out}/ego.bin, {out}/scan.label")
     return 0
 
@@ -108,8 +108,8 @@ def _accounting(stats: projection.OcclusionStats) -> str:
 
 
 def _cmd_project(args) -> int:
-    cloud = cloud_io.load_point_cloud(args.input)
-    labels = cloud_io.load_labels(args.labels) if args.labels else None
+    cloud = cloud_io.read_point_cloud(Path(args.input).read_bytes())
+    labels = cloud_io.read_labels(Path(args.labels).read_bytes()) if args.labels else None
     if args.mode == "unfold":
         img, index_map = projection.unfold_scan(cloud, labels, args.height, args.width)
     else:
@@ -117,7 +117,7 @@ def _cmd_project(args) -> int:
             cloud, labels, args.height, args.width, args.fov_up, args.fov_down
         )
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".rimg")
-    cloud_io.save_range_image(img, out)
+    out.write_bytes(cloud_io.write_range_image_bytes(img))
     if args.preview:
         write_pgm(args.preview, img.depth)
     stats = projection.occlusion_stats(index_map)

@@ -13,8 +13,8 @@ Three on-disk formats are handled here:
   pixel, each row-major. A container is exactly ``53 + 13 * h * w`` bytes long.
   Round-trips are bit-exact.
 
-All parsers take raw ``bytes`` so they stay pure; ``load_*``/``save_*`` helpers
-wrap them for paths.
+Every reader takes raw ``bytes`` and every writer returns them, so the module
+does no file I/O: a caller reads or writes a path's bytes itself.
 
 ``check_fields`` is the config dataclasses' one kind check, here because
 every module that defines one imports this one.
@@ -29,7 +29,6 @@ import struct
 import types
 import typing
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -274,26 +273,3 @@ def read_range_image_bytes(data: bytes) -> RangeImage:
     _reject_pixels(~on & (reflectance != 0), "nonzero reflectance off the mask")
     return RangeImage(depth=depth.copy(), reflectance=reflectance.copy(), label=label.astype(np.int32), mask=on.copy())
 
-
-def load_point_cloud(path) -> PointCloud:
-    return read_point_cloud(Path(path).read_bytes())
-
-
-def save_point_cloud(cloud: PointCloud, path) -> None:
-    Path(path).write_bytes(write_point_cloud(cloud))
-
-
-def load_labels(path) -> LabelArray:
-    return read_labels(Path(path).read_bytes())
-
-
-def save_labels(labels: LabelArray, path) -> None:
-    Path(path).write_bytes(write_labels(labels))
-
-
-def load_range_image(path) -> RangeImage:
-    return read_range_image_bytes(Path(path).read_bytes())
-
-
-def save_range_image(img: RangeImage, path) -> None:
-    Path(path).write_bytes(write_range_image_bytes(img))

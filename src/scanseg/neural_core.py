@@ -125,18 +125,6 @@ class SlcKernel:
         if self.bias.shape != (c_out, alpha):
             raise ValueError(f"bias shape {self.bias.shape}, expected {(c_out, alpha)}")
 
-    @property
-    def shape(self):
-        return self.weights.shape
-
-    @property
-    def alpha(self) -> int:
-        return self.weights.shape[4]
-
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size
-
 
 def glorot_uniform(rng: np.random.Generator, i: int, j: int, c_in: int, c_out: int, alpha: int = 1, dtype=np.float32) -> SlcKernel:
     """Seeded kernel init, uniform in +-sqrt(6 / (fan_in + fan_out))."""
@@ -289,7 +277,7 @@ def _conv_setup(x, kernel, pad_spec, stride_w, *operands):
     """
     _check_rank4(x)
     _, h, w, c = x.shape
-    i_k, j_k, c_in, c_out, alpha = kernel.shape
+    i_k, j_k, c_in, c_out, alpha = kernel.weights.shape
     if c != c_in:
         raise ValueError(f"input has {c} channels, kernel expects {c_in}")
     if stride_w < 1:
@@ -371,7 +359,7 @@ def slc_forward(x: np.ndarray, kernel: SlcKernel, pad_spec: PadSpec, stride_w: i
     ``x``.
     """
     _, dtype, wp, h_out, w_out, min_rows = _conv_setup(x, kernel, pad_spec, stride_w)
-    i_k, _, _, c_out, alpha = kernel.shape
+    i_k, _, _, c_out, alpha = kernel.weights.shape
     y = _out_array(out, (x.shape[0], h_out, w_out, c_out), dtype, x)
     bands = list(_row_bands(h_out, alpha, wp, min_rows, (0,) * i_k))
     w_taps = np.ascontiguousarray(np.transpose(kernel.weights, (4, 0, 1, 2, 3)), dtype=dtype)
@@ -399,7 +387,7 @@ def slc_backward(
     """
     _check_rank4(upstream)
     gemm, dtype, wp, h_out, w_out, min_rows = _conv_setup(x, kernel, pad_spec, stride_w, upstream)
-    i_k, j_k, c_in, c_out, alpha = kernel.shape
+    i_k, j_k, c_in, c_out, alpha = kernel.weights.shape
     if (pad_spec.i_pad, pad_spec.j_pad) != (i_k // 2, j_k // 2):
         raise ValueError(f"slc_backward needs pad_spec PadSpec.same({i_k}, {j_k}), got {pad_spec}")
     b = x.shape[0]

@@ -107,11 +107,6 @@ def _polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, ranges
 
 
-def get_columns(cloud: PointCloud, w: int = DEFAULT_W) -> np.ndarray:
-    """Column index per point: floor(W * (pi - azimuth) / 2pi), wrapped into [0, W)."""
-    return _columns(_polar(cloud.points)[0], w)
-
-
 def _columns(phi: np.ndarray, w: int) -> np.ndarray:
     """Columns of the azimuths ``phi``, which this overwrites. The floor lies
     in [0, w]; w, reached only at phi = -pi or within rounding of it, wraps
@@ -122,11 +117,6 @@ def _columns(phi: np.ndarray, w: int) -> np.ndarray:
     cols = np.floor(cols, out=cols).astype(np.int32)
     cols[cols == w] = 0
     return cols
-
-
-def get_rows(cloud: PointCloud) -> np.ndarray:
-    """Scan line index per point: a new line starts where the azimuth rises."""
-    return _rows(_polar(cloud.points)[0])
 
 
 def _rows(phi: np.ndarray) -> np.ndarray:
@@ -224,9 +214,11 @@ def unfold_scan(
 ) -> tuple[RangeImage, IndexMap]:
     """Project an acquisition-ordered cloud by unfolding its scan lines.
 
-    Rows come from ``get_rows``; rows past ``h - 1`` mark their points out of
-    range rather than clipping into the image. ``mode`` stays only for
-    ``scanbench``, which passes ``mode="robust"``; no other value is accepted.
+    A point's row is its scan line: a new line starts where the azimuth
+    rises. Its column is floor(w * (pi - azimuth) / 2pi), wrapped into
+    [0, w). Rows past ``h - 1`` mark their points out of range rather than
+    clipping into the image. ``mode`` stays only for ``scanbench``, which
+    passes ``mode="robust"``; no other value is accepted.
     """
     if mode != "robust":
         raise ValueError(f"unfold_scan has one row rule: mode must be 'robust', got {mode!r}")

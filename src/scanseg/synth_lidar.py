@@ -124,8 +124,9 @@ class SensorModel:
         check_fields(self)
         if self.n_beams < 1:
             raise ValueError(f"n_beams must be >= 1, got {self.n_beams}")
-        if self.n_beams >= 2**31:  # rows are int32
-            raise ValueError(f"n_beams must be below 2**31, got {self.n_beams}")
+        # bounded before the default elevations are built, one per beam
+        if self.n_beams > 2**16:
+            raise ValueError(f"n_beams must be at most 2**16, got {self.n_beams}")
         if not self.rev_period > 0:
             raise ValueError(f"rev_period must be above 0, got {self.rev_period}")
         if not self.fov_down < self.fov_up:

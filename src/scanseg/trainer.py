@@ -178,6 +178,8 @@ def evaluate(net: Network, dataset: list[Sample]) -> RunReport:
     """Accumulate per-pixel confusion over the dataset, and per-point confusion
     over the samples that carry an index map and point labels (their pixel
     predictions back-projected), and report IoU metrics."""
+    if not dataset:
+        raise ValueError("dataset is empty")
     n_classes = net.config.n_classes
     cm_pixel = ConfusionMatrix.empty(n_classes)
     cm_point = ConfusionMatrix.empty(n_classes)

@@ -32,7 +32,7 @@ from scanseg.neural_core import (
     upsample_width,
     upsample_width_backward,
 )
-from scanseg.projection import get_rows, occlusion_stats, project_ego_corrected, unfold_scan
+from scanseg.projection import occlusion_stats, project_ego_corrected, unfold_scan
 from scanseg.seg_net import build, config_from_preset, count_params
 from scanseg.seg_objectives import (
     ConfusionMatrix,
@@ -196,7 +196,7 @@ def _four_layer_net(mode: str):
         glorot_uniform(rng, 3, 3, 8, 8),
         glorot_uniform(rng, 1, 1, 8, 5),
     ]
-    norms = [(np.ones(k.shape[3], np.float32), np.zeros(k.shape[3], np.float32)) for k in kernels[:3]]
+    norms = [(np.ones(k.weights.shape[3], np.float32), np.zeros(k.weights.shape[3], np.float32)) for k in kernels[:3]]
 
     def run(x):
         t = x
@@ -234,8 +234,13 @@ def test_04_row_recovery():
     sensor = SensorModel()  # 64 beams, 2048 firings
     clean = generate_scan(sensor, SceneConfig(seed=404, enclosure_radius=35.0))
     noisy = generate_scan(sensor, SceneConfig(seed=405, enclosure_radius=35.0, angular_noise=0.075))
-    clean_rate = float((get_rows(clean.cloud) == clean.true_rows).mean())
-    noisy_rate = float((get_rows(noisy.cloud) == noisy.true_rows).mean())
+
+    def row_rate(scan):
+        # a grid row per point, so no line falls past it; an occluded point keeps its row
+        rows = unfold_scan(scan.cloud, None, len(scan), 1)[1].point_to_pixel[:, 0]
+        return float((rows == scan.true_rows).mean())
+
+    clean_rate, noisy_rate = row_rate(clean), row_rate(noisy)
     elapsed = time.perf_counter() - t0
     _report(
         4,
@@ -351,12 +356,13 @@ def test_08_parameter_counting():
     ordered = list(counts.values())
     increasing = all(y > x for x, y in zip(ordered, ordered[1:]))
     rstar_ok = 0.5 * 50.4e6 <= counts["rstar"] <= 1.5 * 50.4e6
-    ok = kernel.param_count == closed_form == 152 and increasing and rstar_ok
+    kernel_count = kernel.weights.size + kernel.bias.size
+    ok = kernel_count == closed_form == 152 and increasing and rstar_ok
     _report(
         8,
         "parameter counts",
         ok,
-        f"slc example = {kernel.param_count}, presets = {ordered}, R* within +-50% of 50.4M: {rstar_ok}",
+        f"slc example = {kernel_count}, presets = {ordered}, R* within +-50% of 50.4M: {rstar_ok}",
     )
 
 

@@ -9,11 +9,12 @@ import pytest
 
 from scanseg import cli
 from scanseg.cli import build_parser, main, write_pgm, write_ppm
-from scanseg.cloud_io import load_range_image
+from scanseg.cloud_io import read_range_image_bytes, write_labels, write_point_cloud, write_range_image_bytes
 from scanseg.neural_core import PADDING_MODES
-from scanseg.projection import PROJECTIONS
-from scanseg.seg_net import BACKBONE_PRESETS, preset_key
+from scanseg.projection import PROJECTIONS, unfold_scan
+from scanseg.seg_net import BACKBONE_PRESETS, build, config_from_preset, preset_key, save_weights
 from scanseg.seg_objectives import LOSSES
+from scanseg.synth_lidar import generate_scan, load_scan_setup
 from scanseg.trainer import RunReport
 
 
@@ -84,13 +85,28 @@ def test_synth_project_stats_pipeline(tmp_path, scene_config, capsys):
     assert code == 0
     # noise-free unfolding loses nothing at any width
     assert "occluded=0 out_of_range=0" in out
-    img = load_range_image(rimg)
+    img = read_range_image_bytes(rimg.read_bytes())
     assert img.shape == (16, 128)
     assert preview.read_bytes().startswith(b"P5\n128 16\n255\n")
 
     assert main(["stats", "--config", str(scene_config)]) == 0
     out = capsys.readouterr().out
     assert "occluded(ego) > occluded(unfold): True" in out
+
+
+def test_synth_and_project_write_the_library_bytes(tmp_path, scene_config, capsys):
+    out_dir = tmp_path / "scan"
+    assert main(["synth", "--config", str(scene_config), "--out-dir", str(out_dir)]) == 0
+    scan = generate_scan(*load_scan_setup(scene_config))
+    assert (out_dir / "raw.bin").read_bytes() == write_point_cloud(scan.cloud)
+    assert (out_dir / "ego.bin").read_bytes() == write_point_cloud(scan.cloud_ego_corrected)
+    assert (out_dir / "scan.label").read_bytes() == write_labels(scan.labels)
+
+    rimg = tmp_path / "scan.rimg"
+    argv = ["project", str(out_dir / "raw.bin"), "--labels", str(out_dir / "scan.label"), "--out", str(rimg)]
+    assert main(argv + ["--height", "16", "--width", "128"]) == 0
+    img, _ = unfold_scan(scan.cloud, scan.labels, 16, 128)
+    assert rimg.read_bytes() == write_range_image_bytes(img)
 
 
 def test_project_missing_file(tmp_path, capsys):
@@ -246,6 +262,16 @@ def test_nan_metrics_read_undefined_in_file_and_on_stdout(tmp_path, capsys, monk
     text = report.read_text()
     for key in ("sec_per_forward", "iou_class_1", "miou", "point_miou"):
         assert f"\n{key} = undefined\n" in text
+
+
+def test_eval_on_an_empty_split_fails_by_name(tmp_path, capsys):
+    # one scan goes to the training split, so the held-out split is empty
+    path = tmp_path / "weights.npz"
+    save_weights(build(config_from_preset("a", n_classes=4), seed=0), path)
+    assert main(["eval", "--weights", str(path), "--scans", "1", "--height", "16", "--width", "64", "--split", "val"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: dataset is empty\n"
+    assert "miou" not in captured.out
 
 
 def test_eval_weight_mismatch_is_runtime_error(tmp_path, capsys):

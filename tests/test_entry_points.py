@@ -8,11 +8,9 @@ network, which load to finite eval logits or raise a ValueError.
 Each config case either constructs objects whose fields have their annotated
 kinds or raises a ValueError that names a field; no other exception may
 escape. The kinds are checked here by ``has_kind``, written apart from the
-library's own check. Integers are drawn small, or as 2**31 and 10**400:
-the bounded sizes (beams, firings, classes) reject those two, and no other
-int field allocates at construction. An int in between could pass a bound
-and allocate that much (an n_beams of 10**9 builds a billion default
-elevations), so none is drawn.
+library's own check. Integers are drawn small, or as 10**9, 2**31 and
+10**400: the bounded sizes (beams, firings, classes) reject those three
+before they allocate, and no other int field allocates at construction.
 """
 
 import dataclasses
@@ -81,8 +79,8 @@ def has_kind(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-# far past every size bound; a draw between 300 and a bound would allocate
-huge_ints = st.just(2**31) | st.just(10**400)
+# far past every size bound
+huge_ints = st.just(10**9) | st.just(2**31) | st.just(10**400)
 scalars = st.one_of(
     st.none(),
     st.booleans(),

@@ -42,7 +42,7 @@ SCRIPT = textwrap.dedent(
     assert projection.occlusion_stats(index_map).n_points == len(cloud)
     projection.occlusion_stats(ego_map)
     raw = Path(sys.argv[1])
-    cloud_io.save_point_cloud(cloud, raw)
+    raw.write_bytes(cloud_io.write_point_cloud(cloud))
     assert cli.main(["project", str(raw), "--height", "8", "--width", "64", "--out", str(raw.with_suffix(".rimg"))]) == 0
     assert "scipy.linalg" not in sys.modules, "the data path loaded scipy.linalg"
     assert "scipy.linalg._fblas" not in sys.modules, "the data path loaded scipy's BLAS"

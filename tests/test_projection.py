@@ -15,8 +15,6 @@ from scanseg.projection import (
     _polar,
     _scatter_nearest,
     backproject_labels,
-    get_columns,
-    get_rows,
     occlusion_stats,
     project_ego_corrected,
     unfold_scan,
@@ -32,6 +30,13 @@ def _cloud(points):
     return PointCloud(points=pts, reflectance=np.zeros(len(pts), dtype=np.float32))
 
 
+def unfolded_pixels(cloud, w=1):
+    """Each point's (row, col) as ``unfold_scan`` places it. The grid has a
+    row per point, so no line falls past it, and an occluded point keeps its
+    pixel."""
+    return unfold_scan(cloud, None, max(len(cloud), 1), w)[1].point_to_pixel
+
+
 def _covered_scan(sensor=SMALL, **scene_kw):
     scene_kw.setdefault("enclosure_radius", 25.0)
     scene = SceneConfig(**scene_kw)
@@ -41,18 +46,18 @@ def _covered_scan(sensor=SMALL, **scene_kw):
 class TestColumns:
     def test_cardinal_directions(self):
         cloud = _cloud([[-1, 0, 0], [0, 1, 0], [1, 0, 0]])
-        np.testing.assert_array_equal(get_columns(cloud, 2048), [0, 512, 1024])
+        np.testing.assert_array_equal(unfolded_pixels(cloud, 2048)[:, 1], [0, 512, 1024])
 
     def test_origin_rejected(self):
         with pytest.raises(ValueError, match="azimuth undefined"):
-            get_columns(_cloud([[0, 0, 1]]), 64)
+            unfolded_pixels(_cloud([[0, 0, 1]]), 64)
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**31), st.integers(1, 4096))
     def test_totality(self, seed, w):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-100, 100, size=(50, 3))
-        cols = get_columns(_cloud(pts), w)
+        cols = unfolded_pixels(_cloud(pts), w)[:, 1]
         assert cols.min() >= 0 and cols.max() < w
 
 
@@ -71,14 +76,14 @@ class TestRows:
     def test_hand_trace(self):
         az = np.radians([170.0, 169.8, 169.6, 170.0, 169.8, 169.6])
         pts = np.stack([np.cos(az), np.sin(az), np.zeros(6)], axis=1)
-        rows = get_rows(_cloud(pts))
+        rows = unfolded_pixels(_cloud(pts))[:, 0]
         np.testing.assert_array_equal(rows, [0, 0, 0, 1, 1, 1])
 
     def test_single_point(self):
-        np.testing.assert_array_equal(get_rows(_cloud([[1, 0, 0]])), [0])
+        np.testing.assert_array_equal(unfolded_pixels(_cloud([[1, 0, 0]]))[:, 0], [0])
 
     def test_empty(self):
-        assert get_rows(_cloud(np.zeros((0, 3)))).size == 0
+        assert unfolded_pixels(_cloud(np.zeros((0, 3))))[:, 0].size == 0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -86,7 +91,7 @@ class TestRows:
 
     def test_recovers_true_rows_noise_free(self):
         scan = _covered_scan(seed=11)
-        np.testing.assert_array_equal(get_rows(scan.cloud), scan.true_rows)
+        np.testing.assert_array_equal(unfolded_pixels(scan.cloud)[:, 0], scan.true_rows)
 
     def test_dropped_return_gap_wider_than_pi_stays_one_row(self):
         # a line that skips from 152.5 to -76.4 degrees: the gap crosses
@@ -94,7 +99,7 @@ class TestRows:
         step = 360.0 / 2048.0
         line0 = np.concatenate([np.arange(179.9, 152.5, -step), np.arange(-76.4, -180.0, -step)])
         line1 = np.arange(179.9, -180.0, -step)
-        np.testing.assert_array_equal(get_rows(_line_cloud(line0, line1)), _line_rows(line0, line1))
+        np.testing.assert_array_equal(unfolded_pixels(_line_cloud(line0, line1))[:, 0], _line_rows(line0, line1))
 
     def test_line_change_rising_less_than_pi_is_a_break(self):
         # sparse lines (every eighth return kept): the last return of one line
@@ -102,14 +107,14 @@ class TestRows:
         step = 8 * 360.0 / 2048.0
         line0 = np.append(np.arange(179.9, -105.4, -step), -105.4)
         line1 = np.arange(70.9, -180.0, -step)
-        np.testing.assert_array_equal(get_rows(_line_cloud(line0, line1)), _line_rows(line0, line1))
+        np.testing.assert_array_equal(unfolded_pixels(_line_cloud(line0, line1))[:, 0], _line_rows(line0, line1))
 
     def test_line_wholly_before_the_next_merges_with_it(self):
         # the rule's blind spot: line 0 ends before line 1's first return in
         # firing order, so the azimuth never rises between them
         line0 = np.arange(170.0, 100.0, -1.0)
         line1 = np.arange(90.0, -170.0, -1.0)
-        np.testing.assert_array_equal(get_rows(_line_cloud(line0, line1)), 0)
+        np.testing.assert_array_equal(unfolded_pixels(_line_cloud(line0, line1))[:, 0], 0)
 
     def test_smooth_jitter_keeps_recovery(self):
         # realistic geometry: 2048 firings per revolution, jitter stddev
@@ -117,7 +122,7 @@ class TestRows:
         sensor = SensorModel(n_beams=64)
         scene = SceneConfig(seed=12, enclosure_radius=30.0, angular_noise=0.075)
         scan = generate_scan(sensor, scene)
-        np.testing.assert_array_equal(get_rows(scan.cloud), scan.true_rows)
+        np.testing.assert_array_equal(unfolded_pixels(scan.cloud)[:, 0], scan.true_rows)
 
 
 def _open_scene(rng, seed, ego_velocity):
@@ -155,7 +160,7 @@ def test_rows_equal_true_rows_on_simulated_scans(kind, h, w):
             scene = _SCENE_KINDS[kind](np.random.default_rng(seed), seed, ego_velocity)
             for angular_noise in (0.0, 0.05):
                 scan = generate_scan(sensor, dataclasses.replace(scene, angular_noise=angular_noise))
-                rate = float((get_rows(scan.cloud) == scan.true_rows).mean())
+                rate = float((unfolded_pixels(scan.cloud)[:, 0] == scan.true_rows).mean())
                 if rate < 1.0:
                     wrong.append((seed, ego_velocity, angular_noise, rate))
     assert wrong == []

@@ -142,7 +142,7 @@ def test_config_rejects_a_value_of_the_wrong_kind(kw, message):
 
 def test_single_layer_param_count_closed_form():
     k = glorot_uniform(np.random.default_rng(0), 3, 3, 2, 4, alpha=2)
-    assert k.param_count == 3 * 3 * 2 * 4 * 2 + 4 * 2 == 152
+    assert k.weights.size + k.bias.size == 3 * 3 * 2 * 4 * 2 + 4 * 2 == 152
 
 
 def test_preset_counts_strictly_increase():
@@ -710,6 +710,7 @@ def test_training_step_peak_memory():
     assert peak + kept <= 18.5 * stem_bytes
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("padding", ["cyclic", "zeros"])
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -742,6 +743,7 @@ def test_output_rebuilds_each_training_forward_result(monkeypatch, dtype, paddin
         assert got.tobytes() == want.tobytes(), getattr(module, "name", type(module).__name__)
 
 
+@pytest.mark.blas_bits
 def test_kept_arrays_keep_the_training_bits(monkeypatch):
     # a seeded run whose conv units keep their arrays from step to step,
     # against one whose eval forward between steps releases them and one
@@ -823,7 +825,7 @@ def test_train_and_eval_run_the_same_conv_leaves(monkeypatch):
         monkeypatch.setattr(cls, "forward", recorded)
     convs = []
     conv = seg_net.slc_forward
-    monkeypatch.setattr(seg_net, "slc_forward", lambda *args, **kw: convs.append(args[1].alpha) or conv(*args, **kw))
+    monkeypatch.setattr(seg_net, "slc_forward", lambda *args, **kw: convs.append(args[1].weights.shape[4]) or conv(*args, **kw))
     x = np.random.default_rng(39).standard_normal((1, 8, 64, 3)).astype(np.float32)
     net.forward(x, training=True)
     train_calls, calls[:] = calls[:], []

@@ -234,10 +234,11 @@ def test_scene_rejects_a_primitive_of_another_type():
         pytest.param({"n_beams": "4"}, "SensorModel.n_beams must be int, got '4'", id="sensor_kw8-n_beams must be an integer, got '4'"),
         pytest.param({"azimuth_step": "1"}, "SensorModel.azimuth_step must be float, got '1'", id="sensor_kw9-azimuth_step must be a finite number, got '1'"),
         pytest.param({"beam_elevations": 5.0}, r"SensorModel.beam_elevations must be tuple\[float, ...\] \| None, got 5.0", id='sensor_kw10-beam_elevations must be a sequence of numbers, got 5.0'),
-        # rows and columns are int32: 10**400 beams raised OverflowError, and a
-        # 1e-300 step built and then failed in generate_scan
-        pytest.param({"n_beams": 10**400}, r"n_beams must be below 2\*\*31, got 1000", id="n_beams 10**400"),
-        pytest.param({"n_beams": 2**31}, r"n_beams must be below 2\*\*31, got 2147483648", id="n_beams 2**31"),
+        # 10**400 beams raised OverflowError; columns are int32, and a 1e-300
+        # step built and then failed in generate_scan
+        pytest.param({"n_beams": 10**400}, r"n_beams must be at most 2\*\*16, got 1000", id="n_beams 10**400"),
+        pytest.param({"n_beams": 2**31}, r"n_beams must be at most 2\*\*16, got 2147483648", id="n_beams 2**31"),
+        pytest.param({"n_beams": 2**16 + 1}, r"n_beams must be at most 2\*\*16, got 65537", id="n_beams 2**16 + 1"),
         pytest.param({"azimuth_step": 1e-300}, r"azimuth_step 1e-300 gives 2\*\*31 or more firings", id="azimuth_step 1e-300"),
         pytest.param({"azimuth_step": 360.0 / 2**31}, r"azimuth_step .* gives 2\*\*31 or more firings", id="azimuth_step 360 / 2**31"),
     ],
@@ -250,6 +251,18 @@ def test_sensor_rejects_bad_field(sensor_kw, message):
 def test_sensor_rejects_a_bool_beam_count():
     with pytest.raises(ValueError, match="SensorModel.n_beams must be int, got True"):
         SensorModel(n_beams=True)
+
+
+def test_beam_count_is_bounded_before_any_elevation_is_built(monkeypatch):
+    # a billion default elevations would take minutes and gigabytes to build
+    assert len(SensorModel(n_beams=2**16).beam_elevations) == 2**16
+
+    def refuse(*args):
+        raise AssertionError("default elevations built before the beam count was checked")
+
+    monkeypatch.setattr(synth_lidar, "default_beam_elevations", refuse)
+    with pytest.raises(ValueError, match=r"^n_beams must be at most 2\*\*16, got 1000000000$"):
+        SensorModel(n_beams=10**9)
 
 
 def test_sensor_accepts_the_largest_int32_firing_count():

@@ -157,6 +157,11 @@ class TestTraining:
 
 
 class TestEvaluation:
+    def test_empty_dataset_rejected(self):
+        # no sample scored would report NaN metrics as if they were a result
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            evaluate(build(TINY_NET, seed=0), [])
+
     def test_untrained_net_scores_at_chance(self):
         # balanced random labels; the chance level comes from simulating
         # uniform random predictions on the same targets
